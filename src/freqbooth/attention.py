@@ -153,30 +153,3 @@ def attention_backward(dout: np.ndarray, cache):
         didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
     return dhidden, didentity, grads
 
-
-def adaptive_attention(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
-                       scale: float) -> np.ndarray:
-    """Forward-only adaptive attention (self term + scale * cross term)."""
-    check_identity_scale(scale)
-    out, _ = attention_forward(np.asarray(hidden, dtype=np.float64),
-                               None if identity is None else np.asarray(identity, dtype=np.float64),
-                               w, scale)
-    return out
-
-
-def cross_term(hidden: np.ndarray, identity: np.ndarray,
-               w: AdaptiveAttentionWeights) -> np.ndarray:
-    """The cross-attention summand alone, without the strength factor."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    identity = np.asarray(identity, dtype=np.float64)
-    _check_dims(hidden, identity, w)
-    d_model = w.w_query.shape[1]
-    inv = 1.0 / np.sqrt(d_model // w.heads)
-    q = hidden @ w.w_query
-    k_id = identity @ w.w_key_id
-    v_id = identity @ w.w_value_id
-    out = np.empty((hidden.shape[0], d_model))
-    for sl in _head_slices(d_model, w.heads):
-        a2 = softmax_rows(q[:, sl] @ k_id[:, sl].T * inv)
-        out[:, sl] = a2 @ v_id[:, sl]
-    return out

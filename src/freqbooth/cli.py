@@ -6,9 +6,9 @@ given the same echo, every artifact is byte-identical across runs (reports
 keep wall-clock times in a separate non-normative *.timing.json sidecar so
 the normative files stay reproducible).
 
-Exit codes: 0 success, 2 usage or validation error, 3 missing prerequisite
-state (dataset or checkpoint), 4 numerical failure.  gradcheck exits 1 when
-a gradient comparison fails.
+Exit codes: 0 success, 2 usage or validation error, 3 missing or unreadable
+prerequisite state (dataset or checkpoint), 4 numerical failure.  gradcheck
+exits 1 when a gradient comparison fails.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PRESETS
+from .attention import check_identity_scale
+from .config import toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import (PARAM_SETS, forward_noise, init_weights,
                         linear_schedule, predict_eps, sample)
-from .netpbm import read_ppm, write_pfm, write_ppm
+from .netpbm import quantize, read_ppm, write_pfm, write_ppm
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
 from .training import (Dataset, StageOrderError, ToyDatasetSpec, TrainConfig,
@@ -44,7 +45,7 @@ STAGE_STEP_DEFAULTS = {0: 600, 1: 2000, 2: 500}
 
 
 class PrerequisiteError(RuntimeError):
-    """A required dataset or checkpoint is not present."""
+    """A required dataset or checkpoint is missing or unusable."""
 
 
 class UsageError(RuntimeError):
@@ -84,10 +85,6 @@ def _parse_mask(text: str) -> MaskKind | None:
         raise UsageError(f"unknown mask kind {text!r}") from None
 
 
-def _quantize(img: np.ndarray) -> np.ndarray:
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
-
-
 def _load_image(path) -> np.ndarray:
     try:
         return read_ppm(path)
@@ -97,10 +94,17 @@ def _load_image(path) -> np.ndarray:
         raise UsageError(f"cannot read image {path}: {exc}") from None
 
 
+# what reading or validating a JSON/PPM prerequisite can raise
+_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError)
+
+
 def _load_weights(path: Path):
     if not Path(path).is_file():
         raise PrerequisiteError(f"checkpoint {path} not found; run `freqbooth train` first")
-    return load_checkpoint(path)
+    try:
+        return load_checkpoint(path)
+    except _UNREADABLE as exc:
+        raise PrerequisiteError(f"checkpoint {path} is unusable: {exc!r}") from None
 
 
 def _require_stages(weights, needed: list[int], path) -> None:
@@ -165,10 +169,6 @@ def load_dataset(ddir: Path) -> Dataset:
         raise PrerequisiteError(
             f"no dataset at {ddir}; run `freqbooth gen-data` first"
         )
-    with open(index_path) as fh:
-        index = json.load(fh)
-    spec = ToyDatasetSpec.from_dict(index["spec"])
-    s = spec.image_size
 
     def read_split(rows):
         images = np.empty((len(rows), 3, s, s))
@@ -183,16 +183,23 @@ def load_dataset(ddir: Path) -> Dataset:
     def read_refs(names):
         return np.stack([read_ppm(Path(ddir) / n) for n in names])
 
-    train_images, train_identity, train_text = read_split(index["train"])
-    test_images, test_identity, test_text = read_split(index["test"])
-    dataset = Dataset(spec=spec, seed=index["seed"],
-                      train_images=train_images, train_identity=train_identity,
-                      train_text=train_text, test_images=test_images,
-                      test_identity=test_identity, test_text=test_text,
-                      train_refs=read_refs(index["train_refs"]),
-                      test_refs=read_refs(index["test_refs"]))
-    if dataset_checksum(dataset) != index["checksum"]:
-        raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
+    try:
+        with open(index_path) as fh:
+            index = json.load(fh)
+        spec = ToyDatasetSpec.from_dict(index["spec"])
+        s = spec.image_size
+        train_images, train_identity, train_text = read_split(index["train"])
+        test_images, test_identity, test_text = read_split(index["test"])
+        dataset = Dataset(spec=spec, seed=index["seed"],
+                          train_images=train_images, train_identity=train_identity,
+                          train_text=train_text, test_images=test_images,
+                          test_identity=test_identity, test_text=test_text,
+                          train_refs=read_refs(index["train_refs"]),
+                          test_refs=read_refs(index["test_refs"]))
+        if dataset_checksum(dataset) != index["checksum"]:
+            raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
+    except _UNREADABLE as exc:
+        raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
     return dataset
 
 
@@ -223,10 +230,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     dataset = _load_dataset_arg(args, out)
-    model_config = PRESETS[args.preset]()
+    model_config = toy_config()
     if model_config.image_size != dataset.spec.image_size:
         raise UsageError(
-            f"preset {args.preset} expects {model_config.image_size}px images "
+            f"the model expects {model_config.image_size}px images "
             f"but the dataset is {dataset.spec.image_size}px"
         )
     if dataset.spec.n_contexts > model_config.n_text:
@@ -251,15 +258,11 @@ def cmd_train(args) -> int:
     source_checksums = None if source is None else \
         {s: weights.checksum(s) for s in PARAM_SETS}
 
-    lr = args.lr if args.lr is not None else \
-        (1e-5 if args.preset == "paper-scale" else 1e-3)
-    weight_decay = 0.01 if args.preset == "paper-scale" else 0.0
     steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
-    config = TrainConfig(stage=stage, steps=steps, lr=lr,
+    config = TrainConfig(stage=stage, steps=steps, lr=args.lr,
                          batch_size=args.batch_size, seed=args.seed,
                          identity_scale=args.lam, mask_kind=mask,
-                         cond_dropout=args.cond_dropout,
-                         weight_decay=weight_decay)
+                         cond_dropout=args.cond_dropout)
     report = train(config, dataset, weights)
 
     suffix = f"stage2_{mask.value}" if stage == 2 else f"stage{stage}"
@@ -269,7 +272,7 @@ def cmd_train(args) -> int:
     _write_json(out / f"train_report_{suffix}.timing.json",
                 {"wall_clock_s": report.wall_clock_s})
     _write_echo(out, "train", {
-        "train_config": config.to_dict(), "preset": args.preset,
+        "train_config": config.to_dict(),
         "dataset_checksum": dataset_checksum(dataset),
         "source_checkpoint_checksums": source_checksums,
     })
@@ -318,7 +321,7 @@ def cmd_sample(args) -> int:
                            steps=args.steps, guidance=args.guidance,
                            identity_scale=args.lam)
         name = f"sample_{i:03d}.ppm"
-        quant = _quantize(img)
+        quant = quantize(img)
         write_ppm(out / name, quant)
         row = {"file": name, "index": i, "seed": args.seed}
         if ref is not None:
@@ -352,7 +355,7 @@ def cmd_filter(args) -> int:
     if h != w:
         raise UsageError(f"filter expects a square image, got {w}x{h}")
     try:
-        cfg = PRESETS[args.preset](image_size=h)
+        cfg = toy_config(image_size=h)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     enc = build_encoders(cfg)
@@ -376,8 +379,7 @@ def cmd_filter(args) -> int:
         "output_files": [target.name, target.with_suffix(".pfm").name],
     }
     _write_json(target.with_suffix(".meta.json"), meta)
-    _write_echo(out, "filter", {"mask": mask.value, "preset": args.preset,
-                                "image_size": h})
+    _write_echo(out, "filter", {"mask": mask.value, "image_size": h})
     print(f"filtered ({mask.value}) -> {target} "
           f"[variance {meta['output_variance']:.6f}]")
     return EXIT_OK
@@ -386,9 +388,9 @@ def cmd_filter(args) -> int:
 def cmd_sweep_lambda(args) -> int:
     out = _out_dir(args)
     try:
-        values = [float(v) for v in args.values.split(",") if v != ""]
-    except ValueError:
-        raise UsageError(f"cannot parse --values {args.values!r}") from None
+        values = [check_identity_scale(v) for v in args.values.split(",") if v != ""]
+    except ValueError as exc:
+        raise UsageError(f"bad --values {args.values!r}: {exc}") from None
     if not values:
         raise UsageError("--values must list at least one lambda")
     if args.trials < 1:
@@ -410,7 +412,7 @@ def cmd_sweep_lambda(args) -> int:
             img, _ = sample(weights, enc, schedule, rng, ref_img=ref,
                             text_id=0, mask_kind=None, steps=args.steps,
                             guidance=args.guidance, identity_scale=lam)
-            quant = _quantize(img)
+            quant = quantize(img)
             metric, degenerate = identity_metric_flagged(quant, ref)
             rows.append({"lambda": lam, "trial": trial,
                          "identity": trial % n_id, "identity_metric": metric,
@@ -443,6 +445,7 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_ablate_masks(args) -> int:
+    check_identity_scale(args.lam)  # before any stage-2 checkpoint is trained
     out = _out_dir(args)
     dataset = _load_dataset_arg(args, out)
     stage1_path = Path(args.checkpoint) if args.checkpoint else \
@@ -457,9 +460,9 @@ def cmd_ablate_masks(args) -> int:
     for kind in masked_kinds:
         path = out / f"checkpoint_stage2_{kind.value}.json"
         if path.is_file():
-            models[kind.value] = load_checkpoint(path)
+            models[kind.value] = _load_weights(path)
         else:
-            weights = load_checkpoint(stage1_path)
+            weights = _load_weights(stage1_path)
             config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
                                  batch_size=args.batch_size, mask_kind=kind)
             train(config, dataset, weights, schedule=schedule, enc=enc)
@@ -495,7 +498,7 @@ def cmd_ablate_masks(args) -> int:
             img, _ = sample(weights, enc, schedule, rng, ref_img=ref, text_id=0,
                             mask_kind=kind, steps=args.steps,
                             guidance=args.guidance, identity_scale=args.lam)
-            metrics.append(identity_metric_flagged(_quantize(img), ref)[0])
+            metrics.append(identity_metric_flagged(quantize(img), ref)[0])
         rows.append({"mask": name,
                      "recon_loss": float(np.mean(losses)),
                      "identity_metric": float(np.mean(metrics))})
@@ -549,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="artifact directory (env FREQBOOTH_OUT overrides)")
     common.add_argument("--checkpoint", default=None,
                         help="explicit checkpoint path (default: by stage under --out-dir)")
-    common.add_argument("--preset", choices=("toy", "paper-scale"), default="toy")
 
     parser = argparse.ArgumentParser(prog="freqbooth",
                                      description="dual-branch toy diffusion pipeline")
@@ -568,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, choices=(0, 1, 2), required=True)
     p.add_argument("--steps", type=int, default=None,
                    help=f"optimizer steps (defaults: {STAGE_STEP_DEFAULTS})")
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=4)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--mask", choices=MASK_CHOICES[:-1], default=None,

@@ -56,17 +56,6 @@ def toy_config(**overrides) -> ModelConfig:
     return replace(ModelConfig(), **overrides) if overrides else ModelConfig()
 
 
-def paper_scale_config(**overrides) -> ModelConfig:
-    """Full-resolution preset (512x512, factor-8 latents, 1000 steps).
-
-    Kept as a configuration surface only; nothing at this scale is trained
-    or sampled in the test suite.
-    """
-    cfg = ModelConfig(image_size=512, patch=8, d_model=64, n_blocks=4, d_ff=64,
-                      timesteps=1000)
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def tiny_config(**overrides) -> ModelConfig:
     """Gradient-check preset: every matrix dimension is <= 8."""
     cfg = ModelConfig(image_size=8, patch=4, d_model=8, d_ff=6, d_time=4,
@@ -74,5 +63,3 @@ def tiny_config(**overrides) -> ModelConfig:
                       n_blocks=2, timesteps=50)
     return replace(cfg, **overrides) if overrides else cfg
 
-
-PRESETS = {"toy": toy_config, "paper-scale": paper_scale_config, "tiny": tiny_config}

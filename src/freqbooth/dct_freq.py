@@ -89,12 +89,12 @@ def idct2(spectrum: np.ndarray) -> np.ndarray:
     return out if np.asarray(spectrum).ndim == 3 else out[0]
 
 
-def build_mask(kind: MaskKind, h: int, w: int, thresholds=DEFAULT_THRESHOLDS) -> FrequencyMask:
+def build_mask(kind: MaskKind, h: int, w: int) -> FrequencyMask:
     """Binary mask over (u, v) selecting one frequency band by index sum."""
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be >= 1, got {h}x{w}")
     kind = MaskKind(kind)
-    mini_max, low_max, mid_max, high_min = thresholds
+    mini_max, low_max, mid_max, high_min = DEFAULT_THRESHOLDS
     s = np.arange(h)[:, None] + np.arange(w)[None, :]
     if kind is MaskKind.MINI:
         bits = s <= mini_max
@@ -111,24 +111,24 @@ def build_mask(kind: MaskKind, h: int, w: int, thresholds=DEFAULT_THRESHOLDS) ->
     return FrequencyMask(kind=kind, h=h, w=w, bits=arr)
 
 
-def coverage_gap(h: int, w: int, thresholds=DEFAULT_THRESHOLDS) -> list[tuple[int, int]]:
+def coverage_gap(h: int, w: int) -> list[tuple[int, int]]:
     """Coefficients (u, v) belonging to none of {mini, low, mid, high}.
 
     Nonempty whenever the grid reaches index sums strictly between the mid
-    and high thresholds (40 < u+v < 50 at the defaults).
+    and high thresholds (40 < u+v < 50).
     """
     kinds = (MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH)
     union = np.zeros((h, w), dtype=bool)
     for kind in kinds:
-        union |= build_mask(kind, h, w, thresholds).bits.astype(bool)
+        union |= build_mask(kind, h, w).bits.astype(bool)
     us, vs = np.nonzero(~union)
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def make_control_signal(latent: np.ndarray, kind: MaskKind, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
+def make_control_signal(latent: np.ndarray, kind: MaskKind) -> np.ndarray:
     """Band-filtered copy of `latent`: idct2(dct2(latent) * mask), per channel."""
     x = _as_channels(latent)
-    mask = build_mask(kind, x.shape[1], x.shape[2], thresholds)
+    mask = build_mask(kind, x.shape[1], x.shape[2])
     filtered = dct2(x) * mask.bits[None, :, :]
     out = idct2(filtered)
     return out if np.asarray(latent).ndim == 3 else out[0]

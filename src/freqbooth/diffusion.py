@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .attention import AdaptiveAttentionWeights, attention_backward, attention_forward
+from .attention import (AdaptiveAttentionWeights, attention_backward, attention_forward,
+                        check_identity_scale)
 from .codes import grid_position_codes, time_features
 from .config import ModelConfig
 from .dct_freq import MaskKind, make_control_signal
-from .reference_encoder import (FrozenEncoders, ProjectionWeights, ReferenceCache,
-                                decode_latent, encode_latent, reference_forward)
+from .reference_encoder import (FrozenEncoders, ProjectionWeights, decode_latent,
+                                encode_latent, reference_forward)
 from .tensor_core import RngState, assert_all_finite
 
 
@@ -113,15 +116,6 @@ def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.nd
     return w * eps_cond + (1.0 - w) * eps_uncond
 
 
-@dataclass
-class GuidanceConfig:
-    w_guidance: float = 3.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.w_guidance) or self.w_guidance < 0:
-            raise ValueError(f"guidance scale must be finite and >= 0, got {self.w_guidance}")
-
-
 def sampling_timesteps(timesteps: int, steps: int) -> np.ndarray:
     """Ascending unique integer grid 0 .. T with ~`steps` strides."""
     if steps < 1:
@@ -149,25 +143,42 @@ class BlockWeights:
 
 PARAM_SETS = ("backbone", "identity_adapter", "control")
 
-_SET_BY_LEAF = {
-    "in_proj": "backbone", "out_proj": "backbone",
-    "attn.w_query": "backbone", "attn.w_key": "backbone", "attn.w_value": "backbone",
-    "ff_w1": "backbone", "ff_w2": "backbone",
-    "time_proj": "backbone", "time_gain": "backbone", "text_embed": "backbone",
-    "attn.w_key_id": "identity_adapter", "attn.w_value_id": "identity_adapter",
-    "id_head": "identity_adapter",
-    "proj.queries": "identity_adapter", "proj.w_key": "identity_adapter",
-    "proj.w_value": "identity_adapter",
-    "ctrl_proj": "control", "ctrl_gate": "control",
+# The parameter registry: the one place that names parameters and their sets.
+# name: (set, accessor on ModelWeights)
+_MODEL_PARAMS = {
+    "in_proj": ("backbone", lambda w: w.in_proj),
+    "out_proj": ("backbone", lambda w: w.out_proj),
+    "proj.queries": ("identity_adapter", lambda w: w.projection.queries),
+    "proj.w_key": ("identity_adapter", lambda w: w.projection.w_key),
+    "proj.w_value": ("identity_adapter", lambda w: w.projection.w_value),
+}
+# name under "blocks.<k>.": (set, accessor on BlockWeights)
+_BLOCK_PARAMS = {
+    "attn.w_query": ("backbone", lambda b: b.attn.w_query),
+    "attn.w_key": ("backbone", lambda b: b.attn.w_key),
+    "attn.w_value": ("backbone", lambda b: b.attn.w_value),
+    "attn.w_key_id": ("identity_adapter", lambda b: b.attn.w_key_id),
+    "attn.w_value_id": ("identity_adapter", lambda b: b.attn.w_value_id),
+    "ff_w1": ("backbone", lambda b: b.ff_w1),
+    "ff_w2": ("backbone", lambda b: b.ff_w2),
+    "time_proj": ("backbone", lambda b: b.time_proj),
+    "time_gain": ("backbone", lambda b: b.time_gain),
+    "text_embed": ("backbone", lambda b: b.text_embed),
+    "id_head": ("identity_adapter", lambda b: b.id_head),
+    "ctrl_proj": ("control", lambda b: b.ctrl_proj),
+    "ctrl_gate": ("control", lambda b: b.ctrl_gate),
 }
 
 
-def param_set_of(name: str) -> str:
-    leaf = name.split(".", 2)[-1] if name.startswith("blocks.") else name
-    try:
-        return _SET_BY_LEAF[leaf]
-    except KeyError:
-        raise KeyError(f"unknown parameter {name}") from None
+@lru_cache(maxsize=None)
+def param_registry(n_blocks: int) -> MappingProxyType:
+    """Every parameter name of an `n_blocks` model -> (set, accessor), read-only
+    because every caller shares the cached table."""
+    registry = dict(_MODEL_PARAMS)
+    for k in range(n_blocks):
+        for leaf, (set_name, get) in _BLOCK_PARAMS.items():
+            registry[f"blocks.{k}.{leaf}"] = (set_name, lambda w, k=k, get=get: get(w.blocks[k]))
+    return MappingProxyType(registry)
 
 
 @dataclass
@@ -181,29 +192,11 @@ class ModelWeights:
     completed_stages: list[int] = field(default_factory=list)
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {"in_proj": self.in_proj, "out_proj": self.out_proj,
-               "proj.queries": self.projection.queries,
-               "proj.w_key": self.projection.w_key,
-               "proj.w_value": self.projection.w_value}
-        for k, blk in enumerate(self.blocks):
-            p = f"blocks.{k}"
-            out[f"{p}.attn.w_query"] = blk.attn.w_query
-            out[f"{p}.attn.w_key"] = blk.attn.w_key
-            out[f"{p}.attn.w_value"] = blk.attn.w_value
-            out[f"{p}.attn.w_key_id"] = blk.attn.w_key_id
-            out[f"{p}.attn.w_value_id"] = blk.attn.w_value_id
-            out[f"{p}.ff_w1"] = blk.ff_w1
-            out[f"{p}.ff_w2"] = blk.ff_w2
-            out[f"{p}.time_proj"] = blk.time_proj
-            out[f"{p}.time_gain"] = blk.time_gain
-            out[f"{p}.text_embed"] = blk.text_embed
-            out[f"{p}.id_head"] = blk.id_head
-            out[f"{p}.ctrl_proj"] = blk.ctrl_proj
-            out[f"{p}.ctrl_gate"] = blk.ctrl_gate
-        return out
+        return {name: get(self) for name, (_, get) in param_registry(len(self.blocks)).items()}
 
     def names_in_set(self, set_name: str) -> list[str]:
-        return sorted(n for n in self.params() if param_set_of(n) == set_name)
+        return sorted(n for n, (s, _) in param_registry(len(self.blocks)).items()
+                      if s == set_name)
 
     def checksum(self, set_name: str) -> str:
         """SHA-256 over the set's parameter bytes (bitwise freeze marker)."""
@@ -421,7 +414,9 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     `force_both_branches` evaluates the unconditional branch even when the
     guidance weight makes it a no-op (test hook for the w == 1 identity).
     """
-    GuidanceConfig(w_guidance=guidance)
+    if not np.isfinite(guidance) or guidance < 0:
+        raise ValueError(f"guidance scale must be finite and >= 0, got {guidance}")
+    check_identity_scale(identity_scale)
     cfg = w.config
     if schedule.timesteps != cfg.timesteps:
         raise ValueError(
@@ -429,8 +424,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
         )
     identity = None
     if ref_img is not None and identity_scale != 0.0:
-        identity = reference_forward(ref_img, w.projection, w.id_heads(), enc,
-                                     cache=ReferenceCache())
+        identity = reference_forward(ref_img, w.projection, w.id_heads(), enc)
     ctrl = None
     if mask_kind is not None:
         if ref_img is None:

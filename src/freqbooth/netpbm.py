@@ -1,4 +1,4 @@
-"""Netpbm image IO: binary P6/P5 for 8-bit output and PFM for float data.
+"""Netpbm image IO: binary P6 for 8-bit output and PFM for float data.
 
 All writers are byte-deterministic: same array in, same file bytes out.
 Images are (3, H, W) float64 arrays in [0, 1]; P6 output clamps and rounds,
@@ -31,6 +31,11 @@ def _read_tokens(data: bytes, count: int, offset: int):
     return tokens, i + 1  # skip single whitespace after last token
 
 
+def quantize(img: np.ndarray) -> np.ndarray:
+    """Snap floats to the 8-bit levels P6 stores, so disk round trips are exact."""
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+
+
 def write_ppm(path, img: np.ndarray) -> None:
     """Write (3, H, W) floats in [0, 1] as binary P6, clamping and rounding."""
     img = np.asarray(img, dtype=np.float64)
@@ -60,18 +65,6 @@ def read_ppm(path) -> np.ndarray:
     raster = np.frombuffer(data, dtype=np.uint8, count=need, offset=body)
     img = raster.reshape(h, w, 3).astype(np.float64) / float(maxval)
     return np.moveaxis(img, -1, 0)
-
-
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Write (H, W) floats in [0, 1] as binary P5."""
-    gray = np.asarray(gray, dtype=np.float64)
-    if gray.ndim != 2:
-        raise ValueError(f"expected (H, W) image, got shape {gray.shape}")
-    h, w = gray.shape
-    q = np.clip(np.round(gray * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(q.tobytes())
 
 
 def write_pfm(path, img: np.ndarray) -> None:

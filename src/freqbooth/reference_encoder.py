@@ -4,7 +4,7 @@ reference image into identity tokens, fanned out through one linear head per
 generation-branch attention block.
 
 The reference image is processed noise-free and exactly once per sampling
-run; results are memoized in a ReferenceCache keyed by image bytes.
+run.
 
 Codec
 -----
@@ -22,8 +22,7 @@ latent_channels per patch).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +49,6 @@ class ProjectionWeights:
     queries: np.ndarray  # (n_query, d_query)
     w_key: np.ndarray    # (d_tok, d_query)
     w_value: np.ndarray  # (d_tok, d_id)
-
-
-@dataclass
-class ReferenceCache:
-    """Per-run memo for reference features (single-forward-pass contract)."""
-
-    entries: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
 
 
 _ENCODER_SEED = 0x5EEDC0DE
@@ -151,10 +141,6 @@ def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
     return pooled, cache
 
 
-def project_identity(tokens: np.ndarray, proj: ProjectionWeights) -> np.ndarray:
-    return project_identity_forward(np.asarray(tokens, dtype=np.float64), proj)[0]
-
-
 def project_identity_backward(dpooled: np.ndarray, cache):
     """Gradients of the pooler output wrt queries/w_key/w_value."""
     proj: ProjectionWeights = cache["proj"]
@@ -197,27 +183,7 @@ def reference_backward(dfeats: list[np.ndarray], cache):
     return grads
 
 
-def _image_key(img: np.ndarray) -> str:
-    arr = np.ascontiguousarray(img, dtype=np.float64)
-    return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
 def reference_forward(img: np.ndarray, proj: ProjectionWeights,
-                      heads: list[np.ndarray], enc: FrozenEncoders,
-                      cache: ReferenceCache | None = None) -> list[np.ndarray]:
-    """Per-block identity features for a reference image.
-
-    With a ReferenceCache, repeated calls on the same image within a run are
-    served from the memo (bitwise identical, no recompute).
-    """
-    if cache is not None:
-        key = _image_key(img)
-        hit = cache.entries.get(key)
-        if hit is not None:
-            cache.hits += 1
-            return hit
-    feats, _ = reference_forward_train(img, proj, heads, enc)
-    if cache is not None:
-        cache.entries[key] = feats
-        cache.misses += 1
-    return feats
+                      heads: list[np.ndarray], enc: FrozenEncoders) -> list[np.ndarray]:
+    """Per-block identity features for a reference image (no backprop cache)."""
+    return reference_forward_train(img, proj, heads, enc)[0]

@@ -86,25 +86,6 @@ class RngState:
         return RngState(seed=_mix64(self.seed ^ salt), counter=0)
 
 
-def gaussian(shape, rng: RngState) -> np.ndarray:
-    """Standard normal tensor of `shape` drawn from `rng` (advances counter)."""
-    return rng.normal(shape)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product with shape validation.
-
-    Raises ValueError naming both shapes when inner dimensions disagree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with row-max subtraction for overflow stability."""
     x = np.asarray(x, dtype=np.float64)

@@ -20,15 +20,17 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import check_identity_scale
 from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, denoiser_backward,
                         denoiser_forward, forward_noise, init_weights, latent_to_seq,
-                        linear_schedule, param_set_of)
+                        linear_schedule)
+from .netpbm import quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
@@ -184,9 +186,7 @@ def render_sample(params: IdentityParams, size: int, context: int,
         body = body * (1.0 - m) + spot_color[:, None, None] * m
 
     alpha = np.clip((radius - dist) / 1.5 + 0.5, 0.0, 1.0)
-    img = bg * (1.0 - alpha) + body * alpha
-    # quantize to 8-bit levels so disk round-trips are exact
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+    return quantize(bg * (1.0 - alpha) + body * alpha)
 
 
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
@@ -233,8 +233,7 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     tex = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj)
     a = np.array([0.9, 0.8, 0.25])
     b = np.array([0.1, 0.2, 0.55])
-    img = a[:, None, None] * tex + b[:, None, None] * (1.0 - tex)
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+    return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +279,6 @@ def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
     return float(np.clip(value, -1.0, 1.0)), False
 
 
-def identity_metric(generated: np.ndarray, reference: np.ndarray) -> float:
-    return identity_metric_flagged(generated, reference)[0]
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -319,25 +314,18 @@ def _prepare(batch: list[Sample], weights: ModelWeights, schedule: NoiseSchedule
 
 def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
                prepared: list[PreparedExample], stage: int,
-               identity_scale: float, predict_fn=None,
-               compute_grads: bool = True):
+               identity_scale: float, compute_grads: bool = True):
     """Mean-squared noise-prediction error and analytic gradients restricted
     to the stage's trainable set.
 
-    `predict_fn(z_t, t, eps) -> prediction` replaces the model (loss-only
-    test hook; gradients come back zero).  `compute_grads=False` skips the
-    backward pass and returns an empty gradient dict.
+    `compute_grads=False` skips the backward pass and returns an empty
+    gradient dict.
     """
     params = weights.params()
     acc = {name: np.zeros_like(arr) for name, arr in params.items()}
     n = len(prepared)
     total = 0.0
     for ex in prepared:
-        eps_seq = latent_to_seq(ex.eps)
-        if predict_fn is not None:
-            diff = latent_to_seq(predict_fn(ex.z_t, ex.t, ex.eps)) - eps_seq
-            total += float(np.mean(diff ** 2))
-            continue
         feats = rcache = None
         if ex.ref is not None and identity_scale != 0.0:
             feats, rcache = reference_forward_train(ex.ref, weights.projection,
@@ -346,7 +334,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
         pred_seq, dcache = denoiser_forward(weights, latent_to_seq(ex.z_t),
                                             ex.t, ex.text_id, feats, ctrl_seq,
                                             identity_scale)
-        diff = pred_seq - eps_seq
+        diff = pred_seq - latent_to_seq(ex.eps)
         total += float(np.mean(diff ** 2))
         if not compute_grads:
             continue
@@ -363,42 +351,10 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
             acc["proj.w_value"] += rgrads["w_value"]
             for k, dh in enumerate(rgrads["heads"]):
                 acc[f"blocks.{k}.id_head"] += dh
-    if not compute_grads or predict_fn is not None:
+    if not compute_grads:
         return total / n, {}
-    trainable = STAGE_SETS[stage]
-    out_grads = {name: acc[name] for name in sorted(acc)
-                 if param_set_of(name) == trainable}
-    return total / n, out_grads
-
-
-def stage0_loss(batch: list[Sample], weights: ModelWeights,
-                schedule: NoiseSchedule, rng: RngState,
-                enc: FrozenEncoders | None = None, cond_dropout: float = 0.1,
-                predict_fn=None):
-    """Backbone pretraining objective (unconditional + text-conditional)."""
-    enc = enc or build_encoders(weights.config)
-    prepared = _prepare(batch, weights, schedule, rng, enc, 0, cond_dropout, None)
-    return batch_loss(weights, enc, prepared, 0, 0.0, predict_fn)
-
-
-def stage1_loss(batch: list[Sample], weights: ModelWeights,
-                schedule: NoiseSchedule, rng: RngState,
-                identity_scale: float = 1.0, cond_dropout: float = 0.1,
-                enc: FrozenEncoders | None = None, predict_fn=None):
-    """Identity-injection objective; gradients only for the adapter set."""
-    enc = enc or build_encoders(weights.config)
-    prepared = _prepare(batch, weights, schedule, rng, enc, 1, cond_dropout, None)
-    return batch_loss(weights, enc, prepared, 1, identity_scale, predict_fn)
-
-
-def stage2_loss(batch: list[Sample], weights: ModelWeights,
-                schedule: NoiseSchedule, mask_kind: MaskKind, rng: RngState,
-                enc: FrozenEncoders | None = None, predict_fn=None):
-    """Frequency-control objective; the condition is the band-filtered clean
-    latent of each training image; gradients only for the control set."""
-    enc = enc or build_encoders(weights.config)
-    prepared = _prepare(batch, weights, schedule, rng, enc, 2, 0.0, mask_kind)
-    return batch_loss(weights, enc, prepared, 2, 0.0, predict_fn)
+    trainable = weights.names_in_set(STAGE_SETS[stage])
+    return total / n, {name: acc[name] for name in trainable}
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +373,21 @@ def init_adam(params: dict[str, np.ndarray], names) -> AdamState:
                      v={n: np.zeros_like(params[n]) for n in names})
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0) -> None:
-    """In-place Adam update (decoupled weight decay when nonzero)."""
+              state: AdamState, lr: float) -> None:
+    """In-place Adam update."""
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name in sorted(grads):
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if weight_decay:
-            update = update + weight_decay * params[name]
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params[name] -= lr * update
 
 
@@ -450,7 +405,6 @@ class TrainConfig:
     identity_scale: float = 1.0
     mask_kind: MaskKind | None = None
     cond_dropout: float = 0.1
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.stage not in (0, 1, 2):
@@ -461,14 +415,14 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.stage == 2 and self.mask_kind is None:
             raise ValueError("stage 2 requires a mask kind")
+        check_identity_scale(self.identity_scale)
 
     def to_dict(self) -> dict:
         return dict(stage=self.stage, steps=self.steps, lr=self.lr,
                     batch_size=self.batch_size, seed=self.seed,
                     identity_scale=self.identity_scale,
                     mask_kind=None if self.mask_kind is None else MaskKind(self.mask_kind).value,
-                    cond_dropout=self.cond_dropout,
-                    weight_decay=self.weight_decay)
+                    cond_dropout=self.cond_dropout)
 
 
 @dataclass
@@ -547,8 +501,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     else:
         for _ in range(config.steps):
             loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
-            adam_step(params, grads, adam, config.lr,
-                      weight_decay=config.weight_decay)
+            adam_step(params, grads, adam, config.lr)
             losses.append(loss)
         initial, final = losses[0], losses[-1]
     wall = time.perf_counter() - t_start
@@ -584,24 +537,21 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
 CHECKPOINT_SCHEMA = 1
 
 
-def checkpoint_payload(weights: ModelWeights, rng_state: RngState | None = None) -> dict:
+def checkpoint_payload(weights: ModelWeights) -> dict:
     params = weights.params()
     return {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": weights.config.to_dict(),
         "completed_stages": sorted(weights.completed_stages),
         "set_checksums": {s: weights.checksum(s) for s in PARAM_SETS},
-        "rng_state": None if rng_state is None else
-                     {"seed": rng_state.seed, "counter": rng_state.counter},
         "params": {name: {"shape": list(arr.shape),
                           "data": arr.ravel().tolist()}
                    for name, arr in sorted(params.items())},
     }
 
 
-def save_checkpoint(path, weights: ModelWeights,
-                    rng_state: RngState | None = None) -> None:
-    payload = checkpoint_payload(weights, rng_state)
+def save_checkpoint(path, weights: ModelWeights) -> None:
+    payload = checkpoint_payload(weights)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -22,7 +22,7 @@ from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import gradient_check, load_checkpoint, striped_test_image
-from test_attention import make_weights, naive_adaptive
+from test_attention import forward, make_weights, naive_adaptive
 from test_dct_freq import enumerate_bits, naive_dct2
 
 
@@ -113,8 +113,6 @@ def test_03_adaptive_attention_identities():
     """Criterion 3: bitwise self-attention at zero strength, the exact affine
     law in the strength parameter, and agreement with a loop oracle."""
     rng = np.random.default_rng(0)
-    from freqbooth.attention import adaptive_attention, cross_term
-
     checked = 0
     for heads in (1, 2):
         for _ in range(10):
@@ -122,15 +120,17 @@ def test_03_adaptive_attention_identities():
             hidden = rng.normal(size=(6, 8))
             identity = rng.normal(size=(3, 5))
             lam = rng.uniform()
-            got = adaptive_attention(hidden, identity, w, lam)
+            got = forward(hidden, identity, w, lam)
             assert np.max(np.abs(got - naive_adaptive(hidden, identity, w, lam))) <= 1e-10
             checked += 1
 
-            base = adaptive_attention(hidden, identity, w, 0.0)
-            assert np.array_equal(base, adaptive_attention(hidden, None, w, 0.0))
-            cross = cross_term(hidden, identity, w)
+            base = forward(hidden, identity, w, 0.0)
+            assert np.array_equal(base, forward(hidden, None, w, 0.0))
+            # the cross summand alone, from the loop oracle
+            cross = (naive_adaptive(hidden, identity, w, 1.0)
+                     - naive_adaptive(hidden, identity, w, 0.0))
             for lam_fixed in (0.25, 0.5, 1.0):
-                out = adaptive_attention(hidden, identity, w, lam_fixed)
+                out = forward(hidden, identity, w, lam_fixed)
                 assert np.max(np.abs(out - base - lam_fixed * cross)) <= 1e-12
     print(f"criterion 3: {checked} random instances within 1e-10 of the oracle")
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from freqbooth.attention import (AdaptiveAttentionWeights, adaptive_attention,
-                                 attention_backward, attention_forward,
-                                 check_identity_scale, cross_term)
+from freqbooth.attention import (AdaptiveAttentionWeights, attention_backward,
+                                 attention_forward, check_identity_scale)
 from freqbooth.tensor_core import softmax_rows
 
 
@@ -46,6 +45,10 @@ def naive_adaptive(hidden, identity, w, lam):
     return out
 
 
+def forward(hidden, identity, w, lam):
+    return attention_forward(hidden, identity, w, lam)[0]
+
+
 # ---------------------------------------------------------------------------
 # forward contract
 
@@ -55,8 +58,8 @@ def test_zero_strength_reduces_to_self_attention():
     w = make_weights(rng, 6, 3)
     hidden = rng.normal(size=(5, 6))
     identity = rng.normal(size=(4, 3))
-    plain = adaptive_attention(hidden, None, w, 0.0)
-    with_tokens = adaptive_attention(hidden, identity, w, 0.0)
+    plain = forward(hidden, None, w, 0.0)
+    with_tokens = forward(hidden, identity, w, 0.0)
     assert np.array_equal(plain, with_tokens)
     # and the self term itself is what softmax attention computes
     q, k, v = hidden @ w.w_query, hidden @ w.w_key, hidden @ w.w_value
@@ -69,7 +72,7 @@ def test_scalar_hand_evaluation():
         w_query=np.array([[1.0]]), w_key=np.array([[1.0]]),
         w_value=np.array([[3.0]]),
         w_key_id=np.array([[7.0]]), w_value_id=np.array([[5.0]]), heads=1)
-    out = adaptive_attention(np.array([[1.0]]), np.array([[1.0]]), w, 0.4)
+    out = forward(np.array([[1.0]]), np.array([[1.0]]), w, 0.4)
     assert abs(out[0, 0] - 5.0) <= 1e-15
 
 
@@ -80,7 +83,7 @@ def test_matches_naive_loop_oracle(heads):
     hidden = rng.normal(size=(6, 8))
     identity = rng.normal(size=(3, 5))
     for lam in (0.0, 0.3, 1.0):
-        got = adaptive_attention(hidden, identity, w, lam)
+        got = forward(hidden, identity, w, lam)
         want = naive_adaptive(hidden, identity, w, lam)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -91,9 +94,9 @@ def test_output_is_affine_in_strength(lam):
     w = make_weights(rng, 8, 4, heads=2, scale=0.5)
     hidden = rng.normal(size=(5, 8))
     identity = rng.normal(size=(3, 4))
-    base = adaptive_attention(hidden, identity, w, 0.0)
-    full = adaptive_attention(hidden, identity, w, lam)
-    want = lam * cross_term(hidden, identity, w)
+    base = forward(hidden, identity, w, 0.0)
+    full = forward(hidden, identity, w, lam)
+    want = lam * (forward(hidden, identity, w, 1.0) - base)
     assert np.max(np.abs((full - base) - want)) <= 1e-12
 
 
@@ -101,8 +104,9 @@ def test_zero_identity_token_contributes_nothing():
     rng = np.random.default_rng(3)
     w = make_weights(rng, 6, 3)
     hidden = rng.normal(size=(4, 6))
-    assert np.array_equal(cross_term(hidden, np.zeros((1, 3)), w),
-                          np.zeros((4, 6)))
+    # zero keys give uniform weights over zero values: the cross term is 0
+    assert np.array_equal(forward(hidden, np.zeros((1, 3)), w, 0.7),
+                          forward(hidden, None, w, 0.0))
 
 
 def test_strength_validation():
@@ -117,11 +121,11 @@ def test_dimension_errors_name_the_projection():
     rng = np.random.default_rng(4)
     w = make_weights(rng, 6, 3)
     with pytest.raises(ValueError, match="w_query"):
-        adaptive_attention(rng.normal(size=(4, 5)), None, w, 0.0)
+        forward(rng.normal(size=(4, 5)), None, w, 0.0)
     with pytest.raises(ValueError, match="w_key_id"):
-        adaptive_attention(rng.normal(size=(4, 6)), rng.normal(size=(2, 2)), w, 0.5)
+        forward(rng.normal(size=(4, 6)), rng.normal(size=(2, 2)), w, 0.5)
     with pytest.raises(ValueError, match="nonempty"):
-        adaptive_attention(np.zeros((0, 6)), None, w, 0.0)
+        forward(np.zeros((0, 6)), None, w, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ files, schemas, and byte determinism.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -342,6 +343,68 @@ def test_gradcheck_exit_codes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # global behaviour
+
+
+def test_lambda_outside_unit_interval_exits_usage(pipe, tmp_path):
+    ckpt = pipe / "checkpoint_stage1.json"
+    ref = pipe / "dataset" / "ref_train_00.ppm"
+    for lam in ("5", "nan", "-1"):
+        assert run("sample", "--out-dir", tmp_path, "--checkpoint", ckpt,
+                   "--ref", ref, "--lambda", lam, "--steps", 2) == 2
+    assert run("sample", "--out-dir", tmp_path, "--checkpoint", ckpt,
+               "--lambda", 5, "--steps", 2) == 2
+    assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+               "--checkpoint", pipe / "checkpoint_stage0.json",
+               "--stage", 1, "--steps", 1, "--lambda", 7) == 2
+    assert run("sweep-lambda", "--out-dir", tmp_path, "--checkpoint", ckpt,
+               "--data-dir", pipe / "dataset", "--values", "0,5") == 2
+    assert run("ablate-masks", "--out-dir", tmp_path, "--checkpoint", ckpt,
+               "--data-dir", pipe / "dataset", "--lambda", 5) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def drop_config(path):
+    payload = read_json(path)
+    del payload["config"]
+    path.write_text(json.dumps(payload))
+
+
+def tamper(path):
+    payload = read_json(path)
+    payload["params"]["in_proj"]["data"][0] += 1.0
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
+                                  "tampered-checkpoint", "dataset-missing-ppm",
+                                  "truncated-index"])
+def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipe / "dataset", data)
+    ckpt = tmp_path / "checkpoint.json"
+    shutil.copy(pipe / "checkpoint_stage1.json", ckpt)
+    if case == "truncated-checkpoint":
+        truncate(ckpt)
+    elif case == "checkpoint-without-config":
+        drop_config(ckpt)
+    elif case == "tampered-checkpoint":
+        tamper(ckpt)
+    elif case == "dataset-missing-ppm":
+        (data / "train_0003.ppm").unlink()
+    else:
+        truncate(data / "index.json")
+    out = tmp_path / "out"
+    if "checkpoint" in case:
+        assert run("sample", "--out-dir", out, "--checkpoint", ckpt, "--steps", 2) == 3
+    else:
+        assert run("train", "--out-dir", out, "--data-dir", data,
+                   "--stage", 0, "--steps", 1) == 3
+    assert not any(out.iterdir())
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):

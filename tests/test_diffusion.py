@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind
-from freqbooth.diffusion import (GuidanceConfig, cfg_combine, ddim_step,
-                                 forward_noise, init_weights, latent_to_seq,
-                                 linear_schedule, param_set_of, predict_eps,
-                                 sample, sampling_timesteps, seq_to_latent)
+import freqbooth.diffusion
+from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, forward_noise,
+                                 init_weights, latent_to_seq, linear_schedule,
+                                 predict_eps, sample, sampling_timesteps,
+                                 seq_to_latent)
 from freqbooth.reference_encoder import build_encoders
 from freqbooth.tensor_core import RngState
 
@@ -151,12 +154,11 @@ def test_guidance_scalar_blend():
     assert cfg_combine(cond, uncond, 7.5)[0] == 7.5
 
 
-def test_guidance_validation():
-    assert GuidanceConfig().w_guidance == 3.0
-    with pytest.raises(ValueError):
-        GuidanceConfig(w_guidance=-1.0)
-    with pytest.raises(ValueError):
-        GuidanceConfig(w_guidance=float("inf"))
+def test_guidance_validation(cfg, schedule, enc):
+    weights = init_weights(cfg, 0)
+    for bad in (-1.0, float("inf")):
+        with pytest.raises(ValueError, match="guidance"):
+            sample(weights, enc, schedule, RngState(0), steps=1, guidance=bad)
     with pytest.raises(ValueError, match="mismatch"):
         cfg_combine(np.zeros(2), np.zeros(3), 2.0)
 
@@ -175,13 +177,30 @@ def test_sequence_layout_roundtrip(cfg):
 def test_parameter_sets_partition_all_names(cfg):
     weights = init_weights(cfg, 0)
     names = weights.params().keys()
-    by_set = {s: weights.names_in_set(s) for s in ("backbone", "identity_adapter", "control")}
+    by_set = {s: weights.names_in_set(s) for s in PARAM_SETS}
     spread = sorted(n for group in by_set.values() for n in group)
     assert spread == sorted(names)
-    assert param_set_of("blocks.0.attn.w_key_id") == "identity_adapter"
-    assert param_set_of("in_proj") == "backbone"
-    with pytest.raises(KeyError):
-        param_set_of("blocks.0.nonsense")
+    assert "blocks.0.attn.w_key_id" in by_set["identity_adapter"]
+    assert "in_proj" in by_set["backbone"]
+
+
+def ndarray_fields(obj):
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), np.ndarray)]
+
+
+def test_registry_names_every_weight_array_once(cfg):
+    weights = init_weights(cfg, 0)
+    arrays = [a for a in ndarray_fields(weights) if a is not weights.pos_code]
+    arrays += ndarray_fields(weights.projection)
+    for blk in weights.blocks:
+        arrays += ndarray_fields(blk) + ndarray_fields(blk.attn)
+    params = weights.params()
+    assert len(params) == len(arrays)
+    assert sorted(map(id, params.values())) == sorted(map(id, arrays))
+    by_set = [set(weights.names_in_set(s)) for s in PARAM_SETS]
+    assert sum(map(len, by_set)) == len(params)
+    assert set().union(*by_set) == set(params)
 
 
 def test_fresh_weights_keep_control_inert(cfg):
@@ -301,6 +320,31 @@ def test_control_conditioning_requires_a_reference(cfg, schedule, enc):
     with pytest.raises(ValueError, match="reference"):
         sample(weights, enc, schedule, RngState(7), ref_img=None,
                mask_kind=MaskKind.LOW, steps=2)
+
+
+def test_sample_computes_reference_features_once(cfg, schedule, enc, monkeypatch):
+    calls = []
+    real = freqbooth.diffusion.reference_forward
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(freqbooth.diffusion, "reference_forward", counting)
+    weights = init_weights(cfg, 13)
+    kw = dict(ref_img=make_ref(cfg, 3), text_id=0, steps=5, guidance=2.0)
+    sample(weights, enc, schedule, RngState(1), identity_scale=0.4, **kw)
+    assert len(calls) == 1
+    sample(weights, enc, schedule, RngState(1), identity_scale=0.0, **kw)
+    assert len(calls) == 1
+
+
+def test_identity_scale_outside_unit_interval_is_rejected(cfg, schedule, enc):
+    weights = init_weights(cfg, 14)
+    for bad in (-0.5, 1.5, 5.0, float("nan")):
+        with pytest.raises(ValueError, match="identity scale"):
+            sample(weights, enc, schedule, RngState(0), ref_img=make_ref(cfg, 4),
+                   steps=1, identity_scale=bad)
 
 
 def test_schedule_config_mismatch_is_rejected(cfg, enc):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.reference_encoder import (ProjectionWeights, ReferenceCache,
-                                         build_encoders, decode_latent,
-                                         encode_latent, extract_tokens,
-                                         project_identity, reference_forward,
-                                         reference_forward_train)
+from freqbooth.reference_encoder import (ProjectionWeights, build_encoders,
+                                         decode_latent, encode_latent,
+                                         extract_tokens, project_identity_forward,
+                                         reference_forward, reference_forward_train)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +108,10 @@ def test_tokens_match_per_patch_linear_oracle(enc):
 # identity pooler
 
 
+def project_identity(tokens, proj):
+    return project_identity_forward(tokens, proj)[0]
+
+
 def test_pooler_zero_tokens_zero_values_give_zero_output():
     rng = np.random.default_rng(5)
     proj = ProjectionWeights(queries=rng.normal(size=(3, 4)),
@@ -179,24 +182,13 @@ def make_proj(cfg, seed):
             [rng.normal(size=(cfg.d_id, cfg.d_id)) for _ in range(2)])
 
 
-def test_repeated_reference_is_served_from_cache(enc):
-    cfg = enc.config
-    proj, heads = make_proj(cfg, 9)
-    img = np.random.default_rng(10).uniform(size=(3, 32, 32))
-    cache = ReferenceCache()
-    first = reference_forward(img, proj, heads, enc, cache=cache)
-    second = reference_forward(img, proj, heads, enc, cache=cache)
-    assert cache.misses == 1 and cache.hits == 1
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-
-
-def test_cache_does_not_change_results(enc):
+def test_reference_forward_matches_the_training_forward(enc):
     cfg = enc.config
     proj, heads = make_proj(cfg, 11)
     img = np.random.default_rng(12).uniform(size=(3, 32, 32))
-    plain = reference_forward(img, proj, heads, enc, cache=None)
-    cached = reference_forward(img, proj, heads, enc, cache=ReferenceCache())
-    assert all(np.array_equal(a, b) for a, b in zip(plain, cached))
+    plain = reference_forward(img, proj, heads, enc)
+    trained, _ = reference_forward_train(img, proj, heads, enc)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, trained))
 
 
 def test_frozen_buffers_are_config_deterministic():

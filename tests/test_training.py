@@ -6,16 +6,18 @@ from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights
 from freqbooth.reference_encoder import encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (PreparedExample, StageOrderError,
-                                ToyDatasetSpec, TrainConfig, adam_step,
+from freqbooth.training import (STAGE_SETS, PreparedExample, StageOrderError,
+                                ToyDatasetSpec, TrainConfig, _prepare, adam_step,
                                 batch_loss, dataset_checksum, generate_dataset,
-                                gradient_check, identity_metric,
-                                identity_metric_flagged, identity_params,
-                                init_adam, load_checkpoint, orientation_histogram,
-                                save_checkpoint, smoothing_window, stage0_loss,
-                                stage1_loss, stage2_loss, striped_test_image,
-                                train)
+                                gradient_check, identity_metric_flagged,
+                                identity_params, init_adam, load_checkpoint,
+                                orientation_histogram, save_checkpoint,
+                                smoothing_window, striped_test_image, train)
 from conftest import SMALL_SPEC
+
+
+def identity_metric(generated, reference):
+    return identity_metric_flagged(generated, reference)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,41 +125,55 @@ def batch_of(ds, n):
     return [ds.train_sample(i) for i in range(n)]
 
 
+def prepared_batch(ds, weights, schedule, enc, stage, n):
+    mask = MaskKind.LOW if stage == 2 else None
+    return _prepare(batch_of(ds, n), weights, schedule, RngState(stage), enc,
+                    stage, 0.1, mask)
+
+
+def zero_output_weights(cfg, seed):
+    weights = init_weights(cfg, seed)
+    weights.out_proj[:] = 0.0  # every noise prediction is exactly 0
+    return weights
+
+
 def test_perfect_prediction_gives_zero_loss(tiny_dataset, tiny_schedule, tiny_enc,
                                             tiny_cfg):
-    weights = init_weights(tiny_cfg, 0)
-    batch = batch_of(tiny_dataset, 2)
-    hook = lambda z_t, t, eps: eps
-    for fn, extra in ((stage0_loss, {}), (stage1_loss, {}),
-                      (stage2_loss, {"mask_kind": MaskKind.LOW})):
-        loss, grads = fn(batch, weights, tiny_schedule, rng=RngState(0),
-                         enc=tiny_enc, predict_fn=hook, **extra)
+    weights = zero_output_weights(tiny_cfg, 0)
+    for stage in (0, 1, 2):
+        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
+                                  stage, 2)
+        for ex in prepared:
+            ex.eps = np.zeros_like(ex.eps)
+        loss, grads = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
         assert loss == 0.0
-        assert grads == {}
+        assert not any(g.any() for g in grads.values())
 
 
 def test_constant_offset_gives_squared_loss(tiny_dataset, tiny_schedule, tiny_enc,
                                             tiny_cfg):
-    weights = init_weights(tiny_cfg, 0)
-    batch = batch_of(tiny_dataset, 3)
+    weights = zero_output_weights(tiny_cfg, 0)
     delta = 0.37
-    hook = lambda z_t, t, eps: eps + delta
-    loss, _ = stage0_loss(batch, weights, tiny_schedule, rng=RngState(1),
-                          enc=tiny_enc, predict_fn=hook)
-    assert abs(loss - delta ** 2) <= 1e-12
+    for stage in (0, 1, 2):
+        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
+                                  stage, 3)
+        loss, _ = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
+        want = np.mean([np.mean(ex.eps ** 2) for ex in prepared])
+        assert abs(loss - want) <= 1e-12
+        for ex in prepared:
+            ex.eps = np.full_like(ex.eps, -delta)
+        loss, _ = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
+        assert abs(loss - delta ** 2) <= 1e-12
 
 
 def test_gradients_cover_exactly_the_trainable_set(tiny_dataset, tiny_schedule,
                                                    tiny_enc, tiny_cfg):
     weights = init_weights(tiny_cfg, 1)
-    batch = batch_of(tiny_dataset, 2)
-    for stage, fn, extra, want_set in (
-            (0, stage0_loss, {}, "backbone"),
-            (1, stage1_loss, {"identity_scale": 0.5}, "identity_adapter"),
-            (2, stage2_loss, {"mask_kind": MaskKind.MINI}, "control")):
-        _, grads = fn(batch, weights, tiny_schedule, rng=RngState(stage),
-                      enc=tiny_enc, **extra)
-        assert sorted(grads) == weights.names_in_set(want_set)
+    for stage, scale in ((0, 0.0), (1, 0.5), (2, 0.0)):
+        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
+                                  stage, 2)
+        _, grads = batch_loss(weights, tiny_enc, prepared, stage, scale)
+        assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
 
 
 def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
@@ -195,13 +211,6 @@ def test_adam_moves_against_the_gradient():
     adam_step(params, grads, state, lr=0.1)
     assert params["w"][0] < 1.0 and params["w"][1] > -2.0
     assert state.step == 1
-
-
-def test_adam_weight_decay_is_decoupled():
-    params = {"w": np.array([2.0])}
-    state = init_adam(params, ["w"])
-    adam_step(params, {"w": np.array([0.0])}, state, lr=0.1, weight_decay=0.5)
-    assert abs(params["w"][0] - (2.0 - 0.1 * 0.5 * 2.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +277,9 @@ def test_train_config_validation():
         TrainConfig(stage=0, steps=1, batch_size=0)
     with pytest.raises(ValueError, match="mask"):
         TrainConfig(stage=2, steps=1)
+    for bad in (-0.1, 7.0, float("nan")):
+        with pytest.raises(ValueError, match="identity scale"):
+            TrainConfig(stage=1, steps=1, identity_scale=bad)
 
 
 def test_smoothing_window_bounds():
