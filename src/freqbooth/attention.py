@@ -10,8 +10,9 @@ identity tokens) the cross term is skipped entirely and the output equals
 plain self-attention bitwise.
 
 Forward passes return a cache consumed by the matching backward pass; the
-backward produces gradients for all five projections plus the inputs, and is
-validated against central finite differences in the test suite.
+backward produces the gradients asked of it, out of the five projections and
+the two inputs, and is validated against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -103,53 +104,80 @@ def _softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return a * (da - (da * a).sum(axis=1, keepdims=True))
 
 
-def attention_backward(dout: np.ndarray, cache):
+# every gradient attention_backward can compute: the five projections and
+# the two inputs
+GRAD_NAMES = ("w_query", "w_key", "w_value", "w_key_id", "w_value_id",
+              "hidden", "identity")
+_SELF_TERM_GRADS = frozenset(("w_query", "w_key", "w_value", "hidden"))
+
+
+def attention_backward(dout: np.ndarray, cache, wanted):
     """Backward pass; returns (dhidden, didentity, grads dict).
 
-    grads has entries for all five projection matrices (zeros for the
-    identity projections when the cross term was skipped).
+    `wanted` names the gradients to compute, out of GRAD_NAMES; the full
+    backward asks for all of them.  grads has an entry for each wanted
+    projection (zeros for the identity projections when the cross term was
+    skipped); dhidden is None unless "hidden" is wanted, and didentity is
+    None unless "identity" is wanted and the cross term ran.
+
+    Only what the wanted gradients depend on runs.  The self-attention term
+    and the query gradient run when "hidden" or a self-term projection is
+    wanted; without them the cross term computes only dk_id, dv_id and
+    didentity.  Every gradient computed sums in the same order as in the
+    full backward.
     """
+    wanted = frozenset(wanted)
     w: AdaptiveAttentionWeights = cache["w"]
     hidden, identity = cache["hidden"], cache["identity"]
     inv, scale = cache["inv"], cache["scale"]
     q, k, v = cache["q"], cache["k"], cache["v"]
     k_id, v_id = cache["k_id"], cache["v_id"]
+    self_term = bool(wanted & _SELF_TERM_GRADS)
+    # the query gradient takes a share from the cross term too
+    cross_term = cache["use_cross"] and bool(wanted)
 
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    dk_id = np.zeros_like(k_id) if cache["use_cross"] else None
-    dv_id = np.zeros_like(v_id) if cache["use_cross"] else None
+    if self_term:
+        dq = np.zeros_like(q)
+        dk = np.zeros_like(k)
+        dv = np.zeros_like(v)
+    if cross_term:
+        dk_id = np.zeros_like(k_id)
+        dv_id = np.zeros_like(v_id)
 
     for idx, sl in enumerate(cache["slices"]):
         do = dout[:, sl]
-        a = cache["attn"][idx]
-        da = do @ v[:, sl].T
-        dv[:, sl] += a.T @ do
-        ds = _softmax_backward(a, da)
-        dq[:, sl] += ds @ k[:, sl] * inv
-        dk[:, sl] += ds.T @ q[:, sl] * inv
-        if cache["use_cross"]:
+        if self_term:
+            a = cache["attn"][idx]
+            da = do @ v[:, sl].T
+            dv[:, sl] += a.T @ do
+            ds = _softmax_backward(a, da)
+            dq[:, sl] += ds @ k[:, sl] * inv
+            dk[:, sl] += ds.T @ q[:, sl] * inv
+        if cross_term:
             do2 = scale * do
             a2 = cache["attn_id"][idx]
             da2 = do2 @ v_id[:, sl].T
             dv_id[:, sl] += a2.T @ do2
             ds2 = _softmax_backward(a2, da2)
-            dq[:, sl] += ds2 @ k_id[:, sl] * inv
+            if self_term:
+                dq[:, sl] += ds2 @ k_id[:, sl] * inv
             dk_id[:, sl] += ds2.T @ q[:, sl] * inv
 
-    grads = {
-        "w_query": hidden.T @ dq,
-        "w_key": hidden.T @ dk,
-        "w_value": hidden.T @ dv,
-        "w_key_id": np.zeros_like(w.w_key_id),
-        "w_value_id": np.zeros_like(w.w_value_id),
-    }
-    dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T
+    grads = {}
+    if "w_query" in wanted:
+        grads["w_query"] = hidden.T @ dq
+    if "w_key" in wanted:
+        grads["w_key"] = hidden.T @ dk
+    if "w_value" in wanted:
+        grads["w_value"] = hidden.T @ dv
+    if "w_key_id" in wanted:
+        grads["w_key_id"] = identity.T @ dk_id if cross_term else np.zeros_like(w.w_key_id)
+    if "w_value_id" in wanted:
+        grads["w_value_id"] = identity.T @ dv_id if cross_term else np.zeros_like(w.w_value_id)
+    dhidden = None
+    if "hidden" in wanted:
+        dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T
     didentity = None
-    if cache["use_cross"]:
-        grads["w_key_id"] = identity.T @ dk_id
-        grads["w_value_id"] = identity.T @ dv_id
+    if cross_term and "identity" in wanted:
         didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
     return dhidden, didentity, grads
-

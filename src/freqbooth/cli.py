@@ -33,7 +33,7 @@ from .tensor_core import RngState
 from .training import (Dataset, StageOrderError, ToyDatasetSpec, TrainConfig,
                        dataset_checksum, generate_dataset, gradient_check,
                        identity_metric_flagged, load_checkpoint,
-                       save_checkpoint, train)
+                       save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,17 +63,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_echo(out: Path, command: str, effective: dict) -> None:
     # paths are deliberately absent: the echo captures content, not location
     payload = {"command": command, "version": __version__}
     payload.update(effective)
-    _write_json(out / f"{command.replace('-', '_')}_config.json", payload)
+    write_json(out / f"{command.replace('-', '_')}_config.json", payload)
 
 
 def _parse_mask(text: str) -> MaskKind | None:
@@ -159,7 +153,7 @@ def save_dataset(ddir: Path, dataset: Dataset) -> dict:
             name = f"ref_{kind[:-5]}_{i:02d}.ppm"
             write_ppm(ddir / name, refs[i])
             index[kind].append(name)
-    _write_json(ddir / "index.json", index)
+    write_json(ddir / "index.json", index)
     return index
 
 
@@ -268,9 +262,9 @@ def cmd_train(args) -> int:
     suffix = f"stage2_{mask.value}" if stage == 2 else f"stage{stage}"
     ckpt_path = out / f"checkpoint_{suffix}.json"
     save_checkpoint(ckpt_path, weights)
-    _write_json(out / f"train_report_{suffix}.json", report.to_dict(include_timing=False))
-    _write_json(out / f"train_report_{suffix}.timing.json",
-                {"wall_clock_s": report.wall_clock_s})
+    write_json(out / f"train_report_{suffix}.json", report.to_dict(include_timing=False))
+    write_json(out / f"train_report_{suffix}.timing.json",
+               {"wall_clock_s": report.wall_clock_s})
     _write_echo(out, "train", {
         "train_config": config.to_dict(),
         "dataset_checksum": dataset_checksum(dataset),
@@ -336,9 +330,9 @@ def cmd_sample(args) -> int:
                  "text_id": args.text_id,
                  "mask": "none" if mask is None else mask.value,
                  "ref_independent": ref_independent}
-    _write_json(out / "sample_meta.json",
-                {"samples": rows, "ref_independent": ref_independent,
-                 "config": effective})
+    write_json(out / "sample_meta.json",
+               {"samples": rows, "ref_independent": ref_independent,
+                "config": effective})
     _write_echo(out, "sample", effective)
     print(f"wrote {args.n} sample(s) to {out} "
           f"(lambda={args.lam}, guidance={args.guidance}, mask={effective['mask']})")
@@ -378,7 +372,7 @@ def cmd_filter(args) -> int:
         "output_variance": float(filtered.var()),
         "output_files": [target.name, target.with_suffix(".pfm").name],
     }
-    _write_json(target.with_suffix(".meta.json"), meta)
+    write_json(target.with_suffix(".meta.json"), meta)
     _write_echo(out, "filter", {"mask": mask.value, "image_size": h})
     print(f"filtered ({mask.value}) -> {target} "
           f"[variance {meta['output_variance']:.6f}]")
@@ -435,7 +429,7 @@ def cmd_sweep_lambda(args) -> int:
                               "win_rate_vs_first": wins / args.trials}
     report = {"values": values, "trials": args.trials, "rows": rows,
               "aggregate": by_value, "baseline": base}
-    _write_json(out / "sweep_report.json", report)
+    write_json(out / "sweep_report.json", report)
     sheet = image_grid(sheet_images, rows=len(values), cols=sheet_cols)
     write_ppm(out / "sweep_sheet.ppm", sheet)
     _write_echo(out, "sweep-lambda", {"seed": args.seed, "values": values,
@@ -511,7 +505,7 @@ def cmd_ablate_masks(args) -> int:
         rows[idx]["rank"] = rank
     report = {"rows": rows, "ranking": [rows[i]["mask"] for i in ranked],
               "eval_size": n_eval, "eval_samples": args.eval_samples}
-    _write_json(out / "ablate_report.json", report)
+    write_json(out / "ablate_report.json", report)
     _write_echo(out, "ablate-masks", {
         "seed": args.seed, "train_steps": args.train_steps,
         "eval_size": n_eval, "eval_samples": args.eval_samples,
@@ -533,9 +527,9 @@ def cmd_gradcheck(args) -> int:
         status = "pass" if res["pass"] else "FAIL"
         print(f"stage {stage} [{res['trainable_set']}]: "
               f"max rel err {res['max_rel_err']:.3e} ({status})")
-    _write_json(out / "gradcheck_report.json",
-                {"results": [{k: v for k, v in r.items()} for r in results],
-                 "pass": ok})
+    write_json(out / "gradcheck_report.json",
+               {"results": [{k: v for k, v in r.items()} for r in results],
+                "pass": ok})
     _write_echo(out, "gradcheck", {"seed": args.seed, "stages": stages,
                                    "inject_fault": args.inject_fault})
     return EXIT_OK if ok else 1

@@ -326,56 +326,141 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
     return eps_seq, cache
 
 
-def denoiser_backward(deps_seq: np.ndarray, cache):
-    """Gradients for every denoiser parameter plus the identity features.
+# Block parameters the backward reaches only through a branch that may not
+# have run: the control residual and the identity cross term.  Every other
+# denoiser parameter gets a gradient from every forward.
+_CONTROL_LEAVES = ("ctrl_proj", "ctrl_gate")
+_CROSS_LEAVES = ("attn.w_key_id", "attn.w_value_id")
+_BACKBONE_LEAVES = tuple(leaf for leaf, (s, _) in _BLOCK_PARAMS.items() if s == "backbone")
+_ATTN_LEAVES = tuple(leaf.removeprefix("attn.") for leaf in _BLOCK_PARAMS
+                     if leaf.startswith("attn."))
 
-    Returns (grads, didentity) where grads maps registry names to arrays and
-    didentity is a per-block list (None entries where no cross term ran).
+
+def feeds_identity(name: str) -> bool:
+    """Whether parameter `name` lies upstream of the identity tokens (the
+    reference pooler and the per-block heads), so training it needs the
+    gradient of every block's identity input."""
+    return name.startswith("proj.") or name.endswith(".id_head")
+
+
+def backward_floor(cache, trainable) -> int | None:
+    """Lowest block the denoiser backward must enter to give every parameter
+    in `trainable` its gradient from the forward in `cache`.
+
+    Returns len(blocks) when only `out_proj` needs one, and None when the
+    forward gives no trainable parameter a gradient at all (say, a frozen
+    backbone and no identity cross term): that example's backward can be
+    skipped.
+    """
+    trainable = frozenset(trainable)
+    if "in_proj" in trainable:
+        return 0
+    identity = any(feeds_identity(name) for name in trainable)
+    for k, c in enumerate(cache["caches"]):
+        reached = _BACKBONE_LEAVES
+        if c["fields"] is not None:
+            reached += _CONTROL_LEAVES
+        if c["acache"]["use_cross"]:
+            if identity:
+                return k
+            reached += _CROSS_LEAVES
+        if any(f"blocks.{k}.{leaf}" in trainable for leaf in reached):
+            return k
+    return len(cache["caches"]) if "out_proj" in trainable else None
+
+
+def denoiser_backward(deps_seq: np.ndarray, cache, trainable):
+    """Gradients of the parameters named in `trainable` (registry names)
+    plus the identity features.
+
+    Returns (grads, didentity).  grads maps each trainable denoiser
+    parameter to its gradient (zeros where the forward never used it);
+    didentity is a per-block list, with None entries where no cross term
+    ran or where no trainable parameter lies upstream of the identity
+    tokens.  The full backward is the call with every registry name.
+
+    The activation gradient is carried down only to the lowest block that
+    holds a trainable parameter or a needed identity input (`backward_floor`),
+    and below block 0 only when `in_proj` is trainable.  Inside a block, a
+    weight-gradient product runs only for a trainable weight and the
+    attention backward only for the gradients something below or upstream
+    needs.  Every gradient computed sums in the same order as in the full
+    backward, so each equals the full backward's entry bit for bit.
     """
     w: ModelWeights = cache["w"]
     ctrl_seq = cache["ctrl_seq"]
+    trainable = frozenset(trainable)
+    n_blocks = len(w.blocks)
     grads: dict[str, np.ndarray] = {}
-    grads["out_proj"] = cache["h_final"].T @ deps_seq
-    dh = deps_seq @ w.out_proj.T
-    didentity: list = [None] * len(w.blocks)
+    didentity: list = [None] * n_blocks
+    if "out_proj" in trainable:
+        grads["out_proj"] = cache["h_final"].T @ deps_seq
+    floor = backward_floor(cache, trainable)
+    if floor is None:
+        floor = n_blocks
+    identity = any(feeds_identity(name) for name in trainable)
+    if floor < n_blocks:
+        dh = deps_seq @ w.out_proj.T
 
-    for k in reversed(range(len(w.blocks))):
+    for k in reversed(range(floor, n_blocks)):
         blk, c = w.blocks[k], cache["caches"][k]
-        p = f"blocks.{k}"
+        p = f"blocks.{k}."
+        # the gradient of this block's input feeds the blocks below, in_proj
+        # and the block's own conditioning parameters
+        need_dh1 = (k > floor or "in_proj" in trainable or p + "time_proj" in trainable
+                    or p + "text_embed" in trainable)
         # feed-forward residual
-        grads[f"{p}.ff_w2"] = c["ff_act"].T @ dh
+        if p + "ff_w2" in trainable:
+            grads[p + "ff_w2"] = c["ff_act"].T @ dh
         dff_act = dh @ blk.ff_w2.T
         dff_pre = dff_act * (1.0 - c["ff_act"] ** 2)
-        grads[f"{p}.ff_w1"] = c["h3"].T @ dff_pre
+        if p + "ff_w1" in trainable:
+            grads[p + "ff_w1"] = c["h3"].T @ dff_pre
         dh3 = dh + dff_pre @ blk.ff_w1.T
         # control residual (scaled by the shared time gain)
-        gain = c["gain"]
-        if c["fields"] is not None:
-            scaled = gain * c["fields"]
-            grads[f"{p}.ctrl_gate"] = np.array([np.sum(dh3 * scaled)])
-            grads[f"{p}.ctrl_proj"] = ctrl_seq.T @ (blk.ctrl_gate[0] * (gain * dh3))
-            dgain = blk.ctrl_gate[0] * (dh3 * c["fields"]).sum(axis=0)
+        gain, fields = c["gain"], c["fields"]
+        if fields is None:
+            for leaf in _CONTROL_LEAVES:
+                if p + leaf in trainable:
+                    grads[p + leaf] = np.zeros_like(getattr(blk, leaf))
         else:
-            grads[f"{p}.ctrl_gate"] = np.zeros(1)
-            grads[f"{p}.ctrl_proj"] = np.zeros_like(blk.ctrl_proj)
-            dgain = np.zeros(gain.shape[0])
+            if p + "ctrl_gate" in trainable:
+                scaled = gain * fields
+                grads[p + "ctrl_gate"] = np.array([np.sum(dh3 * scaled)])
+            if p + "ctrl_proj" in trainable:
+                grads[p + "ctrl_proj"] = ctrl_seq.T @ (blk.ctrl_gate[0] * (gain * dh3))
         dh2 = dh3
+        # the gain scales both the control and the attention residual
+        if p + "time_gain" in trainable:
+            dgain = (np.zeros(gain.shape[0]) if fields is None
+                     else blk.ctrl_gate[0] * (dh3 * fields).sum(axis=0))
+            dgain += (dh2 * c["attn_out"]).sum(axis=0)
+            grads[p + "time_gain"] = np.outer(c["tfeat"], dgain)
         # adaptive attention residual
-        dgain += (dh2 * c["attn_out"]).sum(axis=0)
-        dh1_attn, dident, agrads = attention_backward(gain * dh2, c["acache"])
-        dh1 = dh2 + dh1_attn
-        didentity[k] = dident
-        for leaf, g in agrads.items():
-            grads[f"{p}.attn.{leaf}"] = g
+        wanted = [leaf for leaf in _ATTN_LEAVES if f"{p}attn.{leaf}" in trainable]
+        if need_dh1:
+            wanted.append("hidden")
+        if identity:
+            wanted.append("identity")
+        if wanted:
+            dh1_attn, dident, agrads = attention_backward(gain * dh2, c["acache"], wanted)
+            didentity[k] = dident
+            for leaf, g in agrads.items():
+                grads[f"{p}attn.{leaf}"] = g
+        if not need_dh1:
+            break  # this is the floor block: nothing below needs its input gradient
+        dh = dh2 + dh1_attn
         # timestep / text conditioning (broadcast add over the sequence)
-        dcond = dh1.sum(axis=0)
-        grads[f"{p}.time_gain"] = np.outer(c["tfeat"], dgain)
-        grads[f"{p}.time_proj"] = np.outer(c["tfeat"], dcond)
-        demb = np.zeros_like(blk.text_embed)
-        demb[c["tid"]] = dcond
-        grads[f"{p}.text_embed"] = demb
-        dh = dh1
-    grads["in_proj"] = cache["z_seq"].T @ dh
+        if p + "time_proj" in trainable or p + "text_embed" in trainable:
+            dcond = dh.sum(axis=0)
+            if p + "time_proj" in trainable:
+                grads[p + "time_proj"] = np.outer(c["tfeat"], dcond)
+            if p + "text_embed" in trainable:
+                demb = np.zeros_like(blk.text_embed)
+                demb[c["tid"]] = dcond
+                grads[p + "text_embed"] = demb
+    if "in_proj" in trainable:
+        grads["in_proj"] = cache["z_seq"].T @ dh
     return grads, didentity
 
 

@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .attention import check_identity_scale
 from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
-from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, denoiser_backward,
-                        denoiser_forward, forward_noise, init_weights, latent_to_seq,
-                        linear_schedule)
+from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, backward_floor,
+                        denoiser_backward, denoiser_forward, forward_noise, init_weights,
+                        latent_to_seq, linear_schedule)
 from .netpbm import quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
@@ -225,17 +228,6 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
                    train_refs=refs("train"), test_refs=refs("test"))
 
 
-def striped_test_image(size: int = 32, angle: float = 0.4,
-                       freq: float = 5.0) -> np.ndarray:
-    """Full-frame two-color stripes; the fixture for filter comparisons."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(float)
-    proj = (xx * np.cos(angle) + yy * np.sin(angle)) / size
-    tex = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj)
-    a = np.array([0.9, 0.8, 0.25])
-    b = np.array([0.1, 0.2, 0.55])
-    return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
-
-
 # ---------------------------------------------------------------------------
 # identity metric
 
@@ -315,14 +307,18 @@ def _prepare(batch: list[Sample], weights: ModelWeights, schedule: NoiseSchedule
 def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
                prepared: list[PreparedExample], stage: int,
                identity_scale: float, compute_grads: bool = True):
-    """Mean-squared noise-prediction error and analytic gradients restricted
-    to the stage's trainable set.
+    """Mean-squared noise-prediction error and analytic gradients of the
+    stage's trainable set.
 
-    `compute_grads=False` skips the backward pass and returns an empty
-    gradient dict.
+    The backward differentiates only that set (see `denoiser_backward`); an
+    example whose forward gives none of it a gradient (in stage 1, one
+    whose conditioning was dropped) skips its backward.  `compute_grads=False`
+    skips every backward and returns an empty gradient dict.
     """
+    names = weights.names_in_set(STAGE_SETS[stage])
+    trainable = frozenset(names)
     params = weights.params()
-    acc = {name: np.zeros_like(arr) for name, arr in params.items()}
+    acc = {name: np.zeros_like(params[name]) for name in names} if compute_grads else {}
     n = len(prepared)
     total = 0.0
     for ex in prepared:
@@ -336,10 +332,10 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
                                             identity_scale)
         diff = pred_seq - latent_to_seq(ex.eps)
         total += float(np.mean(diff ** 2))
-        if not compute_grads:
+        if not compute_grads or backward_floor(dcache, trainable) is None:
             continue
         deps = (2.0 / (diff.size * n)) * diff
-        grads, didentity = denoiser_backward(deps, dcache)
+        grads, didentity = denoiser_backward(deps, dcache, trainable)
         for name, g in grads.items():
             acc[name] += g
         if rcache is not None:
@@ -351,10 +347,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
             acc["proj.w_value"] += rgrads["w_value"]
             for k, dh in enumerate(rgrads["heads"]):
                 acc[f"blocks.{k}.id_head"] += dh
-    if not compute_grads:
-        return total / n, {}
-    trainable = weights.names_in_set(STAGE_SETS[stage])
-    return total / n, {name: acc[name] for name in trainable}
+    return total / n, acc
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +463,9 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     """Run one stage; updates `weights` in place and returns the report.
 
     Stages must run in order 0 -> 1 -> 2; the two non-active parameter sets
-    are frozen and their checksums verified after the run.
+    are frozen and their checksums verified after the run.  A non-finite
+    step loss, or a non-finite trained weight after the last step, raises
+    FloatingPointError (the weights are then unusable; save nothing).
     """
     stage = config.stage
     if stage >= 1 and 0 not in weights.completed_stages:
@@ -499,10 +494,16 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         eval_loss, _ = stage_loss(_draw_batch(dataset, rng, config.batch_size))
         initial = final = eval_loss
     else:
-        for _ in range(config.steps):
+        for step in range(config.steps):
             loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
+            if not math.isfinite(loss):
+                raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
             adam_step(params, grads, adam, config.lr)
             losses.append(loss)
+        for name in weights.names_in_set(trainable):
+            if not np.all(np.isfinite(params[name])):
+                raise FloatingPointError(
+                    f"stage {stage}: parameter {name} is not finite after {config.steps} steps")
         initial, final = losses[0], losses[-1]
     wall = time.perf_counter() - t_start
 
@@ -550,11 +551,24 @@ def checkpoint_payload(weights: ModelWeights) -> dict:
     }
 
 
+def write_json(path, payload: dict) -> None:
+    """Write `payload` as sorted, indented JSON, atomically: into a temp file
+    beside `path`, then renamed over it, so a write that fails part way
+    leaves any earlier file intact and no partial file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, weights: ModelWeights) -> None:
-    payload = checkpoint_payload(weights)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, checkpoint_payload(weights))
 
 
 def load_checkpoint(path) -> ModelWeights:
@@ -580,6 +594,8 @@ def load_checkpoint(path) -> ModelWeights:
                 f"checkpoint shape for {name}: {entry['shape']} vs {list(arr.shape)}"
             )
         arr[:] = np.asarray(entry["data"], dtype=np.float64).reshape(arr.shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint parameter {name} is not finite")
     weights.completed_stages = list(payload.get("completed_stages", []))
     for s in PARAM_SETS:
         want = payload["set_checksums"].get(s)

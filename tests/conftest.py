@@ -11,6 +11,7 @@ import pytest
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind
 from freqbooth.diffusion import init_weights, linear_schedule
+from freqbooth.netpbm import quantize
 from freqbooth.reference_encoder import build_encoders
 from freqbooth.training import ToyDatasetSpec, TrainConfig, generate_dataset, train
 
@@ -63,3 +64,14 @@ def toy_enc(toy_cfg):
 
 def rand_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(3, size, size))
+
+
+def striped_test_image(size: int = 32, angle: float = 0.4,
+                       freq: float = 5.0) -> np.ndarray:
+    """Full-frame two-color stripes; the fixture for filter comparisons."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    proj = (xx * np.cos(angle) + yy * np.sin(angle)) / size
+    tex = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj)
+    a = np.array([0.9, 0.8, 0.25])
+    b = np.array([0.1, 0.2, 0.55])
+    return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))

@@ -21,7 +21,8 @@ from freqbooth.diffusion import (cfg_combine, ddim_step, forward_noise,
 from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import gradient_check, load_checkpoint, striped_test_image
+from freqbooth.training import gradient_check, load_checkpoint
+from conftest import striped_test_image
 from test_attention import forward, make_weights, naive_adaptive
 from test_dct_freq import enumerate_bits, naive_dct2
 

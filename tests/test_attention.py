@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from freqbooth.attention import (AdaptiveAttentionWeights, attention_backward,
-                                 attention_forward, check_identity_scale)
+from freqbooth.attention import (GRAD_NAMES, AdaptiveAttentionWeights,
+                                 attention_backward, attention_forward,
+                                 check_identity_scale)
 from freqbooth.tensor_core import softmax_rows
 
 
@@ -145,7 +146,7 @@ def test_gradients_match_finite_differences():
         return float(np.sum(out * dout))
 
     out, cache = attention_forward(hidden, identity, w, scale)
-    dhidden, didentity, grads = attention_backward(dout, cache)
+    dhidden, didentity, grads = attention_backward(dout, cache, GRAD_NAMES)
 
     step = 1e-6
     tol = 1e-4
@@ -176,7 +177,7 @@ def test_backward_reports_zero_identity_grads_when_skipped():
     w = make_weights(rng, 4, 3)
     hidden = rng.normal(size=(3, 4))
     _, cache = attention_forward(hidden, None, w, 0.0)
-    _, didentity, grads = attention_backward(rng.normal(size=(3, 4)), cache)
+    _, didentity, grads = attention_backward(rng.normal(size=(3, 4)), cache, GRAD_NAMES)
     assert didentity is None
     assert not grads["w_key_id"].any()
     assert not grads["w_value_id"].any()

@@ -20,7 +20,8 @@ from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
 from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import load_checkpoint, striped_test_image
+from freqbooth.training import load_checkpoint, save_checkpoint
+from conftest import striped_test_image
 
 
 def run(*argv) -> int:
@@ -380,10 +381,17 @@ def tamper(path):
     path.write_text(json.dumps(payload))
 
 
+def poison(path):
+    """A NaN weight under checksums that match it."""
+    weights = load_checkpoint(path)
+    weights.in_proj[0, 0] = np.nan
+    save_checkpoint(path, weights)
+
+
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
-                                  "tampered-checkpoint", "dataset-missing-ppm",
-                                  "truncated-index"])
-def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case):
+                                  "tampered-checkpoint", "non-finite-checkpoint",
+                                  "dataset-missing-ppm", "truncated-index"])
+def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
     ckpt = tmp_path / "checkpoint.json"
@@ -394,6 +402,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case):
         drop_config(ckpt)
     elif case == "tampered-checkpoint":
         tamper(ckpt)
+    elif case == "non-finite-checkpoint":
+        poison(ckpt)
     elif case == "dataset-missing-ppm":
         (data / "train_0003.ppm").unlink()
     else:
@@ -405,6 +415,16 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case):
         assert run("train", "--out-dir", out, "--data-dir", data,
                    "--stage", 0, "--steps", 1) == 3
     assert not any(out.iterdir())
+    if case == "non-finite-checkpoint":
+        assert "parameter in_proj is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_failure_exits_4_and_saves_nothing(pipe, tmp_path, capsys):
+    assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+               "--stage", 0, "--steps", 5, "--lr", "1e200") == 4
+    assert not any(tmp_path.iterdir())
+    assert "numerical failure: stage 0 step 1: loss is nan" in capsys.readouterr().err
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from freqbooth.dct_freq import (DEFAULT_THRESHOLDS, MaskKind, build_mask,
                                 coverage_gap, dct2, dct_matrix, idct2,
                                 make_control_signal)
-from freqbooth.training import striped_test_image
+from conftest import striped_test_image
 
 
 def naive_dct2(x: np.ndarray) -> np.ndarray:

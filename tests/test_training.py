@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freqbooth import diffusion, training
 from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
-from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights
-from freqbooth.reference_encoder import encode_latent
+from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
+                                 forward_noise, init_weights, latent_to_seq)
+from freqbooth.reference_encoder import (build_encoders, encode_latent,
+                                         reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (STAGE_SETS, PreparedExample, StageOrderError,
                                 ToyDatasetSpec, TrainConfig, _prepare, adam_step,
@@ -12,8 +19,8 @@ from freqbooth.training import (STAGE_SETS, PreparedExample, StageOrderError,
                                 gradient_check, identity_metric_flagged,
                                 identity_params, init_adam, load_checkpoint,
                                 orientation_histogram, save_checkpoint,
-                                smoothing_window, striped_test_image, train)
-from conftest import SMALL_SPEC
+                                smoothing_window, train, write_json)
+from conftest import SMALL_SPEC, striped_test_image
 
 
 def identity_metric(generated, reference):
@@ -201,6 +208,137 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
 
 
 # ---------------------------------------------------------------------------
+# stage-restricted backward
+
+
+def full_backward_grads(weights, enc, prepared, scale):
+    """batch_loss's gradients the unrestricted way: every example runs the
+    full backward (every registry name) and the reference backward, and
+    every parameter accumulates."""
+    names = list(weights.params())
+    acc = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
+    for ex in prepared:
+        feats = rcache = None
+        if ex.ref is not None and scale != 0.0:
+            feats, rcache = reference_forward_train(ex.ref, weights.projection,
+                                                    weights.id_heads(), enc)
+        ctrl_seq = latent_to_seq(ex.ctrl) if ex.ctrl is not None else None
+        pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t), ex.t,
+                                       ex.text_id, feats, ctrl_seq, scale)
+        diff = pred - latent_to_seq(ex.eps)
+        grads, didentity = denoiser_backward((2.0 / (diff.size * len(prepared))) * diff,
+                                             cache, names)
+        for name, g in grads.items():
+            acc[name] += g
+        if rcache is not None:
+            dfeats = [np.zeros((weights.config.n_query, weights.config.d_id))
+                      if d is None else d for d in didentity]
+            rgrads = reference_backward(dfeats, rcache)
+            for leaf in ("queries", "w_key", "w_value"):
+                acc[f"proj.{leaf}"] += rgrads[leaf]
+            for k, dh in enumerate(rgrads["heads"]):
+                acc[f"blocks.{k}.id_head"] += dh
+    return acc
+
+
+def random_point(cfg, seed):
+    """Weights with every entry random, the zero-initialised ones included,
+    as in gradient_check."""
+    weights = init_weights(cfg, seed)
+    rng = RngState(seed).derive("point")
+    for name, arr in weights.params().items():
+        arr[:] = rng.derive(name).normal(arr.shape) * 0.3
+    return weights
+
+
+def mixed_batch(cfg, enc, stage, kept, seed):
+    """One example per entry of `kept`; False drops the text and reference
+    conditioning as `_prepare` does for stages 0 and 1."""
+    rng = RngState(seed).derive("batch")
+    schedule = diffusion.linear_schedule(cfg.timesteps)
+
+    def rand_image():
+        return np.clip(0.5 + 0.25 * rng.normal((3, cfg.image_size, cfg.image_size)), 0, 1)
+
+    out = []
+    for i, keep in enumerate(kept):
+        z0 = encode_latent(rand_image(), enc)
+        ref = rand_image()
+        t = 1 + rng.randint(cfg.timesteps)
+        eps = rng.normal(z0.shape)
+        out.append(PreparedExample(
+            z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
+            text_id=i % cfg.n_text if keep or stage == 2 else None,
+            ref=ref if keep and stage == 1 else None,
+            ctrl=make_control_signal(z0, MaskKind.LOW) if stage == 2 else None))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), stage=st.sampled_from((0, 1, 2)),
+       scale=st.sampled_from((0.0, 0.4, 1.0)), heads=st.sampled_from((1, 2)),
+       n_blocks=st.integers(1, 3), kept=st.lists(st.booleans(), min_size=1, max_size=4))
+def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, heads,
+                                                         n_blocks, kept):
+    cfg = tiny_config(heads=heads, n_blocks=n_blocks)
+    enc = build_encoders(cfg)
+    weights = random_point(cfg, seed)
+    prepared = mixed_batch(cfg, enc, stage, kept, seed)
+    _, grads = batch_loss(weights, enc, prepared, stage, scale)
+    full = full_backward_grads(weights, enc, prepared, scale)
+    assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
+    for name, g in grads.items():
+        assert np.array_equal(g, full[name]), name
+
+
+def recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_stage2_backward_enters_only_the_last_attention_block(monkeypatch, tiny_cfg,
+                                                             tiny_enc):
+    weights = random_point(tiny_cfg, 4)
+    prepared = mixed_batch(tiny_cfg, tiny_enc, 2, [True] * 3, 4)
+    calls = recording(monkeypatch, diffusion, "attention_backward")
+    batch_loss(weights, tiny_enc, prepared, 2, 0.0)
+    # one call per example, from the last block, for its input gradient only
+    assert len(calls) == len(prepared)
+    last = tiny_cfg.n_blocks - 1
+    for dout, cache, wanted in calls:
+        assert cache["w"] is weights.blocks[last].attn
+        assert list(wanted) == ["hidden"]
+
+
+def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cfg,
+                                                            tiny_enc):
+    weights = random_point(tiny_cfg, 5)
+    kept = [True, False, False, True, False]
+    prepared = mixed_batch(tiny_cfg, tiny_enc, 1, kept, 5)
+    denoiser_calls = recording(monkeypatch, training, "denoiser_backward")
+    attention_calls = recording(monkeypatch, diffusion, "attention_backward")
+    batch_loss(weights, tiny_enc, prepared, 1, 0.4)
+    assert len(denoiser_calls) == sum(kept)
+    # block 1 passes its input gradient down; block 0 runs the cross term only
+    wanted = [set(call[2]) for call in attention_calls]
+    top = {"w_key_id", "w_value_id", "hidden", "identity"}
+    assert wanted == [top, top - {"hidden"}] * sum(kept)
+    # without identity features no example reaches a trainable parameter
+    denoiser_calls.clear()
+    _, grads = batch_loss(weights, tiny_enc, prepared, 1, 0.0)
+    assert denoiser_calls == []
+    assert not any(g.any() for g in grads.values())
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -238,6 +376,26 @@ def test_zero_steps_changes_nothing(tiny_dataset, tiny_schedule, tiny_enc, tiny_
     assert report.initial_loss == report.final_loss
     assert report.losses == []
     assert report.initial_smoothed == report.final_smoothed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_raises_before_the_update(tiny_dataset, tiny_schedule,
+                                                  tiny_enc, tiny_cfg):
+    weights = init_weights(tiny_cfg, 3)
+    with pytest.raises(FloatingPointError, match="loss"):
+        train(TrainConfig(stage=0, steps=5, lr=1e200), tiny_dataset, weights,
+              tiny_schedule, tiny_enc)
+    assert weights.completed_stages == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_weights_after_the_last_step_raise(tiny_dataset, tiny_schedule,
+                                                      tiny_enc, tiny_cfg):
+    # one step: its loss is finite, the update it applies is not
+    weights = init_weights(tiny_cfg, 3)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        train(TrainConfig(stage=0, steps=1, lr=np.inf), tiny_dataset, weights,
+              tiny_schedule, tiny_enc)
 
 
 def test_each_stage_touches_only_its_parameter_set(tiny_trained):
@@ -305,8 +463,6 @@ def test_checkpoint_roundtrip_is_bitwise(tiny_trained, tmp_path):
 
 
 def test_checkpoint_rejects_tampering(tiny_cfg, tmp_path):
-    import json
-
     weights = init_weights(tiny_cfg, 0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, weights)
@@ -331,6 +487,32 @@ def test_checkpoint_rejects_tampering(tiny_cfg, tmp_path):
     pruned.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="missing"):
         load_checkpoint(pruned)
+
+
+def test_checkpoint_rejects_non_finite_params(tiny_cfg, tmp_path):
+    weights = init_weights(tiny_cfg, 0)
+    weights.blocks[1].ff_w1[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    save_checkpoint(path, weights)  # checksums match the NaN bytes
+    with pytest.raises(ValueError, match=r"blocks\.1\.ff_w1 is not finite"):
+        load_checkpoint(path)
+
+
+def test_interrupted_json_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_json(path, {"run": 1})
+    before = path.read_bytes()
+
+    def failing_dump(payload, fh, **kwargs):
+        fh.write('{"run": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training.json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        write_json(path, {"run": 2})
+    assert path.read_bytes() == before
+    assert json.loads(before) == {"run": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # ---------------------------------------------------------------------------
