@@ -9,6 +9,9 @@ bitwise independent of the identity projections; at scale 0 (or with no
 identity tokens) the cross term is skipped entirely and the output equals
 plain self-attention bitwise.
 
+Both terms, and the reference branch's identity pooler, are one single-head
+kernel: `softmax_attention` and its backward `softmax_attention_backward`.
+
 Forward passes return a cache consumed by the matching backward pass; the
 backward produces the gradients asked of it, out of the five projections and
 the two inputs, and is validated against central finite differences in the
@@ -31,7 +34,6 @@ class AdaptiveAttentionWeights:
     w_value: np.ndarray     # (d_model, d_model) frozen
     w_key_id: np.ndarray    # (d_id, d_model)    trainable
     w_value_id: np.ndarray  # (d_id, d_model)    trainable
-    heads: int = 1
 
 
 def check_identity_scale(value: float) -> float:
@@ -57,9 +59,23 @@ def _check_dims(hidden, identity, w):
         )
 
 
-def _head_slices(d_model: int, heads: int):
-    d_head = d_model // heads
-    return [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
+def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
+    """Single-head softmax attention; returns (Softmax(q k^T * inv) v, weights)."""
+    a = softmax_rows(q @ k.T * inv)
+    return a @ v, a
+
+
+def softmax_attention_backward(do: np.ndarray, q: np.ndarray, k: np.ndarray,
+                               v: np.ndarray, a: np.ndarray, inv: float,
+                               need_dq: bool):
+    """Backward of softmax_attention given its weights `a`; returns
+    (dq, dk, dv), with dq None unless `need_dq`."""
+    da = do @ v.T
+    dv = a.T @ do
+    ds = a * (da - (da * a).sum(axis=1, keepdims=True))  # gradient wrt the logits
+    dq = ds @ k * inv if need_dq else None
+    dk = ds.T @ q * inv
+    return dq, dk, dv
 
 
 def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
@@ -71,37 +87,23 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     """
     _check_dims(hidden, identity, w)
     use_cross = identity is not None and scale != 0.0
-    d_model = w.w_query.shape[1]
-    slices = _head_slices(d_model, w.heads)
-    inv = 1.0 / np.sqrt(d_model // w.heads)
+    inv = 1.0 / np.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
     k = hidden @ w.w_key
     v = hidden @ w.w_value
-    k_id = identity @ w.w_key_id if use_cross else None
-    v_id = identity @ w.w_value_id if use_cross else None
-
-    out = np.empty((hidden.shape[0], d_model))
-    attn, attn_id = [], []
-    for sl in slices:
-        a = softmax_rows(q[:, sl] @ k[:, sl].T * inv)
-        attn.append(a)
-        head_out = a @ v[:, sl]
-        if use_cross:
-            a2 = softmax_rows(q[:, sl] @ k_id[:, sl].T * inv)
-            attn_id.append(a2)
-            head_out = head_out + scale * (a2 @ v_id[:, sl])
-        out[:, sl] = head_out
+    out, attn = softmax_attention(q, k, v, inv)
+    k_id = v_id = attn_id = None
+    if use_cross:
+        k_id = identity @ w.w_key_id
+        v_id = identity @ w.w_value_id
+        cross, attn_id = softmax_attention(q, k_id, v_id, inv)
+        out = out + scale * cross
 
     cache = dict(hidden=hidden, identity=identity, w=w, scale=scale, inv=inv,
-                 slices=slices, q=q, k=k, v=v, k_id=k_id, v_id=v_id,
+                 q=q, k=k, v=v, k_id=k_id, v_id=v_id,
                  attn=attn, attn_id=attn_id, use_cross=use_cross)
     return out, cache
-
-
-def _softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
-    # rows of a are softmax outputs; returns gradient wrt the logits
-    return a * (da - (da * a).sum(axis=1, keepdims=True))
 
 
 # every gradient attention_backward can compute: the five projections and
@@ -137,31 +139,13 @@ def attention_backward(dout: np.ndarray, cache, wanted):
     cross_term = cache["use_cross"] and bool(wanted)
 
     if self_term:
-        dq = np.zeros_like(q)
-        dk = np.zeros_like(k)
-        dv = np.zeros_like(v)
+        dq, dk, dv = softmax_attention_backward(dout, q, k, v, cache["attn"], inv,
+                                                need_dq=True)
     if cross_term:
-        dk_id = np.zeros_like(k_id)
-        dv_id = np.zeros_like(v_id)
-
-    for idx, sl in enumerate(cache["slices"]):
-        do = dout[:, sl]
+        dq_id, dk_id, dv_id = softmax_attention_backward(
+            scale * dout, q, k_id, v_id, cache["attn_id"], inv, need_dq=self_term)
         if self_term:
-            a = cache["attn"][idx]
-            da = do @ v[:, sl].T
-            dv[:, sl] += a.T @ do
-            ds = _softmax_backward(a, da)
-            dq[:, sl] += ds @ k[:, sl] * inv
-            dk[:, sl] += ds.T @ q[:, sl] * inv
-        if cross_term:
-            do2 = scale * do
-            a2 = cache["attn_id"][idx]
-            da2 = do2 @ v_id[:, sl].T
-            dv_id[:, sl] += a2.T @ do2
-            ds2 = _softmax_backward(a2, da2)
-            if self_term:
-                dq[:, sl] += ds2 @ k_id[:, sl] * inv
-            dk_id[:, sl] += ds2.T @ q[:, sl] * inv
+            dq = dq + dq_id
 
     grads = {}
     if "w_query" in wanted:

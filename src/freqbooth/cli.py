@@ -544,8 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default="freqbooth_out",
                         help="artifact directory (env FREQBOOTH_OUT overrides)")
-    common.add_argument("--checkpoint", default=None,
-                        help="explicit checkpoint path (default: by stage under --out-dir)")
+    # only the subcommands that read a checkpoint take --checkpoint
+    with_ckpt = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_ckpt.add_argument("--checkpoint", default=None,
+                           help="explicit checkpoint path (default: by stage under --out-dir)")
 
     parser = argparse.ArgumentParser(prog="freqbooth",
                                      description="dual-branch toy diffusion pipeline")
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-size", type=int, default=64)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[common], help="run one training stage")
+    p = sub.add_parser("train", parents=[with_ckpt], help="run one training stage")
     p.add_argument("--stage", type=int, choices=(0, 1, 2), required=True)
     p.add_argument("--steps", type=int, default=None,
                    help=f"optimizer steps (defaults: {STAGE_STEP_DEFAULTS})")
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cond-dropout", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", parents=[common], help="generate images")
+    p = sub.add_parser("sample", parents=[with_ckpt], help="generate images")
     p.add_argument("--ref", default=None, help="reference image (PPM)")
     p.add_argument("--text-id", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.4)
@@ -592,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("sweep-lambda", parents=[common],
+    p = sub.add_parser("sweep-lambda", parents=[with_ckpt],
                        help="identity metric across lambda values")
     p.add_argument("--values", default="0,0.4,1.0")
     p.add_argument("--trials", type=int, default=20)
@@ -601,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None)
     p.set_defaults(func=cmd_sweep_lambda)
 
-    p = sub.add_parser("ablate-masks", parents=[common],
+    p = sub.add_parser("ablate-masks", parents=[with_ckpt],
                        help="compare control bands on the held-out split")
     p.add_argument("--data-dir", default=None)
     p.add_argument("--train-steps", type=int, default=500,

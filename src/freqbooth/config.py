@@ -20,7 +20,6 @@ class ModelConfig:
     d_query: int = 16           # identity pooler query/key dim
     d_id: int = 16              # identity feature dim
     n_query: int = 8            # identity tokens emitted by the pooler
-    heads: int = 1
     timesteps: int = 200
 
     def __post_init__(self):
@@ -28,8 +27,6 @@ class ModelConfig:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch {self.patch}"
             )
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 
     @property
     def latent_hw(self) -> int:

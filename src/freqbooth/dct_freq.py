@@ -62,31 +62,23 @@ def dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-def _as_channels(x: np.ndarray) -> np.ndarray:
+def _as_latent(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None, :, :]
-    if x.ndim != 3:
+    if x.ndim not in (2, 3):
         raise ValueError(f"expected (channels, h, w) or (h, w), got shape {x.shape}")
     return x
 
 
 def dct2(latent: np.ndarray) -> np.ndarray:
-    """Per-channel orthonormal 2D DCT-II, computed separably (rows then columns)."""
-    x = _as_channels(latent)
-    _, h, w = x.shape
-    dh, dw = dct_matrix(h), dct_matrix(w)
-    out = np.einsum("ui,cij,vj->cuv", dh, x, dw, optimize=True)
-    return out if np.asarray(latent).ndim == 3 else out[0]
+    """Per-channel orthonormal 2D DCT-II, D_h x D_w^T for each (h, w) channel."""
+    x = _as_latent(latent)
+    return dct_matrix(x.shape[-2]) @ x @ dct_matrix(x.shape[-1]).T
 
 
 def idct2(spectrum: np.ndarray) -> np.ndarray:
     """Exact inverse of dct2 (transpose of the orthonormal transform)."""
-    f = _as_channels(spectrum)
-    _, h, w = f.shape
-    dh, dw = dct_matrix(h), dct_matrix(w)
-    out = np.einsum("iu,cuv,jv->cij", dh.T, f, dw.T, optimize=True)
-    return out if np.asarray(spectrum).ndim == 3 else out[0]
+    f = _as_latent(spectrum)
+    return dct_matrix(f.shape[-2]).T @ f @ dct_matrix(f.shape[-1])
 
 
 def build_mask(kind: MaskKind, h: int, w: int) -> FrequencyMask:
@@ -127,8 +119,6 @@ def coverage_gap(h: int, w: int) -> list[tuple[int, int]]:
 
 def make_control_signal(latent: np.ndarray, kind: MaskKind) -> np.ndarray:
     """Band-filtered copy of `latent`: idct2(dct2(latent) * mask), per channel."""
-    x = _as_channels(latent)
-    mask = build_mask(kind, x.shape[1], x.shape[2])
-    filtered = dct2(x) * mask.bits[None, :, :]
-    out = idct2(filtered)
-    return out if np.asarray(latent).ndim == 3 else out[0]
+    x = _as_latent(latent)
+    mask = build_mask(kind, x.shape[-2], x.shape[-1])
+    return idct2(dct2(x) * mask.bits)

@@ -235,7 +235,6 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
             # branch into the frozen backbone, then mines it for identity
             w_key_id=draw(f"b{k}.wkid", (config.d_id, d), 0.2 / np.sqrt(config.d_id)),
             w_value_id=draw(f"b{k}.wvid", (config.d_id, d), 0.8 / np.sqrt(config.d_id)),
-            heads=config.heads,
         )
         blocks.append(BlockWeights(
             attn=attn,

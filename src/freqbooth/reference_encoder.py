@@ -1,7 +1,9 @@
 """Reference branch: a frozen orthogonal patch codec (latent encoder/decoder),
 a frozen patch tokenizer, and a trainable attention pooler that turns a
 reference image into identity tokens, fanned out through one linear head per
-generation-branch attention block.
+generation-branch attention block.  The pooler is the same single-head
+softmax-attention kernel as both terms of adaptive attention
+(`attention.softmax_attention`), with learned queries over the tokens.
 
 The reference image is processed noise-free and exactly once per sampling
 run.
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import softmax_attention, softmax_attention_backward
 from .codes import grid_position_codes
 from .config import ModelConfig
 from .dct_freq import dct_matrix
-from .tensor_core import RngState, softmax_rows
+from .tensor_core import RngState
 
 
 @dataclass
@@ -135,8 +138,7 @@ def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
     inv = 1.0 / np.sqrt(proj.queries.shape[1])
     keys = tokens @ proj.w_key
     values = tokens @ proj.w_value
-    attn = softmax_rows(proj.queries @ keys.T * inv)
-    pooled = attn @ values
+    pooled, attn = softmax_attention(proj.queries, keys, values, inv)
     cache = dict(tokens=tokens, proj=proj, inv=inv, keys=keys, values=values, attn=attn)
     return pooled, cache
 
@@ -144,12 +146,10 @@ def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
 def project_identity_backward(dpooled: np.ndarray, cache):
     """Gradients of the pooler output wrt queries/w_key/w_value."""
     proj: ProjectionWeights = cache["proj"]
-    tokens, attn, inv = cache["tokens"], cache["attn"], cache["inv"]
-    dattn = dpooled @ cache["values"].T
-    dvalues = attn.T @ dpooled
-    ds = attn * (dattn - (dattn * attn).sum(axis=1, keepdims=True))
-    dqueries = ds @ cache["keys"] * inv
-    dkeys = ds.T @ proj.queries * inv
+    tokens = cache["tokens"]
+    dqueries, dkeys, dvalues = softmax_attention_backward(
+        dpooled, proj.queries, cache["keys"], cache["values"], cache["attn"],
+        cache["inv"], need_dq=True)
     return {
         "queries": dqueries,
         "w_key": tokens.T @ dkeys,

@@ -69,9 +69,9 @@ class RngState:
 
     def uniform(self) -> float:
         """One draw in [0, 1); advances counter by one."""
-        w = _words(self.seed, 2 * self.counter, 1)
+        word = _mix64(self.seed + (2 * self.counter + 1) * _GOLDEN)  # word(seed, 2c)
         self.counter += 1
-        return float((w[0] >> np.uint64(11)).astype(np.float64) / _TWO53)
+        return (word >> 11) / _TWO53
 
     def randint(self, n: int) -> int:
         """One integer in [0, n); advances counter by one."""

@@ -457,6 +457,10 @@ def _draw_batch(dataset: Dataset, rng: RngState, size: int) -> list[Sample]:
             for _ in range(size)]
 
 
+# a step loss above this multiple of the first step's loss counts as divergence
+DIVERGENCE_FACTOR = 1e3
+
+
 def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
           schedule: NoiseSchedule | None = None,
           enc: FrozenEncoders | None = None) -> TrainReport:
@@ -464,7 +468,8 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
 
     Stages must run in order 0 -> 1 -> 2; the two non-active parameter sets
     are frozen and their checksums verified after the run.  A non-finite
-    step loss, or a non-finite trained weight after the last step, raises
+    step loss, a step loss above DIVERGENCE_FACTOR times the first step's,
+    or a non-finite trained weight after the last step raises
     FloatingPointError (the weights are then unusable; save nothing).
     """
     stage = config.stage
@@ -498,6 +503,10 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
             loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
             if not math.isfinite(loss):
                 raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
+            if losses and loss > DIVERGENCE_FACTOR * losses[0]:
+                raise FloatingPointError(
+                    f"stage {stage} step {step}: loss {loss:.4g} diverged past "
+                    f"{DIVERGENCE_FACTOR:g} times the first step's {losses[0]:.4g}")
             adam_step(params, grads, adam, config.lr)
             losses.append(loss)
         for name in weights.names_in_set(trainable):
@@ -535,7 +544,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 def checkpoint_payload(weights: ModelWeights) -> dict:

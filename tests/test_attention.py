@@ -7,42 +7,37 @@ from freqbooth.attention import (GRAD_NAMES, AdaptiveAttentionWeights,
 from freqbooth.tensor_core import softmax_rows
 
 
-def make_weights(rng, d_model, d_id, heads=1, scale=1.0):
+def make_weights(rng, d_model, d_id, scale=1.0):
     return AdaptiveAttentionWeights(
         w_query=rng.normal(size=(d_model, d_model)) * scale,
         w_key=rng.normal(size=(d_model, d_model)) * scale,
         w_value=rng.normal(size=(d_model, d_model)) * scale,
         w_key_id=rng.normal(size=(d_id, d_model)) * scale,
         w_value_id=rng.normal(size=(d_id, d_model)) * scale,
-        heads=heads,
     )
 
 
 def naive_adaptive(hidden, identity, w, lam):
     """Explicit per-query/per-key evaluation with python loops."""
     d_model = w.w_query.shape[1]
-    d_head = d_model // w.heads
     q = hidden @ w.w_query
     k = hidden @ w.w_key
     v = hidden @ w.w_value
     out = np.zeros((hidden.shape[0], d_model))
-    for h in range(w.heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        for i in range(hidden.shape[0]):
-            logits = np.array([q[i, sl] @ k[j, sl] for j in range(hidden.shape[0])])
-            a = np.exp(logits / np.sqrt(d_head))
-            a /= a.sum()
-            for j in range(hidden.shape[0]):
-                out[i, sl] += a[j] * v[j, sl]
-            if identity is not None and lam != 0.0:
-                k_id = identity @ w.w_key_id
-                v_id = identity @ w.w_value_id
-                logits2 = np.array([q[i, sl] @ k_id[j, sl]
-                                    for j in range(identity.shape[0])])
-                a2 = np.exp(logits2 / np.sqrt(d_head))
-                a2 /= a2.sum()
-                for j in range(identity.shape[0]):
-                    out[i, sl] += lam * a2[j] * v_id[j, sl]
+    for i in range(hidden.shape[0]):
+        logits = np.array([q[i] @ k[j] for j in range(hidden.shape[0])])
+        a = np.exp(logits / np.sqrt(d_model))
+        a /= a.sum()
+        for j in range(hidden.shape[0]):
+            out[i] += a[j] * v[j]
+        if identity is not None and lam != 0.0:
+            k_id = identity @ w.w_key_id
+            v_id = identity @ w.w_value_id
+            logits2 = np.array([q[i] @ k_id[j] for j in range(identity.shape[0])])
+            a2 = np.exp(logits2 / np.sqrt(d_model))
+            a2 /= a2.sum()
+            for j in range(identity.shape[0]):
+                out[i] += lam * a2[j] * v_id[j]
     return out
 
 
@@ -72,15 +67,14 @@ def test_scalar_hand_evaluation():
     w = AdaptiveAttentionWeights(
         w_query=np.array([[1.0]]), w_key=np.array([[1.0]]),
         w_value=np.array([[3.0]]),
-        w_key_id=np.array([[7.0]]), w_value_id=np.array([[5.0]]), heads=1)
+        w_key_id=np.array([[7.0]]), w_value_id=np.array([[5.0]]))
     out = forward(np.array([[1.0]]), np.array([[1.0]]), w, 0.4)
     assert abs(out[0, 0] - 5.0) <= 1e-15
 
 
-@pytest.mark.parametrize("heads", [1, 2])
-def test_matches_naive_loop_oracle(heads):
+def test_matches_naive_loop_oracle():
     rng = np.random.default_rng(1)
-    w = make_weights(rng, 8, 5, heads=heads, scale=0.5)
+    w = make_weights(rng, 8, 5, scale=0.5)
     hidden = rng.normal(size=(6, 8))
     identity = rng.normal(size=(3, 5))
     for lam in (0.0, 0.3, 1.0):
@@ -92,7 +86,7 @@ def test_matches_naive_loop_oracle(heads):
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
 def test_output_is_affine_in_strength(lam):
     rng = np.random.default_rng(2)
-    w = make_weights(rng, 8, 4, heads=2, scale=0.5)
+    w = make_weights(rng, 8, 4, scale=0.5)
     hidden = rng.normal(size=(5, 8))
     identity = rng.normal(size=(3, 4))
     base = forward(hidden, identity, w, 0.0)
@@ -135,7 +129,7 @@ def test_dimension_errors_name_the_projection():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
-    w = make_weights(rng, 4, 3, heads=2, scale=0.4)
+    w = make_weights(rng, 4, 3, scale=0.4)
     hidden = rng.normal(size=(3, 4))
     identity = rng.normal(size=(2, 3))
     scale = 0.7

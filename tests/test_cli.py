@@ -427,6 +427,25 @@ def test_numerical_failure_exits_4_and_saves_nothing(pipe, tmp_path, capsys):
     assert "numerical failure: stage 0 step 1: loss is nan" in capsys.readouterr().err
 
 
+def test_diverging_loss_exits_4_and_saves_nothing(pipe, tmp_path, capsys):
+    assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+               "--stage", 0, "--steps", 60, "--lr", "1e4") == 4
+    assert not any(tmp_path.iterdir())
+    assert "times the first step's" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--n-identities", 2, "--image-size", 8,
+     "--train-size", 2, "--test-size", 2),
+    ("filter", "--input", "in.ppm", "--mask", "low"),
+    ("gradcheck", "--stage", 0),
+])
+def test_commands_without_a_checkpoint_reject_the_option(argv, tmp_path):
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out, "--checkpoint", tmp_path / "x.json") == 2
+    assert not out.exists()
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("FREQBOOTH_OUT", str(env_dir))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freqbooth.dct_freq import (DEFAULT_THRESHOLDS, MaskKind, build_mask,
                                 coverage_gap, dct2, dct_matrix, idct2,
@@ -91,6 +93,21 @@ def test_transform_matrix_is_orthonormal():
     assert np.max(np.abs(d @ d.T - np.eye(8))) <= 1e-12
     with pytest.raises(ValueError):
         dct_matrix(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.integers(1, 3), h=st.integers(2, 7), w=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_roundtrip_and_parseval_on_rectangular_latents(c, h, w, seed):
+    # h != w, so a row transform applied along the columns cannot pass
+    assume(h != w)
+    x = np.random.default_rng(seed).normal(size=(c, h, w))
+    f = dct2(x)
+    for ch in range(c):
+        assert np.max(np.abs(f[ch] - naive_dct2(x[ch]))) <= 1e-10
+        energy = np.sum(x[ch] ** 2)
+        assert abs(np.sum(f[ch] ** 2) - energy) <= 1e-9 * energy
+    assert np.max(np.abs(idct2(f) - x)) <= 1e-10
 
 
 def test_rank_validation():

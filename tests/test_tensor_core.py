@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqbooth.tensor_core import RngState, assert_all_finite, softmax_rows
+from freqbooth.tensor_core import RngState, _words, assert_all_finite, softmax_rows
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,23 @@ def test_rng_counter_is_position_addressable():
     whole = RngState(5).normal(10)
     tail = RngState(5, counter=6).normal(4)
     assert np.array_equal(whole[6:], tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), counter=st.integers(0, 2 ** 40),
+       n=st.integers(0, 12), data=st.data())
+def test_rng_scalar_uniform_and_split_draws_match_the_vector_path(seed, counter, n, data):
+    rng = RngState(seed, counter)
+    word = _words(seed, 2 * counter, 1)[0]
+    assert rng.uniform() == float((word >> np.uint64(11)).astype(np.float64) / 2.0 ** 53)
+    assert rng.counter == counter + 1
+    # a normal draw split at any counter equals the single draw
+    split = data.draw(st.integers(0, n))
+    whole = RngState(seed, counter).normal(n)
+    parts = RngState(seed, counter)
+    head = parts.normal(split)
+    assert np.array_equal(np.concatenate([head, parts.normal(n - split)]), whole)
+    assert parts.counter == counter + n
 
 
 def test_rng_derive_streams_are_independent_and_stable():

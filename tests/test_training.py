@@ -276,11 +276,11 @@ def mixed_batch(cfg, enc, stage, kept, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), stage=st.sampled_from((0, 1, 2)),
-       scale=st.sampled_from((0.0, 0.4, 1.0)), heads=st.sampled_from((1, 2)),
-       n_blocks=st.integers(1, 3), kept=st.lists(st.booleans(), min_size=1, max_size=4))
-def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, heads,
-                                                         n_blocks, kept):
-    cfg = tiny_config(heads=heads, n_blocks=n_blocks)
+       scale=st.sampled_from((0.0, 0.4, 1.0)), n_blocks=st.integers(1, 3),
+       kept=st.lists(st.booleans(), min_size=1, max_size=4))
+def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_blocks,
+                                                         kept):
+    cfg = tiny_config(n_blocks=n_blocks)
     enc = build_encoders(cfg)
     weights = random_point(cfg, seed)
     prepared = mixed_batch(cfg, enc, stage, kept, seed)
