@@ -12,10 +12,11 @@ plain self-attention bitwise.
 Both terms, and the reference branch's identity pooler, are one single-head
 kernel: `softmax_attention` and its backward `softmax_attention_backward`.
 
-Forward passes return a cache consumed by the matching backward pass; the
-backward produces the gradients asked of it, out of the five projections and
-the two inputs, and is validated against central finite differences in the
-test suite.
+Forward passes return a cache consumed by the matching backward pass.  The
+backward takes three flags, one per group of gradients: the self-term
+projections, the identity cross term (its two projections and the identity
+input), and the hidden input.  It computes only those groups and is
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -106,37 +107,30 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     return out, cache
 
 
-# every gradient attention_backward can compute: the five projections and
-# the two inputs
-GRAD_NAMES = ("w_query", "w_key", "w_value", "w_key_id", "w_value_id",
-              "hidden", "identity")
-_SELF_TERM_GRADS = frozenset(("w_query", "w_key", "w_value", "hidden"))
-
-
-def attention_backward(dout: np.ndarray, cache, wanted):
+def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: bool,
+                       need_dhidden: bool):
     """Backward pass; returns (dhidden, didentity, grads dict).
 
-    `wanted` names the gradients to compute, out of GRAD_NAMES; the full
-    backward asks for all of them.  grads has an entry for each wanted
-    projection (zeros for the identity projections when the cross term was
-    skipped); dhidden is None unless "hidden" is wanted, and didentity is
-    None unless "identity" is wanted and the cross term ran.
+    `self_grads` asks for the self-term projections (w_query, w_key,
+    w_value), `cross_grads` for the identity projections (w_key_id,
+    w_value_id) and the identity input, and `need_dhidden` for the hidden
+    input.  grads holds only the projections asked for that the forward
+    used: the identity projections and didentity are absent (None) when the
+    cross term was skipped, and dhidden is None unless asked for.
 
-    Only what the wanted gradients depend on runs.  The self-attention term
-    and the query gradient run when "hidden" or a self-term projection is
-    wanted; without them the cross term computes only dk_id, dv_id and
-    didentity.  Every gradient computed sums in the same order as in the
-    full backward.
+    Only what those gradients depend on runs.  The self-attention term and
+    the query gradient run for `self_grads` or `need_dhidden`; without them
+    the cross term computes only dk_id, dv_id and didentity.  Every gradient
+    computed sums in the same order as in the full backward (every flag set).
     """
-    wanted = frozenset(wanted)
     w: AdaptiveAttentionWeights = cache["w"]
     hidden, identity = cache["hidden"], cache["identity"]
     inv, scale = cache["inv"], cache["scale"]
     q, k, v = cache["q"], cache["k"], cache["v"]
     k_id, v_id = cache["k_id"], cache["v_id"]
-    self_term = bool(wanted & _SELF_TERM_GRADS)
+    self_term = self_grads or need_dhidden
     # the query gradient takes a share from the cross term too
-    cross_term = cache["use_cross"] and bool(wanted)
+    cross_term = cache["use_cross"] and (self_term or cross_grads)
 
     if self_term:
         dq, dk, dv = softmax_attention_backward(dout, q, k, v, cache["attn"], inv,
@@ -148,20 +142,14 @@ def attention_backward(dout: np.ndarray, cache, wanted):
             dq = dq + dq_id
 
     grads = {}
-    if "w_query" in wanted:
+    if self_grads:
         grads["w_query"] = hidden.T @ dq
-    if "w_key" in wanted:
         grads["w_key"] = hidden.T @ dk
-    if "w_value" in wanted:
         grads["w_value"] = hidden.T @ dv
-    if "w_key_id" in wanted:
-        grads["w_key_id"] = identity.T @ dk_id if cross_term else np.zeros_like(w.w_key_id)
-    if "w_value_id" in wanted:
-        grads["w_value_id"] = identity.T @ dv_id if cross_term else np.zeros_like(w.w_value_id)
-    dhidden = None
-    if "hidden" in wanted:
-        dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T
     didentity = None
-    if cross_term and "identity" in wanted:
+    if cross_grads and cross_term:
+        grads["w_key_id"] = identity.T @ dk_id
+        grads["w_value_id"] = identity.T @ dv_id
         didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
+    dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T if need_dhidden else None
     return dhidden, didentity, grads

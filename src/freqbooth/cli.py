@@ -109,11 +109,11 @@ def _require_stages(weights, needed: list[int], path) -> None:
         )
 
 
-def image_grid(images: list[np.ndarray], rows: int, cols: int,
-               pad: int = 2, fill: float = 1.0) -> np.ndarray:
-    """Tile (3, H, W) images into a padded contact sheet."""
-    h, w = images[0].shape[1], images[0].shape[2]
-    sheet = np.full((3, rows * (h + pad) + pad, cols * (w + pad) + pad), fill)
+def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
+    """Tile (3, H, W) images into a contact sheet with 2 white pixels
+    around and between the tiles."""
+    h, w, pad = images[0].shape[1], images[0].shape[2], 2
+    sheet = np.ones((3, rows * (h + pad) + pad, cols * (w + pad) + pad))
     for idx, img in enumerate(images[: rows * cols]):
         r, c = divmod(idx, cols)
         y = pad + r * (h + pad)
@@ -242,6 +242,10 @@ def cmd_train(args) -> int:
     if stage != 2 and mask is not None:
         raise UsageError("--mask only applies to --stage 2")
 
+    if stage == 0 and args.checkpoint:
+        raise UsageError("--checkpoint does not apply to --stage 0, "
+                         "which initialises from --seed")
+
     if stage == 0:
         weights = init_weights(model_config, args.seed)
         source = None
@@ -262,7 +266,7 @@ def cmd_train(args) -> int:
     suffix = f"stage2_{mask.value}" if stage == 2 else f"stage{stage}"
     ckpt_path = out / f"checkpoint_{suffix}.json"
     save_checkpoint(ckpt_path, weights)
-    write_json(out / f"train_report_{suffix}.json", report.to_dict(include_timing=False))
+    write_json(out / f"train_report_{suffix}.json", report.to_dict())
     write_json(out / f"train_report_{suffix}.timing.json",
                {"wall_clock_s": report.wall_clock_s})
     _write_echo(out, "train", {
@@ -521,7 +525,7 @@ def cmd_gradcheck(args) -> int:
     results = []
     ok = True
     for stage in stages:
-        res = gradient_check(stage, seed=args.seed, fault=args.inject_fault)
+        res = gradient_check(stage, seed=args.seed)
         results.append(res)
         ok = ok and res["pass"]
         status = "pass" if res["pass"] else "FAIL"
@@ -530,8 +534,7 @@ def cmd_gradcheck(args) -> int:
     write_json(out / "gradcheck_report.json",
                {"results": [{k: v for k, v in r.items()} for r in results],
                 "pass": ok})
-    _write_echo(out, "gradcheck", {"seed": args.seed, "stages": stages,
-                                   "inject_fault": args.inject_fault})
+    _write_echo(out, "gradcheck", {"seed": args.seed, "stages": stages})
     return EXIT_OK if ok else 1
 
 
@@ -621,8 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference check of the stage gradients")
     p.add_argument("--stage", type=int, choices=(0, 1, 2), default=None)
-    p.add_argument("--inject-fault", choices=("sign-flip",), default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

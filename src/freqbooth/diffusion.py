@@ -6,8 +6,9 @@ The denoiser is a small residual token network over flattened latent
 positions.  Per block:
 
     h <- h + time_features @ time_proj + text_embed[text_id]
-    h <- h + adaptive_attention(h, identity_tokens_k, scale)
-    h <- h + ctrl_gate * (control_tokens @ ctrl_proj)      (if control given)
+    gain = 1 + time_features @ time_gain                    (per channel)
+    h <- h + gain * adaptive_attention(h, identity_tokens_k, scale)
+    h <- h + ctrl_gate * gain * (control_tokens @ ctrl_proj)  (if control given)
     h <- h + tanh(h @ ff_w1) @ ff_w2
 
 with a linear in/out projection and a fixed additive position code.  Forward
@@ -325,140 +326,90 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
     return eps_seq, cache
 
 
-# Block parameters the backward reaches only through a branch that may not
-# have run: the control residual and the identity cross term.  Every other
-# denoiser parameter gets a gradient from every forward.
-_CONTROL_LEAVES = ("ctrl_proj", "ctrl_gate")
-_CROSS_LEAVES = ("attn.w_key_id", "attn.w_value_id")
-_BACKBONE_LEAVES = tuple(leaf for leaf, (s, _) in _BLOCK_PARAMS.items() if s == "backbone")
-_ATTN_LEAVES = tuple(leaf.removeprefix("attn.") for leaf in _BLOCK_PARAMS
-                     if leaf.startswith("attn."))
+def _set_flags(sets) -> tuple[bool, bool, bool]:
+    """(backbone, identity_adapter, control): which of PARAM_SETS `sets` names."""
+    sets = frozenset(sets)
+    if not sets <= frozenset(PARAM_SETS):
+        raise ValueError(f"unknown parameter sets {sorted(sets - frozenset(PARAM_SETS))}")
+    return tuple(s in sets for s in PARAM_SETS)
 
 
-def feeds_identity(name: str) -> bool:
-    """Whether parameter `name` lies upstream of the identity tokens (the
-    reference pooler and the per-block heads), so training it needs the
-    gradient of every block's identity input."""
-    return name.startswith("proj.") or name.endswith(".id_head")
+def reaches(cache, sets) -> bool:
+    """Whether the forward in `cache` gives any parameter of `sets` (names in
+    PARAM_SETS) a gradient: the backbone always, the identity adapter when
+    the cross term ran (in every block or in none), the control set when a
+    control signal was given.  Without one, the backward can be skipped."""
+    backbone, identity, control = _set_flags(sets)
+    cross = any(c["acache"]["use_cross"] for c in cache["caches"])
+    return backbone or (identity and cross) or (control and cache["ctrl_seq"] is not None)
 
 
-def backward_floor(cache, trainable) -> int | None:
-    """Lowest block the denoiser backward must enter to give every parameter
-    in `trainable` its gradient from the forward in `cache`.
-
-    Returns len(blocks) when only `out_proj` needs one, and None when the
-    forward gives no trainable parameter a gradient at all (say, a frozen
-    backbone and no identity cross term): that example's backward can be
-    skipped.
-    """
-    trainable = frozenset(trainable)
-    if "in_proj" in trainable:
-        return 0
-    identity = any(feeds_identity(name) for name in trainable)
-    for k, c in enumerate(cache["caches"]):
-        reached = _BACKBONE_LEAVES
-        if c["fields"] is not None:
-            reached += _CONTROL_LEAVES
-        if c["acache"]["use_cross"]:
-            if identity:
-                return k
-            reached += _CROSS_LEAVES
-        if any(f"blocks.{k}.{leaf}" in trainable for leaf in reached):
-            return k
-    return len(cache["caches"]) if "out_proj" in trainable else None
-
-
-def denoiser_backward(deps_seq: np.ndarray, cache, trainable):
-    """Gradients of the parameters named in `trainable` (registry names)
+def denoiser_backward(deps_seq: np.ndarray, cache, sets):
+    """Gradients of the parameter sets named in `sets` (names in PARAM_SETS)
     plus the identity features.
 
-    Returns (grads, didentity).  grads maps each trainable denoiser
-    parameter to its gradient (zeros where the forward never used it);
-    didentity is a per-block list, with None entries where no cross term
-    ran or where no trainable parameter lies upstream of the identity
-    tokens.  The full backward is the call with every registry name.
+    Returns (grads, didentity).  grads maps registry names to gradients, for
+    every parameter of those sets that the forward used: the control set
+    only with a control signal, the identity projections only where the
+    cross term ran.  didentity is a per-block list of the identity-feature
+    gradients, None unless the identity adapter is asked for and the cross
+    term ran.  The full backward is the call with every set.
 
-    The activation gradient is carried down only to the lowest block that
-    holds a trainable parameter or a needed identity input (`backward_floor`),
-    and below block 0 only when `in_proj` is trainable.  Inside a block, a
-    weight-gradient product runs only for a trainable weight and the
-    attention backward only for the gradients something below or upstream
-    needs.  Every gradient computed sums in the same order as in the full
-    backward, so each equals the full backward's entry bit for bit.
+    Each weight-gradient product runs only under its set's flag, and the
+    activation gradient goes below block 0's attention only for the
+    backbone (its conditioning and in_proj need it).  Every gradient
+    computed sums in the same order as in the full backward, so each equals
+    the full backward's entry bit for bit.
     """
     w: ModelWeights = cache["w"]
     ctrl_seq = cache["ctrl_seq"]
-    trainable = frozenset(trainable)
-    n_blocks = len(w.blocks)
+    backbone, identity, control = _set_flags(sets)
     grads: dict[str, np.ndarray] = {}
-    didentity: list = [None] * n_blocks
-    if "out_proj" in trainable:
+    didentity: list = [None] * len(w.blocks)
+    if backbone:
         grads["out_proj"] = cache["h_final"].T @ deps_seq
-    floor = backward_floor(cache, trainable)
-    if floor is None:
-        floor = n_blocks
-    identity = any(feeds_identity(name) for name in trainable)
-    if floor < n_blocks:
-        dh = deps_seq @ w.out_proj.T
+    dh = deps_seq @ w.out_proj.T
 
-    for k in reversed(range(floor, n_blocks)):
+    for k in reversed(range(len(w.blocks))):
         blk, c = w.blocks[k], cache["caches"][k]
         p = f"blocks.{k}."
-        # the gradient of this block's input feeds the blocks below, in_proj
-        # and the block's own conditioning parameters
-        need_dh1 = (k > floor or "in_proj" in trainable or p + "time_proj" in trainable
-                    or p + "text_embed" in trainable)
+        need_dh1 = k > 0 or backbone
         # feed-forward residual
-        if p + "ff_w2" in trainable:
+        dff_pre = (dh @ blk.ff_w2.T) * (1.0 - c["ff_act"] ** 2)
+        if backbone:
             grads[p + "ff_w2"] = c["ff_act"].T @ dh
-        dff_act = dh @ blk.ff_w2.T
-        dff_pre = dff_act * (1.0 - c["ff_act"] ** 2)
-        if p + "ff_w1" in trainable:
             grads[p + "ff_w1"] = c["h3"].T @ dff_pre
         dh3 = dh + dff_pre @ blk.ff_w1.T
         # control residual (scaled by the shared time gain)
         gain, fields = c["gain"], c["fields"]
-        if fields is None:
-            for leaf in _CONTROL_LEAVES:
-                if p + leaf in trainable:
-                    grads[p + leaf] = np.zeros_like(getattr(blk, leaf))
-        else:
-            if p + "ctrl_gate" in trainable:
-                scaled = gain * fields
-                grads[p + "ctrl_gate"] = np.array([np.sum(dh3 * scaled)])
-            if p + "ctrl_proj" in trainable:
-                grads[p + "ctrl_proj"] = ctrl_seq.T @ (blk.ctrl_gate[0] * (gain * dh3))
+        if control and fields is not None:
+            grads[p + "ctrl_gate"] = np.array([np.sum(dh3 * (gain * fields))])
+            grads[p + "ctrl_proj"] = ctrl_seq.T @ (blk.ctrl_gate[0] * (gain * dh3))
         dh2 = dh3
         # the gain scales both the control and the attention residual
-        if p + "time_gain" in trainable:
+        if backbone:
             dgain = (np.zeros(gain.shape[0]) if fields is None
                      else blk.ctrl_gate[0] * (dh3 * fields).sum(axis=0))
             dgain += (dh2 * c["attn_out"]).sum(axis=0)
             grads[p + "time_gain"] = np.outer(c["tfeat"], dgain)
         # adaptive attention residual
-        wanted = [leaf for leaf in _ATTN_LEAVES if f"{p}attn.{leaf}" in trainable]
-        if need_dh1:
-            wanted.append("hidden")
-        if identity:
-            wanted.append("identity")
-        if wanted:
-            dh1_attn, dident, agrads = attention_backward(gain * dh2, c["acache"], wanted)
-            didentity[k] = dident
+        if need_dh1 or identity:
+            dh1_attn, didentity[k], agrads = attention_backward(
+                gain * dh2, c["acache"], self_grads=backbone, cross_grads=identity,
+                need_dhidden=need_dh1)
             for leaf, g in agrads.items():
                 grads[f"{p}attn.{leaf}"] = g
         if not need_dh1:
-            break  # this is the floor block: nothing below needs its input gradient
+            break  # block 0 without the backbone: nothing needs its input gradient
         dh = dh2 + dh1_attn
         # timestep / text conditioning (broadcast add over the sequence)
-        if p + "time_proj" in trainable or p + "text_embed" in trainable:
+        if backbone:
             dcond = dh.sum(axis=0)
-            if p + "time_proj" in trainable:
-                grads[p + "time_proj"] = np.outer(c["tfeat"], dcond)
-            if p + "text_embed" in trainable:
-                demb = np.zeros_like(blk.text_embed)
-                demb[c["tid"]] = dcond
-                grads[p + "text_embed"] = demb
-    if "in_proj" in trainable:
+            grads[p + "time_proj"] = np.outer(c["tfeat"], dcond)
+            demb = np.zeros(blk.text_embed.shape)  # only the used row is nonzero
+            demb[c["tid"]] = dcond
+            grads[p + "text_embed"] = demb
+    if backbone:
         grads["in_proj"] = cache["z_seq"].T @ dh
     return grads, didentity
 

@@ -57,6 +57,8 @@ def read_ppm(path) -> np.ndarray:
         raise ValueError(f"{path}: not a binary PPM (P6) file")
     (w, h, maxval), body = _read_tokens(data, 3, 2)
     w, h, maxval = int(w), int(h), int(maxval)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     need = h * w * 3
@@ -94,6 +96,8 @@ def read_pfm(path) -> np.ndarray:
     color = data[:2] == b"PF"
     (w, h, scale), body = _read_tokens(data, 3, 2)
     w, h, scale = int(w), int(h), float(scale)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
     dtype = "<f4" if scale < 0 else ">f4"
     n = h * w * (3 if color else 1)
     if len(data) - body < 4 * n:

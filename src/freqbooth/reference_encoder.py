@@ -161,8 +161,9 @@ def reference_forward_train(img: np.ndarray, proj: ProjectionWeights,
                             heads: list[np.ndarray], enc: FrozenEncoders):
     """Reference branch forward with cache kept for backprop.
 
-    Returns (per-block identity features, cache).  The latent encoding runs
-    too (it feeds frequency control downstream) but carries no gradient.
+    Returns (per-block identity features, cache).  Only the patch tokenizer
+    and the pooler run; the latent that feeds frequency control is encoded
+    separately (`encode_latent`) and carries no gradient.
     """
     tokens = extract_tokens(img, enc)
     pooled, pcache = project_identity_forward(tokens, proj)

@@ -8,6 +8,7 @@ without aiming for converged quality.
 import numpy as np
 import pytest
 
+from freqbooth import training
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind
 from freqbooth.diffusion import init_weights, linear_schedule
@@ -75,3 +76,18 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     a = np.array([0.9, 0.8, 0.25])
     b = np.array([0.1, 0.2, 0.55])
     return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
+
+
+def flip_one_gradient(monkeypatch):
+    """Make `training.batch_loss` negate one analytic gradient, the kind of
+    backward bug the gradient check exists to catch."""
+    real = training.batch_loss
+
+    def flipped(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        if grads:
+            first = sorted(grads)[0]
+            grads[first] = -grads[first]
+        return loss, grads
+
+    monkeypatch.setattr(training, "batch_loss", flipped)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from freqbooth.attention import (GRAD_NAMES, AdaptiveAttentionWeights,
-                                 attention_backward, attention_forward,
-                                 check_identity_scale)
+from freqbooth.attention import (AdaptiveAttentionWeights, attention_backward,
+                                 attention_forward, check_identity_scale)
 from freqbooth.tensor_core import softmax_rows
 
 
@@ -140,7 +139,8 @@ def test_gradients_match_finite_differences():
         return float(np.sum(out * dout))
 
     out, cache = attention_forward(hidden, identity, w, scale)
-    dhidden, didentity, grads = attention_backward(dout, cache, GRAD_NAMES)
+    dhidden, didentity, grads = attention_backward(dout, cache, self_grads=True,
+                                                   cross_grads=True, need_dhidden=True)
 
     step = 1e-6
     tol = 1e-4
@@ -166,12 +166,14 @@ def test_gradients_match_finite_differences():
     assert np.max(np.abs(didentity - fd(identity))) <= tol
 
 
-def test_backward_reports_zero_identity_grads_when_skipped():
+def test_backward_omits_identity_grads_when_skipped():
     rng = np.random.default_rng(6)
     w = make_weights(rng, 4, 3)
     hidden = rng.normal(size=(3, 4))
     _, cache = attention_forward(hidden, None, w, 0.0)
-    _, didentity, grads = attention_backward(rng.normal(size=(3, 4)), cache, GRAD_NAMES)
+    dhidden, didentity, grads = attention_backward(
+        rng.normal(size=(3, 4)), cache, self_grads=True, cross_grads=True,
+        need_dhidden=True)
     assert didentity is None
-    assert not grads["w_key_id"].any()
-    assert not grads["w_value_id"].any()
+    assert sorted(grads) == ["w_key", "w_query", "w_value"]
+    assert dhidden.shape == hidden.shape

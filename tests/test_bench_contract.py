@@ -12,8 +12,13 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from freqbooth import diffusion, training
+from freqbooth.config import tiny_config
+from freqbooth.reference_encoder import (build_encoders, reference_backward,
+                                         reference_forward_train)
 from freqbooth.training import TrainConfig
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -61,3 +66,26 @@ def test_train_config_accepts_the_fields_the_benchmark_passes():
               for kw in node.keywords}
     assert passed, "bench/run.py builds no TrainConfig"
     assert passed <= {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def test_backward_results_have_the_shapes_grad_hooks_read():
+    """`grad_hooks` unpacks `denoiser_backward` into (grads by registry name,
+    per-block list), reads `reference_backward`'s "heads" list beside its
+    arrays, and takes `adam_step`'s grads from its second argument."""
+    cfg = tiny_config()
+    enc = build_encoders(cfg)
+    weights = diffusion.init_weights(cfg, 0)
+    rng = np.random.default_rng(0)
+    ref = rng.uniform(size=(3, cfg.image_size, cfg.image_size))
+    feats, rcache = reference_forward_train(ref, weights.projection, weights.id_heads(), enc)
+    z = rng.normal(size=(cfg.latent_hw ** 2, cfg.latent_channels))
+    pred, cache = diffusion.denoiser_forward(weights, z, 5, 0, feats, None, 0.4)
+    grads, didentity = diffusion.denoiser_backward(pred, cache, diffusion.PARAM_SETS)
+    assert isinstance(grads, dict) and isinstance(didentity, list)
+    assert set(grads) <= set(weights.params())
+    assert all(isinstance(g, np.ndarray) for g in grads.values())
+    rgrads = reference_backward(didentity, rcache)
+    assert isinstance(rgrads, dict) and isinstance(rgrads["heads"], list)
+    assert all(isinstance(g, np.ndarray) for g in rgrads["heads"])
+    assert all(isinstance(g, np.ndarray) for k, g in rgrads.items() if k != "heads")
+    assert list(inspect.signature(training.adam_step).parameters)[1] == "grads"

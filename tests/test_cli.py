@@ -21,7 +21,7 @@ from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import load_checkpoint, save_checkpoint
-from conftest import striped_test_image
+from conftest import flip_one_gradient, striped_test_image
 
 
 def run(*argv) -> int:
@@ -114,6 +114,13 @@ def test_train_stage2_requires_mask(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 2, "--steps", 1,
                "--checkpoint", pipe / "checkpoint_stage1.json") == 2
+
+
+def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
+    out = tmp_path / "out"
+    assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset",
+               "--stage", 0, "--steps", 2, "--checkpoint", tmp_path / "x.json") == 2
+    assert list(out.iterdir()) == []
 
 
 def test_train_zero_steps_leaves_weights_at_init(pipe, tmp_path):
@@ -250,6 +257,14 @@ def test_filter_rejects_nonsquare_input(tmp_path):
                "--mask", "low") == 2
 
 
+def test_filter_rejects_a_nonpositive_size(tmp_path):
+    path = tmp_path / "neg.ppm"
+    path.write_bytes(b"P6\n4 -4\n255\n" + bytes(48))
+    out = tmp_path / "out"
+    assert run("filter", "--out-dir", out, "--input", path, "--mask", "high") == 2
+    assert list(out.iterdir()) == []
+
+
 def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
     for sub in ("a", "b"):
         assert run("filter", "--out-dir", tmp_path / sub, "--input", stripes_ppm,
@@ -332,13 +347,13 @@ def test_ablate_masks_report(pipe, tmp_path):
 # gradcheck
 
 
-def test_gradcheck_exit_codes(tmp_path):
+def test_gradcheck_exit_codes(tmp_path, monkeypatch):
     assert run("gradcheck", "--out-dir", tmp_path, "--stage", 2) == 0
     report = read_json(tmp_path / "gradcheck_report.json")
     assert report["pass"] is True
     assert report["results"][0]["max_rel_err"] <= 1e-4
-    assert run("gradcheck", "--out-dir", tmp_path, "--stage", 2,
-               "--inject-fault", "sign-flip") == 1
+    flip_one_gradient(monkeypatch)
+    assert run("gradcheck", "--out-dir", tmp_path, "--stage", 2) == 1
     assert read_json(tmp_path / "gradcheck_report.json")["pass"] is False
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbooth.netpbm import quantize, read_pfm, read_ppm, write_pfm, write_ppm
 
@@ -91,3 +93,40 @@ def test_pfm_read_rejects_bad_files(tmp_path):
         read_pfm(short)
     with pytest.raises(ValueError):
         write_pfm(tmp_path / "x.pfm", np.zeros((2, 3, 4)))
+
+
+@pytest.mark.parametrize("header", [b"P6\n4 -4\n255\n", b"P6\n0 0\n255\n",
+                                    b"PF\n0 0\n-1.0\n", b"Pf\n-2 3\n-1.0\n"])
+def test_readers_reject_nonpositive_sizes(header, tmp_path):
+    path = tmp_path / "neg"
+    path.write_bytes(header + bytes(48))
+    reader = read_ppm if header.startswith(b"P6") else read_pfm
+    with pytest.raises(ValueError, match="not positive"):
+        reader(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(magic=st.sampled_from((b"P6", b"PF")), w=st.integers(-2, 5), h=st.integers(-2, 5),
+       level=st.sampled_from((b"255", b"1", b"0", b"-1.0", b"1.0", b"nan", b"x")),
+       body=st.binary(max_size=120), raw=st.none() | st.binary(max_size=40))
+def test_readers_raise_only_value_error_on_malformed_files(fuzz_dir, magic, w, h, level,
+                                                           body, raw):
+    """A well-formed header of any size and level, or random header bytes,
+    followed by random body bytes: the reader raises ValueError, or returns
+    an image of the header's shape."""
+    header = raw if raw is not None else b"\n%d %d\n%s\n" % (w, h, level)
+    path = fuzz_dir / "fuzz"
+    path.write_bytes(magic + header + body)
+    try:
+        img = (read_ppm if magic == b"P6" else read_pfm)(path)
+    except ValueError:
+        return
+    assert img.dtype == np.float64 and img.ndim == 3 and img.shape[0] == 3
+    assert img.shape[1] >= 1 and img.shape[2] >= 1
+    if raw is None:
+        assert img.shape == (3, h, w)

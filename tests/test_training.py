@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from freqbooth.training import (STAGE_SETS, PreparedExample, StageOrderError,
                                 identity_params, init_adam, load_checkpoint,
                                 orientation_histogram, save_checkpoint,
                                 smoothing_window, train, write_json)
-from conftest import SMALL_SPEC, striped_test_image
+from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
 
 
 def identity_metric(generated, reference):
@@ -213,9 +214,8 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
 
 def full_backward_grads(weights, enc, prepared, scale):
     """batch_loss's gradients the unrestricted way: every example runs the
-    full backward (every registry name) and the reference backward, and
+    full backward (every parameter set) and the reference backward, and
     every parameter accumulates."""
-    names = list(weights.params())
     acc = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
     for ex in prepared:
         feats = rcache = None
@@ -227,13 +227,11 @@ def full_backward_grads(weights, enc, prepared, scale):
                                        ex.text_id, feats, ctrl_seq, scale)
         diff = pred - latent_to_seq(ex.eps)
         grads, didentity = denoiser_backward((2.0 / (diff.size * len(prepared))) * diff,
-                                             cache, names)
+                                             cache, PARAM_SETS)
         for name, g in grads.items():
             acc[name] += g
         if rcache is not None:
-            dfeats = [np.zeros((weights.config.n_query, weights.config.d_id))
-                      if d is None else d for d in didentity]
-            rgrads = reference_backward(dfeats, rcache)
+            rgrads = reference_backward(didentity, rcache)
             for leaf in ("queries", "w_key", "w_value"):
                 acc[f"proj.{leaf}"] += rgrads[leaf]
             for k, dh in enumerate(rgrads["heads"]):
@@ -291,14 +289,23 @@ def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_b
         assert np.array_equal(g, full[name]), name
 
 
+def test_backward_rejects_unknown_set_names():
+    # a bare string would otherwise iterate as letters and train nothing
+    for sets in ("control", ("controls",)):
+        with pytest.raises(ValueError, match="unknown parameter sets"):
+            diffusion.reaches({}, sets)
+
+
 def recording(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records each call's arguments."""
+    """Replace module.name by a wrapper that records each call's arguments
+    as a dict by parameter name."""
     calls = []
     real = getattr(module, name)
+    signature = inspect.signature(real)
 
-    def wrapper(*args):
-        calls.append(args)
-        return real(*args)
+    def wrapper(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -313,9 +320,10 @@ def test_stage2_backward_enters_only_the_last_attention_block(monkeypatch, tiny_
     # one call per example, from the last block, for its input gradient only
     assert len(calls) == len(prepared)
     last = tiny_cfg.n_blocks - 1
-    for dout, cache, wanted in calls:
-        assert cache["w"] is weights.blocks[last].attn
-        assert list(wanted) == ["hidden"]
+    for call in calls:
+        assert call["cache"]["w"] is weights.blocks[last].attn
+        assert (call["self_grads"], call["cross_grads"], call["need_dhidden"]) == \
+            (False, False, True)
 
 
 def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cfg,
@@ -327,10 +335,11 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     attention_calls = recording(monkeypatch, diffusion, "attention_backward")
     batch_loss(weights, tiny_enc, prepared, 1, 0.4)
     assert len(denoiser_calls) == sum(kept)
+    assert all(call["sets"] == ("identity_adapter",) for call in denoiser_calls)
     # block 1 passes its input gradient down; block 0 runs the cross term only
-    wanted = [set(call[2]) for call in attention_calls]
-    top = {"w_key_id", "w_value_id", "hidden", "identity"}
-    assert wanted == [top, top - {"hidden"}] * sum(kept)
+    flags = [(call["self_grads"], call["cross_grads"], call["need_dhidden"])
+             for call in attention_calls]
+    assert flags == [(False, True, True), (False, True, False)] * sum(kept)
     # without identity features no example reaches a trainable parameter
     denoiser_calls.clear()
     _, grads = batch_loss(weights, tiny_enc, prepared, 1, 0.0)
@@ -462,6 +471,28 @@ def test_checkpoint_roundtrip_is_bitwise(tiny_trained, tmp_path):
     assert loaded.config == weights.config
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_blocks=st.integers(1, 3),
+       stages=st.lists(st.sampled_from((0, 1, 2)), unique=True))
+def test_checkpoint_roundtrip_over_random_configs(tmp_path_factory, seed, n_blocks,
+                                                  stages):
+    cfg = tiny_config(n_blocks=n_blocks)
+    weights = random_point(cfg, seed)
+    weights.completed_stages = stages
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    save_checkpoint(path, weights)
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert loaded.completed_stages == sorted(stages)
+    params, back = weights.params(), loaded.params()
+    assert sorted(back) == sorted(params)
+    for name, arr in params.items():
+        assert np.array_equal(arr, back[name]), name
+    checksums = {s: weights.checksum(s) for s in PARAM_SETS}
+    assert json.loads(path.read_text())["set_checksums"] == checksums
+    assert {s: loaded.checksum(s) for s in PARAM_SETS} == checksums
+
+
 def test_checkpoint_rejects_tampering(tiny_cfg, tmp_path):
     weights = init_weights(tiny_cfg, 0)
     path = tmp_path / "ckpt.json"
@@ -519,12 +550,11 @@ def test_interrupted_json_write_keeps_the_earlier_file(tmp_path, monkeypatch):
 # gradient check harness
 
 
-def test_gradient_check_detects_an_injected_fault():
-    res = gradient_check(2, fault="sign-flip")
+def test_gradient_check_detects_an_injected_fault(monkeypatch):
+    flip_one_gradient(monkeypatch)
+    res = gradient_check(2)
     assert res["pass"] is False
     assert res["max_rel_err"] > 1e-4
-    with pytest.raises(ValueError, match="fault"):
-        gradient_check(2, fault="bogus")
 
 
 def test_gradient_check_report_schema():
