@@ -14,9 +14,10 @@ exits 1 when a gradient comparison fails.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,9 @@ from .diffusion import (PARAM_SETS, forward_noise, init_weights,
 from .netpbm import quantize, read_ppm, write_pfm, write_ppm
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
-from .training import (Dataset, StageOrderError, ToyDatasetSpec, TrainConfig,
-                       dataset_checksum, generate_dataset, gradient_check,
-                       identity_metric_flagged, load_checkpoint,
-                       save_checkpoint, train, write_json)
+from .training import (Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
+                       generate_dataset, gradient_check, identity_metric_flagged,
+                       load_checkpoint, save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,13 +54,6 @@ class UsageError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-
-def _out_dir(args) -> Path:
-    target = os.environ.get("FREQBOOTH_OUT") or args.out_dir
-    path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _write_echo(out: Path, command: str, effective: dict) -> None:
@@ -92,21 +85,25 @@ def _load_image(path) -> np.ndarray:
 _UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError)
 
 
-def _load_weights(path: Path):
+def _checkpoint_path(out: Path, stage: int, mask: MaskKind | None = None) -> Path:
+    """Where `train --stage STAGE [--mask MASK]` saves its checkpoint, and so
+    where later commands look for it by default."""
+    suffix = f"stage2_{mask.value}" if stage == 2 else f"stage{stage}"
+    return out / f"checkpoint_{suffix}.json"
+
+
+def _load_weights(path, stages: int):
+    """The checkpoint at `path`, which must have completed stages 0..stages-1."""
     if not Path(path).is_file():
         raise PrerequisiteError(f"checkpoint {path} not found; run `freqbooth train` first")
     try:
-        return load_checkpoint(path)
+        weights = load_checkpoint(path)
     except _UNREADABLE as exc:
         raise PrerequisiteError(f"checkpoint {path} is unusable: {exc!r}") from None
-
-
-def _require_stages(weights, needed: list[int], path) -> None:
-    missing = [s for s in needed if s not in weights.completed_stages]
+    missing = [s for s in range(stages) if s not in weights.completed_stages]
     if missing:
-        raise PrerequisiteError(
-            f"checkpoint {path} lacks completed stage(s) {missing}"
-        )
+        raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
+    return weights
 
 
 def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
@@ -130,7 +127,7 @@ def save_dataset(ddir: Path, dataset: Dataset) -> dict:
     ddir.mkdir(parents=True, exist_ok=True)
     index = {
         "schema_version": 1,
-        "spec": dataset.spec.to_dict(),
+        "spec": asdict(dataset.spec),
         "seed": dataset.seed,
         "checksum": dataset_checksum(dataset),
         "train": [], "test": [], "train_refs": [], "test_refs": [],
@@ -157,7 +154,8 @@ def save_dataset(ddir: Path, dataset: Dataset) -> dict:
     return index
 
 
-def load_dataset(ddir: Path) -> Dataset:
+def load_dataset(ddir: Path) -> tuple[Dataset, str]:
+    """The dataset under `ddir` and its checksum, verified against the index."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
@@ -180,7 +178,7 @@ def load_dataset(ddir: Path) -> Dataset:
     try:
         with open(index_path) as fh:
             index = json.load(fh)
-        spec = ToyDatasetSpec.from_dict(index["spec"])
+        spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
         train_images, train_identity, train_text = read_split(index["train"])
         test_images, test_identity, test_text = read_split(index["test"])
@@ -190,14 +188,15 @@ def load_dataset(ddir: Path) -> Dataset:
                           test_identity=test_identity, test_text=test_text,
                           train_refs=read_refs(index["train_refs"]),
                           test_refs=read_refs(index["test_refs"]))
-        if dataset_checksum(dataset) != index["checksum"]:
+        checksum = index["checksum"]
+        if dataset_checksum(dataset) != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
     except _UNREADABLE as exc:
         raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
-    return dataset
+    return dataset, checksum
 
 
-def _load_dataset_arg(args, out: Path) -> Dataset:
+def _load_dataset_arg(args, out: Path) -> tuple[Dataset, str]:
     return load_dataset(Path(args.data_dir) if args.data_dir else out / "dataset")
 
 
@@ -206,7 +205,7 @@ def _load_dataset_arg(args, out: Path) -> Dataset:
 
 
 def cmd_gen_data(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     spec = ToyDatasetSpec(n_identities=args.n_identities,
                           n_contexts=args.n_contexts,
                           image_size=args.image_size,
@@ -214,7 +213,7 @@ def cmd_gen_data(args) -> int:
                           test_size=args.test_size)
     dataset = generate_dataset(spec, args.seed)
     index = save_dataset(out / "dataset", dataset)
-    _write_echo(out, "gen-data", {"seed": args.seed, "spec": spec.to_dict(),
+    _write_echo(out, "gen-data", {"seed": args.seed, "spec": asdict(spec),
                                   "checksum": index["checksum"]})
     print(f"wrote {spec.train_size} train + {spec.test_size} test images "
           f"({spec.n_identities} identities) to {out / 'dataset'}")
@@ -222,8 +221,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
-    dataset = _load_dataset_arg(args, out)
+    out = Path(args.out_dir)
+    dataset, checksum = _load_dataset_arg(args, out)
     model_config = toy_config()
     if model_config.image_size != dataset.spec.image_size:
         raise UsageError(
@@ -248,30 +247,25 @@ def cmd_train(args) -> int:
 
     if stage == 0:
         weights = init_weights(model_config, args.seed)
-        source = None
+        source_checksums = None
     else:
-        source = Path(args.checkpoint) if args.checkpoint else \
-            out / f"checkpoint_stage{stage - 1}.json"
-        weights = _load_weights(source)
-    source_checksums = None if source is None else \
-        {s: weights.checksum(s) for s in PARAM_SETS}
+        weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1), stage)
+        source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
 
     steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
-    config = TrainConfig(stage=stage, steps=steps, lr=args.lr,
-                         batch_size=args.batch_size, seed=args.seed,
-                         identity_scale=args.lam, mask_kind=mask,
-                         cond_dropout=args.cond_dropout)
+    config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
+                         identity_scale=args.lam, mask_kind=mask)
     report = train(config, dataset, weights)
 
-    suffix = f"stage2_{mask.value}" if stage == 2 else f"stage{stage}"
-    ckpt_path = out / f"checkpoint_{suffix}.json"
+    ckpt_path = _checkpoint_path(out, stage, mask)
+    report_path = ckpt_path.with_name(ckpt_path.name.replace("checkpoint", "train_report"))
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, weights)
-    write_json(out / f"train_report_{suffix}.json", report.to_dict())
-    write_json(out / f"train_report_{suffix}.timing.json",
-               {"wall_clock_s": report.wall_clock_s})
+    write_json(report_path, report.to_dict())
+    write_json(report_path.with_suffix(".timing.json"), {"wall_clock_s": report.wall_clock_s})
     _write_echo(out, "train", {
-        "train_config": config.to_dict(),
-        "dataset_checksum": dataset_checksum(dataset),
+        "train_config": asdict(config),
+        "dataset_checksum": checksum,
         "source_checkpoint_checksums": source_checksums,
     })
     drop = (1.0 - report.final_smoothed / report.initial_smoothed) * 100 \
@@ -282,26 +276,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sample_weights(args, out: Path, mask: MaskKind | None):
-    if args.checkpoint:
-        path = Path(args.checkpoint)
-    elif mask is None:
-        path = out / "checkpoint_stage1.json"
-    else:
-        path = out / f"checkpoint_stage2_{mask.value}.json"
-    weights = _load_weights(path)
-    _require_stages(weights, [0, 1] + ([2] if mask is not None else []), path)
-    return weights
-
-
 def cmd_sample(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     mask = _parse_mask(args.mask)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if mask is not None and not args.ref:
         raise UsageError("--mask needs --ref to derive the control signal from")
-    weights = _sample_weights(args, out, mask)
+    stage = 1 if mask is None else 2
+    weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage, mask), stage + 1)
     ref = _load_image(args.ref) if args.ref else None
     if ref is not None and ref.shape[1] != weights.config.image_size:
         raise UsageError(
@@ -320,6 +303,7 @@ def cmd_sample(args) -> int:
                            identity_scale=args.lam)
         name = f"sample_{i:03d}.ppm"
         quant = quantize(img)
+        out.mkdir(parents=True, exist_ok=True)
         write_ppm(out / name, quant)
         row = {"file": name, "index": i, "seed": args.seed}
         if ref is not None:
@@ -344,7 +328,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     mask = _parse_mask(args.mask)
     if mask is None:
         raise UsageError("filter needs a concrete --mask (mini, low, mid, high or all)")
@@ -361,8 +345,8 @@ def cmd_filter(args) -> int:
     ctrl = make_control_signal(latent, mask)
     filtered = decode_latent(ctrl, enc)
 
-    target = Path(args.out) if args.out else out / f"filtered_{mask.value}.ppm"
-    target.parent.mkdir(parents=True, exist_ok=True)
+    target = out / f"filtered_{mask.value}.ppm"
+    out.mkdir(parents=True, exist_ok=True)
     write_ppm(target, filtered)
     write_pfm(target.with_suffix(".pfm"), filtered)
 
@@ -384,7 +368,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     try:
         values = [check_identity_scale(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
@@ -393,8 +377,8 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError("--values must list at least one lambda")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    weights = _sample_weights(args, out, None)
-    dataset = _load_dataset_arg(args, out)
+    weights = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
+    dataset, _ = _load_dataset_arg(args, out)
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
     n_id = dataset.spec.n_identities
@@ -433,6 +417,7 @@ def cmd_sweep_lambda(args) -> int:
                               "win_rate_vs_first": wins / args.trials}
     report = {"values": values, "trials": args.trials, "rows": rows,
               "aggregate": by_value, "baseline": base}
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep_report.json", report)
     sheet = image_grid(sheet_images, rows=len(values), cols=sheet_cols)
     write_ppm(out / "sweep_sheet.ppm", sheet)
@@ -444,26 +429,24 @@ def cmd_sweep_lambda(args) -> int:
 
 def cmd_ablate_masks(args) -> int:
     check_identity_scale(args.lam)  # before any stage-2 checkpoint is trained
-    out = _out_dir(args)
-    dataset = _load_dataset_arg(args, out)
-    stage1_path = Path(args.checkpoint) if args.checkpoint else \
-        out / "checkpoint_stage1.json"
-    stage1 = _load_weights(stage1_path)
-    _require_stages(stage1, [0, 1], stage1_path)
+    out = Path(args.out_dir)
+    dataset, checksum = _load_dataset_arg(args, out)
+    stage1 = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     enc = build_encoders(stage1.config)
     schedule = linear_schedule(stage1.config.timesteps)
 
     masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
     models = {"none": stage1}
     for kind in masked_kinds:
-        path = out / f"checkpoint_stage2_{kind.value}.json"
+        path = _checkpoint_path(out, 2, kind)
         if path.is_file():
-            models[kind.value] = _load_weights(path)
+            models[kind.value] = _load_weights(path, 3)
         else:
-            weights = _load_weights(stage1_path)
+            weights = copy.deepcopy(stage1)
             config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                                 batch_size=args.batch_size, mask_kind=kind)
+                                 mask_kind=kind)
             train(config, dataset, weights, schedule=schedule, enc=enc)
+            out.mkdir(parents=True, exist_ok=True)
             save_checkpoint(path, weights)
             models[kind.value] = weights
             print(f"trained missing control checkpoint for mask {kind.value}")
@@ -509,18 +492,19 @@ def cmd_ablate_masks(args) -> int:
         rows[idx]["rank"] = rank
     report = {"rows": rows, "ranking": [rows[i]["mask"] for i in ranked],
               "eval_size": n_eval, "eval_samples": args.eval_samples}
+    # out exists: each mask checkpoint was either found in it or saved to it
     write_json(out / "ablate_report.json", report)
     _write_echo(out, "ablate-masks", {
         "seed": args.seed, "train_steps": args.train_steps,
         "eval_size": n_eval, "eval_samples": args.eval_samples,
         "steps": args.steps, "guidance": args.guidance, "lambda": args.lam,
-        "dataset_checksum": dataset_checksum(dataset)})
+        "dataset_checksum": checksum})
     print(f"ranking (best reconstruction first): {', '.join(report['ranking'])}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     stages = [args.stage] if args.stage is not None else [0, 1, 2]
     results = []
     ok = True
@@ -531,9 +515,8 @@ def cmd_gradcheck(args) -> int:
         status = "pass" if res["pass"] else "FAIL"
         print(f"stage {stage} [{res['trainable_set']}]: "
               f"max rel err {res['max_rel_err']:.3e} ({status})")
-    write_json(out / "gradcheck_report.json",
-               {"results": [{k: v for k, v in r.items()} for r in results],
-                "pass": ok})
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "gradcheck_report.json", {"results": results, "pass": ok})
     _write_echo(out, "gradcheck", {"seed": args.seed, "stages": stages})
     return EXIT_OK if ok else 1
 
@@ -545,8 +528,7 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out-dir", default="freqbooth_out",
-                        help="artifact directory (env FREQBOOTH_OUT overrides)")
+    common.add_argument("--out-dir", default="freqbooth_out", help="artifact directory")
     # only the subcommands that read a checkpoint take --checkpoint
     with_ckpt = argparse.ArgumentParser(add_help=False, parents=[common])
     with_ckpt.add_argument("--checkpoint", default=None,
@@ -570,14 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help=f"optimizer steps (defaults: {STAGE_STEP_DEFAULTS})")
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=4)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--mask", choices=MASK_CHOICES[:-1], default=None,
                    help="control band (stage 2 only)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="identity strength used in stage-1 batches "
                         "(training default 1.0; generation defaults to 0.4)")
-    p.add_argument("--cond-dropout", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", parents=[with_ckpt], help="generate images")
@@ -594,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="band-filter an image through the latent spectrum")
     p.add_argument("--input", required=True)
     p.add_argument("--mask", required=True, choices=MASK_CHOICES[:-1])
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("sweep-lambda", parents=[with_ckpt],
@@ -611,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None)
     p.add_argument("--train-steps", type=int, default=500,
                    help="stage-2 steps when a mask checkpoint is missing")
-    p.add_argument("--batch-size", type=int, default=4)
     p.add_argument("--eval-size", type=int, default=32,
                    help="held-out samples for reconstruction loss")
     p.add_argument("--eval-samples", type=int, default=4,
@@ -642,7 +620,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrerequisiteError, StageOrderError) as exc:
+    except PrerequisiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (FloatingPointError, OverflowError) as exc:

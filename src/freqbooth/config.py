@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class ModelConfig:
     @property
     def null_text_id(self) -> int:
         return self.n_text
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
 
 
 def toy_config(**overrides) -> ModelConfig:

@@ -437,17 +437,14 @@ def predict_eps(w: ModelWeights, z_t: np.ndarray, t: int, text_id=None,
 def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
            rng: RngState, ref_img: np.ndarray | None = None, text_id=None,
            mask_kind: MaskKind | None = None, steps: int = 20,
-           guidance: float = 3.0, identity_scale: float = 0.4,
-           force_both_branches: bool = False):
+           guidance: float = 3.0, identity_scale: float = 0.4):
     """DDIM sampling with classifier-free guidance.
 
     Identity features and the frequency control signal are computed once
     from the reference image and held fixed across all steps.  Returns
     (image, info) where image is the decoded (3, H, W) float array
-    (unclamped) and info records the run inputs.
-
-    `force_both_branches` evaluates the unconditional branch even when the
-    guidance weight makes it a no-op (test hook for the w == 1 identity).
+    (unclamped) and info records the run inputs.  At guidance weight 1 the
+    unconditional branch would not change the result, so it is skipped.
     """
     if not np.isfinite(guidance) or guidance < 0:
         raise ValueError(f"guidance scale must be finite and >= 0, got {guidance}")
@@ -471,7 +468,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
         eps_cond = predict_eps(w, z, t, text_id, identity, ctrl, identity_scale)
-        if guidance == 1.0 and not force_both_branches:
+        if guidance == 1.0:
             eps_hat = eps_cond
         else:
             eps_uncond = predict_eps(w, z, t, None, None, None, 0.0)

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +68,6 @@ class ToyDatasetSpec:
             raise ValueError(f"image_size must be >= 8, got {self.image_size}")
         if self.train_size < 1 or self.test_size < 1:
             raise ValueError("split sizes must be >= 1")
-
-    def to_dict(self) -> dict:
-        return dict(n_identities=self.n_identities, n_contexts=self.n_contexts,
-                    image_size=self.image_size, train_size=self.train_size,
-                    test_size=self.test_size)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyDatasetSpec":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -338,7 +329,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
         grads, didentity = denoiser_backward(deps, dcache, sets)
         for name, g in grads.items():
             acc[name] += g
-        if rcache is not None:
+        if rcache is not None and "identity_adapter" in sets:
             # the cross term ran in every block, so every didentity is set
             rgrads = reference_backward(didentity, rcache)
             acc["proj.queries"] += rgrads["queries"]
@@ -409,13 +400,6 @@ class TrainConfig:
             raise ValueError("stage 2 requires a mask kind")
         check_identity_scale(self.identity_scale)
 
-    def to_dict(self) -> dict:
-        return dict(stage=self.stage, steps=self.steps, lr=self.lr,
-                    batch_size=self.batch_size, seed=self.seed,
-                    identity_scale=self.identity_scale,
-                    mask_kind=None if self.mask_kind is None else MaskKind(self.mask_kind).value,
-                    cond_dropout=self.cond_dropout)
-
 
 @dataclass
 class TrainReport:
@@ -436,14 +420,9 @@ class TrainReport:
     def to_dict(self) -> dict:
         """Every field but the wall-clock time, which varies run to run and
         goes to its own timing file."""
-        return dict(stage=self.stage, steps=self.steps, losses=self.losses,
-                    initial_loss=self.initial_loss, final_loss=self.final_loss,
-                    smoothing_window=self.smoothing_window,
-                    initial_smoothed=self.initial_smoothed,
-                    final_smoothed=self.final_smoothed,
-                    trainable_set=self.trainable_set,
-                    frozen_before=self.frozen_before,
-                    frozen_after=self.frozen_after, config=self.config)
+        fields = asdict(self)
+        del fields["wall_clock_s"]
+        return fields
 
 
 def smoothing_window(steps: int) -> int:
@@ -535,7 +514,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         final_smoothed=final_smoothed, trainable_set=trainable,
         frozen_before={s: v for s, v in frozen_before.items() if s != trainable},
         frozen_after={s: v for s, v in frozen_after.items() if s != trainable},
-        wall_clock_s=float(wall), config=config.to_dict(),
+        wall_clock_s=float(wall), config=asdict(config),
     )
 
 
@@ -549,7 +528,7 @@ def checkpoint_payload(weights: ModelWeights) -> dict:
     params = weights.params()
     return {
         "schema_version": CHECKPOINT_SCHEMA,
-        "config": weights.config.to_dict(),
+        "config": asdict(weights.config),
         "completed_stages": sorted(weights.completed_stages),
         "set_checksums": {s: weights.checksum(s) for s in PARAM_SETS},
         "params": {name: {"shape": list(arr.shape),
@@ -586,7 +565,7 @@ def load_checkpoint(path) -> ModelWeights:
             f"checkpoint schema {payload.get('schema_version')!r} unsupported "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
-    config = ModelConfig.from_dict(payload["config"])
+    config = ModelConfig(**payload["config"])
     weights = init_weights(config, 0)
     params = weights.params()
     stored = payload["params"]
@@ -604,11 +583,10 @@ def load_checkpoint(path) -> ModelWeights:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint parameter {name} is not finite")
     weights.completed_stages = list(payload.get("completed_stages", []))
+    stored_checksums = payload["set_checksums"]
     for s in PARAM_SETS:
-        want = payload["set_checksums"].get(s)
-        have = weights.checksum(s)
-        if want is not None and want != have:
-            raise ValueError(f"checkpoint checksum mismatch for set {s}")
+        if stored_checksums.get(s) != weights.checksum(s):
+            raise ValueError(f"checkpoint checksum for set {s} is missing or does not match")
     return weights
 
 

@@ -11,9 +11,10 @@ import pytest
 from freqbooth import training
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind
-from freqbooth.diffusion import init_weights, linear_schedule
+from freqbooth.diffusion import (cfg_combine, ddim_step, init_weights, linear_schedule,
+                                 predict_eps, sampling_timesteps)
 from freqbooth.netpbm import quantize
-from freqbooth.reference_encoder import build_encoders
+from freqbooth.reference_encoder import build_encoders, decode_latent, reference_forward
 from freqbooth.training import ToyDatasetSpec, TrainConfig, generate_dataset, train
 
 SMALL_SPEC = ToyDatasetSpec(n_identities=4, n_contexts=2, image_size=8,
@@ -76,6 +77,25 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     a = np.array([0.9, 0.8, 0.25])
     b = np.array([0.1, 0.2, 0.55])
     return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
+
+
+def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,
+                       text_id=None, identity_scale=0.0):
+    """`sample` at guidance weight 1, written out by hand with both guidance
+    branches evaluated: conditional and unconditional `predict_eps`, then
+    `cfg_combine(..., 1.0)` and `ddim_step`, then the decode."""
+    cfg = weights.config
+    identity = None
+    if ref_img is not None and identity_scale != 0.0:
+        identity = reference_forward(ref_img, weights.projection, weights.id_heads(), enc)
+    z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
+    taus = sampling_timesteps(schedule.timesteps, steps)
+    for m in range(len(taus) - 1, 0, -1):
+        t, t_prev = int(taus[m]), int(taus[m - 1])
+        eps_cond = predict_eps(weights, z, t, text_id, identity, None, identity_scale)
+        eps_uncond = predict_eps(weights, z, t, None, None, None, 0.0)
+        z = ddim_step(z, cfg_combine(eps_cond, eps_uncond, 1.0), t, t_prev, schedule)
+    return decode_latent(z, enc)
 
 
 def flip_one_gradient(monkeypatch):

@@ -22,7 +22,7 @@ from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import gradient_check, load_checkpoint
-from conftest import striped_test_image
+from conftest import both_branch_sample, striped_test_image
 from test_attention import forward, make_weights, naive_adaptive
 from test_dct_freq import enumerate_bits, naive_dct2
 
@@ -218,8 +218,8 @@ def test_08_guidance_identities_and_ddim_inversion(pipeline):
         return img
 
     skip = gen(ref_img=ref_a, text_id=1, guidance=1.0, identity_scale=0.4)
-    both = gen(ref_img=ref_a, text_id=1, guidance=1.0, identity_scale=0.4,
-               force_both_branches=True)
+    both = both_branch_sample(weights, enc, schedule, RngState(3).derive(("sample", 0)),
+                              4, ref_img=ref_a, text_id=1, identity_scale=0.4)
     assert np.array_equal(skip, both)
 
     w0_a = gen(ref_img=ref_a, text_id=0, guidance=0.0, identity_scale=0.4)

@@ -2,8 +2,8 @@
 
 `bench/run.py` is read with `ast`, never imported: importing it pins BLAS
 threads and pulls in its tracer.  A refactor that renames a traced layer,
-a program function or a `TrainConfig` field then fails here instead of
-breaking the benchmark unnoticed.
+a program function, a `TrainConfig` field or a CLI flag the walkthrough
+passes then fails here instead of breaking the benchmark unnoticed.
 """
 
 import ast
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqbooth import diffusion, training
+from freqbooth import cli, diffusion, training
 from freqbooth.config import tiny_config
 from freqbooth.reference_encoder import (build_encoders, reference_backward,
                                          reference_forward_train)
@@ -66,6 +66,24 @@ def test_train_config_accepts_the_fields_the_benchmark_passes():
               for kw in node.keywords}
     assert passed, "bench/run.py builds no TrainConfig"
     assert passed <= {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def walkthrough_argvs() -> list[list[str]]:
+    """The argument lists `CliWalkthrough.commands` builds, with each
+    computed path replaced by a placeholder."""
+    walk = next(node for node in TREE.body
+                if isinstance(node, ast.ClassDef) and node.name == "CliWalkthrough")
+    seq = next(node.value for node in ast.walk(walk) if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "seq" for t in node.targets))
+    return [[e.value if isinstance(e, ast.Constant) else "some/path" for e in argv.elts]
+            for argv in seq.elts]
+
+
+@pytest.mark.parametrize("argv", walkthrough_argvs(), ids=lambda argv: argv[0])
+def test_cli_parses_every_walkthrough_command(argv):
+    # the walkthrough appends --out-dir and --seed to every command
+    args = cli.build_parser().parse_args(argv + ["--out-dir", "out", "--seed", "1"])
+    assert args.command == argv[0]
 
 
 def test_backward_results_have_the_shapes_grad_hooks_read():

@@ -78,8 +78,9 @@ def test_gen_data_writes_counted_files_and_index(pipe):
     assert len(index["test"]) == 4
     assert len(list(ddir.glob("train_*.ppm"))) == 8
     assert len(list(ddir.glob("ref_*.ppm"))) == 8  # 4 identities x 2 splits
-    loaded = load_dataset(ddir)  # revalidates the checksum
+    loaded, checksum = load_dataset(ddir)  # revalidates the checksum
     assert loaded.spec.n_identities == 4
+    assert checksum == index["checksum"]
     echo = read_json(pipe / "gen_data_config.json")
     assert echo["command"] == "gen-data"
     assert echo["seed"] == 0
@@ -120,7 +121,7 @@ def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
     out = tmp_path / "out"
     assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset",
                "--stage", 0, "--steps", 2, "--checkpoint", tmp_path / "x.json") == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_train_zero_steps_leaves_weights_at_init(pipe, tmp_path):
@@ -262,7 +263,7 @@ def test_filter_rejects_a_nonpositive_size(tmp_path):
     path.write_bytes(b"P6\n4 -4\n255\n" + bytes(48))
     out = tmp_path / "out"
     assert run("filter", "--out-dir", out, "--input", path, "--mask", "high") == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
@@ -329,7 +330,7 @@ def test_ablate_masks_report(pipe, tmp_path):
     weights = load_checkpoint(pipe / "checkpoint_stage1.json")
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
-    dataset = load_dataset(pipe / "dataset")
+    dataset, _ = load_dataset(pipe / "dataset")
     rng = RngState(0).derive("ablate-eval")
     losses = []
     for i in range(3):
@@ -341,6 +342,15 @@ def test_ablate_masks_report(pipe, tmp_path):
         pred = predict_eps(weights, z_t, t, s.text_id, None, None, 0.0)
         losses.append(float(np.mean((pred - eps) ** 2)))
     assert report["rows"][0]["recon_loss"] == float(np.mean(losses))
+
+
+def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path):
+    # a file under the stage-2 name that never completed stage 2
+    shutil.copy(pipe / "checkpoint_stage1.json", tmp_path / "checkpoint_stage2_mini.json")
+    assert run("ablate-masks", "--out-dir", tmp_path,
+               "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--data-dir", pipe / "dataset", "--train-steps", 1) == 3
+    assert not (tmp_path / "ablate_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +406,14 @@ def tamper(path):
     path.write_text(json.dumps(payload))
 
 
+def strip_checksums(path):
+    """A tampered weight under an empty checksum table."""
+    tamper(path)
+    payload = read_json(path)
+    payload["set_checksums"] = {}
+    path.write_text(json.dumps(payload))
+
+
 def poison(path):
     """A NaN weight under checksums that match it."""
     weights = load_checkpoint(path)
@@ -404,8 +422,9 @@ def poison(path):
 
 
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
-                                  "tampered-checkpoint", "non-finite-checkpoint",
-                                  "dataset-missing-ppm", "truncated-index"])
+                                  "tampered-checkpoint", "checkpoint-without-checksums",
+                                  "non-finite-checkpoint", "dataset-missing-ppm",
+                                  "truncated-index"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -417,6 +436,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         drop_config(ckpt)
     elif case == "tampered-checkpoint":
         tamper(ckpt)
+    elif case == "checkpoint-without-checksums":
+        strip_checksums(ckpt)
     elif case == "non-finite-checkpoint":
         poison(ckpt)
     elif case == "dataset-missing-ppm":
@@ -429,7 +450,7 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     else:
         assert run("train", "--out-dir", out, "--data-dir", data,
                    "--stage", 0, "--steps", 1) == 3
-    assert not any(out.iterdir())
+    assert not out.exists()
     if case == "non-finite-checkpoint":
         assert "parameter in_proj is not finite" in capsys.readouterr().err
 
@@ -461,11 +482,19 @@ def test_commands_without_a_checkpoint_reject_the_option(argv, tmp_path):
     assert not out.exists()
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env_out"
-    monkeypatch.setenv("FREQBOOTH_OUT", str(env_dir))
-    assert run("gen-data", "--out-dir", tmp_path / "flag_out",
-               "--n-identities", 2, "--n-contexts", 1, "--image-size", 8,
-               "--train-size", 2, "--test-size", 2) == 0
-    assert (env_dir / "dataset" / "index.json").is_file()
-    assert not (tmp_path / "flag_out").exists()
+@pytest.mark.parametrize("argv, code", [
+    (("gen-data", "--n-identities", 0), 2),
+    (("train", "--data-dir", "{pipe}/dataset", "--stage", 1, "--steps", 1), 3),
+    (("sample", "--checkpoint", "{pipe}/checkpoint_stage1.json",
+      "--guidance", -1, "--steps", 2), 2),
+    (("sample", "--mask", "low", "--ref", "{pipe}/dataset/ref_train_00.ppm"), 3),
+    (("filter", "--input", "{pipe}/missing.ppm", "--mask", "low"), 2),
+    (("sweep-lambda", "--checkpoint", "{pipe}/checkpoint_stage1.json"), 3),
+    (("ablate-masks", "--data-dir", "{pipe}/dataset",
+      "--checkpoint", "{pipe}/checkpoint_stage0.json"), 3),
+    (("gradcheck", "--stage", 7), 2),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_a_failing_command_creates_no_out_dir(pipe, tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert run(*(str(a).format(pipe=pipe) for a in argv), "--out-dir", out) == code
+    assert not out.exists()

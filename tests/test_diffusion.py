@@ -12,6 +12,7 @@ from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, forward_noi
                                  seq_to_latent)
 from freqbooth.reference_encoder import build_encoders
 from freqbooth.tensor_core import RngState
+from conftest import both_branch_sample
 
 
 @pytest.fixture(scope="module")
@@ -306,12 +307,11 @@ def test_single_step_matches_hand_trace(cfg, schedule, enc):
     assert np.max(np.abs(got - decode_latent(x0, enc))) <= 1e-12
 
 
-def test_both_branch_hook_is_a_noop_at_unit_guidance(cfg, schedule, enc):
+def test_unit_guidance_equals_the_both_branch_loop(cfg, schedule, enc):
     weights = init_weights(cfg, 10)
-    kw = dict(text_id=0, steps=4, guidance=1.0, identity_scale=0.0)
-    fast, _ = sample(weights, enc, schedule, RngState(6), **kw)
-    slow, _ = sample(weights, enc, schedule, RngState(6),
-                     force_both_branches=True, **kw)
+    fast, _ = sample(weights, enc, schedule, RngState(6), text_id=0, steps=4,
+                     guidance=1.0, identity_scale=0.0)
+    slow = both_branch_sample(weights, enc, schedule, RngState(6), 4, text_id=0)
     assert np.array_equal(fast, slow)
 
 

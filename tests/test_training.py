@@ -184,6 +184,18 @@ def test_gradients_cover_exactly_the_trainable_set(tiny_dataset, tiny_schedule,
         assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
 
 
+def test_stage0_loss_on_referenced_examples_differentiates_the_backbone(
+        tiny_dataset, tiny_schedule, tiny_enc, tiny_cfg):
+    """Examples prepared for stage 1 carry references; a stage-0 loss over
+    them runs the identity branch forward but not its backward."""
+    weights = init_weights(tiny_cfg, 1)
+    prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc, 1, 3)
+    assert any(ex.ref is not None for ex in prepared)
+    _, grads = batch_loss(weights, tiny_enc, prepared, 0, 0.4)
+    assert sorted(grads) == weights.names_in_set("backbone")
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
                                                   tiny_enc, tiny_cfg):
     """Zeroed control gates make the control-conditioned loss equal the same
