@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .attention import check_identity_scale
-from .config import toy_config
+from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import (PARAM_SETS, forward_noise, init_weights,
                         linear_schedule, predict_eps, sample)
@@ -104,6 +104,18 @@ def _load_weights(path, stages: int):
     if missing:
         raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
     return weights
+
+
+def _check_fits(dataset: Dataset, config: ModelConfig) -> None:
+    """Usage error unless a model of `config` takes the dataset's image size
+    and context classes."""
+    spec = dataset.spec
+    if spec.image_size != config.image_size:
+        raise UsageError(f"the model expects {config.image_size}px images "
+                         f"but the dataset is {spec.image_size}px")
+    if spec.n_contexts > config.n_text:
+        raise UsageError(f"dataset has {spec.n_contexts} context classes but the "
+                         f"model supports {config.n_text}")
 
 
 def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
@@ -223,17 +235,6 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
-    model_config = toy_config()
-    if model_config.image_size != dataset.spec.image_size:
-        raise UsageError(
-            f"the model expects {model_config.image_size}px images "
-            f"but the dataset is {dataset.spec.image_size}px"
-        )
-    if dataset.spec.n_contexts > model_config.n_text:
-        raise UsageError(
-            f"dataset has {dataset.spec.n_contexts} context classes but the "
-            f"model supports {model_config.n_text}"
-        )
     stage = args.stage
     mask = _parse_mask(args.mask) if args.mask else None
     if stage == 2 and mask is None:
@@ -246,11 +247,12 @@ def cmd_train(args) -> int:
                          "which initialises from --seed")
 
     if stage == 0:
-        weights = init_weights(model_config, args.seed)
+        weights = init_weights(toy_config(), args.seed)
         source_checksums = None
     else:
         weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1), stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
+    _check_fits(dataset, weights.config)
 
     steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
     config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
@@ -294,16 +296,20 @@ def cmd_sample(args) -> int:
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
 
-    rows = []
+    # every image is drawn before any is written, so a numerical failure
+    # (exit 4) leaves nothing on disk
+    images = []
     for i in range(args.n):
         rng = RngState(args.seed).derive(("sample", i))
-        img, info = sample(weights, enc, schedule, rng, ref_img=ref,
-                           text_id=args.text_id, mask_kind=mask,
-                           steps=args.steps, guidance=args.guidance,
-                           identity_scale=args.lam)
+        img, _ = sample(weights, enc, schedule, rng, ref_img=ref,
+                        text_id=args.text_id, mask_kind=mask,
+                        steps=args.steps, guidance=args.guidance,
+                        identity_scale=args.lam)
+        images.append(quantize(img))
+    rows = []
+    out.mkdir(parents=True, exist_ok=True)
+    for i, quant in enumerate(images):
         name = f"sample_{i:03d}.ppm"
-        quant = quantize(img)
-        out.mkdir(parents=True, exist_ok=True)
         write_ppm(out / name, quant)
         row = {"file": name, "index": i, "seed": args.seed}
         if ref is not None:
@@ -354,7 +360,7 @@ def cmd_filter(args) -> int:
     gap = coverage_gap(lh, latent.shape[2])
     meta = {
         "mask": mask.value,
-        "mask_ones": build_mask(mask, lh, latent.shape[2]).ones_count(),
+        "mask_ones": int(build_mask(mask, lh, latent.shape[2]).sum()),
         "coverage_gap_coefficients": len(gap),
         "output_mean_per_channel": [float(m) for m in filtered.mean(axis=(1, 2))],
         "output_variance": float(filtered.var()),
@@ -379,6 +385,7 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     dataset, _ = _load_dataset_arg(args, out)
+    _check_fits(dataset, weights.config)
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
     n_id = dataset.spec.n_identities
@@ -432,6 +439,7 @@ def cmd_ablate_masks(args) -> int:
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage1 = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
+    _check_fits(dataset, stage1.config)
     enc = build_encoders(stage1.config)
     schedule = linear_schedule(stage1.config.timesteps)
 

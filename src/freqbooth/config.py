@@ -9,8 +9,6 @@ from dataclasses import dataclass, replace
 class ModelConfig:
     image_size: int = 32        # square RGB input
     patch: int = 4              # codec + tokenizer patch edge; latent downsample factor
-    latent_channels: int = 4
-    latent_scale: float = 1.0   # symmetric gain on the orthogonal codec
     d_model: int = 32
     n_blocks: int = 2
     d_ff: int = 32
@@ -29,12 +27,13 @@ class ModelConfig:
             )
 
     @property
-    def latent_hw(self) -> int:
-        return self.image_size // self.patch
+    def latent_channels(self) -> int:
+        """The codec's four analysis directions (see `reference_encoder`)."""
+        return 4
 
     @property
-    def seq(self) -> int:
-        return self.latent_hw * self.latent_hw
+    def latent_hw(self) -> int:
+        return self.image_size // self.patch
 
     @property
     def null_text_id(self) -> int:

@@ -14,12 +14,12 @@ thresholds (mini <= 10, low <= 20, 20 < mid <= 40, high >= 50).  The
 thresholds are deliberately not rescaled with resolution; small grids make
 some bands degenerate (all-ones or empty) and the range 40 < u+v < 50 is
 covered by no band at all.  Both facts are surfaced by helpers below rather
-than papered over.
+than papered over.  `build_mask` returns the mask itself: a read-only uint8
+(h, w) array, 1 where the band keeps the coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -36,17 +36,6 @@ class MaskKind(str, Enum):
 
 # (mini_max, low_max, mid_max, high_min) index-sum thresholds.
 DEFAULT_THRESHOLDS = (10, 20, 40, 50)
-
-
-@dataclass(frozen=True)
-class FrequencyMask:
-    kind: MaskKind
-    h: int
-    w: int
-    bits: np.ndarray  # uint8 h x w, 1 = keep coefficient
-
-    def ones_count(self) -> int:
-        return int(self.bits.sum())
 
 
 @lru_cache(maxsize=32)
@@ -81,8 +70,9 @@ def idct2(spectrum: np.ndarray) -> np.ndarray:
     return dct_matrix(f.shape[-2]).T @ f @ dct_matrix(f.shape[-1])
 
 
-def build_mask(kind: MaskKind, h: int, w: int) -> FrequencyMask:
-    """Binary mask over (u, v) selecting one frequency band by index sum."""
+def build_mask(kind: MaskKind, h: int, w: int) -> np.ndarray:
+    """Read-only uint8 (h, w) mask over (u, v), 1 where the band keeps the
+    coefficient, selecting one frequency band by index sum."""
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be >= 1, got {h}x{w}")
     kind = MaskKind(kind)
@@ -98,9 +88,9 @@ def build_mask(kind: MaskKind, h: int, w: int) -> FrequencyMask:
         bits = s >= high_min
     else:
         bits = np.ones((h, w), dtype=bool)
-    arr = bits.astype(np.uint8)
-    arr.setflags(write=False)
-    return FrequencyMask(kind=kind, h=h, w=w, bits=arr)
+    mask = bits.astype(np.uint8)
+    mask.setflags(write=False)
+    return mask
 
 
 def coverage_gap(h: int, w: int) -> list[tuple[int, int]]:
@@ -112,7 +102,7 @@ def coverage_gap(h: int, w: int) -> list[tuple[int, int]]:
     kinds = (MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH)
     union = np.zeros((h, w), dtype=bool)
     for kind in kinds:
-        union |= build_mask(kind, h, w).bits.astype(bool)
+        union |= build_mask(kind, h, w).astype(bool)
     us, vs = np.nonzero(~union)
     return list(zip(us.tolist(), vs.tolist()))
 
@@ -120,5 +110,4 @@ def coverage_gap(h: int, w: int) -> list[tuple[int, int]]:
 def make_control_signal(latent: np.ndarray, kind: MaskKind) -> np.ndarray:
     """Band-filtered copy of `latent`: idct2(dct2(latent) * mask), per channel."""
     x = _as_latent(latent)
-    mask = build_mask(kind, x.shape[-2], x.shape[-1])
-    return idct2(dct2(x) * mask.bits)
+    return idct2(dct2(x) * build_mask(kind, x.shape[-2], x.shape[-1]))

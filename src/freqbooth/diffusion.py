@@ -48,8 +48,6 @@ from .tensor_core import RngState, assert_all_finite
 @dataclass
 class NoiseSchedule:
     timesteps: int
-    betas: np.ndarray       # length T; betas[i] applies at step t = i + 1
-    alphas: np.ndarray      # 1 - betas
     alpha_bars: np.ndarray  # length T + 1; alpha_bars[0] == 1.0
 
     def alpha_bar(self, t: int) -> float:
@@ -74,10 +72,8 @@ def linear_schedule(timesteps: int) -> NoiseSchedule:
     betas = np.linspace(1e-4 * scale, 0.02 * scale, timesteps)
     if betas[-1] >= 1.0:
         raise ValueError(f"schedule too short: terminal beta {betas[-1]:.3f} >= 1")
-    alphas = 1.0 - betas
-    alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-    return NoiseSchedule(timesteps=timesteps, betas=betas, alphas=alphas,
-                         alpha_bars=alpha_bars)
+    alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+    return NoiseSchedule(timesteps=timesteps, alpha_bars=alpha_bars)
 
 
 def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray,
@@ -221,10 +217,15 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     upstream adapter gradient at the start of that stage.
     """
     root = RngState(seed).derive("weights-init")
+    return _build_weights(config, lambda tag, shape, scale:
+                          root.derive(tag).normal(shape) * scale)
 
-    def draw(tag, shape, scale):
-        return root.derive(tag).normal(shape) * scale
 
+def _build_weights(config: ModelConfig, draw) -> ModelWeights:
+    """The weight structure of `config`, each drawn parameter made by
+    `draw(tag, shape, scale)`; time gains and control gates start at zero.
+    `init_weights` draws from the RNG; `load_checkpoint` draws zeros and
+    fills them from the file."""
     c, d, dff = config.latent_channels, config.d_model, config.d_ff
     blocks = []
     for k in range(config.n_blocks):

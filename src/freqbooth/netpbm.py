@@ -1,4 +1,4 @@
-"""Netpbm image IO: binary P6 for 8-bit output and PFM for float data.
+"""Netpbm image IO: binary P6 for 8-bit output and colour PFM for float data.
 
 All writers are byte-deterministic: same array in, same file bytes out.
 Images are (3, H, W) float64 arrays in [0, 1]; P6 output clamps and rounds,
@@ -70,40 +70,34 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_pfm(path, img: np.ndarray) -> None:
-    """Write (3, H, W) or (H, W) floats as little-endian PFM (unclamped).
+    """Write (3, H, W) floats as little-endian colour PFM (unclamped).
 
     Rows are stored bottom-to-top per the PFM convention.
     """
     img = np.asarray(img, dtype=np.float32)
-    if img.ndim == 3 and img.shape[0] == 3:
-        magic, raster = b"PF", np.moveaxis(img, 0, -1)[::-1]
-    elif img.ndim == 2:
-        magic, raster = b"Pf", img[::-1]
-    else:
-        raise ValueError(f"expected (3, H, W) or (H, W), got shape {img.shape}")
-    h, w = raster.shape[0], raster.shape[1]
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise ValueError(f"expected (3, H, W) image, got shape {img.shape}")
+    _, h, w = img.shape
+    raster = np.moveaxis(img, 0, -1)[::-1]
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n-1.0\n" % (w, h))
+        f.write(b"PF\n%d %d\n-1.0\n" % (w, h))
         f.write(np.ascontiguousarray(raster, dtype="<f4").tobytes())
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read PFM into (3, H, W) or (H, W) float64."""
+    """Read colour PFM into a (3, H, W) float64 array."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] not in (b"PF", b"Pf"):
-        raise ValueError(f"{path}: not a PFM file")
-    color = data[:2] == b"PF"
+    if not data.startswith(b"PF"):
+        raise ValueError(f"{path}: not a colour PFM (PF) file")
     (w, h, scale), body = _read_tokens(data, 3, 2)
     w, h, scale = int(w), int(h), float(scale)
     if w < 1 or h < 1:
         raise ValueError(f"{path}: image size {w}x{h} is not positive")
     dtype = "<f4" if scale < 0 else ">f4"
-    n = h * w * (3 if color else 1)
+    n = h * w * 3
     if len(data) - body < 4 * n:
         raise ValueError(f"{path}: truncated raster")
     raster = np.frombuffer(data, dtype=dtype, count=n, offset=body)
-    if color:
-        img = raster.reshape(h, w, 3)[::-1]
-        return np.moveaxis(img, -1, 0).astype(np.float64)
-    return raster.reshape(h, w)[::-1].astype(np.float64)
+    img = raster.reshape(h, w, 3)[::-1]
+    return np.moveaxis(img, -1, 0).astype(np.float64)

@@ -10,16 +10,16 @@ run.
 
 Codec
 -----
-Each p x p RGB patch (a 3p^2 vector) is projected onto `latent_channels`
-fixed orthonormal directions: the patch luma mean, two luma gradient
-components, and a red-blue opponent mean.  With analysis matrix A (orthonormal
-rows) and gain s:
+Each p x p RGB patch (a 3p^2 vector) is projected onto 4 fixed orthonormal
+directions, the latent channels: the patch luma mean, two luma gradient
+components, and a red-blue opponent mean.  With analysis matrix A
+(orthonormal rows):
 
-    encode: z = s * A x        decode: x = A^T z / s
+    encode: z = A x        decode: x = A^T z
 
 so encode(decode(z)) == z exactly, while decode(encode(x)) is the projection
-of x onto the codec subspace (the codec is deliberately lossy: rank
-latent_channels per patch).
+of x onto the codec subspace (the codec is deliberately lossy: rank 4 per
+patch).
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ _ENCODER_SEED = 0x5EEDC0DE
 
 def build_encoders(config: ModelConfig) -> FrozenEncoders:
     p = config.patch
-    c = config.latent_channels
-    if c != 4:
-        raise ValueError(f"codec defines exactly 4 analysis directions, got {c} channels")
     d = dct_matrix(p)  # rows: orthonormal 1D DCT basis
     luma = np.ones(3) / np.sqrt(3.0)
     opponent = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
@@ -110,7 +107,7 @@ def _unpatch(vecs: np.ndarray, p: int, gh: int, gw: int) -> np.ndarray:
 def encode_latent(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
     """Image -> (latent_channels, H/p, W/p) latent via the frozen codec."""
     cfg = enc.config
-    vecs = _patches(img, cfg.patch) @ enc.analysis.T * cfg.latent_scale
+    vecs = _patches(img, cfg.patch) @ enc.analysis.T
     gh = img.shape[1] // cfg.patch
     gw = img.shape[2] // cfg.patch
     return vecs.T.reshape(cfg.latent_channels, gh, gw)
@@ -118,10 +115,9 @@ def encode_latent(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
 
 def decode_latent(latent: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
     """Latent -> (3, H, W) image (unclamped; PPM writing clamps)."""
-    cfg = enc.config
     c, gh, gw = latent.shape
-    vecs = latent.reshape(c, gh * gw).T / cfg.latent_scale
-    return _unpatch(vecs @ enc.analysis, cfg.patch, gh, gw)
+    vecs = latent.reshape(c, gh * gw).T
+    return _unpatch(vecs @ enc.analysis, enc.config.patch, gh, gw)
 
 
 def extract_tokens(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:

@@ -30,9 +30,9 @@ import numpy as np
 from .attention import check_identity_scale
 from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
-from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, denoiser_backward,
-                        denoiser_forward, forward_noise, init_weights, latent_to_seq,
-                        linear_schedule, reaches)
+from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
+                        denoiser_backward, denoiser_forward, forward_noise, init_weights,
+                        latent_to_seq, linear_schedule, reaches)
 from .netpbm import quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
@@ -223,8 +223,8 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
 # identity metric
 
 
-def orientation_histogram(img: np.ndarray, bins: int = 16) -> np.ndarray | None:
-    """Magnitude-weighted histogram of luma gradient orientations over
+def orientation_histogram(img: np.ndarray) -> np.ndarray | None:
+    """Magnitude-weighted 16-bin histogram of luma gradient orientations over
     [0, pi).  None for an (effectively) constant image.
 
     Mass is split linearly between the two nearest bin centers (circular in
@@ -238,6 +238,7 @@ def orientation_histogram(img: np.ndarray, bins: int = 16) -> np.ndarray | None:
     if total <= 1e-12:
         return None
     ang = np.mod(np.arctan2(gy, gx), np.pi).ravel()
+    bins = 16
     pos = ang / np.pi * bins - 0.5
     lo = np.floor(pos).astype(int)
     frac = pos - lo
@@ -276,9 +277,14 @@ class PreparedExample:
     ctrl: np.ndarray | None
 
 
-def _prepare(batch: list[Sample], weights: ModelWeights, schedule: NoiseSchedule,
-             rng: RngState, enc: FrozenEncoders, stage: int,
-             cond_dropout: float, mask_kind: MaskKind | None) -> list[PreparedExample]:
+# share of stage-0/1 examples whose text and reference are dropped, so the
+# model also learns the unconditional prediction classifier-free guidance needs
+COND_DROPOUT = 0.1
+
+
+def _prepare(batch: list[Sample], schedule: NoiseSchedule, rng: RngState,
+             enc: FrozenEncoders, stage: int, cond_dropout: float,
+             mask_kind: MaskKind | None) -> list[PreparedExample]:
     out = []
     for sample in batch:
         z0 = encode_latent(sample.image, enc)
@@ -387,7 +393,6 @@ class TrainConfig:
     seed: int = 0
     identity_scale: float = 1.0
     mask_kind: MaskKind | None = None
-    cond_dropout: float = 0.1
 
     def __post_init__(self):
         if self.stage not in (0, 1, 2):
@@ -465,8 +470,8 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     rng = RngState(config.seed).derive(("train", stage))
 
     def stage_loss(batch):
-        prepared = _prepare(batch, weights, schedule, rng, enc, stage,
-                            config.cond_dropout, config.mask_kind)
+        prepared = _prepare(batch, schedule, rng, enc, stage, COND_DROPOUT,
+                            config.mask_kind)
         scale = config.identity_scale if stage == 1 else 0.0
         return batch_loss(weights, enc, prepared, stage, scale)
 
@@ -521,20 +526,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_SCHEMA = 2
-
-
-def checkpoint_payload(weights: ModelWeights) -> dict:
-    params = weights.params()
-    return {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "config": asdict(weights.config),
-        "completed_stages": sorted(weights.completed_stages),
-        "set_checksums": {s: weights.checksum(s) for s in PARAM_SETS},
-        "params": {name: {"shape": list(arr.shape),
-                          "data": arr.ravel().tolist()}
-                   for name, arr in sorted(params.items())},
-    }
+CHECKPOINT_SCHEMA = 3
 
 
 def write_json(path, payload: dict) -> None:
@@ -554,7 +546,15 @@ def write_json(path, payload: dict) -> None:
 
 
 def save_checkpoint(path, weights: ModelWeights) -> None:
-    write_json(path, checkpoint_payload(weights))
+    write_json(path, {
+        "schema_version": CHECKPOINT_SCHEMA,
+        "config": asdict(weights.config),
+        "completed_stages": sorted(weights.completed_stages),
+        "set_checksums": {s: weights.checksum(s) for s in PARAM_SETS},
+        "params": {name: {"shape": list(arr.shape),
+                          "data": arr.ravel().tolist()}
+                   for name, arr in sorted(weights.params().items())},
+    })
 
 
 def load_checkpoint(path) -> ModelWeights:
@@ -566,7 +566,8 @@ def load_checkpoint(path) -> ModelWeights:
             f"(expected {CHECKPOINT_SCHEMA})"
         )
     config = ModelConfig(**payload["config"])
-    weights = init_weights(config, 0)
+    # every parameter is overwritten below, so build zeros and draw no RNG
+    weights = _build_weights(config, lambda tag, shape, scale: np.zeros(shape))
     params = weights.params()
     stored = payload["params"]
     missing = sorted(set(params) - set(stored))
@@ -624,8 +625,8 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
     batch = [Sample(rand_image(), i % 2, i % config.n_text, rand_image())
              for i in range(2)]
     mask = MaskKind.LOW
-    prepared = _prepare(batch, weights, schedule, rng.derive("noise"), enc,
-                        stage, 0.0, mask if stage == 2 else None)
+    prepared = _prepare(batch, schedule, rng.derive("noise"), enc, stage, 0.0,
+                        mask if stage == 2 else None)
     scale = 0.4 if stage == 1 else 0.0
 
     def loss_only():

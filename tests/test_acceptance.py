@@ -81,14 +81,14 @@ def test_02_band_mask_contract():
     low band, containment/disjointness, and the detected coverage gap."""
     for n in (8, 64):
         for kind in MaskKind:
-            got = build_mask(kind, n, n).bits
+            got = build_mask(kind, n, n)
             assert np.array_equal(got, enumerate_bits(kind, n, n)), (kind, n)
-    assert build_mask(MaskKind.LOW, 64, 64).ones_count() == 231
+    assert build_mask(MaskKind.LOW, 64, 64).sum() == 231
 
-    mini = build_mask(MaskKind.MINI, 64, 64).bits.astype(bool)
-    low = build_mask(MaskKind.LOW, 64, 64).bits.astype(bool)
-    mid = build_mask(MaskKind.MID, 64, 64).bits.astype(bool)
-    high = build_mask(MaskKind.HIGH, 64, 64).bits.astype(bool)
+    mini = build_mask(MaskKind.MINI, 64, 64).astype(bool)
+    low = build_mask(MaskKind.LOW, 64, 64).astype(bool)
+    mid = build_mask(MaskKind.MID, 64, 64).astype(bool)
+    high = build_mask(MaskKind.HIGH, 64, 64).astype(bool)
     assert (mini <= low).all()
     assert not (low & mid).any()
     assert not (mid & high).any()

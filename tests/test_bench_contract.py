@@ -2,8 +2,9 @@
 
 `bench/run.py` is read with `ast`, never imported: importing it pins BLAS
 threads and pulls in its tracer.  A refactor that renames a traced layer,
-a program function, a `TrainConfig` field or a CLI flag the walkthrough
-passes then fails here instead of breaking the benchmark unnoticed.
+a program function, a `TrainConfig` field, a CLI flag the walkthrough
+passes or an attribute it reads from a returned object then fails here
+instead of breaking the benchmark unnoticed.
 """
 
 import ast
@@ -17,8 +18,10 @@ import pytest
 
 from freqbooth import cli, diffusion, training
 from freqbooth.config import tiny_config
+from freqbooth.netpbm import quantize
 from freqbooth.reference_encoder import (build_encoders, reference_backward,
                                          reference_forward_train)
+from freqbooth.tensor_core import RngState
 from freqbooth.training import TrainConfig
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -107,3 +110,38 @@ def test_backward_results_have_the_shapes_grad_hooks_read():
     assert all(isinstance(g, np.ndarray) for g in rgrads["heads"])
     assert all(isinstance(g, np.ndarray) for k, g in rgrads.items() if k != "heads")
     assert list(inspect.signature(training.adam_step).parameters)[1] == "grads"
+
+
+def test_returned_objects_have_what_the_benchmark_reads(tiny_dataset, tiny_cfg, tiny_enc,
+                                                        tiny_schedule):
+    """The workloads read `Dataset.test_refs`, `spec.n_identities` and
+    `spec.image_size`; a `TrainReport`'s `losses` and `trainable_set`, and the
+    `frozen_before`/`frozen_after` keys of its JSON; `ModelWeights.checksum`;
+    and unpack the pairs `sample()` and `identity_metric_flagged` return."""
+    spec = tiny_dataset.spec
+    size = spec.image_size
+    assert tiny_dataset.test_refs.shape == (spec.n_identities, 3, size, size)
+
+    weights = diffusion.init_weights(tiny_cfg, 0)
+    before = {s: weights.checksum(s) for s in diffusion.PARAM_SETS}
+    config = TrainConfig(stage=0, steps=2, batch_size=2, seed=0, identity_scale=1.0,
+                         mask_kind=None)
+    report = training.train(config, tiny_dataset, weights, tiny_schedule, tiny_enc)
+    assert len(report.losses) == 2 and report.trainable_set == "backbone"
+    after = {s: weights.checksum(s) for s in diffusion.PARAM_SETS}
+    assert [s for s in diffusion.PARAM_SETS if after[s] != before[s]] == ["backbone"]
+    fields = report.to_dict()
+    assert fields["frozen_before"] == fields["frozen_after"]
+    assert set(fields["frozen_before"]) == {"identity_adapter", "control"}
+
+    ref = tiny_dataset.test_refs[0]
+    result = diffusion.sample(weights, tiny_enc, tiny_schedule, RngState(0), ref_img=ref,
+                              text_id=0, mask_kind=None, steps=2, guidance=3.0,
+                              identity_scale=0.4)
+    assert isinstance(result, tuple) and len(result) == 2
+    img, _ = result
+    assert img.shape == (3, size, size)
+    flagged = training.identity_metric_flagged(quantize(img), ref)
+    assert isinstance(flagged, tuple) and len(flagged) == 2
+    metric, degenerate = flagged
+    assert isinstance(metric, float) and isinstance(degenerate, bool)

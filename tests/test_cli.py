@@ -12,8 +12,9 @@ import shutil
 import numpy as np
 import pytest
 
+from freqbooth import diffusion
 from freqbooth.cli import load_dataset, main
-from freqbooth.config import toy_config
+from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
     linear_schedule, predict_eps
@@ -199,6 +200,27 @@ def test_sample_seed_derivation_gives_distinct_reproducible_images(pipe, tmp_pat
     assert meta["ref_independent"] is False  # default lambda 0.4, no ref given
 
 
+def test_sample_numerical_failure_exits_4_and_writes_nothing(pipe, tmp_path, monkeypatch,
+                                                            capsys):
+    """The third image fails after two were drawn: no image is written."""
+    real = diffusion.predict_eps
+    calls = []
+
+    def failing_after_four(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 4:  # two images of two guidance-1 steps each
+            raise FloatingPointError("non-finite values in noise prediction")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "predict_eps", failing_after_four)
+    out = tmp_path / "out"
+    assert run("sample", "--out-dir", out, "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--n", 3, "--steps", 2, "--guidance", 1) == 4
+    assert len(calls) == 5
+    assert not out.exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_sample_with_control_mask(pipe, tmp_path):
     assert run("sample", "--out-dir", tmp_path, "--mask", "low",
                "--checkpoint", pipe / "checkpoint_stage2_low.json",
@@ -246,7 +268,7 @@ def test_filter_meta_counts_match_the_mask(stripes_ppm, tmp_path):
     assert run("filter", "--out-dir", tmp_path, "--input", stripes_ppm,
                "--mask", "mid") == 0
     meta = read_json(tmp_path / "filtered_mid.meta.json")
-    assert meta["mask_ones"] == build_mask(MaskKind.MID, 8, 8).ones_count()
+    assert meta["mask_ones"] == build_mask(MaskKind.MID, 8, 8).sum()
     assert meta["coverage_gap_coefficients"] == len(coverage_gap(8, 8))
     assert meta["output_files"] == ["filtered_mid.ppm", "filtered_mid.pfm"]
 
@@ -389,6 +411,44 @@ def test_lambda_outside_unit_interval_exits_usage(pipe, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.fixture(scope="module")
+def data16(tmp_path_factory):
+    """A dataset of 16-px images; the CLI's model takes 32 px."""
+    out = tmp_path_factory.mktemp("data16")
+    assert run("gen-data", "--out-dir", out, "--n-identities", 4, "--n-contexts", 2,
+               "--image-size", 16, "--train-size", 4, "--test-size", 4) == 0
+    return out / "dataset"
+
+
+@pytest.fixture(scope="module")
+def ckpt8(tmp_path_factory):
+    """A checkpoint of an 8-px model that completed stages 0 and 1."""
+    weights = init_weights(tiny_config(), 0)
+    weights.completed_stages = [0, 1]
+    path = tmp_path_factory.mktemp("ckpt8") / "checkpoint.json"
+    save_checkpoint(path, weights)
+    return path
+
+
+@pytest.mark.parametrize("argv, model_px, data_px", [
+    (("train", "--stage", 0, "--data-dir", "{data16}"), 32, 16),
+    (("train", "--stage", 1, "--data-dir", "{pipe}/dataset", "--checkpoint", "{ckpt8}"),
+     8, 32),
+    (("sweep-lambda", "--data-dir", "{data16}",
+      "--checkpoint", "{pipe}/checkpoint_stage1.json"), 32, 16),
+    (("ablate-masks", "--data-dir", "{data16}",
+      "--checkpoint", "{pipe}/checkpoint_stage1.json"), 32, 16),
+], ids=["train0", "train1", "sweep-lambda", "ablate-masks"])
+def test_a_dataset_the_model_does_not_fit_exits_2(pipe, data16, ckpt8, tmp_path, capsys,
+                                                  argv, model_px, data_px):
+    out = tmp_path / "out"
+    argv = [str(a).format(pipe=pipe, data16=data16, ckpt8=ckpt8) for a in argv]
+    assert run(*argv, "--steps", 2, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert f"the model expects {model_px}px images but the dataset is {data_px}px" in err
+    assert not out.exists()
+
+
 def truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -414,6 +474,15 @@ def strip_checksums(path):
     path.write_text(json.dumps(payload))
 
 
+def downgrade_schema(path):
+    """The schema-2 format, whose config also held latent_channels and
+    latent_scale."""
+    payload = read_json(path)
+    payload["schema_version"] = 2
+    payload["config"].update(latent_channels=4, latent_scale=1.0)
+    path.write_text(json.dumps(payload))
+
+
 def poison(path):
     """A NaN weight under checksums that match it."""
     weights = load_checkpoint(path)
@@ -423,8 +492,8 @@ def poison(path):
 
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
                                   "tampered-checkpoint", "checkpoint-without-checksums",
-                                  "non-finite-checkpoint", "dataset-missing-ppm",
-                                  "truncated-index"])
+                                  "non-finite-checkpoint", "schema-2-checkpoint",
+                                  "dataset-missing-ppm", "truncated-index"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -440,6 +509,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         strip_checksums(ckpt)
     elif case == "non-finite-checkpoint":
         poison(ckpt)
+    elif case == "schema-2-checkpoint":
+        downgrade_schema(ckpt)
     elif case == "dataset-missing-ppm":
         (data / "train_0003.ppm").unlink()
     else:
@@ -451,8 +522,12 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         assert run("train", "--out-dir", out, "--data-dir", data,
                    "--stage", 0, "--steps", 1) == 3
     assert not out.exists()
+    err = capsys.readouterr().err
     if case == "non-finite-checkpoint":
-        assert "parameter in_proj is not finite" in capsys.readouterr().err
+        assert "parameter in_proj is not finite" in err
+    if case == "schema-2-checkpoint":
+        assert "checkpoint schema 2 unsupported (expected 3)" in err
+        assert "TypeError" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

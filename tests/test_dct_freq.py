@@ -139,27 +139,29 @@ def enumerate_bits(kind: MaskKind, h: int, w: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("kind", list(MaskKind))
 def test_mask_bits_match_enumeration(kind, n):
-    assert np.array_equal(build_mask(kind, n, n).bits, enumerate_bits(kind, n, n))
+    mask = build_mask(kind, n, n)
+    assert np.array_equal(mask, enumerate_bits(kind, n, n))
+    assert mask.dtype == np.uint8 and not mask.flags.writeable
 
 
 def test_low_band_ones_count_at_64():
-    assert build_mask(MaskKind.LOW, 64, 64).ones_count() == 231
+    assert build_mask(MaskKind.LOW, 64, 64).sum() == 231
 
 
 def test_mini_band_saturates_small_grids():
-    assert build_mask(MaskKind.MINI, 4, 4).bits.all()
+    assert build_mask(MaskKind.MINI, 4, 4).all()
 
 
 def test_high_band_empty_on_small_grids():
-    assert not build_mask(MaskKind.HIGH, 8, 8).bits.any()
+    assert not build_mask(MaskKind.HIGH, 8, 8).any()
 
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_band_containment_and_disjointness(n):
-    mini = build_mask(MaskKind.MINI, n, n).bits.astype(bool)
-    low = build_mask(MaskKind.LOW, n, n).bits.astype(bool)
-    mid = build_mask(MaskKind.MID, n, n).bits.astype(bool)
-    high = build_mask(MaskKind.HIGH, n, n).bits.astype(bool)
+    mini = build_mask(MaskKind.MINI, n, n).astype(bool)
+    low = build_mask(MaskKind.LOW, n, n).astype(bool)
+    mid = build_mask(MaskKind.MID, n, n).astype(bool)
+    high = build_mask(MaskKind.HIGH, n, n).astype(bool)
     assert (mini <= low).all()
     assert not (low & mid).any()
     assert not (mid & high).any()
@@ -177,7 +179,7 @@ def test_coverage_gap_between_mid_and_high():
 def test_mask_application_is_idempotent():
     rng = np.random.default_rng(5)
     f = rng.normal(size=(1, 64, 64))
-    bits = build_mask(MaskKind.MID, 64, 64).bits
+    bits = build_mask(MaskKind.MID, 64, 64)
     once = f * bits
     assert np.array_equal(once * bits, once)
 
@@ -186,8 +188,8 @@ def test_band_energy_nesting():
     rng = np.random.default_rng(6)
     for _ in range(5):
         f = dct2(rng.normal(size=(1, 32, 32)))
-        mini = f * build_mask(MaskKind.MINI, 32, 32).bits
-        low = f * build_mask(MaskKind.LOW, 32, 32).bits
+        mini = f * build_mask(MaskKind.MINI, 32, 32)
+        low = f * build_mask(MaskKind.LOW, 32, 32)
         assert np.sum(mini ** 2) <= np.sum(low ** 2)
 
 

@@ -65,15 +65,6 @@ def test_pfm_roundtrip_keeps_float32_precision(tmp_path):
     assert np.array_equal(read_pfm(path), img.astype(np.float32).astype(np.float64))
 
 
-def test_pfm_grayscale_roundtrip(tmp_path):
-    gray = np.random.default_rng(3).normal(size=(5, 3))
-    path = tmp_path / "g.pfm"
-    write_pfm(path, gray)
-    back = read_pfm(path)
-    assert back.shape == (5, 3)
-    assert np.array_equal(back, gray.astype(np.float32).astype(np.float64))
-
-
 def test_pfm_bytes_are_deterministic(tmp_path):
     img = np.random.default_rng(4).normal(size=(3, 4, 4))
     a, b = tmp_path / "a.pfm", tmp_path / "b.pfm"
@@ -88,15 +79,21 @@ def test_pfm_read_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="PFM"):
         read_pfm(bad)
     short = tmp_path / "short.pfm"
-    short.write_bytes(b"Pf\n2 2\n-1.0\n\x00\x00\x00\x00")
+    short.write_bytes(b"PF\n2 2\n-1.0\n" + bytes(4 * 11))
     with pytest.raises(ValueError, match="truncated"):
         read_pfm(short)
+    gray = tmp_path / "gray.pfm"
+    gray.write_bytes(b"Pf\n2 2\n-1.0\n" + bytes(4 * 4))
+    with pytest.raises(ValueError, match="PFM"):
+        read_pfm(gray)
     with pytest.raises(ValueError):
         write_pfm(tmp_path / "x.pfm", np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        write_pfm(tmp_path / "x.pfm", np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("header", [b"P6\n4 -4\n255\n", b"P6\n0 0\n255\n",
-                                    b"PF\n0 0\n-1.0\n", b"Pf\n-2 3\n-1.0\n"])
+                                    b"PF\n0 0\n-1.0\n", b"PF\n-2 3\n-1.0\n"])
 def test_readers_reject_nonpositive_sizes(header, tmp_path):
     path = tmp_path / "neg"
     path.write_bytes(header + bytes(48))

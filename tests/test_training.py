@@ -14,7 +14,7 @@ from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (STAGE_SETS, PreparedExample, StageOrderError,
+from freqbooth.training import (COND_DROPOUT, STAGE_SETS, PreparedExample, StageOrderError,
                                 ToyDatasetSpec, TrainConfig, _prepare, adam_step,
                                 batch_loss, dataset_checksum, generate_dataset,
                                 gradient_check, identity_metric_flagged,
@@ -133,10 +133,10 @@ def batch_of(ds, n):
     return [ds.train_sample(i) for i in range(n)]
 
 
-def prepared_batch(ds, weights, schedule, enc, stage, n):
+def prepared_batch(ds, schedule, enc, stage, n):
     mask = MaskKind.LOW if stage == 2 else None
-    return _prepare(batch_of(ds, n), weights, schedule, RngState(stage), enc,
-                    stage, 0.1, mask)
+    return _prepare(batch_of(ds, n), schedule, RngState(stage), enc, stage,
+                    COND_DROPOUT, mask)
 
 
 def zero_output_weights(cfg, seed):
@@ -149,8 +149,7 @@ def test_perfect_prediction_gives_zero_loss(tiny_dataset, tiny_schedule, tiny_en
                                             tiny_cfg):
     weights = zero_output_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
-        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
-                                  stage, 2)
+        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
         for ex in prepared:
             ex.eps = np.zeros_like(ex.eps)
         loss, grads = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
@@ -163,8 +162,7 @@ def test_constant_offset_gives_squared_loss(tiny_dataset, tiny_schedule, tiny_en
     weights = zero_output_weights(tiny_cfg, 0)
     delta = 0.37
     for stage in (0, 1, 2):
-        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
-                                  stage, 3)
+        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
         loss, _ = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
         want = np.mean([np.mean(ex.eps ** 2) for ex in prepared])
         assert abs(loss - want) <= 1e-12
@@ -178,8 +176,7 @@ def test_gradients_cover_exactly_the_trainable_set(tiny_dataset, tiny_schedule,
                                                    tiny_enc, tiny_cfg):
     weights = init_weights(tiny_cfg, 1)
     for stage, scale in ((0, 0.0), (1, 0.5), (2, 0.0)):
-        prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc,
-                                  stage, 2)
+        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
         _, grads = batch_loss(weights, tiny_enc, prepared, stage, scale)
         assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
 
@@ -189,7 +186,7 @@ def test_stage0_loss_on_referenced_examples_differentiates_the_backbone(
     """Examples prepared for stage 1 carry references; a stage-0 loss over
     them runs the identity branch forward but not its backward."""
     weights = init_weights(tiny_cfg, 1)
-    prepared = prepared_batch(tiny_dataset, weights, tiny_schedule, tiny_enc, 1, 3)
+    prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, 1, 3)
     assert any(ex.ref is not None for ex in prepared)
     _, grads = batch_loss(weights, tiny_enc, prepared, 0, 0.4)
     assert sorted(grads) == weights.names_in_set("backbone")
@@ -481,6 +478,23 @@ def test_checkpoint_roundtrip_is_bitwise(tiny_trained, tmp_path):
         assert np.array_equal(arr, loaded.params()[name]), name
     assert loaded.completed_stages == sorted(weights.completed_stages)
     assert loaded.config == weights.config
+
+
+def test_checkpoint_load_draws_nothing_from_the_rng(tiny_trained, tmp_path, monkeypatch):
+    weights, _ = tiny_trained
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, weights)
+
+    def no_draws(self, shape):
+        raise AssertionError("load_checkpoint drew from the RNG")
+
+    monkeypatch.setattr(RngState, "normal", no_draws)
+    loaded = load_checkpoint(path)
+    for name, arr in weights.params().items():
+        assert np.array_equal(arr, loaded.params()[name]), name
+    assert np.array_equal(loaded.pos_code, weights.pos_code)
+    assert {s: loaded.checksum(s) for s in PARAM_SETS} == \
+        {s: weights.checksum(s) for s in PARAM_SETS}
 
 
 @settings(max_examples=20, deadline=None)
