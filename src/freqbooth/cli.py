@@ -135,71 +135,54 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
 # dataset files
 
 
-def save_dataset(ddir: Path, dataset: Dataset) -> dict:
+def _dataset_files(spec: ToyDatasetSpec):
+    """(Dataset image field, file name of each of its images): the one place
+    that names dataset files.  The counts follow from the spec, so the index
+    lists no file."""
+    for field, pattern, count in (("train_images", "train_{:04d}.ppm", spec.train_size),
+                                  ("test_images", "test_{:04d}.ppm", spec.test_size),
+                                  ("train_refs", "ref_train_{:02d}.ppm", spec.n_identities),
+                                  ("test_refs", "ref_test_{:02d}.ppm", spec.n_identities)):
+        yield field, [pattern.format(i) for i in range(count)]
+
+
+def save_dataset(ddir: Path, dataset: Dataset) -> str:
+    """Write the dataset's images and its index under `ddir`; returns the
+    checksum the index records."""
     ddir.mkdir(parents=True, exist_ok=True)
-    index = {
-        "schema_version": 1,
-        "spec": asdict(dataset.spec),
-        "seed": dataset.seed,
-        "checksum": dataset_checksum(dataset),
-        "train": [], "test": [], "train_refs": [], "test_refs": [],
-    }
-    for i in range(dataset.spec.train_size):
-        name = f"train_{i:04d}.ppm"
-        write_ppm(ddir / name, dataset.train_images[i])
-        index["train"].append({"file": name,
-                               "identity": int(dataset.train_identity[i]),
-                               "text": int(dataset.train_text[i])})
-    for i in range(dataset.spec.test_size):
-        name = f"test_{i:04d}.ppm"
-        write_ppm(ddir / name, dataset.test_images[i])
-        index["test"].append({"file": name,
-                              "identity": int(dataset.test_identity[i]),
-                              "text": int(dataset.test_text[i])})
-    for i in range(dataset.spec.n_identities):
-        for kind, refs in (("train_refs", dataset.train_refs),
-                           ("test_refs", dataset.test_refs)):
-            name = f"ref_{kind[:-5]}_{i:02d}.ppm"
-            write_ppm(ddir / name, refs[i])
-            index[kind].append(name)
-    write_json(ddir / "index.json", index)
-    return index
+    for field, names in _dataset_files(dataset.spec):
+        for img, name in zip(getattr(dataset, field), names):
+            write_ppm(ddir / name, img)
+    checksum = dataset_checksum(dataset)
+    write_json(ddir / "index.json", {"schema_version": 2,
+                                     "spec": asdict(dataset.spec),
+                                     "seed": dataset.seed, "checksum": checksum})
+    return checksum
 
 
 def load_dataset(ddir: Path) -> tuple[Dataset, str]:
-    """The dataset under `ddir` and its checksum, verified against the index."""
+    """The dataset under `ddir` and its checksum, verified against the index.
+
+    Reads only the index's spec, seed and checksum, so an index that also
+    lists its files (schema 1) loads the same."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
             f"no dataset at {ddir}; run `freqbooth gen-data` first"
         )
-
-    def read_split(rows):
-        images = np.empty((len(rows), 3, s, s))
-        idents = np.empty(len(rows), dtype=np.int64)
-        texts = np.empty(len(rows), dtype=np.int64)
-        for i, row in enumerate(rows):
-            images[i] = read_ppm(Path(ddir) / row["file"])
-            idents[i] = row["identity"]
-            texts[i] = row["text"]
-        return images, idents, texts
-
-    def read_refs(names):
-        return np.stack([read_ppm(Path(ddir) / n) for n in names])
-
     try:
         with open(index_path) as fh:
             index = json.load(fh)
         spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
-        train_images, train_identity, train_text = read_split(index["train"])
-        test_images, test_identity, test_text = read_split(index["test"])
-        dataset = Dataset(spec=spec, seed=index["seed"],
-                          train_images=train_images, train_identity=train_identity,
-                          train_text=train_text, test_images=test_images,
-                          test_identity=test_identity, test_text=test_text,
-                          train_refs=read_refs(index["train_refs"]),
-                          test_refs=read_refs(index["test_refs"]))
+        arrays = {}
+        for field, names in _dataset_files(spec):
+            # filled in place: stacking the reads would briefly hold the split
+            # twice, and would keep read_ppm's channel-last memory order
+            arr = arrays[field] = np.empty((len(names), 3, s, s))
+            for i, name in enumerate(names):
+                arr[i] = read_ppm(Path(ddir) / name)
+        dataset = Dataset(spec=spec, seed=index["seed"], **arrays)
         checksum = index["checksum"]
         if dataset_checksum(dataset) != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
@@ -224,9 +207,9 @@ def cmd_gen_data(args) -> int:
                           train_size=args.train_size,
                           test_size=args.test_size)
     dataset = generate_dataset(spec, args.seed)
-    index = save_dataset(out / "dataset", dataset)
+    checksum = save_dataset(out / "dataset", dataset)
     _write_echo(out, "gen-data", {"seed": args.seed, "spec": asdict(spec),
-                                  "checksum": index["checksum"]})
+                                  "checksum": checksum})
     print(f"wrote {spec.train_size} train + {spec.test_size} test images "
           f"({spec.n_identities} identities) to {out / 'dataset'}")
     return EXIT_OK
@@ -253,6 +236,10 @@ def cmd_train(args) -> int:
         weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1), stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
     _check_fits(dataset, weights.config)
+    hw = weights.config.latent_hw
+    if mask is not None and not build_mask(mask, hw, hw).any():
+        raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
+                         f"{hw}x{hw} latent, so stage 2 would train nothing")
 
     steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
     config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
@@ -435,7 +422,11 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_ablate_masks(args) -> int:
-    check_identity_scale(args.lam)  # before any stage-2 checkpoint is trained
+    # before any stage-2 checkpoint is trained
+    check_identity_scale(args.lam)
+    for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage1 = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)

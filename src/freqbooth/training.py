@@ -87,28 +87,31 @@ class Sample:
     ref: np.ndarray         # reference image of the same identity
 
 
+def labels(spec: ToyDatasetSpec, i):
+    """(identity, context class) of sample `i` in either split: identities
+    round-robin over the samples and context classes cycle above them.  `i`
+    may be an int or an integer array."""
+    return i % spec.n_identities, (i // spec.n_identities) % spec.n_contexts
+
+
 @dataclass
 class Dataset:
+    """Every label follows from `spec` (see `labels`); each identity has one
+    reference per split."""
     spec: ToyDatasetSpec
     seed: int
     train_images: np.ndarray
-    train_identity: np.ndarray
-    train_text: np.ndarray
     test_images: np.ndarray
-    test_identity: np.ndarray
-    test_text: np.ndarray
     train_refs: np.ndarray  # (n_identities, 3, S, S)
     test_refs: np.ndarray
 
     def train_sample(self, i: int) -> Sample:
-        ident = int(self.train_identity[i])
-        return Sample(self.train_images[i], ident, int(self.train_text[i]),
-                      self.train_refs[ident])
+        ident, text = labels(self.spec, i)
+        return Sample(self.train_images[i], ident, text, self.train_refs[ident])
 
     def test_sample(self, i: int) -> Sample:
-        ident = int(self.test_identity[i])
-        return Sample(self.test_images[i], ident, int(self.test_text[i]),
-                      self.test_refs[ident])
+        ident, text = labels(self.spec, i)
+        return Sample(self.test_images[i], ident, text, self.test_refs[ident])
 
 
 def _scaled_color(rng: RngState, luma_target: float) -> np.ndarray:
@@ -184,8 +187,8 @@ def render_sample(params: IdentityParams, size: int, context: int,
 
 
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
-    """Deterministic dataset: identities round-robin over samples, context
-    classes cycling above them, references rendered on plain backgrounds."""
+    """Deterministic dataset: each sample posed as `labels` says, each
+    reference rendered on the plain background."""
     params = [identity_params(seed, i, spec.n_identities)
               for i in range(spec.n_identities)]
     root = RngState(seed)
@@ -193,16 +196,10 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
 
     def split(name: str, count: int):
         images = np.empty((count, 3, s, s))
-        idents = np.empty(count, dtype=np.int64)
-        texts = np.empty(count, dtype=np.int64)
         for i in range(count):
-            ident = i % spec.n_identities
-            text = (i // spec.n_identities) % spec.n_contexts
-            images[i] = render_sample(params[ident], s, text,
-                                      root.derive((name, i)))
-            idents[i] = ident
-            texts[i] = text
-        return images, idents, texts
+            ident, text = labels(spec, i)
+            images[i] = render_sample(params[ident], s, text, root.derive((name, i)))
+        return images
 
     def refs(name: str):
         out = np.empty((spec.n_identities, 3, s, s))
@@ -210,12 +207,9 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
             out[i] = render_sample(params[i], s, 0, root.derive(("ref", name, i)))
         return out
 
-    train_images, train_identity, train_text = split("train", spec.train_size)
-    test_images, test_identity, test_text = split("test", spec.test_size)
     return Dataset(spec=spec, seed=seed,
-                   train_images=train_images, train_identity=train_identity,
-                   train_text=train_text, test_images=test_images,
-                   test_identity=test_identity, test_text=test_text,
+                   train_images=split("train", spec.train_size),
+                   test_images=split("test", spec.test_size),
                    train_refs=refs("train"), test_refs=refs("test"))
 
 
@@ -664,9 +658,13 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
 
 
 def dataset_checksum(dataset: Dataset) -> str:
+    spec = dataset.spec
+    train_labels = labels(spec, np.arange(spec.train_size, dtype=np.int64))
+    test_labels = labels(spec, np.arange(spec.test_size, dtype=np.int64))
     digest = hashlib.sha256()
-    for arr in (dataset.train_images, dataset.train_identity, dataset.train_text,
-                dataset.test_images, dataset.test_identity, dataset.test_text,
+    # the int64 labels are hashed after each split's images, in this order, so
+    # the value matches the one existing indexes and config echoes record
+    for arr in (dataset.train_images, *train_labels, dataset.test_images, *test_labels,
                 dataset.train_refs, dataset.test_refs):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()

@@ -242,8 +242,9 @@ def test_08_guidance_identities_and_ddim_inversion(pipeline):
 
 def test_09_band_filter_statistics(tmp_path):
     """Criterion 9: on the striped test image the mini band has less pixel
-    variance than low, high-pass output is mean-free per channel at 1e-6,
-    and all-pass equals the codec roundtrip at 1e-6 per pixel."""
+    variance than low, high-pass output is mean-free per channel at 1e-6
+    (also at 256 px, where the band is not empty), and all-pass equals the
+    codec roundtrip at 1e-6 per pixel."""
     img_path = tmp_path / "stripes.ppm"
     write_ppm(img_path, striped_test_image())
     metas = {}
@@ -257,13 +258,28 @@ def test_09_band_filter_statistics(tmp_path):
     high = read_pfm(tmp_path / "filtered_high.pfm")
     assert np.max(np.abs(high.mean(axis=(1, 2)))) <= 1e-6
 
+    # the 32px image's 8x8 latent has no high-band coefficient, so the output
+    # above is all zeros; a 64x64 latent keeps some and must still be mean-free
+    big_path = tmp_path / "big.ppm"
+    write_ppm(big_path, striped_test_image(size=256))
+    big = tmp_path / "big"
+    assert run("filter", "--out-dir", big, "--input", big_path, "--mask", "high") == 0
+    big_meta = read_json(big / "filtered_high.meta.json")
+    assert big_meta["mask_ones"] > 0
+    assert all(abs(m) <= 1e-6 for m in big_meta["output_mean_per_channel"])
+    high = read_pfm(big / "filtered_high.pfm")
+    assert np.any(high != 0.0)
+    assert np.max(np.abs(high.mean(axis=(1, 2)))) <= 1e-6
+
     enc = build_encoders(toy_config())
     want = decode_latent(encode_latent(read_ppm(img_path), enc), enc)
     got = read_pfm(tmp_path / "filtered_all.pfm")
     assert np.max(np.abs(got - want)) <= 1e-6
     print(f"criterion 9: variance mini {metas['mini']['output_variance']:.5f} "
           f"< low {metas['low']['output_variance']:.5f}; "
-          f"all-pass max deviation {np.max(np.abs(got - want)):.2e}")
+          f"all-pass max deviation {np.max(np.abs(got - want)):.2e}; high-pass at "
+          f"256px keeps {big_meta['mask_ones']} coefficients, worst channel mean "
+          f"{np.max(np.abs(high.mean(axis=(1, 2)))):.1e}")
 
 
 def test_10_artifacts_are_byte_reproducible(pipeline, tmp_path):

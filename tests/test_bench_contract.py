@@ -71,12 +71,14 @@ def test_train_config_accepts_the_fields_the_benchmark_passes():
     assert passed <= {f.name for f in dataclasses.fields(TrainConfig)}
 
 
+WALK = next(node for node in TREE.body
+            if isinstance(node, ast.ClassDef) and node.name == "CliWalkthrough")
+
+
 def walkthrough_argvs() -> list[list[str]]:
     """The argument lists `CliWalkthrough.commands` builds, with each
     computed path replaced by a placeholder."""
-    walk = next(node for node in TREE.body
-                if isinstance(node, ast.ClassDef) and node.name == "CliWalkthrough")
-    seq = next(node.value for node in ast.walk(walk) if isinstance(node, ast.Assign)
+    seq = next(node.value for node in ast.walk(WALK) if isinstance(node, ast.Assign)
                and any(isinstance(t, ast.Name) and t.id == "seq" for t in node.targets))
     return [[e.value if isinstance(e, ast.Constant) else "some/path" for e in argv.elts]
             for argv in seq.elts]
@@ -87,6 +89,18 @@ def test_cli_parses_every_walkthrough_command(argv):
     # the walkthrough appends --out-dir and --seed to every command
     args = cli.build_parser().parse_args(argv + ["--out-dir", "out", "--seed", "1"])
     assert args.command == argv[0]
+
+
+def test_gen_data_writes_every_dataset_file_the_walkthrough_names(tmp_path):
+    # the walkthrough passes paths such as dataset/ref_test_00.ppm
+    names = sorted({node.value for node in ast.walk(WALK) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and node.value.endswith(".ppm")})
+    assert names, "CliWalkthrough names no dataset file"
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path), "--n-identities", "1",
+                     "--n-contexts", "1", "--image-size", "8", "--train-size", "1",
+                     "--test-size", "1"]) == 0
+    for name in names:
+        assert (tmp_path / "dataset" / name).is_file(), name
 
 
 def test_backward_results_have_the_shapes_grad_hooks_read():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from freqbooth import diffusion
-from freqbooth.cli import load_dataset, main
+from freqbooth.cli import load_dataset, main, save_dataset
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
@@ -21,8 +21,9 @@ from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
 from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import load_checkpoint, save_checkpoint
-from conftest import flip_one_gradient, striped_test_image
+from freqbooth.training import (dataset_checksum, generate_dataset, identity_metric_flagged,
+                                load_checkpoint, save_checkpoint)
+from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
 
 
 def run(*argv) -> int:
@@ -75,9 +76,10 @@ def test_unknown_flags_exit_usage(tmp_path):
 def test_gen_data_writes_counted_files_and_index(pipe):
     ddir = pipe / "dataset"
     index = read_json(ddir / "index.json")
-    assert len(index["train"]) == 8
-    assert len(index["test"]) == 4
+    assert sorted(index) == ["checksum", "schema_version", "seed", "spec"]
+    assert index["schema_version"] == 2
     assert len(list(ddir.glob("train_*.ppm"))) == 8
+    assert len(list(ddir.glob("test_*.ppm"))) == 4
     assert len(list(ddir.glob("ref_*.ppm"))) == 8  # 4 identities x 2 splits
     loaded, checksum = load_dataset(ddir)  # revalidates the checksum
     assert loaded.spec.n_identities == 4
@@ -85,6 +87,46 @@ def test_gen_data_writes_counted_files_and_index(pipe):
     echo = read_json(pipe / "gen_data_config.json")
     assert echo["command"] == "gen-data"
     assert echo["seed"] == 0
+
+
+IMAGE_FIELDS = ("train_images", "test_images", "train_refs", "test_refs")
+
+
+def test_loaded_dataset_equals_the_generated_one(tmp_path):
+    """The files `gen-data` writes load back to the library's dataset: the
+    same checksum, equal C-ordered arrays, and bit-identical identity
+    metrics (a sum over a differently ordered array rounds differently)."""
+    made = generate_dataset(SMALL_SPEC, 0)
+    checksum = save_dataset(tmp_path, made)
+    loaded, loaded_checksum = load_dataset(tmp_path)
+    assert loaded_checksum == checksum == dataset_checksum(made)
+    assert (loaded.spec, loaded.seed) == (made.spec, made.seed)
+    for field in IMAGE_FIELDS:
+        assert np.array_equal(getattr(loaded, field), getattr(made, field)), field
+        assert getattr(loaded, field).flags.c_contiguous, field
+    for i in range(SMALL_SPEC.test_size):
+        for j in range(SMALL_SPEC.n_identities):
+            assert identity_metric_flagged(loaded.test_images[i], loaded.test_refs[j]) \
+                == identity_metric_flagged(made.test_images[i], made.test_refs[j])
+
+
+def test_a_schema_1_index_loads_to_the_same_dataset(tmp_path):
+    """An index that still lists every file with its labels, as schema 1
+    did, loads to the dataset its spec, seed and checksum describe."""
+    save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
+    want, checksum = load_dataset(tmp_path)
+    index = read_json(tmp_path / "index.json")
+    n_id, n_ctx = SMALL_SPEC.n_identities, SMALL_SPEC.n_contexts
+    index["schema_version"] = 1
+    for split, count in (("train", SMALL_SPEC.train_size), ("test", SMALL_SPEC.test_size)):
+        index[split] = [{"file": f"{split}_{i:04d}.ppm", "identity": i % n_id,
+                         "text": (i // n_id) % n_ctx} for i in range(count)]
+        index[f"{split}_refs"] = [f"ref_{split}_{i:02d}.ppm" for i in range(n_id)]
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    got, got_checksum = load_dataset(tmp_path)
+    assert got_checksum == checksum
+    for field in IMAGE_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_gen_data_rejects_zero_identities(tmp_path):
@@ -116,6 +158,17 @@ def test_train_stage2_requires_mask(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 2, "--steps", 1,
                "--checkpoint", pipe / "checkpoint_stage1.json") == 2
+
+
+@pytest.mark.parametrize("mask", ["mid", "high"])
+def test_train_stage2_rejects_a_band_that_keeps_nothing(pipe, tmp_path, mask, capsys):
+    # at 32 px the latent is 8x8, where these bands keep no coefficient
+    out = tmp_path / "out"
+    assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset",
+               "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--stage", 2, "--mask", mask, "--steps", 5) == 2
+    assert not out.exists()
+    assert f"--mask {mask} keeps no DCT coefficient" in capsys.readouterr().err
 
 
 def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
@@ -366,6 +419,20 @@ def test_ablate_masks_report(pipe, tmp_path):
     assert report["rows"][0]["recon_loss"] == float(np.mean(losses))
 
 
+@pytest.mark.parametrize("flag", ["--eval-size", "--eval-samples"])
+def test_ablate_masks_rejects_an_empty_evaluation(pipe, tmp_path, flag, capsys):
+    out = tmp_path / "out"
+    assert run("ablate-masks", "--out-dir", out,
+               "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--data-dir", pipe / "dataset", "--train-steps", 1, "--steps", 2,
+               flag, 0) == 2
+    assert not out.exists()
+    assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+    # checked before the dataset is read: a missing one would exit 3
+    assert run("ablate-masks", "--out-dir", out, "--data-dir", tmp_path / "none",
+               flag, 0) == 2
+
+
 def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path):
     # a file under the stage-2 name that never completed stage 2
     shutil.copy(pipe / "checkpoint_stage1.json", tmp_path / "checkpoint_stage2_mini.json")
@@ -493,7 +560,8 @@ def poison(path):
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
                                   "tampered-checkpoint", "checkpoint-without-checksums",
                                   "non-finite-checkpoint", "schema-2-checkpoint",
-                                  "dataset-missing-ppm", "truncated-index"])
+                                  "dataset-missing-ppm", "truncated-index",
+                                  "dataset-checksum-mismatch"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -513,6 +581,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         downgrade_schema(ckpt)
     elif case == "dataset-missing-ppm":
         (data / "train_0003.ppm").unlink()
+    elif case == "dataset-checksum-mismatch":
+        shutil.copy(data / "train_0004.ppm", data / "train_0003.ppm")
     else:
         truncate(data / "index.json")
     out = tmp_path / "out"
@@ -525,6 +595,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     err = capsys.readouterr().err
     if case == "non-finite-checkpoint":
         assert "parameter in_proj is not finite" in err
+    if case == "dataset-checksum-mismatch":
+        assert "does not match its index checksum" in err
     if case == "schema-2-checkpoint":
         assert "checkpoint schema 2 unsupported (expected 3)" in err
         assert "TypeError" not in err

@@ -18,7 +18,7 @@ from freqbooth.training import (COND_DROPOUT, STAGE_SETS, PreparedExample, Stage
                                 ToyDatasetSpec, TrainConfig, _prepare, adam_step,
                                 batch_loss, dataset_checksum, generate_dataset,
                                 gradient_check, identity_metric_flagged,
-                                identity_params, init_adam, load_checkpoint,
+                                identity_params, init_adam, labels, load_checkpoint,
                                 orientation_histogram, save_checkpoint,
                                 smoothing_window, train, write_json)
 from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
@@ -45,8 +45,9 @@ def test_dataset_counts_and_round_robin(tiny_dataset):
     assert tiny_dataset.train_images.shape == (spec.train_size, 3, 8, 8)
     assert tiny_dataset.test_refs.shape == (spec.n_identities, 3, 8, 8)
     want_ids = np.arange(spec.train_size) % spec.n_identities
-    assert np.array_equal(tiny_dataset.train_identity, want_ids)
-    assert tiny_dataset.train_text.max() < spec.n_contexts
+    idents, texts = labels(spec, np.arange(spec.train_size, dtype=np.int64))
+    assert np.array_equal(idents, want_ids)
+    assert texts.max() < spec.n_contexts
 
 
 def test_samples_pair_with_their_identity_reference(tiny_dataset):
