@@ -45,24 +45,30 @@ def check_identity_scale(value: float) -> float:
     return value
 
 
-def _check_dims(hidden, identity, w):
-    if hidden.ndim != 2 or hidden.shape[0] < 1:
-        raise ValueError(f"hidden sequence must be a nonempty matrix, got {hidden.shape}")
-    if hidden.shape[1] != w.w_query.shape[0]:
+def _check_dims(hidden, rows, w):
+    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1]:
         raise ValueError(
-            f"query projection mismatch: hidden dim {hidden.shape[1]} "
+            f"hidden sequence must be a nonempty matrix or stack of them, got {hidden.shape}")
+    if hidden.shape[-1] != w.w_query.shape[0]:
+        raise ValueError(
+            f"query projection mismatch: hidden dim {hidden.shape[-1]} "
             f"vs w_query rows {w.w_query.shape[0]}"
         )
-    if identity is not None and identity.shape[1] != w.w_key_id.shape[0]:
-        raise ValueError(
-            f"identity key projection mismatch: token dim {identity.shape[1]} "
-            f"vs w_key_id rows {w.w_key_id.shape[0]}"
-        )
+    if hidden.ndim == 3 and len(rows) != hidden.shape[0]:
+        raise ValueError(f"a stack of {hidden.shape[0]} rows needs as many identity "
+                         f"entries, got {len(rows)}")
+    for identity in rows:
+        if identity is not None and identity.shape[1] != w.w_key_id.shape[0]:
+            raise ValueError(
+                f"identity key projection mismatch: token dim {identity.shape[1]} "
+                f"vs w_key_id rows {w.w_key_id.shape[0]}"
+            )
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
-    """Single-head softmax attention; returns (Softmax(q k^T * inv) v, weights)."""
-    a = softmax_rows(q @ k.T * inv)
+    """Single-head softmax attention; returns (Softmax(q k^T * inv) v, weights).
+    Leading axes, if any, are batch axes."""
+    a = softmax_rows(q @ k.swapaxes(-1, -2) * inv)
     return a @ v, a
 
 
@@ -83,11 +89,16 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
                       scale: float):
     """Run adaptive attention; returns (output, cache-for-backward).
 
-    `identity` is an (n_tokens, d_id) matrix or None; None (or scale == 0)
-    skips the cross term so the output is the pure self-attention summand.
+    `hidden` is one (seq, d_model) sequence, or a (B, seq, d_model) stack
+    that runs as one batch; each row of a stack equals the unstacked call
+    on it bit for bit.  `identity` is an (n_tokens, d_id) matrix or None,
+    and for a stack a list of one such entry per row.  None (or scale == 0)
+    skips that row's cross term, so its output is the pure self-attention
+    summand.  A stack runs forward only and returns None for the cache.
     """
-    _check_dims(hidden, identity, w)
-    use_cross = identity is not None and scale != 0.0
+    stacked = hidden.ndim == 3
+    rows = identity if stacked else [identity]
+    _check_dims(hidden, rows, w)
     inv = 1.0 / np.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
@@ -95,11 +106,17 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     v = hidden @ w.w_value
     out, attn = softmax_attention(q, k, v, inv)
     k_id = v_id = attn_id = None
-    if use_cross:
-        k_id = identity @ w.w_key_id
-        v_id = identity @ w.w_value_id
-        cross, attn_id = softmax_attention(q, k_id, v_id, inv)
-        out = out + scale * cross
+    use_cross = False
+    # the cross term runs only for the rows that have identity tokens
+    for q_row, out_row, ident in zip(q, out, rows) if stacked else [(q, out, identity)]:
+        if ident is not None and scale != 0.0:
+            k_id = ident @ w.w_key_id
+            v_id = ident @ w.w_value_id
+            cross, attn_id = softmax_attention(q_row, k_id, v_id, inv)
+            out_row += scale * cross
+            use_cross = True
+    if stacked:
+        return out, None
 
     cache = dict(hidden=hidden, identity=identity, w=w, scale=scale, inv=inv,
                  q=q, k=k, v=v, k_id=k_id, v_id=v_id,

@@ -173,6 +173,10 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
     try:
         with open(index_path) as fh:
             index = json.load(fh)
+        seed = index["seed"]
+        # the checksum does not cover the seed; --seed takes any int, negatives too
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise PrerequisiteError(f"dataset at {ddir} has a non-integer seed {seed!r}")
         spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
         arrays = {}
@@ -182,7 +186,7 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
             arr = arrays[field] = np.empty((len(names), 3, s, s))
             for i, name in enumerate(names):
                 arr[i] = read_ppm(Path(ddir) / name)
-        dataset = Dataset(spec=spec, seed=index["seed"], **arrays)
+        dataset = Dataset(spec=spec, seed=seed, **arrays)
         checksum = index["checksum"]
         if dataset_checksum(dataset) != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")

@@ -280,13 +280,12 @@ def _build_weights(config: ModelConfig, draw) -> ModelWeights:
 
 
 def latent_to_seq(latent: np.ndarray) -> np.ndarray:
-    """(C, h, w) -> (h*w, C) row-major token order."""
-    c = latent.shape[0]
-    return latent.reshape(c, -1).T
+    """(C, h, w) -> (h*w, C) row-major token order; a leading batch axis is kept."""
+    return latent.reshape(*latent.shape[:-2], -1).swapaxes(-1, -2)
 
 
 def seq_to_latent(seq: np.ndarray, hw: int) -> np.ndarray:
-    return seq.T.reshape(-1, hw, hw)
+    return seq.swapaxes(-1, -2).reshape(*seq.shape[:-2], -1, hw, hw)
 
 
 def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
@@ -296,11 +295,27 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
     text_id None selects the reserved null-text row; identity None (or
     scale 0) skips every cross-attention summand; ctrl_seq None skips the
     control residuals.
+
+    z_seq may be a (B, seq, C) stack of latents at the one timestep `t`,
+    which runs as one batch.  A stack takes text_id, identity and ctrl_seq
+    as lists of one entry per row, and each row's prediction equals the
+    unstacked call on it bit for bit; the cross term and the control
+    residual run only for the rows that have them.  A stack runs forward
+    only: it keeps no per-block cache and returns None for the cache.
     """
     cfg = w.config
-    tid = cfg.null_text_id if text_id is None else int(text_id)
-    if not 0 <= tid <= cfg.n_text:
-        raise ValueError(f"text id {tid} outside [0, {cfg.n_text}]")
+    stacked = z_seq.ndim == 3
+    # one (text id, identity, control) entry per row; an unstacked call is one row
+    rows = list(zip(text_id, identity, ctrl_seq)) if stacked else [(text_id, identity, ctrl_seq)]
+    if stacked and len(rows) != z_seq.shape[0]:
+        raise ValueError(f"a stack of {z_seq.shape[0]} latents needs one text id, "
+                         f"identity and control entry per row")
+    tids = [cfg.null_text_id if i is None else int(i) for i, _, _ in rows]
+    for tid in tids:
+        if not 0 <= tid <= cfg.n_text:
+            raise ValueError(f"text id {tid} outside [0, {cfg.n_text}]")
+    # a (B, 1) index picks a (B, 1, d_model) text row that broadcasts over each sequence
+    tid = np.array(tids)[:, None] if stacked else tids[0]
     tfeat = time_features(t, cfg.d_time, cfg.timesteps)
     h = z_seq @ w.in_proj + w.pos_code
     caches = []
@@ -308,21 +323,24 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
         cond = tfeat @ blk.time_proj + blk.text_embed[tid]
         h1 = h + cond
         gain = 1.0 + tfeat @ blk.time_gain  # per-channel residual scale
-        ident_k = identity[k] if identity is not None else None
-        attn_out, acache = attention_forward(h1, ident_k, blk.attn, scale)
-        h2 = h1 + gain * attn_out
-        if ctrl_seq is not None:
-            fields = ctrl_seq @ blk.ctrl_proj
-            h3 = h2 + blk.ctrl_gate[0] * (gain * fields)
-        else:
-            fields = None
-            h3 = h2
+        idents = [None if ident is None else ident[k] for _, ident, _ in rows]
+        attn_out, acache = attention_forward(h1, idents if stacked else idents[0],
+                                             blk.attn, scale)
+        h3 = h1 + gain * attn_out
+        fields = None
+        for h3_row, (_, _, ctrl_row) in zip(h3 if stacked else [h3], rows):
+            if ctrl_row is not None:
+                fields = ctrl_row @ blk.ctrl_proj
+                h3_row += blk.ctrl_gate[0] * (gain * fields)
         ff_act = np.tanh(h3 @ blk.ff_w1)
         h = h3 + ff_act @ blk.ff_w2
-        caches.append(dict(tfeat=tfeat, tid=tid, acache=acache, h3=h3,
-                           gain=gain, attn_out=attn_out,
-                           fields=fields, ff_act=ff_act))
+        if not stacked:
+            caches.append(dict(tfeat=tfeat, tid=tid, acache=acache, h3=h3,
+                               gain=gain, attn_out=attn_out,
+                               fields=fields, ff_act=ff_act))
     eps_seq = h @ w.out_proj
+    if stacked:
+        return eps_seq, None
     cache = dict(w=w, z_seq=z_seq, h_final=h, ctrl_seq=ctrl_seq, caches=caches)
     return eps_seq, cache
 
@@ -418,14 +436,20 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
 def predict_eps(w: ModelWeights, z_t: np.ndarray, t: int, text_id=None,
                 identity=None, ctrl: np.ndarray | None = None,
                 scale: float = 0.0) -> np.ndarray:
-    """Noise prediction on a (C, h, w) latent; conditions are all optional."""
+    """Noise prediction on a (C, h, w) latent; conditions are all optional.
+
+    A (B, C, h, w) stack runs as one denoiser batch, with text_id, identity
+    and ctrl given per row as `denoiser_forward` describes."""
     hw = w.config.latent_hw
-    if z_t.shape != (w.config.latent_channels, hw, hw):
+    if z_t.ndim not in (3, 4) or z_t.shape[-3:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
             f"latent shape {z_t.shape} does not match config "
             f"({w.config.latent_channels}, {hw}, {hw})"
         )
-    ctrl_seq = latent_to_seq(ctrl) if ctrl is not None else None
+    if z_t.ndim == 4:
+        ctrl_seq = [None if c is None else latent_to_seq(c) for c in ctrl]
+    else:
+        ctrl_seq = latent_to_seq(ctrl) if ctrl is not None else None
     eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, text_id, identity,
                                   ctrl_seq, scale)
     return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
@@ -444,8 +468,12 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     Identity features and the frequency control signal are computed once
     from the reference image and held fixed across all steps.  Returns
     (image, info) where image is the decoded (3, H, W) float array
-    (unclamped) and info records the run inputs.  At guidance weight 1 the
-    unconditional branch would not change the result, so it is skipped.
+    (unclamped) and info records the run inputs.
+
+    A guided step runs the conditional and the unconditional branch as one
+    stacked denoiser forward, a (2, seq, d) batch.  At guidance weight 1 the
+    unconditional branch would not change the result, so it is skipped and
+    the step runs the conditional branch alone.
     """
     if not np.isfinite(guidance) or guidance < 0:
         raise ValueError(f"guidance scale must be finite and >= 0, got {guidance}")
@@ -468,11 +496,12 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     taus = sampling_timesteps(schedule.timesteps, steps)
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps_cond = predict_eps(w, z, t, text_id, identity, ctrl, identity_scale)
         if guidance == 1.0:
-            eps_hat = eps_cond
+            eps_hat = predict_eps(w, z, t, text_id, identity, ctrl, identity_scale)
         else:
-            eps_uncond = predict_eps(w, z, t, None, None, None, 0.0)
+            eps_cond, eps_uncond = predict_eps(w, np.stack([z, z]), t, [text_id, None],
+                                               [identity, None], [ctrl, None],
+                                               identity_scale)
             eps_hat = cfg_combine(eps_cond, eps_uncond, guidance)
         z = ddim_step(z, eps_hat, t, t_prev, schedule)
 

@@ -89,9 +89,10 @@ class RngState:
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with row-max subtraction for overflow stability."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # the one temporary: exp and divide in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def assert_all_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -10,11 +10,12 @@ import pytest
 
 from freqbooth import training
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.dct_freq import MaskKind
+from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (cfg_combine, ddim_step, init_weights, linear_schedule,
                                  predict_eps, sampling_timesteps)
 from freqbooth.netpbm import quantize
-from freqbooth.reference_encoder import build_encoders, decode_latent, reference_forward
+from freqbooth.reference_encoder import (build_encoders, decode_latent, encode_latent,
+                                         reference_forward)
 from freqbooth.training import ToyDatasetSpec, TrainConfig, generate_dataset, train
 
 SMALL_SPEC = ToyDatasetSpec(n_identities=4, n_contexts=2, image_size=8,
@@ -80,21 +81,25 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
 
 
 def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,
-                       text_id=None, identity_scale=0.0):
-    """`sample` at guidance weight 1, written out by hand with both guidance
-    branches evaluated: conditional and unconditional `predict_eps`, then
-    `cfg_combine(..., 1.0)` and `ddim_step`, then the decode."""
+                       text_id=None, identity_scale=0.0, guidance=1.0, mask_kind=None):
+    """`sample` written out by hand with both guidance branches evaluated
+    on their own: conditional and unconditional `predict_eps` on the one
+    latent, then `cfg_combine(..., guidance)` and `ddim_step`, then the
+    decode."""
     cfg = weights.config
     identity = None
     if ref_img is not None and identity_scale != 0.0:
         identity = reference_forward(ref_img, weights.projection, weights.id_heads(), enc)
+    ctrl = None
+    if mask_kind is not None:
+        ctrl = make_control_signal(encode_latent(ref_img, enc), mask_kind)
     z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
     taus = sampling_timesteps(schedule.timesteps, steps)
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps_cond = predict_eps(weights, z, t, text_id, identity, None, identity_scale)
+        eps_cond = predict_eps(weights, z, t, text_id, identity, ctrl, identity_scale)
         eps_uncond = predict_eps(weights, z, t, None, None, None, 0.0)
-        z = ddim_step(z, cfg_combine(eps_cond, eps_uncond, 1.0), t, t_prev, schedule)
+        z = ddim_step(z, cfg_combine(eps_cond, eps_uncond, guidance), t, t_prev, schedule)
     return decode_latent(z, enc)
 
 

@@ -71,6 +71,15 @@ def test_train_config_accepts_the_fields_the_benchmark_passes():
     assert passed <= {f.name for f in dataclasses.fields(TrainConfig)}
 
 
+def test_sample_accepts_the_keywords_the_benchmark_passes():
+    passed = {kw.arg for node in ast.walk(TREE)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "sample"
+              for kw in node.keywords}
+    assert passed, "bench/run.py calls no sample()"
+    assert passed <= set(inspect.signature(diffusion.sample).parameters)
+
+
 WALK = next(node for node in TREE.body
             if isinstance(node, ast.ClassDef) and node.name == "CliWalkthrough")
 

@@ -561,7 +561,7 @@ def poison(path):
                                   "tampered-checkpoint", "checkpoint-without-checksums",
                                   "non-finite-checkpoint", "schema-2-checkpoint",
                                   "dataset-missing-ppm", "truncated-index",
-                                  "dataset-checksum-mismatch"])
+                                  "dataset-checksum-mismatch", "dataset-non-integer-seed"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -583,6 +583,9 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         (data / "train_0003.ppm").unlink()
     elif case == "dataset-checksum-mismatch":
         shutil.copy(data / "train_0004.ppm", data / "train_0003.ppm")
+    elif case == "dataset-non-integer-seed":
+        index = read_json(data / "index.json")
+        (data / "index.json").write_text(json.dumps({**index, "seed": "not a seed"}))
     else:
         truncate(data / "index.json")
     out = tmp_path / "out"
@@ -597,6 +600,8 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         assert "parameter in_proj is not finite" in err
     if case == "dataset-checksum-mismatch":
         assert "does not match its index checksum" in err
+    if case == "dataset-non-integer-seed":
+        assert "non-integer seed 'not a seed'" in err
     if case == "schema-2-checkpoint":
         assert "checkpoint schema 2 unsupported (expected 3)" in err
         assert "TypeError" not in err

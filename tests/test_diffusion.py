@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from freqbooth.config import tiny_config
-from freqbooth.dct_freq import MaskKind
+from freqbooth.dct_freq import MaskKind, make_control_signal
 import freqbooth.diffusion
-from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, forward_noise,
-                                 init_weights, latent_to_seq, linear_schedule,
-                                 predict_eps, sample, sampling_timesteps,
-                                 seq_to_latent)
-from freqbooth.reference_encoder import build_encoders
+from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_forward,
+                                 forward_noise, init_weights, latent_to_seq,
+                                 linear_schedule, predict_eps, sample,
+                                 sampling_timesteps, seq_to_latent)
+from freqbooth.reference_encoder import build_encoders, encode_latent, reference_forward
 from freqbooth.tensor_core import RngState
 from conftest import both_branch_sample
 
@@ -316,6 +316,52 @@ def test_unit_guidance_equals_the_both_branch_loop(cfg, schedule, enc):
     assert np.array_equal(fast, slow)
 
 
+@pytest.fixture(scope="module")
+def live_toy_weights(toy_cfg):
+    """Toy-sized weights whose control gates and time gains are non-zero, so
+    the control residual and the residual gain act in every block."""
+    weights = init_weights(toy_cfg, 15)
+    draw = RngState(15).derive("live")
+    for blk in weights.blocks:
+        blk.ctrl_gate[0] = 0.7
+        blk.time_gain[...] = 0.2 * draw.normal(blk.time_gain.shape)
+    return weights
+
+
+@pytest.mark.parametrize("mask_kind", [None, MaskKind.LOW])
+@pytest.mark.parametrize("identity_scale", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("guidance", [0.0, 2.0, 3.0])
+def test_stacked_guidance_equals_the_both_branch_loop(live_toy_weights, toy_enc, guidance,
+                                                      identity_scale, mask_kind):
+    weights = live_toy_weights
+    schedule = linear_schedule(weights.config.timesteps)
+    kw = dict(ref_img=make_ref(weights.config, 16), text_id=1, identity_scale=identity_scale)
+    fast, _ = sample(weights, toy_enc, schedule, RngState(17), steps=3, guidance=guidance,
+                     mask_kind=mask_kind, **kw)
+    slow = both_branch_sample(weights, toy_enc, schedule, RngState(17), 3, guidance=guidance,
+                              mask_kind=mask_kind, **kw)
+    assert np.array_equal(fast, slow)
+
+
+def test_a_guided_step_runs_one_denoiser_forward(cfg, schedule, enc, monkeypatch):
+    calls = {"denoiser_forward": 0, "reference_forward": 0}
+
+    def counting(name):
+        real = getattr(freqbooth.diffusion, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(freqbooth.diffusion, name, counted)
+
+    counting("denoiser_forward")
+    counting("reference_forward")
+    weights = init_weights(cfg, 18)
+    sample(weights, enc, schedule, RngState(2), ref_img=make_ref(cfg, 5), text_id=0,
+           steps=5, guidance=3.0, identity_scale=0.4)
+    assert calls == {"denoiser_forward": 5, "reference_forward": 1}
+
+
 def test_control_conditioning_requires_a_reference(cfg, schedule, enc):
     weights = init_weights(cfg, 11)
     with pytest.raises(ValueError, match="reference"):
@@ -352,3 +398,20 @@ def test_schedule_config_mismatch_is_rejected(cfg, enc):
     weights = init_weights(cfg, 12)
     with pytest.raises(ValueError, match="schedule"):
         sample(weights, enc, linear_schedule(cfg.timesteps + 1), RngState(8), steps=2)
+
+
+def test_a_stack_equals_its_rows_and_keeps_no_cache(live_toy_weights, toy_enc):
+    weights = live_toy_weights
+    cfg = weights.config
+    ref = make_ref(cfg, 19)
+    feats = reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
+    ctrl = latent_to_seq(make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW))
+    rows = [(0, feats, ctrl), (None, None, None), (2, None, ctrl), (3, feats, None)]
+    z = np.stack([latent_to_seq(rand_latent(cfg, 20 + i)) for i in range(len(rows))])
+    stacked, cache = denoiser_forward(weights, z, 37, *map(list, zip(*rows)), 0.6)
+    assert cache is None
+    for i, (text_id, identity, ctrl_seq) in enumerate(rows):
+        alone, _ = denoiser_forward(weights, z[i], 37, text_id, identity, ctrl_seq, 0.6)
+        assert np.array_equal(stacked[i], alone), i
+    with pytest.raises(ValueError, match="one text id, identity and control entry per row"):
+        denoiser_forward(weights, z, 37, [0, None], [None, None], [None, None], 0.6)
