@@ -12,11 +12,14 @@ plain self-attention bitwise.
 Both terms, and the reference branch's identity pooler, are one single-head
 kernel: `softmax_attention` and its backward `softmax_attention_backward`.
 
-Forward passes return a cache consumed by the matching backward pass.  The
-backward takes three flags, one per group of gradients: the self-term
-projections, the identity cross term (its two projections and the identity
-input), and the hidden input.  It computes only those groups and is
-validated against central finite differences in the test suite.
+Adaptive attention runs on a (B, seq, d_model) stack of hidden sequences,
+one identity entry per row; a single sequence is a one-row stack.  The
+forward returns a cache consumed by the matching backward pass, which sums
+each weight gradient over the rows in row order.  The backward takes three
+flags, one per group of gradients: the self-term projections, the identity
+cross term (its two projections and the identity input), and the hidden
+input.  It computes only those groups and is validated against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import softmax_rows
+from .tensor_core import row_index, row_summed_grad, softmax_rows
 
 
 @dataclass
@@ -45,22 +48,22 @@ def check_identity_scale(value: float) -> float:
     return value
 
 
-def _check_dims(hidden, rows, w):
-    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1]:
+def _check_dims(hidden, identity, w):
+    if hidden.ndim != 3 or 0 in hidden.shape[:-1]:
         raise ValueError(
-            f"hidden sequence must be a nonempty matrix or stack of them, got {hidden.shape}")
+            f"hidden sequences must be a nonempty (B, seq, d_model) stack, got {hidden.shape}")
     if hidden.shape[-1] != w.w_query.shape[0]:
         raise ValueError(
             f"query projection mismatch: hidden dim {hidden.shape[-1]} "
             f"vs w_query rows {w.w_query.shape[0]}"
         )
-    if hidden.ndim == 3 and len(rows) != hidden.shape[0]:
+    if len(identity) != hidden.shape[0]:
         raise ValueError(f"a stack of {hidden.shape[0]} rows needs as many identity "
-                         f"entries, got {len(rows)}")
-    for identity in rows:
-        if identity is not None and identity.shape[1] != w.w_key_id.shape[0]:
+                         f"entries, got {len(identity)}")
+    for ident in identity:
+        if ident is not None and ident.shape[1] != w.w_key_id.shape[0]:
             raise ValueError(
-                f"identity key projection mismatch: token dim {identity.shape[1]} "
+                f"identity key projection mismatch: token dim {ident.shape[1]} "
                 f"vs w_key_id rows {w.w_key_id.shape[0]}"
             )
 
@@ -75,65 +78,60 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
 def softmax_attention_backward(do: np.ndarray, q: np.ndarray, k: np.ndarray,
                                v: np.ndarray, a: np.ndarray, inv: float,
                                need_dq: bool):
-    """Backward of softmax_attention given its weights `a`; returns
-    (dq, dk, dv), with dq None unless `need_dq`."""
-    da = do @ v.T
-    dv = a.T @ do
-    ds = a * (da - (da * a).sum(axis=1, keepdims=True))  # gradient wrt the logits
+    """Backward of softmax_attention given its weights `a` (leading axes, if
+    any, are batch axes); returns (dq, dk, dv), dq None unless `need_dq`."""
+    da = do @ v.swapaxes(-1, -2)
+    dv = a.swapaxes(-1, -2) @ do
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True))  # gradient wrt the logits
     dq = ds @ k * inv if need_dq else None
-    dk = ds.T @ q * inv
+    dk = ds.swapaxes(-1, -2) @ q * inv
     return dq, dk, dv
 
 
 def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
                       scale: float):
-    """Run adaptive attention; returns (output, cache-for-backward).
+    """Run adaptive attention on a (B, seq, d_model) stack of hidden
+    sequences; returns (output, cache-for-backward).
 
-    `hidden` is one (seq, d_model) sequence, or a (B, seq, d_model) stack
-    that runs as one batch; each row of a stack equals the unstacked call
-    on it bit for bit.  `identity` is an (n_tokens, d_id) matrix or None,
-    and for a stack a list of one such entry per row.  None (or scale == 0)
-    skips that row's cross term, so its output is the pure self-attention
-    summand.  A stack runs forward only and returns None for the cache.
+    `identity` holds one entry per row: an (n_tokens, d_id) matrix or None.
+    None (or scale == 0) skips that row's cross term, so its output is the
+    pure self-attention summand.  Each row of the output equals a one-row
+    call on it bit for bit.
     """
-    stacked = hidden.ndim == 3
-    rows = identity if stacked else [identity]
-    _check_dims(hidden, rows, w)
+    _check_dims(hidden, identity, w)
     inv = 1.0 / np.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
     k = hidden @ w.w_key
     v = hidden @ w.w_value
     out, attn = softmax_attention(q, k, v, inv)
-    k_id = v_id = attn_id = None
-    use_cross = False
-    # the cross term runs only for the rows that have identity tokens
-    for q_row, out_row, ident in zip(q, out, rows) if stacked else [(q, out, identity)]:
-        if ident is not None and scale != 0.0:
-            k_id = ident @ w.w_key_id
-            v_id = ident @ w.w_value_id
-            cross, attn_id = softmax_attention(q_row, k_id, v_id, inv)
-            out_row += scale * cross
-            use_cross = True
-    if stacked:
-        return out, None
-
-    cache = dict(hidden=hidden, identity=identity, w=w, scale=scale, inv=inv,
-                 q=q, k=k, v=v, k_id=k_id, v_id=v_id,
-                 attn=attn, attn_id=attn_id, use_cross=use_cross)
+    # the cross term runs only for the rows that have identity tokens, as one sub-stack
+    rows = row_index([i for i, x in enumerate(identity) if x is not None and scale != 0.0])
+    ident = k_id = v_id = attn_id = None
+    if rows:
+        ident = np.array([x for x in identity if x is not None])
+        k_id = ident @ w.w_key_id
+        v_id = ident @ w.w_value_id
+        cross, attn_id = softmax_attention(q[rows], k_id, v_id, inv)
+        out[rows] += scale * cross
+    cache = dict(hidden=hidden, rows=rows, ident=ident, w=w, scale=scale, inv=inv,
+                 q=q, k=k, v=v, k_id=k_id, v_id=v_id, attn=attn, attn_id=attn_id)
     return out, cache
 
 
 def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: bool,
                        need_dhidden: bool):
-    """Backward pass; returns (dhidden, didentity, grads dict).
+    """Backward pass over the forward's stack; returns (dhidden, didentity,
+    grads dict).
 
     `self_grads` asks for the self-term projections (w_query, w_key,
     w_value), `cross_grads` for the identity projections (w_key_id,
     w_value_id) and the identity input, and `need_dhidden` for the hidden
     input.  grads holds only the projections asked for that the forward
-    used: the identity projections and didentity are absent (None) when the
-    cross term was skipped, and dhidden is None unless asked for.
+    used, each summed over the rows in row order: the identity projections
+    are absent when no row ran the cross term.  didentity is a list of one
+    entry per row, None unless the identity input is asked for and that
+    row ran the cross term; dhidden is None unless asked for.
 
     Only what those gradients depend on runs.  The self-attention term and
     the query gradient run for `self_grads` or `need_dhidden`; without them
@@ -141,32 +139,34 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
     computed sums in the same order as in the full backward (every flag set).
     """
     w: AdaptiveAttentionWeights = cache["w"]
-    hidden, identity = cache["hidden"], cache["identity"]
+    hidden, rows, ident = cache["hidden"], cache["rows"], cache["ident"]
     inv, scale = cache["inv"], cache["scale"]
     q, k, v = cache["q"], cache["k"], cache["v"]
-    k_id, v_id = cache["k_id"], cache["v_id"]
     self_term = self_grads or need_dhidden
     # the query gradient takes a share from the cross term too
-    cross_term = cache["use_cross"] and (self_term or cross_grads)
+    cross_term = bool(rows) and (self_term or cross_grads)
 
     if self_term:
         dq, dk, dv = softmax_attention_backward(dout, q, k, v, cache["attn"], inv,
                                                 need_dq=True)
     if cross_term:
         dq_id, dk_id, dv_id = softmax_attention_backward(
-            scale * dout, q, k_id, v_id, cache["attn_id"], inv, need_dq=self_term)
+            scale * dout[rows], q[rows], cache["k_id"], cache["v_id"], cache["attn_id"],
+            inv, need_dq=self_term)
         if self_term:
-            dq = dq + dq_id
+            dq[rows] += dq_id
 
     grads = {}
     if self_grads:
-        grads["w_query"] = hidden.T @ dq
-        grads["w_key"] = hidden.T @ dk
-        grads["w_value"] = hidden.T @ dv
-    didentity = None
+        grads["w_query"] = row_summed_grad(hidden, dq)
+        grads["w_key"] = row_summed_grad(hidden, dk)
+        grads["w_value"] = row_summed_grad(hidden, dv)
+    didentity = [None] * len(hidden)
     if cross_grads and cross_term:
-        grads["w_key_id"] = identity.T @ dk_id
-        grads["w_value_id"] = identity.T @ dv_id
-        didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
+        grads["w_key_id"] = row_summed_grad(ident, dk_id)
+        grads["w_value_id"] = row_summed_grad(ident, dv_id)
+        dident = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
+        for i, d in zip(np.arange(len(hidden))[rows], dident):
+            didentity[i] = d
     dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T if need_dhidden else None
     return dhidden, didentity, grads

@@ -26,8 +26,8 @@ from . import __version__
 from .attention import check_identity_scale
 from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
-from .diffusion import (PARAM_SETS, forward_noise, init_weights,
-                        linear_schedule, predict_eps, sample)
+from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
+                        linear_schedule, predict_eps, sample, sampling_timesteps)
 from .netpbm import quantize, read_ppm, write_pfm, write_ppm
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
@@ -428,6 +428,7 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_ablate_masks(args) -> int:
     # before any stage-2 checkpoint is trained
     check_identity_scale(args.lam)
+    check_guidance(args.guidance)
     for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
@@ -437,6 +438,7 @@ def cmd_ablate_masks(args) -> int:
     _check_fits(dataset, stage1.config)
     enc = build_encoders(stage1.config)
     schedule = linear_schedule(stage1.config.timesteps)
+    sampling_timesteps(schedule.timesteps, args.steps)  # sample's check of --steps
 
     masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
     models = {"none": stage1}

@@ -25,13 +25,14 @@ def grid_position_codes(gh: int, gw: int, dim: int) -> np.ndarray:
     return out
 
 
-def time_features(t: int, dim: int, max_steps: int) -> np.ndarray:
-    """(dim,) sinusoidal features of an integer timestep."""
+def time_features(t, dim: int, max_steps: int) -> np.ndarray:
+    """(..., dim) sinusoidal features of an integer timestep or an array of them."""
     if dim % 2 != 0:
         raise ValueError(f"time feature dim must be even, got {dim}")
     m = dim // 2
     div = np.power(float(max(max_steps, 2)), np.arange(m) / max(m - 1, 1))
-    out = np.empty(dim)
-    out[0::2] = np.sin(t / div)
-    out[1::2] = np.cos(t / div)
+    phase = np.asarray(t)[..., None] / div
+    out = np.empty(phase.shape[:-1] + (dim,))
+    out[..., 0::2] = np.sin(phase)
+    out[..., 1::2] = np.cos(phase)
     return out

@@ -12,8 +12,11 @@ positions.  Per block:
     h <- h + tanh(h @ ff_w1) @ ff_w2
 
 with a linear in/out projection and a fixed additive position code.  Forward
-and backward passes are hand-written; the test suite checks every gradient
-against central finite differences.
+and backward passes are hand-written over a (B, seq, C) stack of latents
+with one timestep, text id, identity and control entry per row; a single
+latent is a one-row stack, and the backward sums each weight gradient over
+the rows in row order.  The test suite checks every gradient against central
+finite differences.
 
 Parameters are grouped into three sets with distinct training stages:
 `backbone` (stage 0 pretraining, frozen afterwards), `identity_adapter`
@@ -38,7 +41,7 @@ from .config import ModelConfig
 from .dct_freq import MaskKind, make_control_signal
 from .reference_encoder import (FrozenEncoders, ProjectionWeights, decode_latent,
                                 encode_latent, reference_forward)
-from .tensor_core import RngState, assert_all_finite
+from .tensor_core import RngState, assert_all_finite, row_index, row_summed_grad
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +103,12 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
         raise FloatingPointError(f"alpha_bar({t}) is zero; cannot recover x0")
     x0 = (z_t - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
     return np.sqrt(ab_p) * x0 + np.sqrt(1.0 - ab_p) * eps_hat
+
+
+def check_guidance(value: float) -> None:
+    """Validate the classifier-free guidance weight; must be finite and >= 0."""
+    if not np.isfinite(value) or value < 0:
+        raise ValueError(f"guidance scale must be finite and >= 0, got {value}")
 
 
 def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
@@ -288,91 +297,63 @@ def seq_to_latent(seq: np.ndarray, hw: int) -> np.ndarray:
     return seq.swapaxes(-1, -2).reshape(*seq.shape[:-2], -1, hw, hw)
 
 
-def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t: int,
-                     text_id, identity, ctrl_seq, scale: float):
-    """Predict noise tokens; returns (eps_seq, cache).
+def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, text_id, identity, ctrl_seq,
+                     scale: float):
+    """Predict noise tokens for a (B, seq, C) stack of latents; returns
+    (eps_seq, cache).
 
-    text_id None selects the reserved null-text row; identity None (or
-    scale 0) skips every cross-attention summand; ctrl_seq None skips the
-    control residuals.
-
-    z_seq may be a (B, seq, C) stack of latents at the one timestep `t`,
-    which runs as one batch.  A stack takes text_id, identity and ctrl_seq
-    as lists of one entry per row, and each row's prediction equals the
-    unstacked call on it bit for bit; the cross term and the control
-    residual run only for the rows that have them.  A stack runs forward
-    only: it keeps no per-block cache and returns None for the cache.
+    t, text_id, identity and ctrl_seq hold one entry per row: an integer
+    timestep; a text id, None selecting the reserved null-text row; the
+    per-block identity features, None (or scale 0) skipping every
+    cross-attention summand; the control tokens, None skipping the control
+    residuals.  Each row's prediction equals the one-row call on it bit for
+    bit; the cross term and the control residual run only for the rows that
+    have them.
     """
     cfg = w.config
-    stacked = z_seq.ndim == 3
-    # one (text id, identity, control) entry per row; an unstacked call is one row
-    rows = list(zip(text_id, identity, ctrl_seq)) if stacked else [(text_id, identity, ctrl_seq)]
-    if stacked and len(rows) != z_seq.shape[0]:
-        raise ValueError(f"a stack of {z_seq.shape[0]} latents needs one text id, "
+    if not len(t) == len(text_id) == len(identity) == len(ctrl_seq) == len(z_seq):
+        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep, text id, "
                          f"identity and control entry per row")
-    tids = [cfg.null_text_id if i is None else int(i) for i, _, _ in rows]
+    tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
     for tid in tids:
         if not 0 <= tid <= cfg.n_text:
             raise ValueError(f"text id {tid} outside [0, {cfg.n_text}]")
-    # a (B, 1) index picks a (B, 1, d_model) text row that broadcasts over each sequence
-    tid = np.array(tids)[:, None] if stacked else tids[0]
-    tfeat = time_features(t, cfg.d_time, cfg.timesteps)
+    # one (1, d_time) matrix per row: a (B, d_time) GEMM would change the bits
+    tfeat = time_features(t, cfg.d_time, cfg.timesteps)[:, None, :]
+    crows = row_index([i for i, c in enumerate(ctrl_seq) if c is not None])
+    ctrl = np.array([c for c in ctrl_seq if c is not None]) if crows else None
     h = z_seq @ w.in_proj + w.pos_code
     caches = []
     for k, blk in enumerate(w.blocks):
-        cond = tfeat @ blk.time_proj + blk.text_embed[tid]
-        h1 = h + cond
+        # one (1, d_model) text row per sequence broadcasts over its tokens
+        h1 = h + (tfeat @ blk.time_proj + blk.text_embed[tids][:, None])
         gain = 1.0 + tfeat @ blk.time_gain  # per-channel residual scale
-        idents = [None if ident is None else ident[k] for _, ident, _ in rows]
-        attn_out, acache = attention_forward(h1, idents if stacked else idents[0],
-                                             blk.attn, scale)
+        attn_out, acache = attention_forward(
+            h1, [None if ident is None else ident[k] for ident in identity], blk.attn, scale)
         h3 = h1 + gain * attn_out
-        fields = None
-        for h3_row, (_, _, ctrl_row) in zip(h3 if stacked else [h3], rows):
-            if ctrl_row is not None:
-                fields = ctrl_row @ blk.ctrl_proj
-                h3_row += blk.ctrl_gate[0] * (gain * fields)
+        fields = ctrl @ blk.ctrl_proj if crows else None
+        if crows:
+            h3[crows] += blk.ctrl_gate[0] * (gain[crows] * fields)
         ff_act = np.tanh(h3 @ blk.ff_w1)
         h = h3 + ff_act @ blk.ff_w2
-        if not stacked:
-            caches.append(dict(tfeat=tfeat, tid=tid, acache=acache, h3=h3,
-                               gain=gain, attn_out=attn_out,
-                               fields=fields, ff_act=ff_act))
-    eps_seq = h @ w.out_proj
-    if stacked:
-        return eps_seq, None
-    cache = dict(w=w, z_seq=z_seq, h_final=h, ctrl_seq=ctrl_seq, caches=caches)
-    return eps_seq, cache
-
-
-def _set_flags(sets) -> tuple[bool, bool, bool]:
-    """(backbone, identity_adapter, control): which of PARAM_SETS `sets` names."""
-    sets = frozenset(sets)
-    if not sets <= frozenset(PARAM_SETS):
-        raise ValueError(f"unknown parameter sets {sorted(sets - frozenset(PARAM_SETS))}")
-    return tuple(s in sets for s in PARAM_SETS)
-
-
-def reaches(cache, sets) -> bool:
-    """Whether the forward in `cache` gives any parameter of `sets` (names in
-    PARAM_SETS) a gradient: the backbone always, the identity adapter when
-    the cross term ran (in every block or in none), the control set when a
-    control signal was given.  Without one, the backward can be skipped."""
-    backbone, identity, control = _set_flags(sets)
-    cross = any(c["acache"]["use_cross"] for c in cache["caches"])
-    return backbone or (identity and cross) or (control and cache["ctrl_seq"] is not None)
+        caches.append(dict(acache=acache, h3=h3, gain=gain, attn_out=attn_out,
+                           fields=fields, ff_act=ff_act))
+    cache = dict(w=w, z_seq=z_seq, tfeat=tfeat, tids=tids, h_final=h, crows=crows,
+                 ctrl=ctrl, caches=caches)
+    return h @ w.out_proj, cache
 
 
 def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     """Gradients of the parameter sets named in `sets` (names in PARAM_SETS)
-    plus the identity features.
+    plus the identity features, over the forward's stack.
 
-    Returns (grads, didentity).  grads maps registry names to gradients, for
-    every parameter of those sets that the forward used: the control set
-    only with a control signal, the identity projections only where the
-    cross term ran.  didentity is a per-block list of the identity-feature
-    gradients, None unless the identity adapter is asked for and the cross
-    term ran.  The full backward is the call with every set.
+    Returns (grads, didentity).  grads maps registry names to gradients,
+    each summed over the rows in row order, for every parameter of those
+    sets that the forward used: the control set only with a control signal,
+    the identity projections only where the cross term ran.  didentity[k][i]
+    is block k's identity-feature gradient for row i, None unless the
+    identity adapter is asked for and that row ran the cross term.  The
+    full backward is the call with every set.
 
     Each weight-gradient product runs only under its set's flag, and the
     activation gradient goes below block 0's attention only for the
@@ -380,13 +361,16 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     computed sums in the same order as in the full backward, so each equals
     the full backward's entry bit for bit.
     """
+    sets = frozenset(sets)
+    if not sets <= frozenset(PARAM_SETS):
+        raise ValueError(f"unknown parameter sets {sorted(sets - frozenset(PARAM_SETS))}")
+    backbone, identity, control = (s in sets for s in PARAM_SETS)
     w: ModelWeights = cache["w"]
-    ctrl_seq = cache["ctrl_seq"]
-    backbone, identity, control = _set_flags(sets)
+    crows, tfeat = cache["crows"], cache["tfeat"]
     grads: dict[str, np.ndarray] = {}
-    didentity: list = [None] * len(w.blocks)
+    didentity = [[None] * len(deps_seq) for _ in w.blocks]
     if backbone:
-        grads["out_proj"] = cache["h_final"].T @ deps_seq
+        grads["out_proj"] = row_summed_grad(cache["h_final"], deps_seq)
     dh = deps_seq @ w.out_proj.T
 
     for k in reversed(range(len(w.blocks))):
@@ -396,21 +380,23 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
         # feed-forward residual
         dff_pre = (dh @ blk.ff_w2.T) * (1.0 - c["ff_act"] ** 2)
         if backbone:
-            grads[p + "ff_w2"] = c["ff_act"].T @ dh
-            grads[p + "ff_w1"] = c["h3"].T @ dff_pre
+            grads[p + "ff_w2"] = row_summed_grad(c["ff_act"], dh)
+            grads[p + "ff_w1"] = row_summed_grad(c["h3"], dff_pre)
         dh3 = dh + dff_pre @ blk.ff_w1.T
         # control residual (scaled by the shared time gain)
         gain, fields = c["gain"], c["fields"]
-        if control and fields is not None:
-            grads[p + "ctrl_gate"] = np.array([np.sum(dh3 * (gain * fields))])
-            grads[p + "ctrl_proj"] = ctrl_seq.T @ (blk.ctrl_gate[0] * (gain * dh3))
+        if control and crows:
+            grads[p + "ctrl_gate"] = np.array(
+                [sum(np.sum(x) for x in dh3[crows] * (gain[crows] * fields))])
+            grads[p + "ctrl_proj"] = row_summed_grad(
+                cache["ctrl"], blk.ctrl_gate[0] * (gain[crows] * dh3[crows]))
         dh2 = dh3
         # the gain scales both the control and the attention residual
         if backbone:
-            dgain = (np.zeros(gain.shape[0]) if fields is None
-                     else blk.ctrl_gate[0] * (dh3 * fields).sum(axis=0))
-            dgain += (dh2 * c["attn_out"]).sum(axis=0)
-            grads[p + "time_gain"] = np.outer(c["tfeat"], dgain)
+            dgain = (dh2 * c["attn_out"]).sum(axis=1)
+            if crows:
+                dgain[crows] += blk.ctrl_gate[0] * (dh3[crows] * fields).sum(axis=1)
+            grads[p + "time_gain"] = (tfeat.swapaxes(-1, -2) * dgain[:, None, :]).sum(axis=0)
         # adaptive attention residual
         if need_dh1 or identity:
             dh1_attn, didentity[k], agrads = attention_backward(
@@ -421,38 +407,40 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
         if not need_dh1:
             break  # block 0 without the backbone: nothing needs its input gradient
         dh = dh2 + dh1_attn
-        # timestep / text conditioning (broadcast add over the sequence)
+        # timestep / text conditioning (broadcast add over each sequence)
         if backbone:
-            dcond = dh.sum(axis=0)
-            grads[p + "time_proj"] = np.outer(c["tfeat"], dcond)
-            demb = np.zeros(blk.text_embed.shape)  # only the used row is nonzero
-            demb[c["tid"]] = dcond
+            dcond = dh.sum(axis=1)
+            grads[p + "time_proj"] = (tfeat.swapaxes(-1, -2) * dcond[:, None, :]).sum(axis=0)
+            demb = np.zeros(blk.text_embed.shape)  # only the used rows are nonzero
+            np.add.at(demb, cache["tids"], dcond)
             grads[p + "text_embed"] = demb
     if backbone:
-        grads["in_proj"] = cache["z_seq"].T @ dh
+        grads["in_proj"] = row_summed_grad(cache["z_seq"], dh)
     return grads, didentity
 
 
-def predict_eps(w: ModelWeights, z_t: np.ndarray, t: int, text_id=None,
+def predict_eps(w: ModelWeights, z_t: np.ndarray, t, text_id=None,
                 identity=None, ctrl: np.ndarray | None = None,
                 scale: float = 0.0) -> np.ndarray:
     """Noise prediction on a (C, h, w) latent; conditions are all optional.
 
-    A (B, C, h, w) stack runs as one denoiser batch, with text_id, identity
-    and ctrl given per row as `denoiser_forward` describes."""
+    A (B, C, h, w) stack runs as one denoiser batch, with t, text_id,
+    identity and ctrl given as lists of one entry per row, as
+    `denoiser_forward` describes; a single latent is a one-row stack."""
     hw = w.config.latent_hw
     if z_t.ndim not in (3, 4) or z_t.shape[-3:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
             f"latent shape {z_t.shape} does not match config "
             f"({w.config.latent_channels}, {hw}, {hw})"
         )
-    if z_t.ndim == 4:
-        ctrl_seq = [None if c is None else latent_to_seq(c) for c in ctrl]
-    else:
-        ctrl_seq = latent_to_seq(ctrl) if ctrl is not None else None
-    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, text_id, identity,
-                                  ctrl_seq, scale)
-    return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
+    one = z_t.ndim == 3
+    if one:
+        z_t, t, text_id, identity, ctrl = z_t[None], [t], [text_id], [identity], [ctrl]
+    ctrl_seq = [None if c is None else latent_to_seq(c) for c in ctrl]
+    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, text_id, identity, ctrl_seq,
+                                  scale)
+    eps = assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
+    return eps[0] if one else eps
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +463,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     unconditional branch would not change the result, so it is skipped and
     the step runs the conditional branch alone.
     """
-    if not np.isfinite(guidance) or guidance < 0:
-        raise ValueError(f"guidance scale must be finite and >= 0, got {guidance}")
+    check_guidance(guidance)
     check_identity_scale(identity_scale)
     cfg = w.config
     if schedule.timesteps != cfg.timesteps:
@@ -499,7 +486,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
         if guidance == 1.0:
             eps_hat = predict_eps(w, z, t, text_id, identity, ctrl, identity_scale)
         else:
-            eps_cond, eps_uncond = predict_eps(w, np.stack([z, z]), t, [text_id, None],
+            eps_cond, eps_uncond = predict_eps(w, np.stack([z, z]), [t, t], [text_id, None],
                                                [identity, None], [ctrl, None],
                                                identity_scale)
             eps_hat = cfg_combine(eps_cond, eps_uncond, guidance)

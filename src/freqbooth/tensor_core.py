@@ -95,6 +95,17 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
+def row_index(rows: list[int]):
+    """Index of `rows` of a stack: a slice (a view) for one contiguous run, else the list."""
+    return slice(rows[0], rows[-1] + 1) if rows and rows[-1] - rows[0] < len(rows) else rows
+
+
+def row_summed_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Weight gradient of y = x @ W over (B, n, .) stacks: per-row GEMMs
+    x_b^T dy_b summed in row order (one flattened GEMM would change the bits)."""
+    return (x.swapaxes(-1, -2) @ dy).sum(axis=0)
+
+
 def assert_all_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     """Raise FloatingPointError if `x` contains NaN or Inf."""
     if not np.isfinite(x).all():

@@ -32,7 +32,7 @@ from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
-                        latent_to_seq, linear_schedule, reaches)
+                        latent_to_seq, linear_schedule)
 from .netpbm import quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
@@ -301,43 +301,41 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
     """Mean-squared noise-prediction error and analytic gradients of the
     stage's trainable set.
 
-    The backward differentiates only that set (see `denoiser_backward`); an
-    example whose forward gives none of it a gradient (in stage 1, one
-    whose conditioning was dropped) skips its backward.  `compute_grads=False`
-    skips every backward and returns an empty gradient dict.
+    The batch runs as one stacked denoiser forward and one backward, which
+    differentiates only that set (see `denoiser_backward`); the reference
+    branch runs per example.  `compute_grads=False` skips the backward and
+    returns an empty gradient dict.
     """
-    sets = (STAGE_SETS[stage],)
-    names = weights.names_in_set(STAGE_SETS[stage])
-    params = weights.params()
-    acc = {name: np.zeros_like(params[name]) for name in names} if compute_grads else {}
     n = len(prepared)
-    total = 0.0
-    for ex in prepared:
-        feats = rcache = None
+    feats, rcaches = [None] * n, [None] * n
+    for i, ex in enumerate(prepared):
         if ex.ref is not None and identity_scale != 0.0:
-            feats, rcache = reference_forward_train(ex.ref, weights.projection,
-                                                    weights.id_heads(), enc)
-        ctrl_seq = latent_to_seq(ex.ctrl) if ex.ctrl is not None else None
-        pred_seq, dcache = denoiser_forward(weights, latent_to_seq(ex.z_t),
-                                            ex.t, ex.text_id, feats, ctrl_seq,
-                                            identity_scale)
-        diff = pred_seq - latent_to_seq(ex.eps)
-        total += float(np.mean(diff ** 2))
-        if not compute_grads or not reaches(dcache, sets):
-            continue
-        deps = (2.0 / (diff.size * n)) * diff
-        grads, didentity = denoiser_backward(deps, dcache, sets)
-        for name, g in grads.items():
-            acc[name] += g
+            feats[i], rcaches[i] = reference_forward_train(ex.ref, weights.projection,
+                                                           weights.id_heads(), enc)
+    pred_seq, dcache = denoiser_forward(
+        weights, latent_to_seq(np.stack([ex.z_t for ex in prepared])),
+        [ex.t for ex in prepared], [ex.text_id for ex in prepared], feats,
+        [None if ex.ctrl is None else latent_to_seq(ex.ctrl) for ex in prepared],
+        identity_scale)
+    diff = pred_seq - latent_to_seq(np.stack([ex.eps for ex in prepared]))
+    loss = sum(float(np.mean(d ** 2)) for d in diff) / n
+    if not compute_grads:
+        return loss, {}
+    sets = (STAGE_SETS[stage],)
+    grads, didentity = denoiser_backward((2.0 / (diff[0].size * n)) * diff, dcache, sets)
+    params = weights.params()
+    acc = {name: grads.get(name, np.zeros_like(params[name]))
+           for name in weights.names_in_set(sets[0])}
+    for i, rcache in enumerate(rcaches):
         if rcache is not None and "identity_adapter" in sets:
-            # the cross term ran in every block, so every didentity is set
-            rgrads = reference_backward(didentity, rcache)
+            # the cross term ran in every block for this row, so each didentity is set
+            rgrads = reference_backward([d[i] for d in didentity], rcache)
             acc["proj.queries"] += rgrads["queries"]
             acc["proj.w_key"] += rgrads["w_key"]
             acc["proj.w_value"] += rgrads["w_value"]
             for k, dh in enumerate(rgrads["heads"]):
                 acc[f"blocks.{k}.id_head"] += dh
-    return total / n, acc
+    return loss, acc
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ def naive_adaptive(hidden, identity, w, lam):
 
 
 def forward(hidden, identity, w, lam):
-    return attention_forward(hidden, identity, w, lam)[0]
+    """The output for one sequence, run as a one-row stack."""
+    return attention_forward(hidden[None], [identity], w, lam)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +136,11 @@ def test_gradients_match_finite_differences():
     dout = rng.normal(size=(3, 4))
 
     def objective():
-        out, _ = attention_forward(hidden, identity, w, scale)
-        return float(np.sum(out * dout))
+        return float(np.sum(forward(hidden, identity, w, scale) * dout))
 
-    out, cache = attention_forward(hidden, identity, w, scale)
-    dhidden, didentity, grads = attention_backward(dout, cache, self_grads=True,
-                                                   cross_grads=True, need_dhidden=True)
+    _, cache = attention_forward(hidden[None], [identity], w, scale)
+    (dhidden,), (didentity,), grads = attention_backward(
+        dout[None], cache, self_grads=True, cross_grads=True, need_dhidden=True)
 
     step = 1e-6
     tol = 1e-4
@@ -170,9 +170,9 @@ def test_backward_omits_identity_grads_when_skipped():
     rng = np.random.default_rng(6)
     w = make_weights(rng, 4, 3)
     hidden = rng.normal(size=(3, 4))
-    _, cache = attention_forward(hidden, None, w, 0.0)
-    dhidden, didentity, grads = attention_backward(
-        rng.normal(size=(3, 4)), cache, self_grads=True, cross_grads=True,
+    _, cache = attention_forward(hidden[None], [None], w, 0.0)
+    (dhidden,), (didentity,), grads = attention_backward(
+        rng.normal(size=(1, 3, 4)), cache, self_grads=True, cross_grads=True,
         need_dhidden=True)
     assert didentity is None
     assert sorted(grads) == ["w_key", "w_query", "w_value"]

@@ -644,6 +644,11 @@ def test_commands_without_a_checkpoint_reject_the_option(argv, tmp_path):
     (("sweep-lambda", "--checkpoint", "{pipe}/checkpoint_stage1.json"), 3),
     (("ablate-masks", "--data-dir", "{pipe}/dataset",
       "--checkpoint", "{pipe}/checkpoint_stage0.json"), 3),
+    # sample's own checks, before a missing stage-2 checkpoint is trained
+    *[pytest.param(("ablate-masks", "--data-dir", "{pipe}/dataset",
+                    "--checkpoint", "{pipe}/checkpoint_stage1.json", "--train-steps", 1,
+                    flag, value), 2, id=f"ablate-masks{flag}={value}")
+      for flag, value in (("--steps", 0), ("--guidance", -1), ("--guidance", "nan"))],
     (("gradcheck", "--stage", 7), 2),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
 def test_a_failing_command_creates_no_out_dir(pipe, tmp_path, argv, code):

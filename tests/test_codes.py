@@ -31,6 +31,12 @@ def test_time_features_determinism_and_range():
     assert np.array_equal(a, time_features(17, 8, 200))
     assert np.max(np.abs(a)) <= 1.0
     assert not np.array_equal(a, time_features(18, 8, 200))
+    # an array of timesteps gives one row per timestep, each bit-equal to its own call
+    ts = np.array([17, 0, 200, 93, 17])
+    rows = time_features(ts, 8, 200)
+    assert rows.shape == (5, 8)
+    for t, row in zip(ts, rows):
+        assert row.tobytes() == time_features(int(t), 8, 200).tobytes()
 
 
 def test_time_features_dim_validation():

@@ -400,18 +400,21 @@ def test_schedule_config_mismatch_is_rejected(cfg, enc):
         sample(weights, enc, linear_schedule(cfg.timesteps + 1), RngState(8), steps=2)
 
 
-def test_a_stack_equals_its_rows_and_keeps_no_cache(live_toy_weights, toy_enc):
+def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, toy_enc):
     weights = live_toy_weights
     cfg = weights.config
     ref = make_ref(cfg, 19)
     feats = reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
     ctrl = latent_to_seq(make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW))
-    rows = [(0, feats, ctrl), (None, None, None), (2, None, ctrl), (3, feats, None)]
+    rows = [(37, 0, feats, ctrl), (1, None, None, None), (120, 2, None, ctrl),
+            (200, 3, feats, None)]
     z = np.stack([latent_to_seq(rand_latent(cfg, 20 + i)) for i in range(len(rows))])
-    stacked, cache = denoiser_forward(weights, z, 37, *map(list, zip(*rows)), 0.6)
-    assert cache is None
-    for i, (text_id, identity, ctrl_seq) in enumerate(rows):
-        alone, _ = denoiser_forward(weights, z[i], 37, text_id, identity, ctrl_seq, 0.6)
-        assert np.array_equal(stacked[i], alone), i
-    with pytest.raises(ValueError, match="one text id, identity and control entry per row"):
-        denoiser_forward(weights, z, 37, [0, None], [None, None], [None, None], 0.6)
+    stacked, cache = denoiser_forward(weights, z, *map(list, zip(*rows)), 0.6)
+    assert cache is not None and len(cache["caches"]) == cfg.n_blocks
+    for i, (t, text_id, identity, ctrl_seq) in enumerate(rows):
+        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], [text_id], [identity],
+                                    [ctrl_seq], 0.6)
+        assert np.array_equal(stacked[i], alone[0]), i
+    with pytest.raises(ValueError,
+                       match="one timestep, text id, identity and control entry per row"):
+        denoiser_forward(weights, z, [37] * 2, [0, None], [None, None], [None, None], 0.6)

@@ -223,9 +223,9 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
 
 
 def full_backward_grads(weights, enc, prepared, scale):
-    """batch_loss's gradients the unrestricted way: every example runs the
-    full backward (every parameter set) and the reference backward, and
-    every parameter accumulates."""
+    """batch_loss's gradients the unrestricted way: every example runs on
+    its own as a one-row stack through the full backward (every parameter
+    set) and the reference backward, and every parameter accumulates."""
     acc = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
     for ex in prepared:
         feats = rcache = None
@@ -233,15 +233,15 @@ def full_backward_grads(weights, enc, prepared, scale):
             feats, rcache = reference_forward_train(ex.ref, weights.projection,
                                                     weights.id_heads(), enc)
         ctrl_seq = latent_to_seq(ex.ctrl) if ex.ctrl is not None else None
-        pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t), ex.t,
-                                       ex.text_id, feats, ctrl_seq, scale)
+        pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t)[None], [ex.t],
+                                       [ex.text_id], [feats], [ctrl_seq], scale)
         diff = pred - latent_to_seq(ex.eps)
         grads, didentity = denoiser_backward((2.0 / (diff.size * len(prepared))) * diff,
                                              cache, PARAM_SETS)
         for name, g in grads.items():
             acc[name] += g
         if rcache is not None:
-            rgrads = reference_backward(didentity, rcache)
+            rgrads = reference_backward([d[0] for d in didentity], rcache)
             for leaf in ("queries", "w_key", "w_value"):
                 acc[f"proj.{leaf}"] += rgrads[leaf]
             for k, dh in enumerate(rgrads["heads"]):
@@ -299,11 +299,15 @@ def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_b
         assert np.array_equal(g, full[name]), name
 
 
-def test_backward_rejects_unknown_set_names():
+def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
+    weights = random_point(tiny_cfg, 3)
+    ex, = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
+    pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t)[None], [ex.t],
+                                   [ex.text_id], [None], [latent_to_seq(ex.ctrl)], 0.0)
     # a bare string would otherwise iterate as letters and train nothing
     for sets in ("control", ("controls",)):
         with pytest.raises(ValueError, match="unknown parameter sets"):
-            diffusion.reaches({}, sets)
+            denoiser_backward(pred, cache, sets)
 
 
 def recording(monkeypatch, module, name):
@@ -327,8 +331,8 @@ def test_stage2_backward_enters_only_the_last_attention_block(monkeypatch, tiny_
     prepared = mixed_batch(tiny_cfg, tiny_enc, 2, [True] * 3, 4)
     calls = recording(monkeypatch, diffusion, "attention_backward")
     batch_loss(weights, tiny_enc, prepared, 2, 0.0)
-    # one call per example, from the last block, for its input gradient only
-    assert len(calls) == len(prepared)
+    # one call per batch, from the last block, for its input gradient only
+    assert len(calls) == 1
     last = tiny_cfg.n_blocks - 1
     for call in calls:
         assert call["cache"]["w"] is weights.blocks[last].attn
@@ -341,19 +345,30 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     weights = random_point(tiny_cfg, 5)
     kept = [True, False, False, True, False]
     prepared = mixed_batch(tiny_cfg, tiny_enc, 1, kept, 5)
+    forward_calls = recording(monkeypatch, training, "denoiser_forward")
     denoiser_calls = recording(monkeypatch, training, "denoiser_backward")
     attention_calls = recording(monkeypatch, diffusion, "attention_backward")
+    reference_calls = recording(monkeypatch, training, "reference_backward")
     batch_loss(weights, tiny_enc, prepared, 1, 0.4)
-    assert len(denoiser_calls) == sum(kept)
+    # the batch runs as one stack: one forward, one backward, and only the
+    # referenced rows run the cross term and the reference backward
+    assert len(forward_calls) == len(denoiser_calls) == 1
+    assert forward_calls[0]["z_seq"].shape[0] == len(prepared)
     assert all(call["sets"] == ("identity_adapter",) for call in denoiser_calls)
     # block 1 passes its input gradient down; block 0 runs the cross term only
     flags = [(call["self_grads"], call["cross_grads"], call["need_dhidden"])
              for call in attention_calls]
-    assert flags == [(False, True, True), (False, True, False)] * sum(kept)
+    assert flags == [(False, True, True), (False, True, False)]
+    referenced = [i for i, keep in enumerate(kept) if keep]
+    assert all(call["cache"]["rows"] == referenced for call in attention_calls)
+    assert len(reference_calls) == sum(kept)
+    for call in reference_calls:
+        assert all(d is not None for d in call["dfeats"])
     # without identity features no example reaches a trainable parameter
     denoiser_calls.clear()
+    reference_calls.clear()
     _, grads = batch_loss(weights, tiny_enc, prepared, 1, 0.0)
-    assert denoiser_calls == []
+    assert len(denoiser_calls) == 1 and reference_calls == []
     assert not any(g.any() for g in grads.values())
 
 
