@@ -12,14 +12,15 @@ plain self-attention bitwise.
 Both terms, and the reference branch's identity pooler, are one single-head
 kernel: `softmax_attention` and its backward `softmax_attention_backward`.
 
-Adaptive attention runs on a (B, seq, d_model) stack of hidden sequences,
-one identity entry per row; a single sequence is a one-row stack.  The
-forward returns a cache consumed by the matching backward pass, which sums
-each weight gradient over the rows in row order.  The backward takes three
-flags, one per group of gradients: the self-term projections, the identity
-cross term (its two projections and the identity input), and the hidden
-input.  It computes only those groups and is validated against central
-finite differences in the test suite.
+Adaptive attention runs on a (B, seq, d_model) stack of hidden sequences
+and a sparse stack of identity tokens, one entry per row that has them; a
+single sequence is a one-row stack.  The forward returns a cache consumed
+by the matching backward pass, which sums each weight gradient over the
+rows in row order.  The backward takes three flags, one per group of
+gradients: the self-term projections, the identity cross term (its two
+projections and the identity input), and the hidden input.  It computes
+only those groups and is validated against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def check_identity_scale(value: float) -> float:
     return value
 
 
-def _check_dims(hidden, identity, w):
+def _check_dims(hidden, ident, w):
     if hidden.ndim != 3 or 0 in hidden.shape[:-1]:
         raise ValueError(
             f"hidden sequences must be a nonempty (B, seq, d_model) stack, got {hidden.shape}")
@@ -57,15 +58,11 @@ def _check_dims(hidden, identity, w):
             f"query projection mismatch: hidden dim {hidden.shape[-1]} "
             f"vs w_query rows {w.w_query.shape[0]}"
         )
-    if len(identity) != hidden.shape[0]:
-        raise ValueError(f"a stack of {hidden.shape[0]} rows needs as many identity "
-                         f"entries, got {len(identity)}")
-    for ident in identity:
-        if ident is not None and ident.shape[1] != w.w_key_id.shape[0]:
-            raise ValueError(
-                f"identity key projection mismatch: token dim {ident.shape[1]} "
-                f"vs w_key_id rows {w.w_key_id.shape[0]}"
-            )
+    if ident is not None and ident.shape[-1] != w.w_key_id.shape[0]:
+        raise ValueError(
+            f"identity key projection mismatch: token dim {ident.shape[-1]} "
+            f"vs w_key_id rows {w.w_key_id.shape[0]}"
+        )
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
@@ -93,12 +90,13 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     """Run adaptive attention on a (B, seq, d_model) stack of hidden
     sequences; returns (output, cache-for-backward).
 
-    `identity` holds one entry per row: an (n_tokens, d_id) matrix or None.
-    None (or scale == 0) skips that row's cross term, so its output is the
-    pure self-attention summand.  Each row of the output equals a one-row
-    call on it bit for bit.
+    `identity` is None or (rows, tokens), increasing rows and their (R,
+    n_tokens, d_id) tokens.  A row not listed (or scale == 0) skips the
+    cross term, so its output is the pure self-attention summand.  Each row
+    of the output equals a one-row call on it bit for bit.
     """
-    _check_dims(hidden, identity, w)
+    rows, ident = row_index(identity, len(hidden))
+    _check_dims(hidden, ident, w)
     inv = 1.0 / np.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
@@ -106,10 +104,9 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     v = hidden @ w.w_value
     out, attn = softmax_attention(q, k, v, inv)
     # the cross term runs only for the rows that have identity tokens, as one sub-stack
-    rows = row_index([i for i, x in enumerate(identity) if x is not None and scale != 0.0])
-    ident = k_id = v_id = attn_id = None
+    rows = rows if scale != 0.0 else []
+    k_id = v_id = attn_id = None
     if rows:
-        ident = np.array([x for x in identity if x is not None])
         k_id = ident @ w.w_key_id
         v_id = ident @ w.w_value_id
         cross, attn_id = softmax_attention(q[rows], k_id, v_id, inv)
@@ -129,9 +126,9 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
     w_value_id) and the identity input, and `need_dhidden` for the hidden
     input.  grads holds only the projections asked for that the forward
     used, each summed over the rows in row order: the identity projections
-    are absent when no row ran the cross term.  didentity is a list of one
-    entry per row, None unless the identity input is asked for and that
-    row ran the cross term; dhidden is None unless asked for.
+    are absent when no row ran the cross term.  didentity is the gradient of
+    the identity tokens, None unless asked for and the cross term ran;
+    dhidden is None unless asked for.
 
     Only what those gradients depend on runs.  The self-attention term and
     the query gradient run for `self_grads` or `need_dhidden`; without them
@@ -161,12 +158,10 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
         grads["w_query"] = row_summed_grad(hidden, dq)
         grads["w_key"] = row_summed_grad(hidden, dk)
         grads["w_value"] = row_summed_grad(hidden, dv)
-    didentity = [None] * len(hidden)
+    didentity = None
     if cross_grads and cross_term:
         grads["w_key_id"] = row_summed_grad(ident, dk_id)
         grads["w_value_id"] = row_summed_grad(ident, dv_id)
-        dident = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
-        for i, d in zip(np.arange(len(hidden))[rows], dident):
-            didentity[i] = d
+        didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
     dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T if need_dhidden else None
     return dhidden, didentity, grads

@@ -220,6 +220,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.stage == 1 and args.lam == 0.0:
+        raise UsageError("--lambda 0 skips the identity cross term, so stage 1 would "
+                         "train nothing")
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage = args.stage
@@ -459,24 +462,23 @@ def cmd_ablate_masks(args) -> int:
     # held-out denoising pairs, identical across masks
     eval_rng = RngState(args.seed).derive("ablate-eval")
     n_eval = min(args.eval_size, dataset.spec.test_size)
-    pairs = []
-    for i in range(n_eval):
-        s = dataset.test_sample(i)
-        z0 = encode_latent(s.image, enc)
-        t = 1 + eval_rng.randint(schedule.timesteps)
-        eps = eval_rng.normal(z0.shape)
-        pairs.append((z0, t, eps, s.text_id, forward_noise(z0, t, eps, schedule)))
+    z0 = encode_latent(dataset.test_images[:n_eval], enc)
+    ts, eps = [], []
+    for _ in range(n_eval):
+        ts.append(1 + eval_rng.randint(schedule.timesteps))
+        eps.append(eval_rng.normal(z0.shape[1:]))
+    eps = np.stack(eps)
+    z_t = forward_noise(z0, ts, eps, schedule)
+    texts = [dataset.test_sample(i).text_id for i in range(n_eval)]
 
     rows = []
     order = ["none"] + [k.value for k in masked_kinds]
     for name in order:
         weights = models[name]
         kind = None if name == "none" else MaskKind(name)
-        losses = []
-        for z0, t, eps, text, z_t in pairs:
-            ctrl = make_control_signal(z0, kind) if kind is not None else None
-            pred = predict_eps(weights, z_t, t, text, None, ctrl, 0.0)
-            losses.append(float(np.mean((pred - eps) ** 2)))
+        ctrl = None if kind is None else (range(n_eval), make_control_signal(z0, kind))
+        pred = predict_eps(weights, z_t, ts, texts, None, ctrl, 0.0)
+        losses = [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps)]
         metrics = []
         for j in range(args.eval_samples):
             rng = RngState(args.seed).derive(("ablate-sample", j))

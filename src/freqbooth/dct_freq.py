@@ -53,8 +53,9 @@ def dct_matrix(n: int) -> np.ndarray:
 
 def _as_latent(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"expected (channels, h, w) or (h, w), got shape {x.shape}")
+    if x.ndim not in (2, 3, 4):
+        raise ValueError(
+            f"expected (channels, h, w), (h, w) or a stack of latents, got shape {x.shape}")
     return x
 
 

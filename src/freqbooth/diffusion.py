@@ -13,10 +13,10 @@ positions.  Per block:
 
 with a linear in/out projection and a fixed additive position code.  Forward
 and backward passes are hand-written over a (B, seq, C) stack of latents
-with one timestep, text id, identity and control entry per row; a single
-latent is a one-row stack, and the backward sums each weight gradient over
-the rows in row order.  The test suite checks every gradient against central
-finite differences.
+with one timestep and text id per row and sparse stacks of identity and
+control, one entry per row that has them; a single latent is a one-row
+stack, and the backward sums each weight gradient over the rows in row
+order.  The test suite checks every gradient against finite differences.
 
 Parameters are grouped into three sets with distinct training stages:
 `backbone` (stage 0 pretraining, frozen afterwards), `identity_adapter`
@@ -79,12 +79,14 @@ def linear_schedule(timesteps: int) -> NoiseSchedule:
     return NoiseSchedule(timesteps=timesteps, alpha_bars=alpha_bars)
 
 
-def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray,
+def forward_noise(z0: np.ndarray, t, eps: np.ndarray,
                   schedule: NoiseSchedule) -> np.ndarray:
-    """Noising step: sqrt(a_bar_t) z0 + sqrt(1 - a_bar_t) eps."""
+    """Noising step: sqrt(a_bar_t) z0 + sqrt(1 - a_bar_t) eps; `t` is one
+    timestep, or one per row of a stack."""
     if z0.shape != eps.shape:
         raise ValueError(f"shape mismatch: z0 {z0.shape} vs eps {eps.shape}")
-    ab = schedule.alpha_bar(t)
+    ab = np.reshape([schedule.alpha_bar(s) for s in np.ravel(t)],
+                    np.shape(t) + (1,) * (z0.ndim - np.ndim(t)))
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -302,26 +304,24 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, text_id, identity, c
     """Predict noise tokens for a (B, seq, C) stack of latents; returns
     (eps_seq, cache).
 
-    t, text_id, identity and ctrl_seq hold one entry per row: an integer
-    timestep; a text id, None selecting the reserved null-text row; the
-    per-block identity features, None (or scale 0) skipping every
-    cross-attention summand; the control tokens, None skipping the control
-    residuals.  Each row's prediction equals the one-row call on it bit for
-    bit; the cross term and the control residual run only for the rows that
-    have them.
+    t and text_id hold one entry per row: an integer timestep; a text id,
+    None selecting the reserved null-text row.  identity and ctrl_seq are
+    None or (rows, stack), increasing rows and their per-block (R, n_query,
+    d_id) identity features or (R, seq, C) control tokens.  Each row's
+    prediction equals the one-row call on it bit for bit; the cross term
+    (at scale != 0) and the control residual run only for the rows listed.
     """
     cfg = w.config
-    if not len(t) == len(text_id) == len(identity) == len(ctrl_seq) == len(z_seq):
-        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep, text id, "
-                         f"identity and control entry per row")
+    if not len(t) == len(text_id) == len(z_seq):
+        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep and text id "
+                         f"per row")
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
     for tid in tids:
         if not 0 <= tid <= cfg.n_text:
             raise ValueError(f"text id {tid} outside [0, {cfg.n_text}]")
     # one (1, d_time) matrix per row: a (B, d_time) GEMM would change the bits
     tfeat = time_features(t, cfg.d_time, cfg.timesteps)[:, None, :]
-    crows = row_index([i for i, c in enumerate(ctrl_seq) if c is not None])
-    ctrl = np.array([c for c in ctrl_seq if c is not None]) if crows else None
+    crows, ctrl = row_index(ctrl_seq, len(z_seq))
     h = z_seq @ w.in_proj + w.pos_code
     caches = []
     for k, blk in enumerate(w.blocks):
@@ -329,7 +329,7 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, text_id, identity, c
         h1 = h + (tfeat @ blk.time_proj + blk.text_embed[tids][:, None])
         gain = 1.0 + tfeat @ blk.time_gain  # per-channel residual scale
         attn_out, acache = attention_forward(
-            h1, [None if ident is None else ident[k] for ident in identity], blk.attn, scale)
+            h1, None if identity is None else (identity[0], identity[1][k]), blk.attn, scale)
         h3 = h1 + gain * attn_out
         fields = ctrl @ blk.ctrl_proj if crows else None
         if crows:
@@ -350,10 +350,10 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     Returns (grads, didentity).  grads maps registry names to gradients,
     each summed over the rows in row order, for every parameter of those
     sets that the forward used: the control set only with a control signal,
-    the identity projections only where the cross term ran.  didentity[k][i]
-    is block k's identity-feature gradient for row i, None unless the
-    identity adapter is asked for and that row ran the cross term.  The
-    full backward is the call with every set.
+    the identity projections only where the cross term ran.  didentity[k]
+    is block k's gradient of the identity features, None unless the
+    identity adapter is asked for and the cross term ran.  The full
+    backward is the call with every set.
 
     Each weight-gradient product runs only under its set's flag, and the
     activation gradient goes below block 0's attention only for the
@@ -368,7 +368,7 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     w: ModelWeights = cache["w"]
     crows, tfeat = cache["crows"], cache["tfeat"]
     grads: dict[str, np.ndarray] = {}
-    didentity = [[None] * len(deps_seq) for _ in w.blocks]
+    didentity = [None] * len(w.blocks)
     if backbone:
         grads["out_proj"] = row_summed_grad(cache["h_final"], deps_seq)
     dh = deps_seq @ w.out_proj.T
@@ -419,28 +419,21 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     return grads, didentity
 
 
-def predict_eps(w: ModelWeights, z_t: np.ndarray, t, text_id=None,
-                identity=None, ctrl: np.ndarray | None = None,
-                scale: float = 0.0) -> np.ndarray:
-    """Noise prediction on a (C, h, w) latent; conditions are all optional.
-
-    A (B, C, h, w) stack runs as one denoiser batch, with t, text_id,
-    identity and ctrl given as lists of one entry per row, as
-    `denoiser_forward` describes; a single latent is a one-row stack."""
+def predict_eps(w: ModelWeights, z_t: np.ndarray, t, text_id, identity=None,
+                ctrl=None, scale: float = 0.0) -> np.ndarray:
+    """Noise prediction on a (B, C, h, w) stack of latents as one denoiser
+    batch, conditioned as `denoiser_forward` describes, but with ctrl given
+    as (rows, (R, C, h, w) control latents)."""
     hw = w.config.latent_hw
-    if z_t.ndim not in (3, 4) or z_t.shape[-3:] != (w.config.latent_channels, hw, hw):
+    if z_t.ndim != 4 or z_t.shape[1:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
-            f"latent shape {z_t.shape} does not match config "
-            f"({w.config.latent_channels}, {hw}, {hw})"
+            f"latent shape {z_t.shape} does not match a stack for config "
+            f"(B, {w.config.latent_channels}, {hw}, {hw})"
         )
-    one = z_t.ndim == 3
-    if one:
-        z_t, t, text_id, identity, ctrl = z_t[None], [t], [text_id], [identity], [ctrl]
-    ctrl_seq = [None if c is None else latent_to_seq(c) for c in ctrl]
+    ctrl_seq = None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1]))
     eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, text_id, identity, ctrl_seq,
                                   scale)
-    eps = assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
-    return eps[0] if one else eps
+    return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +451,11 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     (image, info) where image is the decoded (3, H, W) float array
     (unclamped) and info records the run inputs.
 
-    A guided step runs the conditional and the unconditional branch as one
-    stacked denoiser forward, a (2, seq, d) batch.  At guidance weight 1 the
-    unconditional branch would not change the result, so it is skipped and
-    the step runs the conditional branch alone.
+    A guided step runs the conditional branch (row 0, the one both
+    conditions are on) and the unconditional branch as one stacked denoiser
+    forward, a (2, seq, d) batch.  At guidance weight 1 the unconditional
+    branch would not change the result, so it is skipped and the step runs
+    the conditional branch alone.
     """
     check_guidance(guidance)
     check_identity_scale(identity_scale)
@@ -472,25 +466,21 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
         )
     identity = None
     if ref_img is not None and identity_scale != 0.0:
-        identity = reference_forward(ref_img, w.projection, w.id_heads(), enc)
+        identity = ([0], reference_forward(ref_img[None], w.projection, w.id_heads(), enc))
     ctrl = None
     if mask_kind is not None:
         if ref_img is None:
             raise ValueError("frequency conditioning requires a reference image")
-        ctrl = make_control_signal(encode_latent(ref_img, enc), mask_kind)
+        ctrl = ([0], make_control_signal(encode_latent(ref_img[None], enc), mask_kind))
 
+    texts = [text_id] if guidance == 1.0 else [text_id, None]  # one per branch
     z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
     taus = sampling_timesteps(schedule.timesteps, steps)
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        if guidance == 1.0:
-            eps_hat = predict_eps(w, z, t, text_id, identity, ctrl, identity_scale)
-        else:
-            eps_cond, eps_uncond = predict_eps(w, np.stack([z, z]), [t, t], [text_id, None],
-                                               [identity, None], [ctrl, None],
-                                               identity_scale)
-            eps_hat = cfg_combine(eps_cond, eps_uncond, guidance)
-        z = ddim_step(z, eps_hat, t, t_prev, schedule)
+        eps = predict_eps(w, np.stack([z] * len(texts)), [t] * len(texts), texts,
+                          identity, ctrl, identity_scale)
+        z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), t, t_prev, schedule)
 
     image = decode_latent(z, enc)
     info = dict(steps=int(len(taus) - 1), guidance=float(guidance),

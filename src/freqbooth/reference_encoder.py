@@ -5,8 +5,9 @@ generation-branch attention block.  The pooler is the same single-head
 softmax-attention kernel as both terms of adaptive attention
 (`attention.softmax_attention`), with learned queries over the tokens.
 
-The reference image is processed noise-free and exactly once per sampling
-run.
+The branch runs on a stack of noise-free reference images, once per training
+batch over its referenced rows and once per sampling run; the backward sums
+each weight gradient over the rows in row order.
 
 Codec
 -----
@@ -32,7 +33,7 @@ from .attention import softmax_attention, softmax_attention_backward
 from .codes import grid_position_codes
 from .config import ModelConfig
 from .dct_freq import dct_matrix
-from .tensor_core import RngState
+from .tensor_core import RngState, row_summed_grad
 
 
 @dataclass
@@ -86,17 +87,18 @@ def build_encoders(config: ModelConfig) -> FrozenEncoders:
 
 
 def _patches(img: np.ndarray, p: int) -> np.ndarray:
-    """(n_patches, 3 p^2) patch vectors, channel-major, row-major patch order."""
+    """(..., n_patches, 3 p^2) channel-major patch vectors of (..., 3, H, W), patches
+    in row-major order."""
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ValueError(f"expected (3, H, W) image, got shape {img.shape}")
-    _, h, w = img.shape
+    if img.ndim not in (3, 4) or img.shape[-3] != 3:
+        raise ValueError(f"expected (3, H, W) image or a stack of them, got shape {img.shape}")
+    *lead, _, h, w = img.shape
     if h % p != 0 or w % p != 0:
         raise ValueError(f"image {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    # (gh, gw, 3, p, p) patch blocks, flattened channel-major per patch
-    blocks = img.reshape(3, gh, p, gw, p).transpose(1, 3, 0, 2, 4)
-    return blocks.reshape(gh * gw, 3 * p * p)
+    # (..., gh, gw, 3, p, p) patch blocks, flattened channel-major per patch
+    blocks = np.moveaxis(img.reshape(*lead, 3, gh, p, gw, p), (-4, -2), (-5, -4))
+    return blocks.reshape(*lead, gh * gw, 3 * p * p)
 
 
 def _unpatch(vecs: np.ndarray, p: int, gh: int, gw: int) -> np.ndarray:
@@ -105,12 +107,12 @@ def _unpatch(vecs: np.ndarray, p: int, gh: int, gw: int) -> np.ndarray:
 
 
 def encode_latent(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
-    """Image -> (latent_channels, H/p, W/p) latent via the frozen codec."""
+    """(..., 3, H, W) -> (..., latent_channels, H/p, W/p) via the frozen codec."""
     cfg = enc.config
     vecs = _patches(img, cfg.patch) @ enc.analysis.T
-    gh = img.shape[1] // cfg.patch
-    gw = img.shape[2] // cfg.patch
-    return vecs.T.reshape(cfg.latent_channels, gh, gw)
+    gh = img.shape[-2] // cfg.patch
+    gw = img.shape[-1] // cfg.patch
+    return vecs.swapaxes(-1, -2).reshape(*vecs.shape[:-2], cfg.latent_channels, gh, gw)
 
 
 def decode_latent(latent: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
@@ -126,10 +128,11 @@ def extract_tokens(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
 
 
 def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
-    """Learned queries attend over tokens; returns (identity matrix, cache)."""
-    if tokens.shape[1] != proj.w_key.shape[0]:
+    """Learned queries attend over (..., n_tokens, d_tok) tokens; returns
+    (identity matrices, cache)."""
+    if tokens.shape[-1] != proj.w_key.shape[0]:
         raise ValueError(
-            f"token dim {tokens.shape[1]} vs pooler key rows {proj.w_key.shape[0]}"
+            f"token dim {tokens.shape[-1]} vs pooler key rows {proj.w_key.shape[0]}"
         )
     inv = 1.0 / np.sqrt(proj.queries.shape[1])
     keys = tokens @ proj.w_key
@@ -140,26 +143,28 @@ def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
 
 
 def project_identity_backward(dpooled: np.ndarray, cache):
-    """Gradients of the pooler output wrt queries/w_key/w_value."""
+    """Gradients of the pooler output wrt queries/w_key/w_value, each
+    summed over the forward's rows in row order."""
     proj: ProjectionWeights = cache["proj"]
     tokens = cache["tokens"]
     dqueries, dkeys, dvalues = softmax_attention_backward(
         dpooled, proj.queries, cache["keys"], cache["values"], cache["attn"],
         cache["inv"], need_dq=True)
     return {
-        "queries": dqueries,
-        "w_key": tokens.T @ dkeys,
-        "w_value": tokens.T @ dvalues,
+        "queries": dqueries.sum(axis=0),
+        "w_key": row_summed_grad(tokens, dkeys),
+        "w_value": row_summed_grad(tokens, dvalues),
     }
 
 
 def reference_forward_train(img: np.ndarray, proj: ProjectionWeights,
                             heads: list[np.ndarray], enc: FrozenEncoders):
-    """Reference branch forward with cache kept for backprop.
+    """Reference branch forward over (R, 3, H, W) references, with cache
+    kept for backprop.
 
-    Returns (per-block identity features, cache).  Only the patch tokenizer
-    and the pooler run; the latent that feeds frequency control is encoded
-    separately (`encode_latent`) and carries no gradient.
+    Returns (per-block (R, n_query, d_id) identity features, cache).  Only
+    the patch tokenizer and the pooler run; the latent that feeds frequency
+    control is encoded separately (`encode_latent`) and carries no gradient.
     """
     tokens = extract_tokens(img, enc)
     pooled, pcache = project_identity_forward(tokens, proj)
@@ -168,19 +173,16 @@ def reference_forward_train(img: np.ndarray, proj: ProjectionWeights,
 
 
 def reference_backward(dfeats: list[np.ndarray], cache):
-    """Gradients for the pooler and the per-block heads."""
+    """Gradients for the pooler and the per-block heads from the per-block
+    feature gradients, each summed over the forward's rows in row order."""
     pooled, heads = cache["pooled"], cache["heads"]
-    dpooled = np.zeros_like(pooled)
-    dheads = []
-    for df, h in zip(dfeats, heads):
-        dheads.append(pooled.T @ df)
-        dpooled += df @ h.T
+    dpooled = sum(df @ h.T for df, h in zip(dfeats, heads))
     grads = project_identity_backward(dpooled, cache["pcache"])
-    grads["heads"] = dheads
+    grads["heads"] = [row_summed_grad(pooled, df) for df in dfeats]
     return grads
 
 
 def reference_forward(img: np.ndarray, proj: ProjectionWeights,
                       heads: list[np.ndarray], enc: FrozenEncoders) -> list[np.ndarray]:
-    """Per-block identity features for a reference image (no backprop cache)."""
+    """Per-block identity features for reference image(s) (no backprop cache)."""
     return reference_forward_train(img, proj, heads, enc)[0]

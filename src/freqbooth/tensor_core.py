@@ -95,9 +95,18 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def row_index(rows: list[int]):
-    """Index of `rows` of a stack: a slice (a view) for one contiguous run, else the list."""
-    return slice(rows[0], rows[-1] + 1) if rows and rows[-1] - rows[0] < len(rows) else rows
+def row_index(cond, n: int):
+    """(index, stack) of a sparse condition on an n-row stack, None or (rows,
+    stack) with increasing rows and one stack entry each.  The index is a
+    slice (a view) for one contiguous run, else the rows ([] for None)."""
+    if cond is None:
+        return [], None
+    rows, stack = list(cond[0]), cond[1]
+    if len(rows) != len(stack) or rows != sorted(set(rows)) or not all(0 <= r < n for r in rows):
+        raise ValueError(f"a condition on a {n}-row stack needs increasing rows inside it and "
+                         f"one entry per row, got rows {rows} for {len(stack)} entries")
+    contiguous = rows and rows[-1] - rows[0] < len(rows)
+    return (slice(rows[0], rows[-1] + 1) if contiguous else rows), stack
 
 
 def row_summed_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:

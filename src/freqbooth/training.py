@@ -262,13 +262,16 @@ def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
 
 
 @dataclass
-class PreparedExample:
-    z_t: np.ndarray
-    t: int
-    eps: np.ndarray
-    text_id: int | None
-    ref: np.ndarray | None
-    ctrl: np.ndarray | None
+class PreparedBatch:
+    """One noised training batch: a row per example.  ref and ctrl are None
+    or (rows, stack), increasing row numbers and one reference image or
+    control latent for each."""
+    z_t: np.ndarray  # (B, C, h, w)
+    t: list[int]
+    eps: np.ndarray  # (B, C, h, w)
+    text_id: list[int | None]
+    ref: tuple | None
+    ctrl: tuple | None
 
 
 # share of stage-0/1 examples whose text and reference are dropped, so the
@@ -278,46 +281,45 @@ COND_DROPOUT = 0.1
 
 def _prepare(batch: list[Sample], schedule: NoiseSchedule, rng: RngState,
              enc: FrozenEncoders, stage: int, cond_dropout: float,
-             mask_kind: MaskKind | None) -> list[PreparedExample]:
-    out = []
-    for sample in batch:
-        z0 = encode_latent(sample.image, enc)
-        t = 1 + rng.randint(schedule.timesteps)
-        eps = rng.normal(z0.shape)
-        u = rng.uniform()
-        dropped = stage <= 1 and u < cond_dropout
-        text_id = None if dropped else sample.text_id
-        ref = sample.ref if (stage == 1 and not dropped) else None
-        ctrl = make_control_signal(z0, mask_kind) if stage == 2 else None
-        out.append(PreparedExample(z_t=forward_noise(z0, t, eps, schedule),
-                                   t=t, eps=eps, text_id=text_id, ref=ref,
-                                   ctrl=ctrl))
-    return out
+             mask_kind: MaskKind | None) -> PreparedBatch:
+    z0 = encode_latent(np.stack([sample.image for sample in batch]), enc)
+    t, eps, kept = [], [], []
+    for _ in batch:  # each example in turn draws its timestep, noise and dropout value
+        t.append(1 + rng.randint(schedule.timesteps))
+        eps.append(rng.normal(z0.shape[1:]))
+        u = rng.uniform()  # drawn at every stage, used by stages 0 and 1
+        kept.append(not (stage <= 1 and u < cond_dropout))
+    eps = np.stack(eps)
+    rows = [i for i, keep in enumerate(kept) if keep]
+    return PreparedBatch(
+        z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
+        text_id=[s.text_id if keep else None for s, keep in zip(batch, kept)],
+        ref=(rows, np.stack([batch[i].ref for i in rows])) if stage == 1 and rows else None,
+        ctrl=(range(len(batch)), make_control_signal(z0, mask_kind))
+        if stage == 2 else None)
 
 
-def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
-               prepared: list[PreparedExample], stage: int,
-               identity_scale: float, compute_grads: bool = True):
+def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
+               stage: int, identity_scale: float, compute_grads: bool = True):
     """Mean-squared noise-prediction error and analytic gradients of the
     stage's trainable set.
 
     The batch runs as one stacked denoiser forward and one backward, which
     differentiates only that set (see `denoiser_backward`); the reference
-    branch runs per example.  `compute_grads=False` skips the backward and
-    returns an empty gradient dict.
+    branch runs once forward and once backward over the referenced rows.
+    `compute_grads=False` skips the backward and returns an empty gradient
+    dict.
     """
-    n = len(prepared)
-    feats, rcaches = [None] * n, [None] * n
-    for i, ex in enumerate(prepared):
-        if ex.ref is not None and identity_scale != 0.0:
-            feats[i], rcaches[i] = reference_forward_train(ex.ref, weights.projection,
-                                                           weights.id_heads(), enc)
-    pred_seq, dcache = denoiser_forward(
-        weights, latent_to_seq(np.stack([ex.z_t for ex in prepared])),
-        [ex.t for ex in prepared], [ex.text_id for ex in prepared], feats,
-        [None if ex.ctrl is None else latent_to_seq(ex.ctrl) for ex in prepared],
-        identity_scale)
-    diff = pred_seq - latent_to_seq(np.stack([ex.eps for ex in prepared]))
+    n = len(batch.z_t)
+    identity = rcache = None
+    if batch.ref is not None and identity_scale != 0.0:
+        feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
+                                                weights.id_heads(), enc)
+        identity = (batch.ref[0], feats)
+    ctrl = None if batch.ctrl is None else (batch.ctrl[0], latent_to_seq(batch.ctrl[1]))
+    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t,
+                                        batch.text_id, identity, ctrl, identity_scale)
+    diff = pred_seq - latent_to_seq(batch.eps)
     loss = sum(float(np.mean(d ** 2)) for d in diff) / n
     if not compute_grads:
         return loss, {}
@@ -326,15 +328,14 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders,
     params = weights.params()
     acc = {name: grads.get(name, np.zeros_like(params[name]))
            for name in weights.names_in_set(sets[0])}
-    for i, rcache in enumerate(rcaches):
-        if rcache is not None and "identity_adapter" in sets:
-            # the cross term ran in every block for this row, so each didentity is set
-            rgrads = reference_backward([d[i] for d in didentity], rcache)
-            acc["proj.queries"] += rgrads["queries"]
-            acc["proj.w_key"] += rgrads["w_key"]
-            acc["proj.w_value"] += rgrads["w_value"]
-            for k, dh in enumerate(rgrads["heads"]):
-                acc[f"blocks.{k}.id_head"] += dh
+    if rcache is not None and "identity_adapter" in sets:
+        # the cross term ran in every block for the referenced rows, so each didentity is set
+        rgrads = reference_backward(didentity, rcache)
+        acc["proj.queries"] += rgrads["queries"]
+        acc["proj.w_key"] += rgrads["w_key"]
+        acc["proj.w_value"] += rgrads["w_value"]
+        for k, dh in enumerate(rgrads["heads"]):
+            acc[f"blocks.{k}.id_head"] += dh
     return loss, acc
 
 

@@ -80,12 +80,21 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
 
 
+def predict_one(weights, z, t, text_id, feats=None, ctrl=None, scale=0.0):
+    """`predict_eps` on one latent with its own per-block identity features
+    and control latent, run as a one-row stack."""
+    identity = None if feats is None else ([0], [f[None] for f in feats])
+    return predict_eps(weights, z[None], [t], [text_id], identity,
+                       None if ctrl is None else ([0], ctrl[None]), scale)[0]
+
+
 def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,
                        text_id=None, identity_scale=0.0, guidance=1.0, mask_kind=None):
     """`sample` written out by hand with both guidance branches evaluated
-    on their own: conditional and unconditional `predict_eps` on the one
-    latent, then `cfg_combine(..., guidance)` and `ddim_step`, then the
-    decode."""
+    on their own, each a one-row stack: conditional and unconditional
+    `predict_eps` on the one latent, with the reference branch run on the
+    reference image alone, then `cfg_combine(..., guidance)` and
+    `ddim_step`, then the decode."""
     cfg = weights.config
     identity = None
     if ref_img is not None and identity_scale != 0.0:
@@ -97,8 +106,8 @@ def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,
     taus = sampling_timesteps(schedule.timesteps, steps)
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps_cond = predict_eps(weights, z, t, text_id, identity, ctrl, identity_scale)
-        eps_uncond = predict_eps(weights, z, t, None, None, None, 0.0)
+        eps_cond = predict_one(weights, z, t, text_id, identity, ctrl, identity_scale)
+        eps_uncond = predict_one(weights, z, t, None)
         z = ddim_step(z, cfg_combine(eps_cond, eps_uncond, guidance), t, t_prev, schedule)
     return decode_latent(z, enc)
 

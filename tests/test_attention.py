@@ -40,9 +40,14 @@ def naive_adaptive(hidden, identity, w, lam):
     return out
 
 
+def one_row(identity):
+    """The sparse identity stack of a one-row stack."""
+    return None if identity is None else ([0], identity[None])
+
+
 def forward(hidden, identity, w, lam):
     """The output for one sequence, run as a one-row stack."""
-    return attention_forward(hidden[None], [identity], w, lam)[0][0]
+    return attention_forward(hidden[None], one_row(identity), w, lam)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +143,7 @@ def test_gradients_match_finite_differences():
     def objective():
         return float(np.sum(forward(hidden, identity, w, scale) * dout))
 
-    _, cache = attention_forward(hidden[None], [identity], w, scale)
+    _, cache = attention_forward(hidden[None], one_row(identity), w, scale)
     (dhidden,), (didentity,), grads = attention_backward(
         dout[None], cache, self_grads=True, cross_grads=True, need_dhidden=True)
 
@@ -170,8 +175,8 @@ def test_backward_omits_identity_grads_when_skipped():
     rng = np.random.default_rng(6)
     w = make_weights(rng, 4, 3)
     hidden = rng.normal(size=(3, 4))
-    _, cache = attention_forward(hidden[None], [None], w, 0.0)
-    (dhidden,), (didentity,), grads = attention_backward(
+    _, cache = attention_forward(hidden[None], None, w, 0.0)
+    (dhidden,), didentity, grads = attention_backward(
         rng.normal(size=(1, 3, 4)), cache, self_grads=True, cross_grads=True,
         need_dhidden=True)
     assert didentity is None

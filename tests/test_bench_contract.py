@@ -120,16 +120,16 @@ def test_backward_results_have_the_shapes_grad_hooks_read():
     enc = build_encoders(cfg)
     weights = diffusion.init_weights(cfg, 0)
     rng = np.random.default_rng(0)
-    ref = rng.uniform(size=(3, cfg.image_size, cfg.image_size))
+    ref = rng.uniform(size=(1, 3, cfg.image_size, cfg.image_size))
     feats, rcache = reference_forward_train(ref, weights.projection, weights.id_heads(), enc)
     z = rng.normal(size=(2, cfg.latent_hw ** 2, cfg.latent_channels))
-    pred, cache = diffusion.denoiser_forward(weights, z, [5, 9], [0, None], [feats, None],
-                                             [None, None], 0.4)
+    pred, cache = diffusion.denoiser_forward(weights, z, [5, 9], [0, None], ([0], feats),
+                                             None, 0.4)
     grads, didentity = diffusion.denoiser_backward(pred, cache, diffusion.PARAM_SETS)
     assert isinstance(grads, dict) and isinstance(didentity, list)
     assert set(grads) <= set(weights.params())
     assert all(isinstance(g, np.ndarray) for g in grads.values())
-    rgrads = reference_backward([d[0] for d in didentity], rcache)
+    rgrads = reference_backward(didentity, rcache)
     assert isinstance(rgrads, dict) and isinstance(rgrads["heads"], list)
     assert all(isinstance(g, np.ndarray) for g in rgrads["heads"])
     assert all(isinstance(g, np.ndarray) for k, g in rgrads.items() if k != "heads")

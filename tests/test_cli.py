@@ -171,6 +171,16 @@ def test_train_stage2_rejects_a_band_that_keeps_nothing(pipe, tmp_path, mask, ca
     assert f"--mask {mask} keeps no DCT coefficient" in capsys.readouterr().err
 
 
+def test_train_stage1_rejects_lambda_zero(pipe, tmp_path, capsys):
+    # at lambda 0 no cross term runs, so every identity-adapter gradient is 0
+    out = tmp_path / "out"
+    assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset",
+               "--checkpoint", pipe / "checkpoint_stage0.json",
+               "--stage", 1, "--lambda", 0, "--steps", 5) == 2
+    assert not out.exists()
+    assert "--lambda 0 skips the identity cross term" in capsys.readouterr().err
+
+
 def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
     out = tmp_path / "out"
     assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset",
@@ -414,7 +424,7 @@ def test_ablate_masks_report(pipe, tmp_path):
         t = 1 + rng.randint(schedule.timesteps)
         eps = rng.normal(z0.shape)
         z_t = forward_noise(z0, t, eps, schedule)
-        pred = predict_eps(weights, z_t, t, s.text_id, None, None, 0.0)
+        pred = predict_eps(weights, z_t[None], [t], [s.text_id], None, None, 0.0)[0]
         losses.append(float(np.mean((pred - eps) ** 2)))
     assert report["rows"][0]["recon_loss"] == float(np.mean(losses))
 

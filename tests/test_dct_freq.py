@@ -113,6 +113,8 @@ def test_oracle_roundtrip_and_parseval_on_rectangular_latents(c, h, w, seed):
 def test_rank_validation():
     with pytest.raises(ValueError, match="channels"):
         dct2(np.zeros(5))
+    with pytest.raises(ValueError, match="channels"):
+        dct2(np.zeros((2, 1, 4, 8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,13 @@ def test_all_pass_is_identity():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 8, 8))
     assert np.max(np.abs(make_control_signal(x, MaskKind.ALL) - x)) <= 1e-9
+
+
+def test_a_stack_filters_each_latent_alone():
+    x = np.random.default_rng(9).normal(size=(3, 4, 8, 8))
+    out = make_control_signal(x, MaskKind.LOW)
+    for i in range(len(x)):
+        assert np.array_equal(out[i], make_control_signal(x[i], MaskKind.LOW)), i
 
 
 def test_high_pass_removes_the_mean():

@@ -12,7 +12,7 @@ from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_fo
                                  sampling_timesteps, seq_to_latent)
 from freqbooth.reference_encoder import build_encoders, encode_latent, reference_forward
 from freqbooth.tensor_core import RngState
-from conftest import both_branch_sample
+from conftest import both_branch_sample, predict_one
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +218,8 @@ def test_fresh_weights_keep_control_inert(cfg):
 def test_prediction_is_deterministic(cfg, schedule, enc):
     weights = init_weights(cfg, 1)
     z = rand_latent(cfg, 12)
-    a = predict_eps(weights, z, 10, text_id=1)
-    b = predict_eps(weights, z, 10, text_id=1)
+    a = predict_one(weights, z, 10, 1)
+    b = predict_one(weights, z, 10, 1)
     assert np.array_equal(a, b)
     assert a.shape == z.shape
 
@@ -229,8 +229,8 @@ def test_zero_strength_ignores_identity_features(cfg):
     z = rand_latent(cfg, 13)
     feats = [RngState(7).derive(("f", k)).normal((cfg.n_query, cfg.d_id))
              for k in range(cfg.n_blocks)]
-    plain = predict_eps(weights, z, 9, text_id=0)
-    with_feats = predict_eps(weights, z, 9, text_id=0, identity=feats, scale=0.0)
+    plain = predict_one(weights, z, 9, 0)
+    with_feats = predict_one(weights, z, 9, 0, feats, scale=0.0)
     assert np.array_equal(plain, with_feats)
 
 
@@ -246,18 +246,19 @@ def test_zeroed_adapters_and_gates_silence_all_conditions(cfg):
     feats = [RngState(8).derive(("f", k)).normal((cfg.n_query, cfg.d_id))
              for k in range(cfg.n_blocks)]
     ctrl = rand_latent(cfg, 15)
-    bare = predict_eps(weights, z, 12, text_id=0)
-    loaded = predict_eps(weights, z, 12, text_id=0, identity=feats,
-                         ctrl=ctrl, scale=1.0)
+    bare = predict_one(weights, z, 12, 0)
+    loaded = predict_one(weights, z, 12, 0, feats, ctrl, scale=1.0)
     assert np.array_equal(bare, loaded)
 
 
 def test_invalid_latents_and_text_ids_are_rejected(cfg):
     weights = init_weights(cfg, 6)
     with pytest.raises(ValueError, match="latent shape"):
-        predict_eps(weights, np.zeros((4, 3, 3)), 5)
+        predict_one(weights, np.zeros((4, 3, 3)), 5, None)
+    with pytest.raises(ValueError, match="latent shape"):
+        predict_eps(weights, rand_latent(cfg, 16), [5], [None])  # a latent, not a stack
     with pytest.raises(ValueError, match="text id"):
-        predict_eps(weights, rand_latent(cfg, 16), 5, text_id=11)
+        predict_one(weights, rand_latent(cfg, 16), 5, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +301,8 @@ def test_single_step_matches_hand_trace(cfg, schedule, enc):
 
     z = RngState(5).normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
     t = cfg.timesteps
-    eps_c = predict_eps(weights, z, t, text_id=1)
-    eps_u = predict_eps(weights, z, t, None)
+    eps_c = predict_one(weights, z, t, 1)
+    eps_u = predict_one(weights, z, t, None)
     eps_hat = combine(eps_c, eps_u, 2.0)
     ab = schedule.alpha_bar(t)
     x0 = (z - np.sqrt(1 - ab) * eps_hat) / np.sqrt(ab)
@@ -403,18 +404,35 @@ def test_schedule_config_mismatch_is_rejected(cfg, enc):
 def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, toy_enc):
     weights = live_toy_weights
     cfg = weights.config
-    ref = make_ref(cfg, 19)
-    feats = reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
-    ctrl = latent_to_seq(make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW))
-    rows = [(37, 0, feats, ctrl), (1, None, None, None), (120, 2, None, ctrl),
-            (200, 3, feats, None)]
+    refs = [make_ref(cfg, 19), make_ref(cfg, 21)]
+    feats = [reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
+             for ref in refs]
+    ctrls = [latent_to_seq(make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW))
+             for ref in refs]
+    # (timestep, text id, identity features, control tokens) of each row
+    rows = [(37, 0, feats[0], ctrls[0]), (1, None, None, None), (120, 2, None, ctrls[1]),
+            (200, 3, feats[1], None)]
+    ts, texts, row_feats, row_ctrls = map(list, zip(*rows))
+
+    def sparse(entries):
+        listed = [i for i, e in enumerate(entries) if e is not None]
+        return listed, [entries[i] for i in listed]
+
+    irows, ifeats = sparse(row_feats)
+    identity = (irows, [np.stack([f[k] for f in ifeats]) for k in range(cfg.n_blocks)])
+    crows, cstack = sparse(row_ctrls)
     z = np.stack([latent_to_seq(rand_latent(cfg, 20 + i)) for i in range(len(rows))])
-    stacked, cache = denoiser_forward(weights, z, *map(list, zip(*rows)), 0.6)
+    stacked, cache = denoiser_forward(weights, z, ts, texts, identity,
+                                      (crows, np.stack(cstack)), 0.6)
     assert cache is not None and len(cache["caches"]) == cfg.n_blocks
-    for i, (t, text_id, identity, ctrl_seq) in enumerate(rows):
-        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], [text_id], [identity],
-                                    [ctrl_seq], 0.6)
+    for i, (t, text_id, f, c) in enumerate(rows):
+        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], [text_id],
+                                    None if f is None else ([0], [x[None] for x in f]),
+                                    None if c is None else ([0], c[None]), 0.6)
         assert np.array_equal(stacked[i], alone[0]), i
-    with pytest.raises(ValueError,
-                       match="one timestep, text id, identity and control entry per row"):
-        denoiser_forward(weights, z, [37] * 2, [0, None], [None, None], [None, None], 0.6)
+    with pytest.raises(ValueError, match="one timestep and text id per row"):
+        denoiser_forward(weights, z, [37] * 2, [0, None], None, None, 0.6)
+    with pytest.raises(ValueError, match="increasing rows"):
+        denoiser_forward(weights, z, ts, texts, None, (crows[::-1], np.stack(cstack)), 0.6)
+    with pytest.raises(ValueError, match="one entry per row"):
+        denoiser_forward(weights, z, ts, texts, None, ([0], np.stack(cstack)), 0.6)

@@ -5,7 +5,8 @@ from freqbooth.config import tiny_config, toy_config
 from freqbooth.reference_encoder import (ProjectionWeights, build_encoders,
                                          decode_latent, encode_latent,
                                          extract_tokens, project_identity_forward,
-                                         reference_forward, reference_forward_train)
+                                         reference_backward, reference_forward,
+                                         reference_forward_train)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,11 @@ def test_patch_divisibility_is_checked(enc):
         encode_latent(np.zeros((3, 30, 30)), enc)
     with pytest.raises(ValueError, match="image"):
         encode_latent(np.zeros((32, 32)), enc)
+    # a leading stack axis is accepted, but not a wrong channel count or rank
+    assert encode_latent(np.zeros((2, 3, 32, 32)), enc).shape == (2, 4, 8, 8)
+    for shape in ((2, 4, 32, 32), (4, 32, 32), (1, 2, 3, 32, 32)):
+        with pytest.raises(ValueError, match="image"):
+            encode_latent(np.zeros(shape), enc)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +186,33 @@ def make_proj(cfg, seed):
 def test_reference_forward_matches_the_training_forward(enc):
     cfg = enc.config
     proj, heads = make_proj(cfg, 11)
-    img = np.random.default_rng(12).uniform(size=(3, 32, 32))
+    rng = np.random.default_rng(12)
+    img = rng.uniform(size=(3, 32, 32))
     plain = reference_forward(img, proj, heads, enc)
     trained, _ = reference_forward_train(img, proj, heads, enc)
     assert all(np.array_equal(a, b) for a, b in zip(plain, trained))
+
+    # a 3-row stack, one reference repeated: each row of the features and
+    # each gradient equals the one-row calls, the gradients summed in row order
+    other = rng.uniform(size=(3, 32, 32))
+    stack = np.stack([img, other, img])
+    dfeats = [rng.normal(size=(3, cfg.n_query, cfg.d_id)) for _ in heads]
+    feats, cache = reference_forward_train(stack, proj, heads, enc)
+    grads = reference_backward(dfeats, cache)
+    want = None
+    for i in range(len(stack)):
+        row_feats, row_cache = reference_forward_train(stack[i:i + 1], proj, heads, enc)
+        assert all(np.array_equal(f[i], g[0]) for f, g in zip(feats, row_feats)), i
+        row = reference_backward([d[i:i + 1] for d in dfeats], row_cache)
+        if want is None:
+            want = row
+        else:
+            want = {k: [a + b for a, b in zip(want[k], row[k])] if k == "heads"
+                    else want[k] + row[k] for k in want}
+    assert sorted(grads) == sorted(want) == ["heads", "queries", "w_key", "w_value"]
+    assert all(np.array_equal(a, b) for a, b in zip(grads["heads"], want["heads"]))
+    for k in ("queries", "w_key", "w_value"):
+        assert np.array_equal(grads[k], want[k]), k
 
 
 def test_frozen_buffers_are_config_deterministic():

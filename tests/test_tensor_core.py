@@ -1,9 +1,32 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqbooth
 from freqbooth.tensor_core import RngState, _words, assert_all_finite, softmax_rows
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # other packages (scipy among them) may be installed, so an import of one
+    # would run; the package must still depend on numpy alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "freqbooth"}
+    sources = sorted(Path(freqbooth.__file__).parent.rglob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (COND_DROPOUT, STAGE_SETS, PreparedExample, StageOrderError,
+from freqbooth.training import (COND_DROPOUT, STAGE_SETS, PreparedBatch, StageOrderError,
                                 ToyDatasetSpec, TrainConfig, _prepare, adam_step,
                                 batch_loss, dataset_checksum, generate_dataset,
                                 gradient_check, identity_metric_flagged,
@@ -140,6 +140,20 @@ def prepared_batch(ds, schedule, enc, stage, n):
                     COND_DROPOUT, mask)
 
 
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tiny_enc,
+                                                stage):
+    """Each example takes its timestep, its noise and one dropout draw, in
+    that order and at every stage, so example i's draws sit at a fixed place in
+    the stream."""
+    prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
+    per_example = 2 + prepared.eps[0].size
+    for i, eps in enumerate(prepared.eps):
+        replay = RngState(stage, counter=i * per_example)
+        assert prepared.t[i] == 1 + replay.randint(tiny_schedule.timesteps)
+        assert np.array_equal(eps, replay.normal(eps.shape))
+
+
 def zero_output_weights(cfg, seed):
     weights = init_weights(cfg, seed)
     weights.out_proj[:] = 0.0  # every noise prediction is exactly 0
@@ -151,8 +165,7 @@ def test_perfect_prediction_gives_zero_loss(tiny_dataset, tiny_schedule, tiny_en
     weights = zero_output_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
         prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
-        for ex in prepared:
-            ex.eps = np.zeros_like(ex.eps)
+        prepared.eps = np.zeros_like(prepared.eps)
         loss, grads = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
         assert loss == 0.0
         assert not any(g.any() for g in grads.values())
@@ -165,10 +178,9 @@ def test_constant_offset_gives_squared_loss(tiny_dataset, tiny_schedule, tiny_en
     for stage in (0, 1, 2):
         prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
         loss, _ = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
-        want = np.mean([np.mean(ex.eps ** 2) for ex in prepared])
+        want = np.mean([np.mean(eps ** 2) for eps in prepared.eps])
         assert abs(loss - want) <= 1e-12
-        for ex in prepared:
-            ex.eps = np.full_like(ex.eps, -delta)
+        prepared.eps = np.full_like(prepared.eps, -delta)
         loss, _ = batch_loss(weights, tiny_enc, prepared, stage, 1.0)
         assert abs(loss - delta ** 2) <= 1e-12
 
@@ -188,7 +200,7 @@ def test_stage0_loss_on_referenced_examples_differentiates_the_backbone(
     them runs the identity branch forward but not its backward."""
     weights = init_weights(tiny_cfg, 1)
     prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, 1, 3)
-    assert any(ex.ref is not None for ex in prepared)
+    assert prepared.ref is not None
     _, grads = batch_loss(weights, tiny_enc, prepared, 0, 0.4)
     assert sorted(grads) == weights.names_in_set("backbone")
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -200,17 +212,18 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
     model's loss on the identical batch without any control signal."""
     weights = init_weights(tiny_cfg, 2)  # gates start at zero
     rng = RngState(3)
-    prepared = []
-    for i in range(3):
-        s = tiny_dataset.train_sample(i)
-        z0 = encode_latent(s.image, tiny_enc)
-        t = 1 + rng.randint(tiny_schedule.timesteps)
-        eps = rng.normal(z0.shape)
-        prepared.append(dict(z_t=forward_noise(z0, t, eps, tiny_schedule),
-                             t=t, eps=eps, text_id=s.text_id,
-                             ctrl=make_control_signal(z0, MaskKind.LOW)))
-    with_ctrl = [PreparedExample(ref=None, **p) for p in prepared]
-    without = [PreparedExample(**{**p, "ctrl": None}, ref=None) for p in prepared]
+    samples = [tiny_dataset.train_sample(i) for i in range(3)]
+    z0 = encode_latent(np.stack([s.image for s in samples]), tiny_enc)
+    t, eps = [], []
+    for _ in samples:
+        t.append(1 + rng.randint(tiny_schedule.timesteps))
+        eps.append(rng.normal(z0.shape[1:]))
+    eps = np.stack(eps)
+    prepared = dict(z_t=forward_noise(z0, t, eps, tiny_schedule), t=t, eps=eps,
+                    text_id=[s.text_id for s in samples], ref=None)
+    with_ctrl = PreparedBatch(**prepared,
+                              ctrl=([0, 1, 2], make_control_signal(z0, MaskKind.LOW)))
+    without = PreparedBatch(**prepared, ctrl=None)
     loss_ctrl, _ = batch_loss(weights, tiny_enc, with_ctrl, 2, 0.0,
                               compute_grads=False)
     loss_plain, _ = batch_loss(weights, tiny_enc, without, 2, 0.0,
@@ -227,21 +240,27 @@ def full_backward_grads(weights, enc, prepared, scale):
     its own as a one-row stack through the full backward (every parameter
     set) and the reference backward, and every parameter accumulates."""
     acc = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
-    for ex in prepared:
-        feats = rcache = None
-        if ex.ref is not None and scale != 0.0:
-            feats, rcache = reference_forward_train(ex.ref, weights.projection,
+    n = len(prepared.z_t)
+    refs = dict(zip(*prepared.ref)) if prepared.ref is not None else {}
+    ctrls = dict(zip(*prepared.ctrl)) if prepared.ctrl is not None else {}
+    for i in range(n):
+        identity = rcache = ctrl = None
+        if i in refs and scale != 0.0:
+            feats, rcache = reference_forward_train(refs[i][None], weights.projection,
                                                     weights.id_heads(), enc)
-        ctrl_seq = latent_to_seq(ex.ctrl) if ex.ctrl is not None else None
-        pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t)[None], [ex.t],
-                                       [ex.text_id], [feats], [ctrl_seq], scale)
-        diff = pred - latent_to_seq(ex.eps)
-        grads, didentity = denoiser_backward((2.0 / (diff.size * len(prepared))) * diff,
+            identity = ([0], feats)
+        if i in ctrls:
+            ctrl = ([0], latent_to_seq(ctrls[i][None]))
+        pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t[i:i + 1]),
+                                       [prepared.t[i]], [prepared.text_id[i]], identity,
+                                       ctrl, scale)
+        diff = pred - latent_to_seq(prepared.eps[i:i + 1])
+        grads, didentity = denoiser_backward((2.0 / (diff.size * n)) * diff,
                                              cache, PARAM_SETS)
         for name, g in grads.items():
             acc[name] += g
         if rcache is not None:
-            rgrads = reference_backward([d[0] for d in didentity], rcache)
+            rgrads = reference_backward(didentity, rcache)
             for leaf in ("queries", "w_key", "w_value"):
                 acc[f"proj.{leaf}"] += rgrads[leaf]
             for k, dh in enumerate(rgrads["heads"]):
@@ -268,18 +287,20 @@ def mixed_batch(cfg, enc, stage, kept, seed):
     def rand_image():
         return np.clip(0.5 + 0.25 * rng.normal((3, cfg.image_size, cfg.image_size)), 0, 1)
 
-    out = []
-    for i, keep in enumerate(kept):
-        z0 = encode_latent(rand_image(), enc)
-        ref = rand_image()
-        t = 1 + rng.randint(cfg.timesteps)
-        eps = rng.normal(z0.shape)
-        out.append(PreparedExample(
-            z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
-            text_id=i % cfg.n_text if keep or stage == 2 else None,
-            ref=ref if keep and stage == 1 else None,
-            ctrl=make_control_signal(z0, MaskKind.LOW) if stage == 2 else None))
-    return out
+    z0, refs, t, eps = [], [], [], []
+    for _ in kept:
+        z0.append(encode_latent(rand_image(), enc))
+        refs.append(rand_image())
+        t.append(1 + rng.randint(cfg.timesteps))
+        eps.append(rng.normal(z0[-1].shape))
+    z0, eps = np.stack(z0), np.stack(eps)
+    rows = [i for i, keep in enumerate(kept) if keep]
+    return PreparedBatch(
+        z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
+        text_id=[i % cfg.n_text if keep or stage == 2 else None
+                 for i, keep in enumerate(kept)],
+        ref=(rows, np.stack([refs[i] for i in rows])) if stage == 1 and rows else None,
+        ctrl=(range(len(kept)), make_control_signal(z0, MaskKind.LOW)) if stage == 2 else None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,9 +322,10 @@ def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_b
 
 def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
     weights = random_point(tiny_cfg, 3)
-    ex, = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
-    pred, cache = denoiser_forward(weights, latent_to_seq(ex.z_t)[None], [ex.t],
-                                   [ex.text_id], [None], [latent_to_seq(ex.ctrl)], 0.0)
+    batch = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
+    pred, cache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t,
+                                   batch.text_id, None,
+                                   (batch.ctrl[0], latent_to_seq(batch.ctrl[1])), 0.0)
     # a bare string would otherwise iterate as letters and train nothing
     for sets in ("control", ("controls",)):
         with pytest.raises(ValueError, match="unknown parameter sets"):
@@ -348,12 +370,13 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     forward_calls = recording(monkeypatch, training, "denoiser_forward")
     denoiser_calls = recording(monkeypatch, training, "denoiser_backward")
     attention_calls = recording(monkeypatch, diffusion, "attention_backward")
+    ref_forward_calls = recording(monkeypatch, training, "reference_forward_train")
     reference_calls = recording(monkeypatch, training, "reference_backward")
     batch_loss(weights, tiny_enc, prepared, 1, 0.4)
     # the batch runs as one stack: one forward, one backward, and only the
-    # referenced rows run the cross term and the reference backward
+    # referenced rows run the cross term and the reference branch, once each way
     assert len(forward_calls) == len(denoiser_calls) == 1
-    assert forward_calls[0]["z_seq"].shape[0] == len(prepared)
+    assert forward_calls[0]["z_seq"].shape[0] == len(kept)
     assert all(call["sets"] == ("identity_adapter",) for call in denoiser_calls)
     # block 1 passes its input gradient down; block 0 runs the cross term only
     flags = [(call["self_grads"], call["cross_grads"], call["need_dhidden"])
@@ -361,14 +384,17 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     assert flags == [(False, True, True), (False, True, False)]
     referenced = [i for i, keep in enumerate(kept) if keep]
     assert all(call["cache"]["rows"] == referenced for call in attention_calls)
-    assert len(reference_calls) == sum(kept)
-    for call in reference_calls:
-        assert all(d is not None for d in call["dfeats"])
+    assert len(ref_forward_calls) == len(reference_calls) == 1
+    assert np.array_equal(ref_forward_calls[0]["img"], prepared.ref[1])
+    assert forward_calls[0]["identity"][0] == referenced
+    assert all(d.shape == (len(referenced), tiny_cfg.n_query, tiny_cfg.d_id)
+               for d in reference_calls[0]["dfeats"])
     # without identity features no example reaches a trainable parameter
     denoiser_calls.clear()
+    ref_forward_calls.clear()
     reference_calls.clear()
     _, grads = batch_loss(weights, tiny_enc, prepared, 1, 0.0)
-    assert len(denoiser_calls) == 1 and reference_calls == []
+    assert len(denoiser_calls) == 1 and ref_forward_calls == reference_calls == []
     assert not any(g.any() for g in grads.values())
 
 
