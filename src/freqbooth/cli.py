@@ -249,8 +249,9 @@ def cmd_train(args) -> int:
                          f"{hw}x{hw} latent, so stage 2 would train nothing")
 
     steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
+    # stages 0 and 2 run without the identity branch, so they record lambda 0
     config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
-                         identity_scale=args.lam, mask_kind=mask)
+                         identity_scale=args.lam if stage == 1 else 0.0, mask_kind=mask)
     report = train(config, dataset, weights)
 
     ckpt_path = _checkpoint_path(out, stage, mask)
@@ -452,7 +453,7 @@ def cmd_ablate_masks(args) -> int:
         else:
             weights = copy.deepcopy(stage1)
             config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                                 mask_kind=kind)
+                                 identity_scale=0.0, mask_kind=kind)
             train(config, dataset, weights, schedule=schedule, enc=enc)
             out.mkdir(parents=True, exist_ok=True)
             save_checkpoint(path, weights)

@@ -17,6 +17,8 @@ oracle.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import math
@@ -155,18 +157,18 @@ def _background(kind: int, size: int) -> np.ndarray:
     raise ValueError(f"unknown context class {kind}")
 
 
-def render_sample(params: IdentityParams, size: int, context: int,
-                  rng: RngState) -> np.ndarray:
-    """One posed image of a subject on a context background.
+def render_sample(params: IdentityParams, bg: np.ndarray, rng: RngState) -> np.ndarray:
+    """One posed image of a subject on `bg`, a (3, S, S) context background
+    from `_background`, which is only read.
 
     Pose jitter is deliberately mild (phase, small rotation, small shift) so
     the stripe orientation remains the subject's signature.
     """
+    size = bg.shape[-1]
     phase = (rng.uniform() - 0.5) * 0.5
     dtheta = (rng.uniform() - 0.5) * 0.08
     cx = size / 2.0 + (rng.uniform() - 0.5) * 1.2
     cy = size / 2.0 + (rng.uniform() - 0.5) * 1.2
-    bg = _background(context, size)
 
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
     theta = params.angle + dtheta
@@ -188,23 +190,26 @@ def render_sample(params: IdentityParams, size: int, context: int,
 
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
     """Deterministic dataset: each sample posed as `labels` says, each
-    reference rendered on the plain background."""
+    reference rendered on the plain background.  Each context background
+    is drawn once and shared by every image on it."""
     params = [identity_params(seed, i, spec.n_identities)
               for i in range(spec.n_identities)]
     root = RngState(seed)
     s = spec.image_size
+    backgrounds = [_background(kind, s) for kind in range(spec.n_contexts)]
 
     def split(name: str, count: int):
         images = np.empty((count, 3, s, s))
         for i in range(count):
             ident, text = labels(spec, i)
-            images[i] = render_sample(params[ident], s, text, root.derive((name, i)))
+            images[i] = render_sample(params[ident], backgrounds[text],
+                                      root.derive((name, i)))
         return images
 
     def refs(name: str):
         out = np.empty((spec.n_identities, 3, s, s))
         for i in range(spec.n_identities):
-            out[i] = render_sample(params[i], s, 0, root.derive(("ref", name, i)))
+            out[i] = render_sample(params[i], backgrounds[0], root.derive(("ref", name, i)))
         return out
 
     return Dataset(spec=spec, seed=seed,
@@ -397,6 +402,9 @@ class TrainConfig:
         if self.stage == 2 and self.mask_kind is None:
             raise ValueError("stage 2 requires a mask kind")
         check_identity_scale(self.identity_scale)
+        if self.stage == 1 and self.identity_scale == 0.0:
+            raise ValueError("identity_scale 0 skips the identity cross term, so stage 1 "
+                             "would train nothing")
 
 
 @dataclass
@@ -519,7 +527,8 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
+_PARAM_DTYPE = np.dtype("<f8")  # a parameter's stored bytes, in C order
 
 
 def write_json(path, payload: dict) -> None:
@@ -539,18 +548,27 @@ def write_json(path, payload: dict) -> None:
 
 
 def save_checkpoint(path, weights: ModelWeights) -> None:
+    """Sorted JSON: schema version, config, completed stages, each set's
+    SHA-256 and, per parameter, its shape and its bytes as `_PARAM_DTYPE`
+    in base64, so the round trip is exact and the same weights give the
+    same file."""
     write_json(path, {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": asdict(weights.config),
         "completed_stages": sorted(weights.completed_stages),
         "set_checksums": {s: weights.checksum(s) for s in PARAM_SETS},
         "params": {name: {"shape": list(arr.shape),
-                          "data": arr.ravel().tolist()}
+                          "data": base64.b64encode(
+                              np.ascontiguousarray(arr, dtype=_PARAM_DTYPE)).decode("ascii")}
                    for name, arr in sorted(weights.params().items())},
     })
 
 
 def load_checkpoint(path) -> ModelWeights:
+    """The weights `save_checkpoint` wrote.  Raises ValueError for another
+    schema, a parameter whose name, shape, base64 or byte count does not
+    fit the config, a non-finite value, or a set checksum that is missing
+    or does not match."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("schema_version") != CHECKPOINT_SCHEMA:
@@ -573,7 +591,14 @@ def load_checkpoint(path) -> ModelWeights:
             raise ValueError(
                 f"checkpoint shape for {name}: {entry['shape']} vs {list(arr.shape)}"
             )
-        arr[:] = np.asarray(entry["data"], dtype=np.float64).reshape(arr.shape)
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"checkpoint data for {name} is not base64: {exc}") from None
+        if len(raw) != arr.nbytes:
+            raise ValueError(f"checkpoint data for {name}: {len(raw)} bytes, "
+                             f"expected {arr.nbytes}")
+        arr[:] = np.frombuffer(raw, dtype=_PARAM_DTYPE).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint parameter {name} is not finite")
     weights.completed_stages = list(payload.get("completed_stages", []))
@@ -665,5 +690,5 @@ def dataset_checksum(dataset: Dataset) -> str:
     # the value matches the one existing indexes and config echoes record
     for arr in (dataset.train_images, *train_labels, dataset.test_images, *test_labels,
                 dataset.train_refs, dataset.test_refs):
-        digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(np.ascontiguousarray(arr))  # hashes the buffer in place, no copy
     return digest.hexdigest()

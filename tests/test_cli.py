@@ -6,6 +6,7 @@ lives in the unit tests, so these assert wiring: exit codes, artifact
 files, schemas, and byte determinism.
 """
 
+import base64
 import json
 import shutil
 
@@ -179,6 +180,29 @@ def test_train_stage1_rejects_lambda_zero(pipe, tmp_path, capsys):
                "--stage", 1, "--lambda", 0, "--steps", 5) == 2
     assert not out.exists()
     assert "--lambda 0 skips the identity cross term" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_train_records_the_lambda_it_trains_at(pipe, tmp_path, stage):
+    """Stages 0 and 2 never run the identity branch, so whatever --lambda
+    says they record 0.0, and their artifacts match a run without it."""
+    args = ["--data-dir", pipe / "dataset", "--stage", stage, "--steps", 1]
+    if stage > 0:
+        args += ["--checkpoint", pipe / f"checkpoint_stage{stage - 1}.json"]
+    if stage == 2:
+        args += ["--mask", "low"]
+    suffix = "stage2_low" if stage == 2 else f"stage{stage}"
+    out = tmp_path / "out"
+    assert run("train", "--out-dir", out, *args, "--lambda", 0.3) == 0
+    expected = 0.3 if stage == 1 else 0.0
+    assert read_json(out / "train_config.json")["train_config"]["identity_scale"] == expected
+    assert read_json(out / f"train_report_{suffix}.json")["config"]["identity_scale"] == expected
+    if stage != 1:
+        plain = tmp_path / "plain"
+        assert run("train", "--out-dir", plain, *args) == 0
+        for name in ("train_config.json", f"train_report_{suffix}.json",
+                     f"checkpoint_{suffix}.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
@@ -537,9 +561,34 @@ def drop_config(path):
     path.write_text(json.dumps(payload))
 
 
-def tamper(path):
+def edit_in_proj(path, edit):
+    """Replace in_proj's stored data with `edit` of it, decoded and
+    re-encoded as schema 4 stores it (base64 of little-endian float64)."""
     payload = read_json(path)
-    payload["params"]["in_proj"]["data"][0] += 1.0
+    entry = payload["params"]["in_proj"]
+    entry["data"] = base64.b64encode(edit(base64.b64decode(entry["data"]))).decode("ascii")
+    path.write_text(json.dumps(payload))
+
+
+def tamper(path):
+    """in_proj's first weight moved by 1.0."""
+    def bump(raw):
+        data = np.frombuffer(raw, dtype="<f8").copy()
+        data[0] += 1.0
+        return data.tobytes()
+    edit_in_proj(path, bump)
+
+
+def shorten(path):
+    """in_proj's data one float short."""
+    edit_in_proj(path, lambda raw: raw[:-8])
+
+
+def garble(path):
+    """in_proj's data with a character that is not base64."""
+    payload = read_json(path)
+    entry = payload["params"]["in_proj"]
+    entry["data"] = "!" + entry["data"][1:]
     path.write_text(json.dumps(payload))
 
 
@@ -560,6 +609,15 @@ def downgrade_schema(path):
     path.write_text(json.dumps(payload))
 
 
+def downgrade_to_schema_3(path):
+    """The schema-3 format, which stored each parameter as a list of floats."""
+    payload = read_json(path)
+    payload["schema_version"] = 3
+    for entry in payload["params"].values():
+        entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
+    path.write_text(json.dumps(payload))
+
+
 def poison(path):
     """A NaN weight under checksums that match it."""
     weights = load_checkpoint(path)
@@ -570,6 +628,8 @@ def poison(path):
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "checkpoint-without-config",
                                   "tampered-checkpoint", "checkpoint-without-checksums",
                                   "non-finite-checkpoint", "schema-2-checkpoint",
+                                  "schema-3-checkpoint", "checkpoint-non-base64",
+                                  "checkpoint-one-float-short",
                                   "dataset-missing-ppm", "truncated-index",
                                   "dataset-checksum-mismatch", "dataset-non-integer-seed"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
@@ -589,6 +649,12 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         poison(ckpt)
     elif case == "schema-2-checkpoint":
         downgrade_schema(ckpt)
+    elif case == "schema-3-checkpoint":
+        downgrade_to_schema_3(ckpt)
+    elif case == "checkpoint-non-base64":
+        garble(ckpt)
+    elif case == "checkpoint-one-float-short":
+        shorten(ckpt)
     elif case == "dataset-missing-ppm":
         (data / "train_0003.ppm").unlink()
     elif case == "dataset-checksum-mismatch":
@@ -608,13 +674,22 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     err = capsys.readouterr().err
     if case == "non-finite-checkpoint":
         assert "parameter in_proj is not finite" in err
+    if case == "tampered-checkpoint":
+        assert "checksum for set backbone is missing or does not match" in err
     if case == "dataset-checksum-mismatch":
         assert "does not match its index checksum" in err
     if case == "dataset-non-integer-seed":
         assert "non-integer seed 'not a seed'" in err
     if case == "schema-2-checkpoint":
-        assert "checkpoint schema 2 unsupported (expected 3)" in err
+        assert "checkpoint schema 2 unsupported (expected 4)" in err
         assert "TypeError" not in err
+    if case == "schema-3-checkpoint":
+        assert "checkpoint schema 3 unsupported (expected 4)" in err
+    if case == "checkpoint-non-base64":
+        assert "checkpoint data for in_proj is not base64" in err
+    if case == "checkpoint-one-float-short":
+        n = load_checkpoint(pipe / "checkpoint_stage1.json").in_proj.nbytes
+        assert f"checkpoint data for in_proj: {n - 8} bytes, expected {n}" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

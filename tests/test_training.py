@@ -1,3 +1,4 @@
+import base64
 import inspect
 import json
 
@@ -38,6 +39,28 @@ def test_dataset_is_bit_deterministic(tiny_dataset):
     assert np.array_equal(again.train_images, tiny_dataset.train_images)
     other = generate_dataset(SMALL_SPEC, 1)
     assert dataset_checksum(other) != dataset_checksum(tiny_dataset)
+
+
+def test_dataset_checksums_are_pinned(tiny_dataset):
+    """The recorded checksums every dataset index and config echo holds:
+    SMALL_SPEC at seed 0 and the default spec at seed 1."""
+    assert dataset_checksum(tiny_dataset) == \
+        "f0b1d14757129915ddecc265ea4e4805711c7c22bf83888a8336c33e91ece53f"
+    assert dataset_checksum(generate_dataset(ToyDatasetSpec(), 1)) == \
+        "0dda5bde2a94a64f9075a1904675994578ed10782ce71cbd81bbb2b2053c59d2"
+
+
+def test_each_context_background_is_drawn_once(monkeypatch):
+    drawn = []
+    real = training._background
+
+    def counted(kind, size):
+        drawn.append(kind)
+        return real(kind, size)
+
+    monkeypatch.setattr(training, "_background", counted)
+    generate_dataset(SMALL_SPEC, 0)
+    assert sorted(drawn) == list(range(SMALL_SPEC.n_contexts))
 
 
 def test_dataset_counts_and_round_robin(tiny_dataset):
@@ -500,6 +523,15 @@ def test_train_config_validation():
             TrainConfig(stage=1, steps=1, identity_scale=bad)
 
 
+def test_stage1_config_rejects_identity_scale_zero():
+    # at scale 0 no cross term runs, so every identity-adapter gradient is 0
+    with pytest.raises(ValueError, match="stage 1 would train nothing"):
+        TrainConfig(stage=1, steps=1, identity_scale=0.0)
+    for stage, mask in ((0, None), (2, MaskKind.LOW)):
+        assert TrainConfig(stage=stage, steps=1, identity_scale=0.0,
+                           mask_kind=mask).identity_scale == 0.0
+
+
 def test_smoothing_window_bounds():
     assert smoothing_window(0) == 1
     assert smoothing_window(40) == 4
@@ -567,7 +599,10 @@ def test_checkpoint_rejects_tampering(tiny_cfg, tmp_path):
     save_checkpoint(path, weights)
 
     payload = json.loads(path.read_text())
-    payload["params"]["in_proj"]["data"][0] += 1.0
+    entry = payload["params"]["in_proj"]
+    data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    data[0] += 1.0
+    entry["data"] = base64.b64encode(data).decode("ascii")
     tampered = tmp_path / "bad.json"
     tampered.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="checksum"):
@@ -586,6 +621,48 @@ def test_checkpoint_rejects_tampering(tiny_cfg, tmp_path):
     pruned.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="missing"):
         load_checkpoint(pruned)
+
+
+def test_checkpoint_rejects_data_that_is_not_base64_or_the_wrong_length(tiny_cfg, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_weights(tiny_cfg, 0))
+    stored = json.loads(path.read_text())["params"]["in_proj"]["data"]
+    raw = base64.b64decode(stored)
+    cases = {"garbled": ("*" + stored[1:], "not base64"),
+             "short": (base64.b64encode(raw[:-8]).decode("ascii"),
+                       f"{len(raw) - 8} bytes, expected {len(raw)}"),
+             "long": (base64.b64encode(raw + raw[:8]).decode("ascii"),
+                      f"{len(raw) + 8} bytes, expected {len(raw)}")}
+    for name, (data, message) in cases.items():
+        payload = json.loads(path.read_text())
+        payload["params"]["in_proj"]["data"] = data
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_roundtrip_keeps_extreme_values_bit_exact(tiny_cfg, tmp_path):
+    weights = init_weights(tiny_cfg, 0)
+    extremes = np.array([-0.0, 5e-324, 1e308, -1e308, 0.0])
+    weights.in_proj.ravel()[:extremes.size] = extremes
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, weights)
+    loaded = load_checkpoint(path)
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert loaded.in_proj.ravel()[:extremes.size].tobytes() == extremes.tobytes()
+    for name, arr in weights.params().items():
+        assert loaded.params()[name].tobytes() == arr.tobytes(), name
+
+
+def test_two_saves_of_the_same_weights_are_byte_identical(tiny_trained, tmp_path):
+    weights, _ = tiny_trained
+    save_checkpoint(tmp_path / "a.json", weights)
+    save_checkpoint(tmp_path / "b.json", load_checkpoint(tmp_path / "a.json"))
+    save_checkpoint(tmp_path / "c.json", weights)
+    first = (tmp_path / "a.json").read_bytes()
+    assert (tmp_path / "b.json").read_bytes() == first
+    assert (tmp_path / "c.json").read_bytes() == first
 
 
 def test_checkpoint_rejects_non_finite_params(tiny_cfg, tmp_path):
