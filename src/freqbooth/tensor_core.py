@@ -16,6 +16,12 @@ Draw number ``c`` of a stream is a pure function of ``(seed, c)``:
 Uniform/integer draws consume one counter tick each and use only the even
 word.  Because draws are position-addressable, streams can be split with
 ``derive`` and replayed from any counter without touching global state.
+
+``example_draws(B, shape)`` takes a batch's ticks in one call.  Example i
+owns the ``n + 2`` ticks from ``c0 + i * (n + 2)``, n = prod(shape): one
+leading uniform, n normals, one trailing uniform, the ticks that
+``uniform``, ``normal(shape)`` and ``uniform`` would take in that order, so
+the batch equals B such rounds value for value.
 """
 
 from __future__ import annotations
@@ -50,6 +56,18 @@ def _words(seed: int, start: int, count: int) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
+def _uniform(even_words: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1) from their ticks' even words."""
+    return (even_words >> np.uint64(11)).astype(np.float64) / _TWO53
+
+
+def _box_muller(w: np.ndarray) -> np.ndarray:
+    """One normal per (even, odd) word pair along the last axis."""
+    u1 = ((w[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
+    u2 = (w[..., 1::2] >> np.uint64(11)).astype(np.float64) / _TWO53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
 @dataclass
 class RngState:
     """Counter-based RNG state; (seed, counter) determines all future draws."""
@@ -61,11 +79,20 @@ class RngState:
         """I.i.d. standard normal draws; advances counter by the draw count."""
         n = int(np.prod(shape)) if np.ndim(shape) else int(shape)
         w = _words(self.seed, 2 * self.counter, 2 * n)
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) / _TWO53
         self.counter += n
-        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return out.reshape(shape)
+        return _box_muller(w).reshape(shape)
+
+    def example_draws(self, count: int, shape):
+        """(lead, normals, trail) for `count` examples in one draw: uniforms
+        of shape (count,), normals of shape (count, *shape) and uniforms of
+        shape (count,), laid out as the module docstring says.  Advances the
+        counter by count * (prod(shape) + 2)."""
+        shape = tuple(shape)
+        n = int(np.prod(shape))
+        w = _words(self.seed, 2 * self.counter, 2 * count * (n + 2)).reshape(count, 2 * (n + 2))
+        self.counter += count * (n + 2)
+        normals = _box_muller(w[:, 2:2 * n + 2]).reshape((count, *shape))
+        return _uniform(w[:, 0]), normals, _uniform(w[:, 2 * n + 2])
 
     def uniform(self) -> float:
         """One draw in [0, 1); advances counter by one."""

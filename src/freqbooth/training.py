@@ -157,9 +157,17 @@ def _background(kind: int, size: int) -> np.ndarray:
     raise ValueError(f"unknown context class {kind}")
 
 
-def render_sample(params: IdentityParams, bg: np.ndarray, rng: RngState) -> np.ndarray:
+def _pixel_grid(size: int) -> np.ndarray:
+    """Read-only (2, S, S) float pixel coordinates: rows, then columns."""
+    grid = np.mgrid[0:size, 0:size].astype(float)
+    grid.flags.writeable = False
+    return grid
+
+
+def render_sample(params: IdentityParams, bg: np.ndarray, grid: np.ndarray,
+                  rng: RngState) -> np.ndarray:
     """One posed image of a subject on `bg`, a (3, S, S) context background
-    from `_background`, which is only read.
+    from `_background`.  `grid` is `_pixel_grid(S)`.  Both are only read.
 
     Pose jitter is deliberately mild (phase, small rotation, small shift) so
     the stripe orientation remains the subject's signature.
@@ -170,7 +178,7 @@ def render_sample(params: IdentityParams, bg: np.ndarray, rng: RngState) -> np.n
     cx = size / 2.0 + (rng.uniform() - 0.5) * 1.2
     cy = size / 2.0 + (rng.uniform() - 0.5) * 1.2
 
-    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    yy, xx = grid
     theta = params.angle + dtheta
     proj = ((xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)) / size
     tex = 0.5 + 0.5 * np.sin(2.0 * np.pi * params.freq * proj + phase)
@@ -191,25 +199,27 @@ def render_sample(params: IdentityParams, bg: np.ndarray, rng: RngState) -> np.n
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
     """Deterministic dataset: each sample posed as `labels` says, each
     reference rendered on the plain background.  Each context background
-    is drawn once and shared by every image on it."""
+    is drawn once and shared by every image on it, as is the pixel grid."""
     params = [identity_params(seed, i, spec.n_identities)
               for i in range(spec.n_identities)]
     root = RngState(seed)
     s = spec.image_size
     backgrounds = [_background(kind, s) for kind in range(spec.n_contexts)]
+    grid = _pixel_grid(s)
 
     def split(name: str, count: int):
         images = np.empty((count, 3, s, s))
         for i in range(count):
             ident, text = labels(spec, i)
-            images[i] = render_sample(params[ident], backgrounds[text],
+            images[i] = render_sample(params[ident], backgrounds[text], grid,
                                       root.derive((name, i)))
         return images
 
     def refs(name: str):
         out = np.empty((spec.n_identities, 3, s, s))
         for i in range(spec.n_identities):
-            out[i] = render_sample(params[i], backgrounds[0], root.derive(("ref", name, i)))
+            out[i] = render_sample(params[i], backgrounds[0], grid,
+                                   root.derive(("ref", name, i)))
         return out
 
     return Dataset(spec=spec, seed=seed,
@@ -288,13 +298,11 @@ def _prepare(batch: list[Sample], schedule: NoiseSchedule, rng: RngState,
              enc: FrozenEncoders, stage: int, cond_dropout: float,
              mask_kind: MaskKind | None) -> PreparedBatch:
     z0 = encode_latent(np.stack([sample.image for sample in batch]), enc)
-    t, eps, kept = [], [], []
-    for _ in batch:  # each example in turn draws its timestep, noise and dropout value
-        t.append(1 + rng.randint(schedule.timesteps))
-        eps.append(rng.normal(z0.shape[1:]))
-        u = rng.uniform()  # drawn at every stage, used by stages 0 and 1
-        kept.append(not (stage <= 1 and u < cond_dropout))
-    eps = np.stack(eps)
+    # each example in turn draws its timestep, its noise and a dropout value;
+    # the dropout value is drawn at every stage and used by stages 0 and 1
+    u_t, eps, u_drop = rng.example_draws(len(batch), z0.shape[1:])
+    t = [1 + int(u * schedule.timesteps) for u in u_t]  # as randint(timesteps) draws it
+    kept = [not (stage <= 1 and u < cond_dropout) for u in u_drop]
     rows = [i for i, keep in enumerate(kept) if keep]
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
@@ -350,14 +358,18 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments of the named parameters, each one flat
+    vector holding the parameters in sorted-name order."""
+    names: tuple[str, ...]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_adam(params: dict[str, np.ndarray], names) -> AdamState:
-    return AdamState(m={n: np.zeros_like(params[n]) for n in names},
-                     v={n: np.zeros_like(params[n]) for n in names})
+    names = tuple(sorted(names))
+    size = sum(params[n].size for n in names)
+    return AdamState(names=names, m=np.zeros(size), v=np.zeros(size))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -365,17 +377,25 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """In-place Adam update."""
+    """In-place Adam update of the parameters `state` was built for, whose
+    gradients `grads` names exactly (else ValueError).  The moments update
+    over the flat vectors, elementwise, so each value is the one a loop
+    over the parameters would give."""
+    if sorted(grads) != list(state.names):
+        raise ValueError(f"Adam state holds {list(state.names)}, got grads for {sorted(grads)}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for name in sorted(grads):
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        params[name] -= lr * update
+    g = np.concatenate([grads[name].ravel() for name in state.names])
+    m, v = state.m, state.v
+    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    update = lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    start = 0
+    for name in state.names:
+        p = params[name]
+        p -= update[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,24 @@ def test_rng_scalar_uniform_and_split_draws_match_the_vector_path(seed, counter,
     assert parts.counter == counter + n
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), counter=st.integers(0, 2 ** 40),
+       count=st.integers(1, 6), shape=st.sampled_from([(4, 8, 8), (0,), (3,), (2, 0, 5)]),
+       bound=st.integers(1, 1000))
+def test_rng_example_draws_equal_rounds_of_randint_normal_and_uniform(seed, counter, count,
+                                                                      shape, bound):
+    rng = RngState(seed, counter)
+    lead, normals, trail = rng.example_draws(count, shape)
+    assert lead.shape == trail.shape == (count,) and normals.shape == (count, *shape)
+    replay = RngState(seed, counter)
+    for i in range(count):
+        assert lead[i] == RngState(seed, replay.counter).uniform()
+        assert int(lead[i] * bound) == replay.randint(bound)
+        assert np.array_equal(normals[i], replay.normal(shape))
+        assert trail[i] == replay.uniform()
+    assert rng.counter == replay.counter == counter + count * (int(np.prod(shape)) + 2)
+
+
 def test_rng_derive_streams_are_independent_and_stable():
     root = RngState(9)
     a1 = root.derive("a").normal(8)

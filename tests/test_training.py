@@ -63,6 +63,20 @@ def test_each_context_background_is_drawn_once(monkeypatch):
     assert sorted(drawn) == list(range(SMALL_SPEC.n_contexts))
 
 
+def test_the_pixel_grid_is_built_once_and_read_only(monkeypatch):
+    built = []
+    real = training._pixel_grid
+
+    def counted(size):
+        built.append(size)
+        return real(size)
+
+    monkeypatch.setattr(training, "_pixel_grid", counted)
+    generate_dataset(SMALL_SPEC, 0)
+    assert built == [SMALL_SPEC.image_size]
+    assert not real(8).flags.writeable
+
+
 def test_dataset_counts_and_round_robin(tiny_dataset):
     spec = tiny_dataset.spec
     assert tiny_dataset.train_images.shape == (spec.train_size, 3, 8, 8)
@@ -168,13 +182,26 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
                                                 stage):
     """Each example takes its timestep, its noise and one dropout draw, in
     that order and at every stage, so example i's draws sit at a fixed place in
-    the stream."""
-    prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
+    the stream and the batch ends where the last example's dropout draw does."""
+    batch = batch_of(tiny_dataset, 3)
+    mask = MaskKind.LOW if stage == 2 else None
+    rng = RngState(stage)
+    prepared = _prepare(batch, tiny_schedule, rng, tiny_enc, stage, COND_DROPOUT, mask)
     per_example = 2 + prepared.eps[0].size
-    for i, eps in enumerate(prepared.eps):
+    assert rng.counter == 3 * per_example
+    for i, (sample, eps) in enumerate(zip(batch, prepared.eps)):
         replay = RngState(stage, counter=i * per_example)
         assert prepared.t[i] == 1 + replay.randint(tiny_schedule.timesteps)
         assert np.array_equal(eps, replay.normal(eps.shape))
+        u = replay.uniform()
+        kept = stage == 2 or u >= COND_DROPOUT
+        assert prepared.text_id[i] == (sample.text_id if kept else None)
+        if stage == 0:
+            # a dropout threshold at u keeps example i, one just above u drops it
+            for threshold, text_id in ((u, sample.text_id), (np.nextafter(u, 1.0), None)):
+                again = _prepare(batch, tiny_schedule, RngState(stage), tiny_enc, stage,
+                                 threshold, None)
+                assert again.text_id[i] == text_id
 
 
 def zero_output_weights(cfg, seed):
@@ -423,6 +450,46 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+
+def looped_adam_step(params, grads, m, v, step, lr):
+    """Adam as one update per parameter, the reference for the flat update."""
+    bc1 = 1.0 - training.ADAM_BETA1 ** step
+    bc2 = 1.0 - training.ADAM_BETA2 ** step
+    for name in sorted(grads):
+        g = grads[name]
+        m[name][:] = training.ADAM_BETA1 * m[name] + (1.0 - training.ADAM_BETA1) * g
+        v[name][:] = training.ADAM_BETA2 * v[name] + (1.0 - training.ADAM_BETA2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + training.ADAM_EPS)
+        params[name] -= lr * update
+
+
+def test_flat_adam_equals_the_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    shapes = {"b": (3, 4), "a": (5,), "c": (2, 3, 2)}
+    params = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    want = {n: p.copy() for n, p in params.items()}
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    state = init_adam(params, list(shapes))
+    for step in range(1, 6):
+        grads = {n: rng.normal(size=shape) * 10.0 ** (step - 3) for n, shape in shapes.items()}
+        adam_step(params, grads, state, lr=0.01)
+        looped_adam_step(want, grads, m, v, step, lr=0.01)
+        assert state.step == step
+        for name in shapes:
+            assert np.array_equal(params[name], want[name]), name
+        assert np.array_equal(state.m, np.concatenate([m[n].ravel() for n in sorted(m)]))
+        assert np.array_equal(state.v, np.concatenate([v[n].ravel() for n in sorted(v)]))
+
+
+def test_adam_rejects_grads_for_other_names():
+    params = {"a": np.ones(2), "b": np.ones(3)}
+    state = init_adam(params, ["a", "b"])
+    for grads in ({"a": np.ones(2)}, {"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)}):
+        with pytest.raises(ValueError, match="Adam state"):
+            adam_step(params, grads, state, lr=0.1)
+    assert state.step == 0 and np.array_equal(params["a"], np.ones(2))
 
 
 def test_adam_moves_against_the_gradient():
