@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,12 +29,13 @@ from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
                         linear_schedule, predict_eps, sample, sampling_timesteps)
-from .netpbm import quantize, read_ppm, write_pfm, write_ppm
+from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
-from .training import (Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
+from .training import (Dataset, ToyDatasetSpec, TrainConfig, dataset_digest,
                        generate_dataset, gradient_check, identity_metric_flagged,
-                       load_checkpoint, save_checkpoint, train, write_json)
+                       legacy_dataset_checksum, load_checkpoint, save_checkpoint, train,
+                       write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -146,15 +148,20 @@ def _dataset_files(spec: ToyDatasetSpec):
         yield field, [pattern.format(i) for i in range(count)]
 
 
+DATASET_SCHEMA = 3
+
+
 def save_dataset(ddir: Path, dataset: Dataset) -> str:
     """Write the dataset's images and its index under `ddir`; returns the
-    checksum the index records."""
+    checksum the index records, `dataset_checksum(dataset)`, taken over
+    the rasters as they are written."""
     ddir.mkdir(parents=True, exist_ok=True)
+    digest = dataset_digest(dataset.spec, dataset.seed)
     for field, names in _dataset_files(dataset.spec):
         for img, name in zip(getattr(dataset, field), names):
-            write_ppm(ddir / name, img)
-    checksum = dataset_checksum(dataset)
-    write_json(ddir / "index.json", {"schema_version": 2,
+            digest.update(write_ppm(ddir / name, img))
+    checksum = digest.hexdigest()
+    write_json(ddir / "index.json", {"schema_version": DATASET_SCHEMA,
                                      "spec": asdict(dataset.spec),
                                      "seed": dataset.seed, "checksum": checksum})
     return checksum
@@ -163,8 +170,12 @@ def save_dataset(ddir: Path, dataset: Dataset) -> str:
 def load_dataset(ddir: Path) -> tuple[Dataset, str]:
     """The dataset under `ddir` and its checksum, verified against the index.
 
-    Reads only the index's spec, seed and checksum, so an index that also
-    lists its files (schema 1) loads the same."""
+    Each file is read once into its split's uint8 raster stack, which is
+    hashed as read and then decoded with one divide (level / 255, the bits
+    `read_ppm` gives).  A schema-1 or schema-2 index verifies under
+    `legacy_dataset_checksum`.  Reads only the index's spec, seed and
+    checksum, so an index that also lists its files (schema 1) loads the
+    same."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
@@ -173,22 +184,37 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
     try:
         with open(index_path) as fh:
             index = json.load(fh)
+        schema = index["schema_version"]
+        if schema not in (1, 2, DATASET_SCHEMA):
+            raise PrerequisiteError(f"dataset index schema {schema!r} unsupported "
+                                    f"(expected 1 to {DATASET_SCHEMA})")
         seed = index["seed"]
-        # the checksum does not cover the seed; --seed takes any int, negatives too
+        # --seed takes any int, negatives too
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise PrerequisiteError(f"dataset at {ddir} has a non-integer seed {seed!r}")
         spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
+        digest = dataset_digest(spec, seed)
         arrays = {}
         for field, names in _dataset_files(spec):
-            # filled in place: stacking the reads would briefly hold the split
-            # twice, and would keep read_ppm's channel-last memory order
-            arr = arrays[field] = np.empty((len(names), 3, s, s))
+            levels = np.empty((len(names), s, s, 3), dtype=np.uint8)
             for i, name in enumerate(names):
-                arr[i] = read_ppm(Path(ddir) / name)
+                # a str path: a Path per file would cost more than parsing it
+                raster, maxval = read_ppm_raster(os.path.join(ddir, name))
+                if raster.shape != levels.shape[1:] or maxval != 255:
+                    raise ValueError(f"{name} is {raster.shape[1]}x{raster.shape[0]} with "
+                                     f"maxval {maxval}, expected {s}x{s} with maxval 255")
+                levels[i] = raster
+            digest.update(levels)
+            # decoded into a C-ordered split, as the generator makes it
+            arrays[field] = np.divide(np.moveaxis(levels, -1, 1), 255.0,
+                                      out=np.empty((len(names), 3, s, s)))
+            del levels  # before the next split's stack is allocated
         dataset = Dataset(spec=spec, seed=seed, **arrays)
         checksum = index["checksum"]
-        if dataset_checksum(dataset) != checksum:
+        found = (digest.hexdigest() if schema == DATASET_SCHEMA
+                 else legacy_dataset_checksum(dataset))
+        if found != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
     except _UNREADABLE as exc:
         raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
@@ -376,6 +402,8 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError(f"bad --values {args.values!r}: {exc}") from None
     if not values:
         raise UsageError("--values must list at least one lambda")
+    if len(set(values)) < len(values):
+        raise UsageError(f"--values {args.values!r} lists a lambda twice")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)

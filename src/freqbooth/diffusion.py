@@ -304,21 +304,23 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, text_id, identity, c
     """Predict noise tokens for a (B, seq, C) stack of latents; returns
     (eps_seq, cache).
 
-    t and text_id hold one entry per row: an integer timestep; a text id,
-    None selecting the reserved null-text row.  identity and ctrl_seq are
-    None or (rows, stack), increasing rows and their per-block (R, n_query,
-    d_id) identity features or (R, seq, C) control tokens.  Each row's
-    prediction equals the one-row call on it bit for bit; the cross term
-    (at scale != 0) and the control residual run only for the rows listed.
+    t and text_id hold one entry per row: an integer timestep; a text id
+    in [0, n_text), or None, which alone selects the reserved null-text row.
+    identity and ctrl_seq are None or (rows, stack), increasing rows and
+    their per-block (R, n_query, d_id) identity features or (R, seq, C)
+    control tokens.  Each row's prediction equals the one-row call on it
+    bit for bit; the cross term (at scale != 0) and the control residual
+    run only for the rows listed.
     """
     cfg = w.config
     if not len(t) == len(text_id) == len(z_seq):
         raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep and text id "
                          f"per row")
+    for i in text_id:
+        if i is not None and not 0 <= int(i) < cfg.n_text:
+            raise ValueError(f"text id {i} outside [0, {cfg.n_text}); "
+                             f"only None selects the null text")
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
-    for tid in tids:
-        if not 0 <= tid <= cfg.n_text:
-            raise ValueError(f"text id {tid} outside [0, {cfg.n_text}]")
     # one (1, d_time) matrix per row: a (B, d_time) GEMM would change the bits
     tfeat = time_features(t, cfg.d_time, cfg.timesteps)[:, None, :]
     crows, ctrl = row_index(ctrl_seq, len(z_seq))

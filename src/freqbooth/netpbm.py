@@ -4,30 +4,34 @@ All writers are byte-deterministic: same array in, same file bytes out.
 Images are (3, H, W) float64 arrays in [0, 1]; P6 output clamps and rounds,
 PFM keeps full float32 precision (used where tolerances are tighter than a
 byte quantum).
+
+A P6 file's raster is an (H, W, 3) uint8 array of levels, row by row and
+pixel by pixel with the channels interleaved.  `ppm_levels` gives the raster
+`write_ppm` stores (and returns), `read_ppm_raster` the raster and maxval a
+file holds, and `read_ppm` decodes it to floats as level / maxval.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+
+# whitespace and `#` comments (each to the end of its line), then a token
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _read_tokens(data: bytes, count: int, offset: int):
     """Read whitespace-separated header tokens, skipping `#` comments."""
     tokens = []
     i = offset
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
+    for _ in range(count):
+        match = _HEADER_TOKEN.match(data, i)
+        if not match[1]:
             raise ValueError("truncated netpbm header")
-        tokens.append(data[start:i])
+        tokens.append(match[1])
+        i = match.end()
     return tokens, i + 1  # skip single whitespace after last token
 
 
@@ -36,21 +40,30 @@ def quantize(img: np.ndarray) -> np.ndarray:
     return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    """Write (3, H, W) floats in [0, 1] as binary P6, clamping and rounding."""
+def ppm_levels(img: np.ndarray) -> np.ndarray:
+    """The C-ordered (H, W, 3) uint8 raster that P6 stores for (3, H, W)
+    floats in [0, 1], clamped and rounded to 8-bit levels."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected (3, H, W) image, got shape {img.shape}")
-    _, h, w = img.shape
     q = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    raster = np.moveaxis(q, 0, -1).tobytes()  # H x W x 3 interleaved
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+
+
+def write_ppm(path, img: np.ndarray) -> np.ndarray:
+    """Write (3, H, W) floats in [0, 1] as binary P6 with maxval 255;
+    returns the raster written, `ppm_levels(img)`."""
+    raster = ppm_levels(img)
+    h, w, _ = raster.shape
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(raster)
+    return raster
 
 
-def read_ppm(path) -> np.ndarray:
-    """Read binary P6 into a (3, H, W) float64 array in [0, 1]."""
+def read_ppm_raster(path) -> tuple[np.ndarray, int]:
+    """The (H, W, 3) uint8 raster of a binary P6 file and its maxval, read
+    in one pass.  The raster is a read-only view of the file's bytes."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P6"):
@@ -65,8 +78,13 @@ def read_ppm(path) -> np.ndarray:
     if len(data) - body < need:
         raise ValueError(f"{path}: truncated raster")
     raster = np.frombuffer(data, dtype=np.uint8, count=need, offset=body)
-    img = raster.reshape(h, w, 3).astype(np.float64) / float(maxval)
-    return np.moveaxis(img, -1, 0)
+    return raster.reshape(h, w, 3), maxval
+
+
+def read_ppm(path) -> np.ndarray:
+    """Read binary P6 into a (3, H, W) float64 array in [0, 1]."""
+    raster, maxval = read_ppm_raster(path)
+    return np.moveaxis(raster.astype(np.float64) / float(maxval), -1, 0)
 
 
 def write_pfm(path, img: np.ndarray) -> None:

@@ -35,7 +35,7 @@ from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
                         latent_to_seq, linear_schedule)
-from .netpbm import quantize
+from .netpbm import ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
@@ -94,6 +94,10 @@ def labels(spec: ToyDatasetSpec, i):
     round-robin over the samples and context classes cycle above them.  `i`
     may be an int or an integer array."""
     return i % spec.n_identities, (i // spec.n_identities) % spec.n_contexts
+
+
+# a dataset's image arrays, in the order they are hashed and stored
+IMAGE_FIELDS = ("train_images", "test_images", "train_refs", "test_refs")
 
 
 @dataclass
@@ -701,13 +705,41 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
     }
 
 
+def dataset_digest(spec: ToyDatasetSpec, seed: int):
+    """The SHA-256 of a dataset up to its images: the spec and the seed as
+    sorted JSON, then the train and the test split's `labels` (identity ids,
+    then context ids) as little-endian int64.  Feeding it every image's
+    8-bit levels in P6 raster order (`ppm_levels`), split by split in
+    `IMAGE_FIELDS` order, gives `dataset_checksum`; those are the bytes the
+    dataset's PPM files store after their headers."""
+    header = json.dumps({"seed": int(seed), "spec": asdict(spec)}, sort_keys=True)
+    digest = hashlib.sha256(header.encode())
+    for count in (spec.train_size, spec.test_size):
+        for arr in labels(spec, np.arange(count, dtype=np.int64)):
+            digest.update(np.asarray(arr, dtype="<i8"))
+    return digest
+
+
 def dataset_checksum(dataset: Dataset) -> str:
+    """The checksum a schema-3 dataset index records: `dataset_digest` over
+    the spec, seed and labels, then each image's 8-bit levels.  Taken one
+    image at a time, so it holds no more than one image's levels."""
+    digest = dataset_digest(dataset.spec, dataset.seed)
+    for field in IMAGE_FIELDS:
+        for img in getattr(dataset, field):
+            digest.update(ppm_levels(img))
+    return digest.hexdigest()
+
+
+def legacy_dataset_checksum(dataset: Dataset) -> str:
+    """The checksum schema-1 and schema-2 indexes record, kept only to verify
+    them: SHA-256 over each split's float64 images and int64 labels.  It
+    does not cover the seed."""
     spec = dataset.spec
     train_labels = labels(spec, np.arange(spec.train_size, dtype=np.int64))
     test_labels = labels(spec, np.arange(spec.test_size, dtype=np.int64))
     digest = hashlib.sha256()
-    # the int64 labels are hashed after each split's images, in this order, so
-    # the value matches the one existing indexes and config echoes record
+    # in the order those indexes hashed them
     for arr in (dataset.train_images, *train_labels, dataset.test_images, *test_labels,
                 dataset.train_refs, dataset.test_refs):
         digest.update(np.ascontiguousarray(arr))  # hashes the buffer in place, no copy

@@ -7,14 +7,17 @@ files, schemas, and byte determinism.
 """
 
 import base64
+import hashlib
 import json
 import shutil
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from freqbooth import diffusion
-from freqbooth.cli import load_dataset, main, save_dataset
+from freqbooth.cli import PrerequisiteError, load_dataset, main, save_dataset
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
@@ -22,7 +25,8 @@ from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
 from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (dataset_checksum, generate_dataset, identity_metric_flagged,
+from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, dataset_checksum,
+                                generate_dataset, identity_metric_flagged, labels,
                                 load_checkpoint, save_checkpoint)
 from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
 
@@ -78,7 +82,7 @@ def test_gen_data_writes_counted_files_and_index(pipe):
     ddir = pipe / "dataset"
     index = read_json(ddir / "index.json")
     assert sorted(index) == ["checksum", "schema_version", "seed", "spec"]
-    assert index["schema_version"] == 2
+    assert index["schema_version"] == 3
     assert len(list(ddir.glob("train_*.ppm"))) == 8
     assert len(list(ddir.glob("test_*.ppm"))) == 4
     assert len(list(ddir.glob("ref_*.ppm"))) == 8  # 4 identities x 2 splits
@@ -88,9 +92,6 @@ def test_gen_data_writes_counted_files_and_index(pipe):
     echo = read_json(pipe / "gen_data_config.json")
     assert echo["command"] == "gen-data"
     assert echo["seed"] == 0
-
-
-IMAGE_FIELDS = ("train_images", "test_images", "train_refs", "test_refs")
 
 
 def test_loaded_dataset_equals_the_generated_one(tmp_path):
@@ -111,23 +112,105 @@ def test_loaded_dataset_equals_the_generated_one(tmp_path):
                 == identity_metric_flagged(made.test_images[i], made.test_refs[j])
 
 
+def test_the_index_checksum_hashes_the_stored_rasters(tmp_path):
+    """Schema 3's checksum is the SHA-256 of the spec and seed as sorted
+    JSON, both splits' labels as little-endian int64, then every file's
+    bytes after its P6 header, in file order."""
+    checksum = save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
+    digest = hashlib.sha256(json.dumps({"seed": 0, "spec": asdict(SMALL_SPEC)},
+                                       sort_keys=True).encode())
+    for count in (SMALL_SPEC.train_size, SMALL_SPEC.test_size):
+        for ids in labels(SMALL_SPEC, np.arange(count)):
+            digest.update(ids.astype("<i8").tobytes())
+    header = b"P6\n8 8\n255\n"
+    names = ([f"train_{i:04d}.ppm" for i in range(SMALL_SPEC.train_size)]
+             + [f"test_{i:04d}.ppm" for i in range(SMALL_SPEC.test_size)]
+             + [f"ref_{split}_{i:02d}.ppm" for split in ("train", "test")
+                for i in range(SMALL_SPEC.n_identities)])
+    for name in names:
+        data = (tmp_path / name).read_bytes()
+        assert data.startswith(header) and len(data) == len(header) + 3 * 8 * 8
+        digest.update(data[len(header):])
+    assert digest.hexdigest() == checksum == read_json(tmp_path / "index.json")["checksum"]
+
+
+# what a schema-1 or schema-2 index of SMALL_SPEC at seed 0 records: the
+# SHA-256 of the float64 arrays (`legacy_dataset_checksum`)
+LEGACY_SMALL_CHECKSUM = "f0b1d14757129915ddecc265ea4e4805711c7c22bf83888a8336c33e91ece53f"
+
+
+def loads_as_legacy_index(ddir, schema):
+    """Rewrite the index under `ddir` as schema `schema` (1 or 2) wrote it,
+    then check that it loads to the dataset `gen-data` wrote there."""
+    want, _ = load_dataset(ddir)
+    index = read_json(ddir / "index.json")
+    index.update(schema_version=schema, checksum=LEGACY_SMALL_CHECKSUM)
+    if schema == 1:  # schema 1 also listed every file with its labels
+        n_id, n_ctx = SMALL_SPEC.n_identities, SMALL_SPEC.n_contexts
+        for split, count in (("train", SMALL_SPEC.train_size), ("test", SMALL_SPEC.test_size)):
+            index[split] = [{"file": f"{split}_{i:04d}.ppm", "identity": i % n_id,
+                             "text": (i // n_id) % n_ctx} for i in range(count)]
+            index[f"{split}_refs"] = [f"ref_{split}_{i:02d}.ppm" for i in range(n_id)]
+    (ddir / "index.json").write_text(json.dumps(index))
+    got, got_checksum = load_dataset(ddir)
+    assert got_checksum == LEGACY_SMALL_CHECKSUM
+    for field in IMAGE_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert getattr(got, field).flags.c_contiguous, field
+
+
 def test_a_schema_1_index_loads_to_the_same_dataset(tmp_path):
     """An index that still lists every file with its labels, as schema 1
     did, loads to the dataset its spec, seed and checksum describe."""
     save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
-    want, checksum = load_dataset(tmp_path)
+    loads_as_legacy_index(tmp_path, 1)
+
+
+def test_a_schema_2_index_loads_to_the_same_dataset(tmp_path):
+    """A schema-2 index verifies under the float64 checksum it records, and
+    a changed raster still fails that verification."""
+    save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
+    loads_as_legacy_index(tmp_path, 2)
+    flip_last_raster_byte(tmp_path / "test_0001.ppm")
+    with pytest.raises(PrerequisiteError, match="does not match its index checksum"):
+        load_dataset(tmp_path)
+
+
+def test_an_index_of_another_schema_is_unusable(tmp_path):
+    save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
     index = read_json(tmp_path / "index.json")
-    n_id, n_ctx = SMALL_SPEC.n_identities, SMALL_SPEC.n_contexts
-    index["schema_version"] = 1
-    for split, count in (("train", SMALL_SPEC.train_size), ("test", SMALL_SPEC.test_size)):
-        index[split] = [{"file": f"{split}_{i:04d}.ppm", "identity": i % n_id,
-                         "text": (i // n_id) % n_ctx} for i in range(count)]
-        index[f"{split}_refs"] = [f"ref_{split}_{i:02d}.ppm" for i in range(n_id)]
-    (tmp_path / "index.json").write_text(json.dumps(index))
-    got, got_checksum = load_dataset(tmp_path)
-    assert got_checksum == checksum
-    for field in IMAGE_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for schema in (0, 4, "3", None):
+        (tmp_path / "index.json").write_text(json.dumps({**index, "schema_version": schema}))
+        with pytest.raises(PrerequisiteError, match=f"schema {schema!r} unsupported"):
+            load_dataset(tmp_path)
+
+
+def test_loading_and_saving_hold_at_most_one_split_of_levels_beyond_the_arrays(tmp_path):
+    """Traced peaks on the default spec: `load_dataset` may allocate the
+    dataset's float arrays plus one split of uint8 levels and one float
+    image; `save_dataset`, whose arrays already exist, only the latter."""
+    spec = ToyDatasetSpec()
+    made = generate_dataset(spec, 1)
+    largest_split = max(spec.train_size, spec.test_size, spec.n_identities)
+    split_levels = largest_split * 3 * spec.image_size ** 2
+    image = made.train_images[0].nbytes
+    arrays = sum(getattr(made, field).nbytes for field in IMAGE_FIELDS)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - start, result
+        finally:
+            tracemalloc.stop()
+
+    saved_peak, checksum = traced_peak(lambda: save_dataset(tmp_path, made))
+    assert saved_peak <= split_levels + image
+    loaded_peak, (loaded, _) = traced_peak(lambda: load_dataset(tmp_path))
+    assert loaded_peak <= arrays + split_levels + image
+    assert loaded_peak >= arrays  # the trace saw the arrays
+    assert dataset_checksum(loaded) == checksum
 
 
 def test_gen_data_rejects_zero_identities(tmp_path):
@@ -252,6 +335,19 @@ def test_sample_flag_validation(pipe, tmp_path):
                "--mask", "low") == 2  # mask needs a reference
     assert run("sample", "--out-dir", tmp_path, "--checkpoint", ckpt,
                "--ref", tmp_path / "missing.ppm") == 2
+
+
+@pytest.mark.parametrize("text_id", [4, -1, 5])
+def test_sample_rejects_a_text_id_outside_the_model(pipe, tmp_path, text_id, capsys):
+    """The toy model has 4 text classes; its fifth embedding row is the
+    reserved null text, which no --text-id selects."""
+    ckpt = pipe / "checkpoint_stage1.json"
+    assert run("sample", "--out-dir", tmp_path / "out", "--checkpoint", ckpt,
+               "--steps", 2, "--text-id", text_id) == 2
+    assert not (tmp_path / "out").exists()
+    assert f"text id {text_id} outside [0, 4)" in capsys.readouterr().err
+    assert run("sample", "--out-dir", tmp_path / "ok", "--checkpoint", ckpt,
+               "--steps", 2, "--text-id", 3) == 0
 
 
 def test_sample_mask_without_stage2_checkpoint_exits_3(pipe, tmp_path):
@@ -389,6 +485,16 @@ def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
 def test_sweep_lambda_flag_validation(tmp_path):
     assert run("sweep-lambda", "--out-dir", tmp_path, "--values", "abc") == 2
     assert run("sweep-lambda", "--out-dir", tmp_path, "--trials", 0) == 2
+
+
+@pytest.mark.parametrize("values", ["0.4,0.40", "0,1,0.0", "0,-0"])
+def test_sweep_lambda_rejects_a_repeated_value(tmp_path, values, capsys):
+    """Exit 2 before anything is loaded: with no checkpoint or dataset
+    there, a later check would exit 3."""
+    out = tmp_path / "out"
+    assert run("sweep-lambda", "--out-dir", out, "--values", values, "--trials", 2) == 2
+    assert not out.exists()
+    assert "lists a lambda twice" in capsys.readouterr().err
 
 
 def test_sweep_lambda_report_schema(pipe, tmp_path):
@@ -592,6 +698,12 @@ def garble(path):
     path.write_text(json.dumps(payload))
 
 
+def flip_last_raster_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
 def strip_checksums(path):
     """A tampered weight under an empty checksum table."""
     tamper(path)
@@ -631,7 +743,9 @@ def poison(path):
                                   "schema-3-checkpoint", "checkpoint-non-base64",
                                   "checkpoint-one-float-short",
                                   "dataset-missing-ppm", "truncated-index",
-                                  "dataset-checksum-mismatch", "dataset-non-integer-seed"])
+                                  "dataset-checksum-mismatch", "dataset-non-integer-seed",
+                                  "dataset-flipped-raster-byte", "dataset-other-seed",
+                                  "dataset-maxval-not-255"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -662,6 +776,15 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     elif case == "dataset-non-integer-seed":
         index = read_json(data / "index.json")
         (data / "index.json").write_text(json.dumps({**index, "seed": "not a seed"}))
+    elif case == "dataset-flipped-raster-byte":
+        flip_last_raster_byte(data / "train_0003.ppm")
+    elif case == "dataset-other-seed":
+        index = read_json(data / "index.json")
+        (data / "index.json").write_text(json.dumps({**index, "seed": index["seed"] + 1}))
+    elif case == "dataset-maxval-not-255":
+        # the same levels, so only the loader's maxval check catches it
+        path = data / "train_0003.ppm"
+        path.write_bytes(path.read_bytes().replace(b"\n255\n", b"\n254\n", 1))
     else:
         truncate(data / "index.json")
     out = tmp_path / "out"
@@ -676,8 +799,11 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         assert "parameter in_proj is not finite" in err
     if case == "tampered-checkpoint":
         assert "checksum for set backbone is missing or does not match" in err
-    if case == "dataset-checksum-mismatch":
+    if case in ("dataset-checksum-mismatch", "dataset-flipped-raster-byte",
+                "dataset-other-seed"):
         assert "does not match its index checksum" in err
+    if case == "dataset-maxval-not-255":
+        assert "train_0003.ppm is 32x32 with maxval 254, expected 32x32 with maxval 255" in err
     if case == "dataset-non-integer-seed":
         assert "non-integer seed 'not a seed'" in err
     if case == "schema-2-checkpoint":

@@ -261,6 +261,18 @@ def test_invalid_latents_and_text_ids_are_rejected(cfg):
         predict_one(weights, rand_latent(cfg, 16), 5, 11)
 
 
+def test_only_none_selects_the_null_text_row(cfg):
+    """An integer text id lies in [0, n_text): the id of the reserved null
+    row is rejected, while None runs on that row."""
+    weights = init_weights(cfg, 6)
+    z = rand_latent(cfg, 16)
+    for text_id in (cfg.n_text, cfg.null_text_id, -1):
+        with pytest.raises(ValueError, match=rf"text id {text_id} outside \[0, {cfg.n_text}\)"):
+            predict_one(weights, z, 5, text_id)
+    predict_one(weights, z, 5, None)
+    predict_one(weights, z, 5, cfg.n_text - 1)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

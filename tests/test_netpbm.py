@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqbooth.netpbm import quantize, read_pfm, read_ppm, write_pfm, write_ppm
+from freqbooth.netpbm import (_read_tokens, ppm_levels, quantize, read_pfm, read_ppm,
+                              read_ppm_raster, write_pfm, write_ppm)
 
 
 def test_ppm_roundtrip_is_exact_on_quantized_input(tmp_path):
@@ -12,6 +13,62 @@ def test_ppm_roundtrip_is_exact_on_quantized_input(tmp_path):
     path = tmp_path / "img.ppm"
     write_ppm(path, img)
     assert np.array_equal(read_ppm(path), img)
+
+
+def test_write_ppm_returns_the_raster_it_stores(tmp_path):
+    img = np.random.default_rng(3).uniform(-0.2, 1.2, size=(3, 5, 7))
+    path = tmp_path / "img.ppm"
+    raster = write_ppm(path, img)
+    assert raster.dtype == np.uint8 and raster.shape == (5, 7, 3)
+    assert raster.flags.c_contiguous
+    assert np.array_equal(raster, ppm_levels(img))
+    assert path.read_bytes() == b"P6\n7 5\n255\n" + raster.tobytes()
+    stored, maxval = read_ppm_raster(path)
+    assert maxval == 255 and np.array_equal(stored, raster)
+    assert np.array_equal(read_ppm(path), np.moveaxis(raster / 255.0, -1, 0))
+
+
+def test_read_ppm_divides_by_the_stored_maxval(tmp_path):
+    path = tmp_path / "m.ppm"
+    path.write_bytes(b"P6\n1 1\n15\n" + bytes([0, 5, 15]))
+    raster, maxval = read_ppm_raster(path)
+    assert maxval == 15 and raster.tolist() == [[[0, 5, 15]]]
+    assert read_ppm(path).ravel().tolist() == [0.0, 5 / 15, 1.0]
+
+
+def reference_tokens(data: bytes, count: int, offset: int):
+    """The byte-at-a-time header reader the regular expression replaced."""
+    tokens = []
+    i = offset
+    while len(tokens) < count:
+        while i < len(data) and data[i : i + 1].isspace():
+            i += 1
+        if i < len(data) and data[i : i + 1] == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+            continue
+        start = i
+        while i < len(data) and not data[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise ValueError("truncated netpbm header")
+        tokens.append(data[start:i])
+    return tokens, i + 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#",
+                                      b"1", b"25", b"x", b"\x00", b"\xff", b"-"]),
+                     max_size=24).map(b"".join),
+       count=st.integers(1, 3), offset=st.integers(0, 3))
+def test_header_tokens_match_the_byte_at_a_time_reader(data, count, offset):
+    try:
+        want = reference_tokens(data, count, offset)
+    except ValueError:
+        with pytest.raises(ValueError, match="truncated netpbm header"):
+            _read_tokens(data, count, offset)
+        return
+    assert _read_tokens(data, count, offset) == want
 
 
 def test_ppm_bytes_are_deterministic(tmp_path):
