@@ -13,14 +13,19 @@ Both terms, and the reference branch's identity pooler, are one single-head
 kernel: `softmax_attention` and its backward `softmax_attention_backward`.
 
 Adaptive attention runs on a (B, seq, d_model) stack of hidden sequences
-and a sparse stack of identity tokens, one entry per row that has them; a
-single sequence is a one-row stack.  The forward returns a cache consumed
-by the matching backward pass, which sums each weight gradient over the
-rows in row order.  The backward takes three flags, one per group of
-gradients: the self-term projections, the identity cross term (its two
-projections and the identity input), and the hidden input.  It computes
-only those groups and is validated against central finite differences in
-the test suite.
+and an `IdentityTerm`: the rows that have identity tokens, those tokens,
+their K_id and V_id projections and the scale.  None of these depends on
+the hidden sequences, so `identity_term` projects them once and a DDIM run
+reuses them at every step; a single sequence is a one-row stack.  The
+forward returns a cache consumed by the matching backward pass, which sums
+each weight gradient over the rows in row order.  The backward takes three
+flags, one per group of gradients: the self-term projections, the identity
+cross term (its two projections and the identity input), and the hidden
+input.  It computes only those groups and is validated against central
+finite differences in the test suite.
+
+The softmax scores are the one full-size temporary of each term:
+`softmax_attention` scales the q k^T product and normalises it in place.
 """
 
 from __future__ import annotations
@@ -49,26 +54,39 @@ def check_identity_scale(value: float) -> float:
     return value
 
 
-def _check_dims(hidden, ident, w):
-    if hidden.ndim != 3 or 0 in hidden.shape[:-1]:
-        raise ValueError(
-            f"hidden sequences must be a nonempty (B, seq, d_model) stack, got {hidden.shape}")
-    if hidden.shape[-1] != w.w_query.shape[0]:
-        raise ValueError(
-            f"query projection mismatch: hidden dim {hidden.shape[-1]} "
-            f"vs w_query rows {w.w_query.shape[0]}"
-        )
+@dataclass(frozen=True)
+class IdentityTerm:
+    """The cross term's inputs on a stack that no hidden sequence changes."""
+    rows: slice | list   # the stack rows that run the cross term, as `row_index` gives
+    tokens: np.ndarray   # (R, n_tokens, d_id) identity tokens of those rows
+    keys: np.ndarray     # tokens @ w_key_id
+    values: np.ndarray   # tokens @ w_value_id
+    scale: float
+
+
+def identity_term(identity, n: int, w: AdaptiveAttentionWeights,
+                  scale: float) -> IdentityTerm | None:
+    """Check `identity`, None or (rows, tokens) with increasing rows of an
+    n-row stack and their (R, n_tokens, d_id) tokens, and project the tokens
+    once.  None when no row runs the cross term: no rows, or scale 0."""
+    rows, ident = row_index(identity, n)
     if ident is not None and ident.shape[-1] != w.w_key_id.shape[0]:
         raise ValueError(
             f"identity key projection mismatch: token dim {ident.shape[-1]} "
             f"vs w_key_id rows {w.w_key_id.shape[0]}"
         )
+    if not rows or scale == 0.0:
+        return None
+    return IdentityTerm(rows, ident, ident @ w.w_key_id, ident @ w.w_value_id, scale)
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
     """Single-head softmax attention; returns (Softmax(q k^T * inv) v, weights).
-    Leading axes, if any, are batch axes."""
-    a = softmax_rows(q @ k.swapaxes(-1, -2) * inv)
+    Leading axes, if any, are batch axes.  The weights are the q k^T product,
+    scaled and normalised in place."""
+    s = q @ k.swapaxes(-1, -2)
+    s *= inv
+    a = softmax_rows(s)
     return a @ v, a
 
 
@@ -85,18 +103,24 @@ def softmax_attention_backward(do: np.ndarray, q: np.ndarray, k: np.ndarray,
     return dq, dk, dv
 
 
-def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
-                      scale: float):
+def attention_forward(hidden: np.ndarray, identity: IdentityTerm | None,
+                      w: AdaptiveAttentionWeights):
     """Run adaptive attention on a (B, seq, d_model) stack of hidden
     sequences; returns (output, cache-for-backward).
 
-    `identity` is None or (rows, tokens), increasing rows and their (R,
-    n_tokens, d_id) tokens.  A row not listed (or scale == 0) skips the
-    cross term, so its output is the pure self-attention summand.  Each row
-    of the output equals a one-row call on it bit for bit.
+    `identity` comes from `identity_term` on the same stack and weights.  A
+    row it does not list (or None) skips the cross term, so its output is
+    the pure self-attention summand.  Each row of the output equals a
+    one-row call on it bit for bit.
     """
-    rows, ident = row_index(identity, len(hidden))
-    _check_dims(hidden, ident, w)
+    if hidden.ndim != 3 or 0 in hidden.shape[:-1]:
+        raise ValueError(
+            f"hidden sequences must be a nonempty (B, seq, d_model) stack, got {hidden.shape}")
+    if hidden.shape[-1] != w.w_query.shape[0]:
+        raise ValueError(
+            f"query projection mismatch: hidden dim {hidden.shape[-1]} "
+            f"vs w_query rows {w.w_query.shape[0]}"
+        )
     inv = 1.0 / np.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
@@ -104,15 +128,14 @@ def attention_forward(hidden: np.ndarray, identity, w: AdaptiveAttentionWeights,
     v = hidden @ w.w_value
     out, attn = softmax_attention(q, k, v, inv)
     # the cross term runs only for the rows that have identity tokens, as one sub-stack
-    rows = rows if scale != 0.0 else []
-    k_id = v_id = attn_id = None
+    rows = [] if identity is None else identity.rows
+    attn_id = None
     if rows:
-        k_id = ident @ w.w_key_id
-        v_id = ident @ w.w_value_id
-        cross, attn_id = softmax_attention(q[rows], k_id, v_id, inv)
-        out[rows] += scale * cross
-    cache = dict(hidden=hidden, rows=rows, ident=ident, w=w, scale=scale, inv=inv,
-                 q=q, k=k, v=v, k_id=k_id, v_id=v_id, attn=attn, attn_id=attn_id)
+        cross, attn_id = softmax_attention(q[rows], identity.keys, identity.values, inv)
+        cross *= identity.scale
+        out[rows] += cross
+    cache = dict(hidden=hidden, rows=rows, identity=identity, w=w, inv=inv,
+                 q=q, k=k, v=v, attn=attn, attn_id=attn_id)
     return out, cache
 
 
@@ -136,8 +159,8 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
     computed sums in the same order as in the full backward (every flag set).
     """
     w: AdaptiveAttentionWeights = cache["w"]
-    hidden, rows, ident = cache["hidden"], cache["rows"], cache["ident"]
-    inv, scale = cache["inv"], cache["scale"]
+    hidden, rows, identity = cache["hidden"], cache["rows"], cache["identity"]
+    inv = cache["inv"]
     q, k, v = cache["q"], cache["k"], cache["v"]
     self_term = self_grads or need_dhidden
     # the query gradient takes a share from the cross term too
@@ -148,8 +171,8 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
                                                 need_dq=True)
     if cross_term:
         dq_id, dk_id, dv_id = softmax_attention_backward(
-            scale * dout[rows], q[rows], cache["k_id"], cache["v_id"], cache["attn_id"],
-            inv, need_dq=self_term)
+            identity.scale * dout[rows], q[rows], identity.keys, identity.values,
+            cache["attn_id"], inv, need_dq=self_term)
         if self_term:
             dq[rows] += dq_id
 
@@ -160,8 +183,8 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
         grads["w_value"] = row_summed_grad(hidden, dv)
     didentity = None
     if cross_grads and cross_term:
-        grads["w_key_id"] = row_summed_grad(ident, dk_id)
-        grads["w_value_id"] = row_summed_grad(ident, dv_id)
+        grads["w_key_id"] = row_summed_grad(identity.tokens, dk_id)
+        grads["w_value_id"] = row_summed_grad(identity.tokens, dv_id)
         didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
     dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T if need_dhidden else None
     return dhidden, didentity, grads

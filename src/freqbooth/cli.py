@@ -28,7 +28,8 @@ from .attention import check_identity_scale
 from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
-                        linear_schedule, predict_eps, sample, sampling_timesteps)
+                        linear_schedule, predict_eps, project_conditions, sample,
+                        sampling_timesteps)
 from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
@@ -309,10 +310,11 @@ def cmd_sample(args) -> int:
     stage = 1 if mask is None else 2
     weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage, mask), stage + 1)
     ref = _load_image(args.ref) if args.ref else None
-    if ref is not None and ref.shape[1] != weights.config.image_size:
+    size = weights.config.image_size
+    if ref is not None and ref.shape != (3, size, size):
         raise UsageError(
-            f"reference is {ref.shape[1]}px but the model expects "
-            f"{weights.config.image_size}px"
+            f"reference is {ref.shape[2]}x{ref.shape[1]}px but the model expects "
+            f"{size}x{size}px"
         )
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
@@ -506,7 +508,7 @@ def cmd_ablate_masks(args) -> int:
         weights = models[name]
         kind = None if name == "none" else MaskKind(name)
         ctrl = None if kind is None else (range(n_eval), make_control_signal(z0, kind))
-        pred = predict_eps(weights, z_t, ts, texts, None, ctrl, 0.0)
+        pred = predict_eps(weights, z_t, ts, project_conditions(weights, texts, ctrl=ctrl))
         losses = [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps)]
         metrics = []
         for j in range(args.eval_samples):

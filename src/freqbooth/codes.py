@@ -3,6 +3,8 @@ for token sequences and timestep features for the denoiser."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -25,13 +27,21 @@ def grid_position_codes(gh: int, gw: int, dim: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _time_divisors(dim: int, max_steps: int) -> np.ndarray:
+    """The dim // 2 geometric wavelengths of `time_features`, read-only
+    because every call with these arguments shares the cached array."""
+    m = dim // 2
+    div = np.power(float(max(max_steps, 2)), np.arange(m) / max(m - 1, 1))
+    div.setflags(write=False)
+    return div
+
+
 def time_features(t, dim: int, max_steps: int) -> np.ndarray:
     """(..., dim) sinusoidal features of an integer timestep or an array of them."""
     if dim % 2 != 0:
         raise ValueError(f"time feature dim must be even, got {dim}")
-    m = dim // 2
-    div = np.power(float(max(max_steps, 2)), np.arange(m) / max(m - 1, 1))
-    phase = np.asarray(t)[..., None] / div
+    phase = np.asarray(t)[..., None] / _time_divisors(dim, max_steps)
     out = np.empty(phase.shape[:-1] + (dim,))
     out[..., 0::2] = np.sin(phase)
     out[..., 1::2] = np.cos(phase)

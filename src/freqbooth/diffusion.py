@@ -13,10 +13,17 @@ positions.  Per block:
 
 with a linear in/out projection and a fixed additive position code.  Forward
 and backward passes are hand-written over a (B, seq, C) stack of latents
-with one timestep and text id per row and sparse stacks of identity and
-control, one entry per row that has them; a single latent is a one-row
-stack, and the backward sums each weight gradient over the rows in row
-order.  The test suite checks every gradient against finite differences.
+with one timestep per row and its `Conditions`: one text id per row and
+sparse stacks of identity and control, one entry per row that has them.  A
+single latent is a one-row stack, and the backward sums each weight
+gradient over the rows in row order.  The test suite checks every gradient
+against finite differences.
+
+What the conditions contribute to each block does not depend on the latent
+or the timestep: the text-embedding rows, the identity keys and values, and
+the control fields.  `project_conditions` computes them once, so a DDIM run
+projects them once for all its steps and a training batch once per forward.
+The forward writes each block temporary it owns in place.
 
 Parameters are grouped into three sets with distinct training stages:
 `backbone` (stage 0 pretraining, frozen afterwards), `identity_adapter`
@@ -34,8 +41,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .attention import (AdaptiveAttentionWeights, attention_backward, attention_forward,
-                        check_identity_scale)
+from .attention import (AdaptiveAttentionWeights, IdentityTerm, attention_backward,
+                        attention_forward, check_identity_scale, identity_term)
 from .codes import grid_position_codes, time_features
 from .config import ModelConfig
 from .dct_freq import MaskKind, make_control_signal
@@ -299,49 +306,81 @@ def seq_to_latent(seq: np.ndarray, hw: int) -> np.ndarray:
     return seq.swapaxes(-1, -2).reshape(*seq.shape[:-2], -1, hw, hw)
 
 
-def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, text_id, identity, ctrl_seq,
-                     scale: float):
-    """Predict noise tokens for a (B, seq, C) stack of latents; returns
-    (eps_seq, cache).
+@dataclass(frozen=True)
+class Conditions:
+    """A stack's conditioning, projected for each block by `project_conditions`."""
+    tids: np.ndarray                    # (B,) text_embed row of each sequence
+    text: list[np.ndarray]              # per block, (B, 1, d_model) text-embedding rows
+    identity: list[IdentityTerm | None]  # per block, the cross term (None: no row runs it)
+    crows: slice | list                 # rows with control tokens, as `row_index` gives
+    ctrl: np.ndarray | None             # (R, seq, C) control tokens of those rows
+    fields: list[np.ndarray | None]     # per block, ctrl @ ctrl_proj (None without control)
 
-    t and text_id hold one entry per row: an integer timestep; a text id
-    in [0, n_text), or None, which alone selects the reserved null-text row.
-    identity and ctrl_seq are None or (rows, stack), increasing rows and
-    their per-block (R, n_query, d_id) identity features or (R, seq, C)
-    control tokens.  Each row's prediction equals the one-row call on it
-    bit for bit; the cross term (at scale != 0) and the control residual
-    run only for the rows listed.
+
+def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
+                       scale: float = 0.0) -> Conditions:
+    """Check and project the conditions of a stack with one row per text id.
+
+    text_id holds a text id in [0, n_text) per row, or None, which alone
+    selects the reserved null-text row.  identity and ctrl are None or
+    (rows, stack), increasing rows and their per-block (R, n_query, d_id)
+    identity features or (R, C, h, w) control latents.  The cross term (at
+    scale != 0) and the control residual run only for the rows listed.
     """
     cfg = w.config
-    if not len(t) == len(text_id) == len(z_seq):
-        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep and text id "
-                         f"per row")
     for i in text_id:
         if i is not None and not 0 <= int(i) < cfg.n_text:
             raise ValueError(f"text id {i} outside [0, {cfg.n_text}); "
                              f"only None selects the null text")
+    n = len(text_id)
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
+    terms = [identity_term(None if identity is None else (identity[0], identity[1][k]),
+                           n, blk.attn, scale) for k, blk in enumerate(w.blocks)]
+    crows, ctrl_seq = row_index(None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1])), n)
+    return Conditions(
+        tids=tids,
+        # one (1, d_model) text row per sequence broadcasts over its tokens
+        text=[blk.text_embed[tids][:, None] for blk in w.blocks],
+        identity=terms, crows=crows, ctrl=ctrl_seq,
+        fields=[ctrl_seq @ blk.ctrl_proj if crows else None for blk in w.blocks])
+
+
+def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, cond: Conditions):
+    """Predict noise tokens for a (B, seq, C) stack of latents with one
+    integer timestep per row and the stack's projected conditions; returns
+    (eps_seq, cache).  Each row's prediction equals the one-row call on it
+    bit for bit.
+    """
+    cfg = w.config
+    if not len(t) == len(cond.tids) == len(z_seq):
+        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep and text id "
+                         f"per row")
     # one (1, d_time) matrix per row: a (B, d_time) GEMM would change the bits
     tfeat = time_features(t, cfg.d_time, cfg.timesteps)[:, None, :]
-    crows, ctrl = row_index(ctrl_seq, len(z_seq))
-    h = z_seq @ w.in_proj + w.pos_code
+    crows = cond.crows
+    h = z_seq @ w.in_proj
+    h += w.pos_code
     caches = []
     for k, blk in enumerate(w.blocks):
-        # one (1, d_model) text row per sequence broadcasts over its tokens
-        h1 = h + (tfeat @ blk.time_proj + blk.text_embed[tids][:, None])
-        gain = 1.0 + tfeat @ blk.time_gain  # per-channel residual scale
-        attn_out, acache = attention_forward(
-            h1, None if identity is None else (identity[0], identity[1][k]), blk.attn, scale)
-        h3 = h1 + gain * attn_out
-        fields = ctrl @ blk.ctrl_proj if crows else None
+        # every sum below goes into an array this block owns, its first summand
+        # or a fresh product, which commutative IEEE addition leaves bit-equal
+        step_cond = tfeat @ blk.time_proj
+        step_cond += cond.text[k]
+        h += step_cond  # h1, the attention input
+        gain = tfeat @ blk.time_gain  # per-channel residual scale
+        gain += 1.0
+        attn_out, acache = attention_forward(h, cond.identity[k], blk.attn)
+        h3 = gain * attn_out
+        h3 += h
         if crows:
-            h3[crows] += blk.ctrl_gate[0] * (gain[crows] * fields)
-        ff_act = np.tanh(h3 @ blk.ff_w1)
-        h = h3 + ff_act @ blk.ff_w2
+            h3[crows] += blk.ctrl_gate[0] * (gain[crows] * cond.fields[k])
+        ff_act = h3 @ blk.ff_w1
+        np.tanh(ff_act, out=ff_act)
+        h = ff_act @ blk.ff_w2
+        h += h3
         caches.append(dict(acache=acache, h3=h3, gain=gain, attn_out=attn_out,
-                           fields=fields, ff_act=ff_act))
-    cache = dict(w=w, z_seq=z_seq, tfeat=tfeat, tids=tids, h_final=h, crows=crows,
-                 ctrl=ctrl, caches=caches)
+                           ff_act=ff_act))
+    cache = dict(w=w, z_seq=z_seq, tfeat=tfeat, cond=cond, h_final=h, caches=caches)
     return h @ w.out_proj, cache
 
 
@@ -368,7 +407,8 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
         raise ValueError(f"unknown parameter sets {sorted(sets - frozenset(PARAM_SETS))}")
     backbone, identity, control = (s in sets for s in PARAM_SETS)
     w: ModelWeights = cache["w"]
-    crows, tfeat = cache["crows"], cache["tfeat"]
+    cond: Conditions = cache["cond"]
+    crows, tfeat = cond.crows, cache["tfeat"]
     grads: dict[str, np.ndarray] = {}
     didentity = [None] * len(w.blocks)
     if backbone:
@@ -386,12 +426,12 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
             grads[p + "ff_w1"] = row_summed_grad(c["h3"], dff_pre)
         dh3 = dh + dff_pre @ blk.ff_w1.T
         # control residual (scaled by the shared time gain)
-        gain, fields = c["gain"], c["fields"]
+        gain, fields = c["gain"], cond.fields[k]
         if control and crows:
             grads[p + "ctrl_gate"] = np.array(
                 [sum(np.sum(x) for x in dh3[crows] * (gain[crows] * fields))])
             grads[p + "ctrl_proj"] = row_summed_grad(
-                cache["ctrl"], blk.ctrl_gate[0] * (gain[crows] * dh3[crows]))
+                cond.ctrl, blk.ctrl_gate[0] * (gain[crows] * dh3[crows]))
         dh2 = dh3
         # the gain scales both the control and the attention residual
         if backbone:
@@ -414,27 +454,23 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
             dcond = dh.sum(axis=1)
             grads[p + "time_proj"] = (tfeat.swapaxes(-1, -2) * dcond[:, None, :]).sum(axis=0)
             demb = np.zeros(blk.text_embed.shape)  # only the used rows are nonzero
-            np.add.at(demb, cache["tids"], dcond)
+            np.add.at(demb, cond.tids, dcond)
             grads[p + "text_embed"] = demb
     if backbone:
         grads["in_proj"] = row_summed_grad(cache["z_seq"], dh)
     return grads, didentity
 
 
-def predict_eps(w: ModelWeights, z_t: np.ndarray, t, text_id, identity=None,
-                ctrl=None, scale: float = 0.0) -> np.ndarray:
+def predict_eps(w: ModelWeights, z_t: np.ndarray, t, cond: Conditions) -> np.ndarray:
     """Noise prediction on a (B, C, h, w) stack of latents as one denoiser
-    batch, conditioned as `denoiser_forward` describes, but with ctrl given
-    as (rows, (R, C, h, w) control latents)."""
+    batch, one timestep per row, under the stack's projected conditions."""
     hw = w.config.latent_hw
     if z_t.ndim != 4 or z_t.shape[1:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
             f"latent shape {z_t.shape} does not match a stack for config "
             f"(B, {w.config.latent_channels}, {hw}, {hw})"
         )
-    ctrl_seq = None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1]))
-    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, text_id, identity, ctrl_seq,
-                                  scale)
+    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, cond)
     return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
 
 
@@ -449,7 +485,8 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     """DDIM sampling with classifier-free guidance.
 
     Identity features and the frequency control signal are computed once
-    from the reference image and held fixed across all steps.  Returns
+    from the reference image, and the conditions projected once from them
+    and the text id, then held fixed across all steps.  Returns
     (image, info) where image is the decoded (3, H, W) float array
     (unclamped) and info records the run inputs.
 
@@ -476,12 +513,12 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
         ctrl = ([0], make_control_signal(encode_latent(ref_img[None], enc), mask_kind))
 
     texts = [text_id] if guidance == 1.0 else [text_id, None]  # one per branch
+    cond = project_conditions(w, texts, identity, ctrl, identity_scale)
     z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
     taus = sampling_timesteps(schedule.timesteps, steps)
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps = predict_eps(w, np.stack([z] * len(texts)), [t] * len(texts), texts,
-                          identity, ctrl, identity_scale)
+        eps = predict_eps(w, np.stack([z] * len(texts)), [t] * len(texts), cond)
         z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), t, t_prev, schedule)
 
     image = decode_latent(z, enc)

@@ -34,7 +34,7 @@ from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
-                        latent_to_seq, linear_schedule)
+                        latent_to_seq, linear_schedule, project_conditions)
 from .netpbm import ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
@@ -333,9 +333,8 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
         feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
                                                 weights.id_heads(), enc)
         identity = (batch.ref[0], feats)
-    ctrl = None if batch.ctrl is None else (batch.ctrl[0], latent_to_seq(batch.ctrl[1]))
-    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t,
-                                        batch.text_id, identity, ctrl, identity_scale)
+    cond = project_conditions(weights, batch.text_id, identity, batch.ctrl, identity_scale)
+    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t, cond)
     diff = pred_seq - latent_to_seq(batch.eps)
     loss = sum(float(np.mean(d ** 2)) for d in diff) / n
     if not compute_grads:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqbooth.attention import (AdaptiveAttentionWeights, attention_backward,
-                                 attention_forward, check_identity_scale)
+                                 attention_forward, check_identity_scale, identity_term)
 from freqbooth.tensor_core import softmax_rows
 
 
@@ -40,14 +40,14 @@ def naive_adaptive(hidden, identity, w, lam):
     return out
 
 
-def one_row(identity):
-    """The sparse identity stack of a one-row stack."""
-    return None if identity is None else ([0], identity[None])
+def one_row(identity, w, lam):
+    """The projected identity term of a one-row stack."""
+    return identity_term(None if identity is None else ([0], identity[None]), 1, w, lam)
 
 
 def forward(hidden, identity, w, lam):
     """The output for one sequence, run as a one-row stack."""
-    return attention_forward(hidden[None], one_row(identity), w, lam)[0][0]
+    return attention_forward(hidden[None], one_row(identity, w, lam), w)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_gradients_match_finite_differences():
     def objective():
         return float(np.sum(forward(hidden, identity, w, scale) * dout))
 
-    _, cache = attention_forward(hidden[None], one_row(identity), w, scale)
+    _, cache = attention_forward(hidden[None], one_row(identity, w, scale), w)
     (dhidden,), (didentity,), grads = attention_backward(
         dout[None], cache, self_grads=True, cross_grads=True, need_dhidden=True)
 
@@ -175,7 +175,7 @@ def test_backward_omits_identity_grads_when_skipped():
     rng = np.random.default_rng(6)
     w = make_weights(rng, 4, 3)
     hidden = rng.normal(size=(3, 4))
-    _, cache = attention_forward(hidden[None], None, w, 0.0)
+    _, cache = attention_forward(hidden[None], None, w)
     (dhidden,), didentity, grads = attention_backward(
         rng.normal(size=(1, 3, 4)), cache, self_grads=True, cross_grads=True,
         need_dhidden=True)

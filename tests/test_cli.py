@@ -21,7 +21,7 @@ from freqbooth.cli import PrerequisiteError, load_dataset, main, save_dataset
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
-    linear_schedule, predict_eps
+    linear_schedule, predict_eps, project_conditions
 from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
@@ -350,6 +350,22 @@ def test_sample_rejects_a_text_id_outside_the_model(pipe, tmp_path, text_id, cap
                "--steps", 2, "--text-id", 3) == 0
 
 
+@pytest.mark.parametrize("lam", ["0", "0.4"])
+@pytest.mark.parametrize("width, height", [(40, 32), (32, 40), (16, 16)])
+def test_sample_rejects_a_reference_of_another_shape(pipe, tmp_path, capsys, lam, width,
+                                                     height):
+    """The reference must be the model's size in both directions; a wrong
+    width exits 2 before any image is drawn, whether or not λ uses it."""
+    ref = tmp_path / "ref.ppm"
+    write_ppm(ref, np.full((3, height, width), 0.5))
+    out = tmp_path / "out"
+    assert run("sample", "--out-dir", out, "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--ref", ref, "--lambda", lam, "--n", 1, "--steps", 2) == 2
+    assert f"reference is {width}x{height}px but the model expects 32x32px" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_mask_without_stage2_checkpoint_exits_3(pipe, tmp_path):
     assert run("sample", "--out-dir", tmp_path, "--mask", "low",
                "--ref", pipe / "dataset" / "ref_train_00.ppm") == 3
@@ -554,7 +570,7 @@ def test_ablate_masks_report(pipe, tmp_path):
         t = 1 + rng.randint(schedule.timesteps)
         eps = rng.normal(z0.shape)
         z_t = forward_noise(z0, t, eps, schedule)
-        pred = predict_eps(weights, z_t[None], [t], [s.text_id], None, None, 0.0)[0]
+        pred = predict_eps(weights, z_t[None], [t], project_conditions(weights, [s.text_id]))[0]
         losses.append(float(np.mean((pred - eps) ** 2)))
     assert report["rows"][0]["recon_loss"] == float(np.mean(losses))
 

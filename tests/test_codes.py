@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqbooth.codes import grid_position_codes, time_features
+from freqbooth.codes import _time_divisors, grid_position_codes, time_features
 
 
 def test_grid_codes_shape_and_determinism():
@@ -37,6 +37,15 @@ def test_time_features_determinism_and_range():
     assert rows.shape == (5, 8)
     for t, row in zip(ts, rows):
         assert row.tobytes() == time_features(int(t), 8, 200).tobytes()
+
+
+def test_the_time_divisors_are_computed_once_and_read_only():
+    """Every call with one (dim, max_steps) shares one divisor array, which
+    no caller can change under the others."""
+    div = _time_divisors(6, 123)
+    assert _time_divisors(6, 123) is div
+    assert not div.flags.writeable
+    assert np.array_equal(np.sin(5 / div), time_features(5, 6, 123)[0::2])
 
 
 def test_time_features_dim_validation():

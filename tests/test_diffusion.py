@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from freqbooth.dct_freq import MaskKind, make_control_signal
 import freqbooth.diffusion
 from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
-                                 linear_schedule, predict_eps, sample,
+                                 linear_schedule, predict_eps, project_conditions, sample,
                                  sampling_timesteps, seq_to_latent)
 from freqbooth.reference_encoder import build_encoders, encode_latent, reference_forward
 from freqbooth.tensor_core import RngState
@@ -256,7 +257,8 @@ def test_invalid_latents_and_text_ids_are_rejected(cfg):
     with pytest.raises(ValueError, match="latent shape"):
         predict_one(weights, np.zeros((4, 3, 3)), 5, None)
     with pytest.raises(ValueError, match="latent shape"):
-        predict_eps(weights, rand_latent(cfg, 16), [5], [None])  # a latent, not a stack
+        # a latent, not a stack
+        predict_eps(weights, rand_latent(cfg, 16), [5], project_conditions(weights, [None]))
     with pytest.raises(ValueError, match="text id"):
         predict_one(weights, rand_latent(cfg, 16), 5, 11)
 
@@ -356,6 +358,39 @@ def test_stacked_guidance_equals_the_both_branch_loop(live_toy_weights, toy_enc,
     assert np.array_equal(fast, slow)
 
 
+# SHA-256 of sample()'s float64 image bytes on live_toy_weights, reference
+# make_ref(cfg, 16), text 1, RngState(17), 3 steps, keyed by (mask, λ,
+# guidance), as recorded before the softmax ran in place and the conditions
+# were projected once per run (numpy 2.4, OpenBLAS 0.3.31).
+PINNED_SAMPLES = {
+    (None, 0.0, 1.0): "6b6d42afaef6e4630af59db9f3fc614a006794c96da1992df1eaed8c021ca074",
+    (None, 0.0, 3.0): "d6ba41ae7ffcf724fbea2c6ba58bb0fb111b71ef97edc3aebd395b881044f2a3",
+    (None, 0.4, 1.0): "893aa8847f2022ad0b6bd1e858dced879b2b59ca3c92b3b3a8b6600d6b52ed14",
+    (None, 0.4, 3.0): "d0604e3388886d20d9539baaeced8eda314145aa3936735bfd30fea63da8b352",
+    (None, 1.0, 1.0): "bdc1b2b2af301bb27a585cdda7a771263a9d67a9ba28bd8b12dc21e0227a9125",
+    (None, 1.0, 3.0): "20ccfb5ea4fae8166941dec1583861ee4d3c44f42980eba2c93bbe951ad5b9d1",
+    ("low", 0.0, 1.0): "4979f9dfe09b5fe8a457c73dd3b2231610a55389d251f4e302aab5bd5cf176d9",
+    ("low", 0.0, 3.0): "7553e28623997335ff0a13d6fa1155ebb580a363db6623b5ceeedcfc400508e9",
+    ("low", 0.4, 1.0): "7c562a9cd9fc8d846b7cf6257872a7466fb6d419a77e37a8c5b2a122222774aa",
+    ("low", 0.4, 3.0): "348b8b8532273cd28144c4ed9c789f5a49a81e7b4046e52c5e3194c8f241bb73",
+    ("low", 1.0, 1.0): "a2b783e166efa858e85ea0b0753c22bfb2fb321411c2ee16f65f35cc335233c4",
+    ("low", 1.0, 3.0): "19971efeafd485fb510810b62e90450eb2de9ac09e8a62b3879b9fb6c322e176",
+}
+
+
+@pytest.mark.parametrize("mask, identity_scale, guidance", sorted(PINNED_SAMPLES, key=str))
+def test_sample_images_are_pinned(live_toy_weights, toy_enc, mask, identity_scale, guidance):
+    """The stack-versus-loop tests run the same kernels on both sides; these
+    literals hold the images to what the pure kernels gave."""
+    weights = live_toy_weights
+    img, _ = sample(weights, toy_enc, linear_schedule(weights.config.timesteps), RngState(17),
+                    ref_img=make_ref(weights.config, 16), text_id=1,
+                    mask_kind=None if mask is None else MaskKind(mask), steps=3,
+                    guidance=guidance, identity_scale=identity_scale)
+    assert hashlib.sha256(img.tobytes()).hexdigest() == \
+        PINNED_SAMPLES[(mask, identity_scale, guidance)]
+
+
 def test_a_guided_step_runs_one_denoiser_forward(cfg, schedule, enc, monkeypatch):
     calls = {"denoiser_forward": 0, "reference_forward": 0}
 
@@ -399,6 +434,23 @@ def test_sample_computes_reference_features_once(cfg, schedule, enc, monkeypatch
     assert len(calls) == 1
 
 
+def test_sample_projects_its_conditions_once(cfg, schedule, enc, monkeypatch):
+    """The identity keys and values, text rows and control fields are
+    projected once per call, not once per step."""
+    calls = []
+    real = freqbooth.diffusion.identity_term
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(freqbooth.diffusion, "identity_term", counting)
+    weights = init_weights(cfg, 13)
+    sample(weights, enc, schedule, RngState(1), ref_img=make_ref(cfg, 3), text_id=0, steps=5,
+           guidance=2.0, identity_scale=0.4, mask_kind=MaskKind.LOW)
+    assert len(calls) == cfg.n_blocks
+
+
 def test_identity_scale_outside_unit_interval_is_rejected(cfg, schedule, enc):
     weights = init_weights(cfg, 14)
     for bad in (-0.5, 1.5, 5.0, float("nan")):
@@ -419,9 +471,8 @@ def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, 
     refs = [make_ref(cfg, 19), make_ref(cfg, 21)]
     feats = [reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
              for ref in refs]
-    ctrls = [latent_to_seq(make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW))
-             for ref in refs]
-    # (timestep, text id, identity features, control tokens) of each row
+    ctrls = [make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW) for ref in refs]
+    # (timestep, text id, identity features, control latent) of each row
     rows = [(37, 0, feats[0], ctrls[0]), (1, None, None, None), (120, 2, None, ctrls[1]),
             (200, 3, feats[1], None)]
     ts, texts, row_feats, row_ctrls = map(list, zip(*rows))
@@ -434,17 +485,18 @@ def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, 
     identity = (irows, [np.stack([f[k] for f in ifeats]) for k in range(cfg.n_blocks)])
     crows, cstack = sparse(row_ctrls)
     z = np.stack([latent_to_seq(rand_latent(cfg, 20 + i)) for i in range(len(rows))])
-    stacked, cache = denoiser_forward(weights, z, ts, texts, identity,
-                                      (crows, np.stack(cstack)), 0.6)
+    stacked, cache = denoiser_forward(
+        weights, z, ts, project_conditions(weights, texts, identity, (crows, np.stack(cstack)),
+                                           0.6))
     assert cache is not None and len(cache["caches"]) == cfg.n_blocks
     for i, (t, text_id, f, c) in enumerate(rows):
-        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], [text_id],
-                                    None if f is None else ([0], [x[None] for x in f]),
-                                    None if c is None else ([0], c[None]), 0.6)
+        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], project_conditions(
+            weights, [text_id], None if f is None else ([0], [x[None] for x in f]),
+            None if c is None else ([0], c[None]), 0.6))
         assert np.array_equal(stacked[i], alone[0]), i
     with pytest.raises(ValueError, match="one timestep and text id per row"):
-        denoiser_forward(weights, z, [37] * 2, [0, None], None, None, 0.6)
+        denoiser_forward(weights, z, [37] * 2, project_conditions(weights, [0, None]))
     with pytest.raises(ValueError, match="increasing rows"):
-        denoiser_forward(weights, z, ts, texts, None, (crows[::-1], np.stack(cstack)), 0.6)
+        project_conditions(weights, texts, None, (crows[::-1], np.stack(cstack)), 0.6)
     with pytest.raises(ValueError, match="one entry per row"):
-        denoiser_forward(weights, z, ts, texts, None, ([0], np.stack(cstack)), 0.6)
+        project_conditions(weights, texts, None, ([0], np.stack(cstack)), 0.6)

@@ -34,11 +34,11 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
 
 
 def test_softmax_symmetry():
-    assert np.array_equal(softmax_rows([[0.0, 0.0]]), [[0.5, 0.5]])
+    assert np.array_equal(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
 
 def test_softmax_survives_large_logits():
-    out = softmax_rows([[1000.0, 1000.0, 1000.0]])
+    out = softmax_rows(np.array([[1000.0, 1000.0, 1000.0]]))
     assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
     assert np.isfinite(out).all()
 
@@ -52,10 +52,54 @@ def test_softmax_matches_direct_formula():
 def test_softmax_positive_and_shift_invariant():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 7))
-    base = softmax_rows(x)
+    base = softmax_rows(x.copy())  # the kernel overwrites its argument
     assert (base > 0).all()
     shifted = softmax_rows(x + rng.normal(size=(4, 1)))
     assert np.max(np.abs(base - shifted)) <= 1e-12
+
+
+def pure_softmax(x):
+    """The row softmax as it was written before it worked in place: the
+    reference for the kernel's bits."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+LOGITS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308]),
+)
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_softmax_kernel_matches_the_pure_formula_bit_for_bit(n_rows, n_cols, data):
+    """Every row, ±inf, NaN, ±0.0 and 1e300 logits among them, gets the
+    bits of the pure formula.  A NaN output is NaN in both, but its sign
+    may differ: in a row holding NaN and +inf, the kernel subtracts +inf
+    where the formula subtracts the NaN."""
+    x = np.array(data.draw(st.lists(LOGITS, min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = pure_softmax(x)
+        got = softmax_rows(x.copy())
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    if not np.isnan(x).any():
+        assert got.tobytes() == want.tobytes()
+
+
+def test_softmax_normalises_its_argument_in_place():
+    """The kernel writes into the float64 array it is given and returns it,
+    over a batch axis too."""
+    x = np.random.default_rng(4).normal(size=(2, 3, 5)) * 10.0
+    want = pure_softmax(x)
+    out = softmax_rows(x)
+    assert out is x
+    assert x.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from freqbooth import diffusion, training
 from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
-                                 forward_noise, init_weights, latent_to_seq)
+                                 forward_noise, init_weights, latent_to_seq,
+                                 project_conditions)
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
@@ -324,10 +325,10 @@ def full_backward_grads(weights, enc, prepared, scale):
                                                     weights.id_heads(), enc)
             identity = ([0], feats)
         if i in ctrls:
-            ctrl = ([0], latent_to_seq(ctrls[i][None]))
+            ctrl = ([0], ctrls[i][None])
+        cond = project_conditions(weights, [prepared.text_id[i]], identity, ctrl, scale)
         pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t[i:i + 1]),
-                                       [prepared.t[i]], [prepared.text_id[i]], identity,
-                                       ctrl, scale)
+                                       [prepared.t[i]], cond)
         diff = pred - latent_to_seq(prepared.eps[i:i + 1])
         grads, didentity = denoiser_backward((2.0 / (diff.size * n)) * diff,
                                              cache, PARAM_SETS)
@@ -398,8 +399,7 @@ def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
     weights = random_point(tiny_cfg, 3)
     batch = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
     pred, cache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t,
-                                   batch.text_id, None,
-                                   (batch.ctrl[0], latent_to_seq(batch.ctrl[1])), 0.0)
+                                   project_conditions(weights, batch.text_id, None, batch.ctrl))
     # a bare string would otherwise iterate as letters and train nothing
     for sets in ("control", ("controls",)):
         with pytest.raises(ValueError, match="unknown parameter sets"):
@@ -460,7 +460,7 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     assert all(call["cache"]["rows"] == referenced for call in attention_calls)
     assert len(ref_forward_calls) == len(reference_calls) == 1
     assert np.array_equal(ref_forward_calls[0]["img"], prepared.ref[1])
-    assert forward_calls[0]["identity"][0] == referenced
+    assert all(term.rows == referenced for term in forward_calls[0]["cond"].identity)
     assert all(d.shape == (len(referenced), tiny_cfg.n_query, tiny_cfg.d_id)
                for d in reference_calls[0]["dfeats"])
     # without identity features no example reaches a trainable parameter
