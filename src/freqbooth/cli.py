@@ -6,9 +6,10 @@ given the same echo, every artifact is byte-identical across runs (reports
 keep wall-clock times in a separate non-normative *.timing.json sidecar so
 the normative files stay reproducible).
 
-Exit codes: 0 success, 2 usage or validation error, 3 missing or unreadable
-prerequisite state (dataset or checkpoint), 4 numerical failure.  gradcheck
-exits 1 when a gradient comparison fails.
+Exit codes: 0 success, 2 usage or validation error (a path that cannot be
+read or written included), 3 missing or unreadable prerequisite state
+(dataset or checkpoint), 4 numerical failure.  gradcheck exits 1 when a
+gradient comparison fails.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
 from .training import (Dataset, ToyDatasetSpec, TrainConfig, dataset_digest,
                        generate_dataset, gradient_check, identity_metric_flagged,
-                       legacy_dataset_checksum, load_checkpoint, save_checkpoint, train,
-                       write_json)
+                       load_checkpoint, save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
-MASK_CHOICES = ("mini", "low", "mid", "high", "all", "none")
+MASK_CHOICES = tuple(kind.value for kind in MaskKind)
 STAGE_STEP_DEFAULTS = {0: 600, 1: 2000, 2: 500}
 
 
@@ -66,21 +66,10 @@ def _write_echo(out: Path, command: str, effective: dict) -> None:
     write_json(out / f"{command.replace('-', '_')}_config.json", payload)
 
 
-def _parse_mask(text: str) -> MaskKind | None:
-    if text == "none":
-        return None
-    try:
-        return MaskKind(text)
-    except ValueError:
-        raise UsageError(f"unknown mask kind {text!r}") from None
-
-
 def _load_image(path) -> np.ndarray:
     try:
         return read_ppm(path)
-    except FileNotFoundError:
-        raise UsageError(f"cannot read image {path}: no such file") from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read image {path}: {exc}") from None
 
 
@@ -173,10 +162,8 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
 
     Each file is read once into its split's uint8 raster stack, which is
     hashed as read and then decoded with one divide (level / 255, the bits
-    `read_ppm` gives).  A schema-1 or schema-2 index verifies under
-    `legacy_dataset_checksum`.  Reads only the index's spec, seed and
-    checksum, so an index that also lists its files (schema 1) loads the
-    same."""
+    `read_ppm` gives).  An index of another schema is unusable: `gen-data`
+    rebuilds the dataset from the spec and seed it records."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
@@ -186,9 +173,10 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
         with open(index_path) as fh:
             index = json.load(fh)
         schema = index["schema_version"]
-        if schema not in (1, 2, DATASET_SCHEMA):
+        if schema != DATASET_SCHEMA:
             raise PrerequisiteError(f"dataset index schema {schema!r} unsupported "
-                                    f"(expected 1 to {DATASET_SCHEMA})")
+                                    f"(expected {DATASET_SCHEMA}); rebuild it with "
+                                    f"`freqbooth gen-data`")
         seed = index["seed"]
         # --seed takes any int, negatives too
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -211,15 +199,12 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
             arrays[field] = np.divide(np.moveaxis(levels, -1, 1), 255.0,
                                       out=np.empty((len(names), 3, s, s)))
             del levels  # before the next split's stack is allocated
-        dataset = Dataset(spec=spec, seed=seed, **arrays)
         checksum = index["checksum"]
-        found = (digest.hexdigest() if schema == DATASET_SCHEMA
-                 else legacy_dataset_checksum(dataset))
-        if found != checksum:
+        if digest.hexdigest() != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
     except _UNREADABLE as exc:
         raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
-    return dataset, checksum
+    return Dataset(spec=spec, seed=seed, **arrays), checksum
 
 
 def _load_dataset_arg(args, out: Path) -> tuple[Dataset, str]:
@@ -253,9 +238,9 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage = args.stage
-    mask = _parse_mask(args.mask) if args.mask else None
+    mask = MaskKind(args.mask) if args.mask else None
     if stage == 2 and mask is None:
-        raise UsageError("--stage 2 requires --mask {mini,low,mid,high,all}")
+        raise UsageError(f"--stage 2 requires --mask {{{','.join(MASK_CHOICES)}}}")
     if stage != 2 and mask is not None:
         raise UsageError("--mask only applies to --stage 2")
 
@@ -302,7 +287,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     out = Path(args.out_dir)
-    mask = _parse_mask(args.mask)
+    mask = None if args.mask == "none" else MaskKind(args.mask)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if mask is not None and not args.ref:
@@ -358,18 +343,12 @@ def cmd_sample(args) -> int:
 
 def cmd_filter(args) -> int:
     out = Path(args.out_dir)
-    mask = _parse_mask(args.mask)
-    if mask is None:
-        raise UsageError("filter needs a concrete --mask (mini, low, mid, high or all)")
+    mask = MaskKind(args.mask)
     img = _load_image(args.input)
     _, h, w = img.shape
     if h != w:
         raise UsageError(f"filter expects a square image, got {w}x{h}")
-    try:
-        cfg = toy_config(image_size=h)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    enc = build_encoders(cfg)
+    enc = build_encoders(toy_config(image_size=h))
     latent = encode_latent(img, enc)
     ctrl = make_control_signal(latent, mask)
     filtered = decode_latent(ctrl, enc)
@@ -468,7 +447,8 @@ def cmd_ablate_masks(args) -> int:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
-    stage1 = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
+    stage1_path = args.checkpoint or _checkpoint_path(out, 1)
+    stage1 = _load_weights(stage1_path, 2)
     _check_fits(dataset, stage1.config)
     enc = build_encoders(stage1.config)
     schedule = linear_schedule(stage1.config.timesteps)
@@ -476,19 +456,25 @@ def cmd_ablate_masks(args) -> int:
 
     masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
     models = {"none": stage1}
+    # every row compares against the same stage-1 model, so each found
+    # checkpoint is checked before any missing one is trained
     for kind in masked_kinds:
         path = _checkpoint_path(out, 2, kind)
         if path.is_file():
-            models[kind.value] = _load_weights(path, 3)
-        else:
-            weights = copy.deepcopy(stage1)
-            config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                                 identity_scale=0.0, mask_kind=kind)
-            train(config, dataset, weights, schedule=schedule, enc=enc)
-            out.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(path, weights)
-            models[kind.value] = weights
-            print(f"trained missing control checkpoint for mask {kind.value}")
+            models[kind.value] = found = _load_weights(path, 3)
+            for s in ("backbone", "identity_adapter"):
+                if found.checksum(s) != stage1.checksum(s):
+                    raise PrerequisiteError(f"checkpoint {path} has another {s} than "
+                                            f"{stage1_path}; delete it to retrain it")
+    for kind in [k for k in masked_kinds if k.value not in models]:
+        weights = copy.deepcopy(stage1)
+        config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
+                             identity_scale=0.0, mask_kind=kind)
+        train(config, dataset, weights, schedule=schedule, enc=enc)
+        out.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(_checkpoint_path(out, 2, kind), weights)
+        models[kind.value] = weights
+        print(f"trained missing control checkpoint for mask {kind.value}")
 
     # held-out denoising pairs, identical across masks
     eval_rng = RngState(args.seed).derive("ablate-eval")
@@ -591,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"optimizer steps (defaults: {STAGE_STEP_DEFAULTS})")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--data-dir", default=None)
-    p.add_argument("--mask", choices=MASK_CHOICES[:-1], default=None,
+    p.add_argument("--mask", choices=MASK_CHOICES, default=None,
                    help="control band (stage 2 only)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="identity strength used in stage-1 batches "
@@ -603,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-id", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.4)
     p.add_argument("--guidance", type=float, default=3.0)
-    p.add_argument("--mask", choices=MASK_CHOICES, default="none")
+    p.add_argument("--mask", choices=(*MASK_CHOICES, "none"), default="none")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_sample)
@@ -611,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", parents=[common],
                        help="band-filter an image through the latent spectrum")
     p.add_argument("--input", required=True)
-    p.add_argument("--mask", required=True, choices=MASK_CHOICES[:-1])
+    p.add_argument("--mask", required=True, choices=MASK_CHOICES)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("sweep-lambda", parents=[with_ckpt],
@@ -655,7 +641,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrerequisiteError as exc:

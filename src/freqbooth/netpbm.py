@@ -1,4 +1,5 @@
-"""Netpbm image IO: binary P6 for 8-bit output and colour PFM for float data.
+"""Netpbm image IO: binary P6 for 8-bit images, read and written, and colour
+PFM for float data, written only.
 
 All writers are byte-deterministic: same array in, same file bytes out.
 Images are (3, H, W) float64 arrays in [0, 1]; P6 output clamps and rounds,
@@ -101,21 +102,3 @@ def write_pfm(path, img: np.ndarray) -> None:
         f.write(b"PF\n%d %d\n-1.0\n" % (w, h))
         f.write(np.ascontiguousarray(raster, dtype="<f4").tobytes())
 
-
-def read_pfm(path) -> np.ndarray:
-    """Read colour PFM into a (3, H, W) float64 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"PF"):
-        raise ValueError(f"{path}: not a colour PFM (PF) file")
-    (w, h, scale), body = _read_tokens(data, 3, 2)
-    w, h, scale = int(w), int(h), float(scale)
-    if w < 1 or h < 1:
-        raise ValueError(f"{path}: image size {w}x{h} is not positive")
-    dtype = "<f4" if scale < 0 else ">f4"
-    n = h * w * 3
-    if len(data) - body < 4 * n:
-        raise ValueError(f"{path}: truncated raster")
-    raster = np.frombuffer(data, dtype=dtype, count=n, offset=body)
-    img = raster.reshape(h, w, 3)[::-1]
-    return np.moveaxis(img, -1, 0).astype(np.float64)

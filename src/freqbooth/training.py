@@ -729,17 +729,3 @@ def dataset_checksum(dataset: Dataset) -> str:
             digest.update(ppm_levels(img))
     return digest.hexdigest()
 
-
-def legacy_dataset_checksum(dataset: Dataset) -> str:
-    """The checksum schema-1 and schema-2 indexes record, kept only to verify
-    them: SHA-256 over each split's float64 images and int64 labels.  It
-    does not cover the seed."""
-    spec = dataset.spec
-    train_labels = labels(spec, np.arange(spec.train_size, dtype=np.int64))
-    test_labels = labels(spec, np.arange(spec.test_size, dtype=np.int64))
-    digest = hashlib.sha256()
-    # in the order those indexes hashed them
-    for arr in (dataset.train_images, *train_labels, dataset.test_images, *test_labels,
-                dataset.train_refs, dataset.test_refs):
-        digest.update(np.ascontiguousarray(arr))  # hashes the buffer in place, no copy
-    return digest.hexdigest()

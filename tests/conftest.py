@@ -13,7 +13,7 @@ from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (cfg_combine, ddim_step, init_weights, linear_schedule,
                                  predict_eps, project_conditions, sampling_timesteps)
-from freqbooth.netpbm import quantize
+from freqbooth.netpbm import _read_tokens, quantize
 from freqbooth.reference_encoder import (build_encoders, decode_latent, encode_latent,
                                          reference_forward)
 from freqbooth.training import ToyDatasetSpec, TrainConfig, generate_dataset, train
@@ -78,6 +78,26 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     a = np.array([0.9, 0.8, 0.25])
     b = np.array([0.1, 0.2, 0.55])
     return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
+
+
+def read_pfm(path) -> np.ndarray:
+    """Read colour PFM into a (3, H, W) float64 array: the reader for the
+    float sidecars `write_pfm` makes."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(b"PF"):
+        raise ValueError(f"{path}: not a colour PFM (PF) file")
+    (w, h, scale), body = _read_tokens(data, 3, 2)
+    w, h, scale = int(w), int(h), float(scale)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
+    dtype = "<f4" if scale < 0 else ">f4"
+    n = h * w * 3
+    if len(data) - body < 4 * n:
+        raise ValueError(f"{path}: truncated raster")
+    raster = np.frombuffer(data, dtype=dtype, count=n, offset=body)
+    img = raster.reshape(h, w, 3)[::-1]
+    return np.moveaxis(img, -1, 0).astype(np.float64)
 
 
 def predict_one(weights, z, t, text_id, feats=None, ctrl=None, scale=0.0):

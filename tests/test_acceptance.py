@@ -18,11 +18,11 @@ from freqbooth.config import toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap, dct2, idct2
 from freqbooth.diffusion import (cfg_combine, ddim_step, forward_noise,
                                  linear_schedule, sample, sampling_timesteps)
-from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
+from freqbooth.netpbm import read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import gradient_check, load_checkpoint
-from conftest import both_branch_sample, striped_test_image
+from conftest import both_branch_sample, read_pfm, striped_test_image
 from test_attention import forward, make_weights, naive_adaptive
 from test_dct_freq import enumerate_bits, naive_dct2
 

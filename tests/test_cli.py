@@ -22,13 +22,13 @@ from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
     linear_schedule, predict_eps, project_conditions
-from freqbooth.netpbm import read_pfm, read_ppm, write_ppm
+from freqbooth.netpbm import read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, dataset_checksum,
                                 generate_dataset, identity_metric_flagged, labels,
                                 load_checkpoint, save_checkpoint)
-from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
+from conftest import SMALL_SPEC, flip_one_gradient, read_pfm, striped_test_image
 
 
 def run(*argv) -> int:
@@ -134,54 +134,16 @@ def test_the_index_checksum_hashes_the_stored_rasters(tmp_path):
     assert digest.hexdigest() == checksum == read_json(tmp_path / "index.json")["checksum"]
 
 
-# what a schema-1 or schema-2 index of SMALL_SPEC at seed 0 records: the
-# SHA-256 of the float64 arrays (`legacy_dataset_checksum`)
-LEGACY_SMALL_CHECKSUM = "f0b1d14757129915ddecc265ea4e4805711c7c22bf83888a8336c33e91ece53f"
-
-
-def loads_as_legacy_index(ddir, schema):
-    """Rewrite the index under `ddir` as schema `schema` (1 or 2) wrote it,
-    then check that it loads to the dataset `gen-data` wrote there."""
-    want, _ = load_dataset(ddir)
-    index = read_json(ddir / "index.json")
-    index.update(schema_version=schema, checksum=LEGACY_SMALL_CHECKSUM)
-    if schema == 1:  # schema 1 also listed every file with its labels
-        n_id, n_ctx = SMALL_SPEC.n_identities, SMALL_SPEC.n_contexts
-        for split, count in (("train", SMALL_SPEC.train_size), ("test", SMALL_SPEC.test_size)):
-            index[split] = [{"file": f"{split}_{i:04d}.ppm", "identity": i % n_id,
-                             "text": (i // n_id) % n_ctx} for i in range(count)]
-            index[f"{split}_refs"] = [f"ref_{split}_{i:02d}.ppm" for i in range(n_id)]
-    (ddir / "index.json").write_text(json.dumps(index))
-    got, got_checksum = load_dataset(ddir)
-    assert got_checksum == LEGACY_SMALL_CHECKSUM
-    for field in IMAGE_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert getattr(got, field).flags.c_contiguous, field
-
-
-def test_a_schema_1_index_loads_to_the_same_dataset(tmp_path):
-    """An index that still lists every file with its labels, as schema 1
-    did, loads to the dataset its spec, seed and checksum describe."""
-    save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
-    loads_as_legacy_index(tmp_path, 1)
-
-
-def test_a_schema_2_index_loads_to_the_same_dataset(tmp_path):
-    """A schema-2 index verifies under the float64 checksum it records, and
-    a changed raster still fails that verification."""
-    save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
-    loads_as_legacy_index(tmp_path, 2)
-    flip_last_raster_byte(tmp_path / "test_0001.ppm")
-    with pytest.raises(PrerequisiteError, match="does not match its index checksum"):
-        load_dataset(tmp_path)
-
-
 def test_an_index_of_another_schema_is_unusable(tmp_path):
+    """Schemas 1 and 2 recorded a checksum of the float64 arrays; no reader
+    of it is kept, since `gen-data` rebuilds a dataset from its spec and seed."""
     save_dataset(tmp_path, generate_dataset(SMALL_SPEC, 0))
     index = read_json(tmp_path / "index.json")
-    for schema in (0, 4, "3", None):
+    for schema in (0, 1, 2, 4, "3", None):
         (tmp_path / "index.json").write_text(json.dumps({**index, "schema_version": schema}))
-        with pytest.raises(PrerequisiteError, match=f"schema {schema!r} unsupported"):
+        with pytest.raises(PrerequisiteError, match=f"schema {schema!r} unsupported "
+                                                    r"\(expected 3\); rebuild it with "
+                                                    "`freqbooth gen-data`"):
             load_dataset(tmp_path)
 
 
@@ -487,6 +449,15 @@ def test_filter_rejects_a_nonpositive_size(tmp_path):
     assert not out.exists()
 
 
+def test_filter_rejects_a_size_the_model_does_not_take(tmp_path, capsys):
+    path = tmp_path / "odd.ppm"
+    write_ppm(path, np.zeros((3, 30, 30)))
+    out = tmp_path / "out"
+    assert run("filter", "--out-dir", out, "--input", path, "--mask", "low") == 2
+    assert not out.exists()
+    assert "image_size 30 not divisible by patch 4" in capsys.readouterr().err
+
+
 def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
     for sub in ("a", "b"):
         assert run("filter", "--out-dir", tmp_path / sub, "--input", stripes_ppm,
@@ -500,6 +471,7 @@ def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
 
 def test_sweep_lambda_flag_validation(tmp_path):
     assert run("sweep-lambda", "--out-dir", tmp_path, "--values", "abc") == 2
+    assert run("sweep-lambda", "--out-dir", tmp_path, "--values", ",") == 2
     assert run("sweep-lambda", "--out-dir", tmp_path, "--trials", 0) == 2
 
 
@@ -589,13 +561,33 @@ def test_ablate_masks_rejects_an_empty_evaluation(pipe, tmp_path, flag, capsys):
                flag, 0) == 2
 
 
-def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path):
+def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path, capsys):
     # a file under the stage-2 name that never completed stage 2
-    shutil.copy(pipe / "checkpoint_stage1.json", tmp_path / "checkpoint_stage2_mini.json")
-    assert run("ablate-masks", "--out-dir", tmp_path,
+    unfinished = tmp_path / "unfinished"
+    unfinished.mkdir()
+    shutil.copy(pipe / "checkpoint_stage1.json", unfinished / "checkpoint_stage2_mini.json")
+    assert run("ablate-masks", "--out-dir", unfinished,
                "--checkpoint", pipe / "checkpoint_stage1.json",
                "--data-dir", pipe / "dataset", "--train-steps", 1) == 3
-    assert not (tmp_path / "ablate_report.json").exists()
+    assert not (unfinished / "ablate_report.json").exists()
+
+    # a stage-2 checkpoint of another stage-1 model: stage 1 retrained at
+    # another seed after stage 2 was, in the same directory
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    shutil.copy(pipe / "checkpoint_stage2_low.json", stale)
+    assert run("train", "--out-dir", stale, "--data-dir", pipe / "dataset",
+               "--checkpoint", pipe / "checkpoint_stage0.json",
+               "--stage", 1, "--steps", 1, "--seed", 5) == 0
+    before = tree_bytes(stale)
+    capsys.readouterr()
+    assert run("ablate-masks", "--out-dir", stale, "--data-dir", pipe / "dataset",
+               "--train-steps", 1) == 3
+    # the stale `low` is caught before `mini`, which comes first, is trained
+    assert tree_bytes(stale) == before
+    err = capsys.readouterr().err
+    assert f"checkpoint {stale / 'checkpoint_stage2_low.json'} has another " \
+           f"identity_adapter than {stale / 'checkpoint_stage1.json'}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +753,7 @@ def poison(path):
                                   "dataset-missing-ppm", "truncated-index",
                                   "dataset-checksum-mismatch", "dataset-non-integer-seed",
                                   "dataset-flipped-raster-byte", "dataset-other-seed",
-                                  "dataset-maxval-not-255"])
+                                  "dataset-maxval-not-255", "dataset-schema-2"])
 def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(pipe / "dataset", data)
@@ -801,6 +793,9 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         # the same levels, so only the loader's maxval check catches it
         path = data / "train_0003.ppm"
         path.write_bytes(path.read_bytes().replace(b"\n255\n", b"\n254\n", 1))
+    elif case == "dataset-schema-2":
+        index = read_json(data / "index.json")
+        (data / "index.json").write_text(json.dumps({**index, "schema_version": 2}))
     else:
         truncate(data / "index.json")
     out = tmp_path / "out"
@@ -822,6 +817,9 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         assert "train_0003.ppm is 32x32 with maxval 254, expected 32x32 with maxval 255" in err
     if case == "dataset-non-integer-seed":
         assert "non-integer seed 'not a seed'" in err
+    if case == "dataset-schema-2":
+        assert "dataset index schema 2 unsupported (expected 3)" in err
+        assert "`freqbooth gen-data`" in err
     if case == "schema-2-checkpoint":
         assert "checkpoint schema 2 unsupported (expected 4)" in err
         assert "TypeError" not in err
@@ -850,6 +848,26 @@ def test_diverging_loss_exits_4_and_saves_nothing(pipe, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("gen-data", "--out-dir", "{file}/out", "--n-identities", 1, "--n-contexts", 1,
+     "--image-size", 8, "--train-size", 1, "--test-size", 1),
+    ("gradcheck", "--out-dir", "{file}/out", "--stage", 2),
+    ("filter", "--out-dir", "{tmp}/out", "--input", "{tmp}", "--mask", "low"),
+    ("sample", "--out-dir", "{tmp}/out", "--ref", "{tmp}",
+     "--checkpoint", "{pipe}/checkpoint_stage1.json", "--steps", 2),
+], ids=["gen-data-out-dir-under-a-file", "gradcheck-out-dir-under-a-file",
+        "filter-input-dir", "sample-ref-dir"])
+def test_a_file_system_error_exits_2_and_writes_nothing(pipe, tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [str(a).format(pipe=pipe, tmp=tmp_path, file=tmp_path / "file") for a in argv]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
     ("gen-data", "--n-identities", 2, "--image-size", 8,
      "--train-size", 2, "--test-size", 2),
     ("filter", "--input", "in.ppm", "--mask", "low"),
@@ -864,6 +882,8 @@ def test_commands_without_a_checkpoint_reject_the_option(argv, tmp_path):
 @pytest.mark.parametrize("argv, code", [
     (("gen-data", "--n-identities", 0), 2),
     (("train", "--data-dir", "{pipe}/dataset", "--stage", 1, "--steps", 1), 3),
+    (("train", "--data-dir", "{pipe}/dataset", "--stage", 1, "--mask", "low",
+      "--checkpoint", "{pipe}/checkpoint_stage0.json", "--steps", 1), 2),
     (("sample", "--checkpoint", "{pipe}/checkpoint_stage1.json",
       "--guidance", -1, "--steps", 2), 2),
     (("sample", "--mask", "low", "--ref", "{pipe}/dataset/ref_train_00.ppm"), 3),

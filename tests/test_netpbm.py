@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqbooth.netpbm import (_read_tokens, ppm_levels, quantize, read_pfm, read_ppm,
-                              read_ppm_raster, write_pfm, write_ppm)
+from freqbooth.netpbm import (_read_tokens, ppm_levels, quantize, read_ppm, read_ppm_raster,
+                              write_pfm, write_ppm)
+from conftest import read_pfm
 
 
 def test_ppm_roundtrip_is_exact_on_quantized_input(tmp_path):

@@ -21,9 +21,8 @@ from freqbooth.training import (COND_DROPOUT, IMAGE_FIELDS, STAGE_SETS, Prepared
                                 StageOrderError, ToyDatasetSpec, TrainConfig, _prepare,
                                 adam_step, batch_loss, dataset_checksum, generate_dataset,
                                 gradient_check, identity_metric_flagged, identity_params,
-                                init_adam, labels, legacy_dataset_checksum, load_checkpoint,
-                                orientation_histogram, save_checkpoint,
-                                smoothing_window, train, write_json)
+                                init_adam, labels, load_checkpoint, orientation_histogram,
+                                save_checkpoint, smoothing_window, train, write_json)
 from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
 
 
@@ -45,27 +44,21 @@ def test_dataset_is_bit_deterministic(tiny_dataset):
 
 def test_dataset_checksums_are_pinned(tiny_dataset):
     """The recorded checksums dataset indexes and config echoes hold:
-    SMALL_SPEC at seed 0 and the default spec at seed 1, under schema 3 and
-    under the schema-1/2 checksum that older indexes record."""
+    SMALL_SPEC at seed 0 and the default spec at seed 1."""
     default = generate_dataset(ToyDatasetSpec(), 1)
     assert dataset_checksum(tiny_dataset) == \
         "269184a8f9a5c88135b576b4db1e13b4e024456136b0e5694b3ae49b75f9999f"
     assert dataset_checksum(default) == \
         "9d584e19b2722084ef25f306afcb72cde58fec86ff4afb44e75766bb6ce8c617"
-    assert legacy_dataset_checksum(tiny_dataset) == \
-        "f0b1d14757129915ddecc265ea4e4805711c7c22bf83888a8336c33e91ece53f"
-    assert legacy_dataset_checksum(default) == \
-        "0dda5bde2a94a64f9075a1904675994578ed10782ce71cbd81bbb2b2053c59d2"
 
 
 def test_the_dataset_checksum_covers_the_seed_and_every_level(tiny_dataset):
-    """Schema 3 hashes the seed, which the legacy checksum never did, and
-    each image's stored 8-bit levels: moving one pixel by one level changes
-    it, a change that rounds to the same level does not."""
+    """The checksum hashes the seed and each image's stored 8-bit levels:
+    moving one pixel by one level changes it, a change that rounds to the
+    same level does not."""
     checksum = dataset_checksum(tiny_dataset)
     reseeded = replace(tiny_dataset, seed=tiny_dataset.seed + 1)
     assert dataset_checksum(reseeded) != checksum
-    assert legacy_dataset_checksum(reseeded) == legacy_dataset_checksum(tiny_dataset)
     for field in IMAGE_FIELDS:
         arr = getattr(tiny_dataset, field).copy()
         level = arr[-1, 2, -1, -1]
