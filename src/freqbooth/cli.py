@@ -7,9 +7,15 @@ keep wall-clock times in a separate non-normative *.timing.json sidecar so
 the normative files stay reproducible).
 
 Exit codes: 0 success, 2 usage or validation error (a path that cannot be
-read or written included), 3 missing or unreadable prerequisite state
-(dataset or checkpoint), 4 numerical failure.  gradcheck exits 1 when a
-gradient comparison fails.
+read or written included; an --out-dir that cannot be made is found before
+any work), 3 missing or unreadable prerequisite state (dataset or
+checkpoint), 4 numerical failure.  gradcheck exits 1 when a gradient
+comparison fails.
+
+A dataset is read and written as the 8-bit levels its PPM files store,
+with no float round trip.  `ablate-masks` trains no control branch for a
+band that keeps no coefficient of the model's latent: that band's model
+is the stage-1 model and its report row is the `none` row.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
                         linear_schedule, predict_eps, project_conditions, sample,
                         sampling_timesteps)
-from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm
+from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
-from .training import (Dataset, ToyDatasetSpec, TrainConfig, dataset_digest,
+from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_digest,
                        generate_dataset, gradient_check, identity_metric_flagged,
                        load_checkpoint, save_checkpoint, train, write_json)
 
@@ -77,6 +83,16 @@ def _load_image(path) -> np.ndarray:
 _UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError)
 
 
+def _check_out_dir(out: Path) -> None:
+    """Usage error unless the nearest existing ancestor of `out` (or `out`
+    itself) is a directory, so that `out` can be made; creates nothing."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise UsageError(f"--out-dir {out}: {path} is not a directory")
+            return
+
+
 def _checkpoint_path(out: Path, stage: int, mask: MaskKind | None = None) -> Path:
     """Where `train --stage STAGE [--mask MASK]` saves its checkpoint, and so
     where later commands look for it by default."""
@@ -96,6 +112,12 @@ def _load_weights(path, stages: int):
     if missing:
         raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
     return weights
+
+
+def _keeps_nothing(mask: MaskKind, hw: int) -> bool:
+    """Whether band `mask` keeps no DCT coefficient of an hw x hw latent, so
+    stage 2 gets all-zero control latents and zero gradients."""
+    return not build_mask(mask, hw, hw).any()
 
 
 def _check_fits(dataset: Dataset, config: ModelConfig) -> None:
@@ -128,13 +150,13 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
 
 
 def _dataset_files(spec: ToyDatasetSpec):
-    """(Dataset image field, file name of each of its images): the one place
+    """(Dataset level field, file name of each of its images): the one place
     that names dataset files.  The counts follow from the spec, so the index
     lists no file."""
-    for field, pattern, count in (("train_images", "train_{:04d}.ppm", spec.train_size),
-                                  ("test_images", "test_{:04d}.ppm", spec.test_size),
-                                  ("train_refs", "ref_train_{:02d}.ppm", spec.n_identities),
-                                  ("test_refs", "ref_test_{:02d}.ppm", spec.n_identities)):
+    patterns = ("train_{:04d}.ppm", "test_{:04d}.ppm", "ref_train_{:02d}.ppm",
+                "ref_test_{:02d}.ppm")
+    counts = (spec.train_size, spec.test_size, spec.n_identities, spec.n_identities)
+    for field, pattern, count in zip(IMAGE_FIELDS, patterns, counts):
         yield field, [pattern.format(i) for i in range(count)]
 
 
@@ -142,14 +164,16 @@ DATASET_SCHEMA = 3
 
 
 def save_dataset(ddir: Path, dataset: Dataset) -> str:
-    """Write the dataset's images and its index under `ddir`; returns the
-    checksum the index records, `dataset_checksum(dataset)`, taken over
-    the rasters as they are written."""
+    """Write the dataset's stored rasters as they are, and its index, under
+    `ddir`; returns the checksum the index records, `dataset_checksum(dataset)`,
+    one update per split."""
     ddir.mkdir(parents=True, exist_ok=True)
     digest = dataset_digest(dataset.spec, dataset.seed)
     for field, names in _dataset_files(dataset.spec):
-        for img, name in zip(getattr(dataset, field), names):
-            digest.update(write_ppm(ddir / name, img))
+        levels = getattr(dataset, field)
+        for raster, name in zip(levels, names):
+            write_ppm_raster(ddir / name, raster)
+        digest.update(levels)
     checksum = digest.hexdigest()
     write_json(ddir / "index.json", {"schema_version": DATASET_SCHEMA,
                                      "spec": asdict(dataset.spec),
@@ -161,9 +185,9 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
     """The dataset under `ddir` and its checksum, verified against the index.
 
     Each file is read once into its split's uint8 raster stack, which is
-    hashed as read and then decoded with one divide (level / 255, the bits
-    `read_ppm` gives).  An index of another schema is unusable: `gen-data`
-    rebuilds the dataset from the spec and seed it records."""
+    hashed and kept as the dataset holds it.  An index of another schema is
+    unusable: `gen-data` rebuilds the dataset from the spec and seed it
+    records."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
@@ -195,10 +219,7 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
                                      f"maxval {maxval}, expected {s}x{s} with maxval 255")
                 levels[i] = raster
             digest.update(levels)
-            # decoded into a C-ordered split, as the generator makes it
-            arrays[field] = np.divide(np.moveaxis(levels, -1, 1), 255.0,
-                                      out=np.empty((len(names), 3, s, s)))
-            del levels  # before the next split's stack is allocated
+            arrays[field] = levels
         checksum = index["checksum"]
         if digest.hexdigest() != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
@@ -256,7 +277,7 @@ def cmd_train(args) -> int:
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
     _check_fits(dataset, weights.config)
     hw = weights.config.latent_hw
-    if mask is not None and not build_mask(mask, hw, hw).any():
+    if mask is not None and _keeps_nothing(mask, hw):
         raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
                          f"{hw}x{hw} latent, so stage 2 would train nothing")
 
@@ -466,33 +487,42 @@ def cmd_ablate_masks(args) -> int:
                 if found.checksum(s) != stage1.checksum(s):
                     raise PrerequisiteError(f"checkpoint {path} has another {s} than "
                                             f"{stage1_path}; delete it to retrain it")
+    # a band that keeps no coefficient of the latent feeds stage 2 zero
+    # control latents, so its gradients are zero and Adam leaves the weights
+    # as they are: its model is stage 1's and its row is the `none` row
+    hw = stage1.config.latent_hw
+    empty = {k.value for k in masked_kinds if _keeps_nothing(k, hw)}
     for kind in [k for k in masked_kinds if k.value not in models]:
         weights = copy.deepcopy(stage1)
-        config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                             identity_scale=0.0, mask_kind=kind)
-        train(config, dataset, weights, schedule=schedule, enc=enc)
+        if kind.value in empty:
+            weights.completed_stages.append(2)
+            note = (f"mask {kind.value} keeps no coefficient of the {hw}x{hw} latent: "
+                    f"saved the stage-1 weights as its control checkpoint")
+        else:
+            config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
+                                 identity_scale=0.0, mask_kind=kind)
+            train(config, dataset, weights, schedule=schedule, enc=enc)
+            note = f"trained missing control checkpoint for mask {kind.value}"
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(_checkpoint_path(out, 2, kind), weights)
         models[kind.value] = weights
-        print(f"trained missing control checkpoint for mask {kind.value}")
+        print(note)
 
     # held-out denoising pairs, identical across masks
     eval_rng = RngState(args.seed).derive("ablate-eval")
     n_eval = min(args.eval_size, dataset.spec.test_size)
-    z0 = encode_latent(dataset.test_images[:n_eval], enc)
+    held_out = dataset.test_sample(np.arange(n_eval))
+    z0 = encode_latent(held_out.image, enc)
     ts, eps = [], []
     for _ in range(n_eval):
         ts.append(1 + eval_rng.randint(schedule.timesteps))
         eps.append(eval_rng.normal(z0.shape[1:]))
     eps = np.stack(eps)
     z_t = forward_noise(z0, ts, eps, schedule)
-    texts = [dataset.test_sample(i).text_id for i in range(n_eval)]
+    texts = held_out.text_id.tolist()
 
-    rows = []
-    order = ["none"] + [k.value for k in masked_kinds]
-    for name in order:
-        weights = models[name]
-        kind = None if name == "none" else MaskKind(name)
+    def evaluate(weights, kind: MaskKind | None) -> tuple[float, float]:
+        """(recon loss over the held-out pairs, mean identity metric of the samples)."""
         ctrl = None if kind is None else (range(n_eval), make_control_signal(z0, kind))
         pred = predict_eps(weights, z_t, ts, project_conditions(weights, texts, ctrl=ctrl))
         losses = [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps)]
@@ -504,11 +534,16 @@ def cmd_ablate_masks(args) -> int:
                             mask_kind=kind, steps=args.steps,
                             guidance=args.guidance, identity_scale=args.lam)
             metrics.append(identity_metric_flagged(quantize(img), ref)[0])
-        rows.append({"mask": name,
-                     "recon_loss": float(np.mean(losses)),
-                     "identity_metric": float(np.mean(metrics))})
-        print(f"mask={name:5s} recon_loss={rows[-1]['recon_loss']:.5f} "
-              f"identity_metric={rows[-1]['identity_metric']:.4f}")
+        return float(np.mean(losses)), float(np.mean(metrics))
+
+    rows = []
+    for name in ["none"] + [k.value for k in masked_kinds]:
+        if name in empty:
+            recon, metric = rows[0]["recon_loss"], rows[0]["identity_metric"]
+        else:
+            recon, metric = evaluate(models[name], None if name == "none" else MaskKind(name))
+        rows.append({"mask": name, "recon_loss": recon, "identity_metric": metric})
+        print(f"mask={name:5s} recon_loss={recon:.5f} identity_metric={metric:.4f}")
 
     # rank by reconstruction loss; ties keep configuration order
     ranked = sorted(range(len(rows)), key=lambda i: (rows[i]["recon_loss"], i))
@@ -640,6 +675,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        _check_out_dir(Path(args.out_dir))
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,12 @@ byte quantum).
 
 A P6 file's raster is an (H, W, 3) uint8 array of levels, row by row and
 pixel by pixel with the channels interleaved.  `ppm_levels` gives the raster
-`write_ppm` stores (and returns), `read_ppm_raster` the raster and maxval a
-file holds, and `read_ppm` decodes it to floats as level / maxval.
+`write_ppm` stores (and returns), `write_ppm_raster` stores a raster as it
+is, `read_ppm_raster` gives the raster and maxval a file holds, and
+`read_ppm` decodes it to floats as level / maxval.  `decode_levels` decodes
+a stack of maxval-255 rasters, such as a dataset split, to C-ordered
+(..., 3, H, W) floats with one divide: the bits `quantize` and `read_ppm`
+give for the same levels.
 """
 
 from __future__ import annotations
@@ -51,14 +55,26 @@ def ppm_levels(img: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(q, 0, -1))
 
 
+def decode_levels(levels: np.ndarray) -> np.ndarray:
+    """The C-ordered (..., 3, H, W) float64 image of (..., H, W, 3) 8-bit
+    levels, level / 255 in one divide."""
+    chw = levels.swapaxes(-1, -3).swapaxes(-1, -2)  # np.moveaxis(levels, -1, -3), cheaper
+    return np.divide(chw, 255.0, out=np.empty(chw.shape))
+
+
+def write_ppm_raster(path, raster: np.ndarray) -> None:
+    """Write an (H, W, 3) uint8 raster of levels as binary P6 with maxval 255."""
+    h, w, _ = raster.shape
+    with open(path, "wb") as f:
+        f.write(b"P6\n%d %d\n255\n" % (w, h))
+        f.write(np.ascontiguousarray(raster))
+
+
 def write_ppm(path, img: np.ndarray) -> np.ndarray:
     """Write (3, H, W) floats in [0, 1] as binary P6 with maxval 255;
     returns the raster written, `ppm_levels(img)`."""
     raster = ppm_levels(img)
-    h, w, _ = raster.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(raster)
+    write_ppm_raster(path, raster)
     return raster
 
 

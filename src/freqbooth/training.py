@@ -12,7 +12,9 @@ SHA-256 checksums.
 Also houses the dataset generator (16 striped/spotted "subjects" on four
 background classes), the orientation-histogram identity metric, JSON
 checkpoints, and a finite-difference gradient check used as the training
-oracle.
+oracle.  A dataset holds each split as the 8-bit levels its PPM files
+store; an image is decoded to floats only where it is read, a training
+batch with one divide.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
                         latent_to_seq, linear_schedule, project_conditions)
-from .netpbm import ppm_levels, quantize
+from .netpbm import decode_levels
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
@@ -83,6 +85,7 @@ class IdentityParams:
 
 @dataclass(frozen=True)
 class Sample:
+    """One example, or a stack of them with a leading row axis on each field."""
     image: np.ndarray       # (3, S, S) floats in [0, 1], 8-bit quantized
     identity_id: int
     text_id: int            # background/context class
@@ -96,28 +99,43 @@ def labels(spec: ToyDatasetSpec, i):
     return i % spec.n_identities, (i // spec.n_identities) % spec.n_contexts
 
 
-# a dataset's image arrays, in the order they are hashed and stored
-IMAGE_FIELDS = ("train_images", "test_images", "train_refs", "test_refs")
+# a dataset's level stacks, in the order they are hashed and stored
+IMAGE_FIELDS = ("train_levels", "test_levels", "train_ref_levels", "test_ref_levels")
 
 
 @dataclass
 class Dataset:
     """Every label follows from `spec` (see `labels`); each identity has one
-    reference per split."""
+    reference per split.
+
+    Each split is the C-ordered (N, S, S, 3) uint8 stack of 8-bit levels
+    its P6 files store after their headers, one byte per level.  Images are
+    decoded (`decode_levels`, level / 255) only where they are read.  The
+    references, which sampling reads on every call, are decoded once, into
+    the (n_identities, 3, S, S) float64 `train_refs` and `test_refs`."""
     spec: ToyDatasetSpec
     seed: int
-    train_images: np.ndarray
-    test_images: np.ndarray
-    train_refs: np.ndarray  # (n_identities, 3, S, S)
-    test_refs: np.ndarray
+    train_levels: np.ndarray
+    test_levels: np.ndarray
+    train_ref_levels: np.ndarray
+    test_ref_levels: np.ndarray
+    train_refs: np.ndarray = field(init=False, repr=False)
+    test_refs: np.ndarray = field(init=False, repr=False)
 
-    def train_sample(self, i: int) -> Sample:
-        ident, text = labels(self.spec, i)
-        return Sample(self.train_images[i], ident, text, self.train_refs[ident])
+    def __post_init__(self):
+        self.train_refs = decode_levels(self.train_ref_levels)
+        self.test_refs = decode_levels(self.test_ref_levels)
 
-    def test_sample(self, i: int) -> Sample:
+    def train_sample(self, i) -> Sample:
+        """Train example `i`, an int or an integer array of rows (then a
+        stack, decoded with one divide)."""
         ident, text = labels(self.spec, i)
-        return Sample(self.test_images[i], ident, text, self.test_refs[ident])
+        return Sample(decode_levels(self.train_levels[i]), ident, text, self.train_refs[ident])
+
+    def test_sample(self, i) -> Sample:
+        """Test example `i`, as `train_sample` gives a train example."""
+        ident, text = labels(self.spec, i)
+        return Sample(decode_levels(self.test_levels[i]), ident, text, self.test_refs[ident])
 
 
 def _scaled_color(rng: RngState, luma_target: float) -> np.ndarray:
@@ -171,7 +189,9 @@ def _pixel_grid(size: int) -> np.ndarray:
 def render_sample(params: IdentityParams, bg: np.ndarray, grid: np.ndarray,
                   rng: RngState) -> np.ndarray:
     """One posed image of a subject on `bg`, a (3, S, S) context background
-    from `_background`.  `grid` is `_pixel_grid(S)`.  Both are only read.
+    from `_background`, as the (S, S, 3) 8-bit levels a P6 file stores:
+    round(clip(x, 0, 1) * 255), the levels `quantize` divides by 255.
+    `grid` is `_pixel_grid(S)`.  Both are only read.
 
     Pose jitter is deliberately mild (phase, small rotation, small shift) so
     the stripe orientation remains the subject's signature.
@@ -197,7 +217,11 @@ def render_sample(params: IdentityParams, bg: np.ndarray, grid: np.ndarray,
         body = body * (1.0 - m) + spot_color[:, None, None] * m
 
     alpha = np.clip((radius - dist) / 1.5 + 0.5, 0.0, 1.0)
-    return quantize(bg * (1.0 - alpha) + body * alpha)
+    img = np.round(np.clip(bg * (1.0 - alpha) + body * alpha, 0.0, 1.0) * 255.0)
+    levels = np.empty((size, size, 3), dtype=np.uint8)
+    for c in range(3):  # a plane at a time: a one-step transpose copies 3 values per inner loop
+        levels[..., c] = img[c]
+    return levels
 
 
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
@@ -212,24 +236,24 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
     grid = _pixel_grid(s)
 
     def split(name: str, count: int):
-        images = np.empty((count, 3, s, s))
+        levels = np.empty((count, s, s, 3), dtype=np.uint8)
         for i in range(count):
             ident, text = labels(spec, i)
-            images[i] = render_sample(params[ident], backgrounds[text], grid,
+            levels[i] = render_sample(params[ident], backgrounds[text], grid,
                                       root.derive((name, i)))
-        return images
+        return levels
 
     def refs(name: str):
-        out = np.empty((spec.n_identities, 3, s, s))
+        levels = np.empty((spec.n_identities, s, s, 3), dtype=np.uint8)
         for i in range(spec.n_identities):
-            out[i] = render_sample(params[i], backgrounds[0], grid,
-                                   root.derive(("ref", name, i)))
-        return out
+            levels[i] = render_sample(params[i], backgrounds[0], grid,
+                                      root.derive(("ref", name, i)))
+        return levels
 
     return Dataset(spec=spec, seed=seed,
-                   train_images=split("train", spec.train_size),
-                   test_images=split("test", spec.test_size),
-                   train_refs=refs("train"), test_refs=refs("test"))
+                   train_levels=split("train", spec.train_size),
+                   test_levels=split("test", spec.test_size),
+                   train_ref_levels=refs("train"), test_ref_levels=refs("test"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +322,22 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: list[Sample], schedule: NoiseSchedule, rng: RngState,
+def _prepare(batch: Sample, schedule: NoiseSchedule, rng: RngState,
              enc: FrozenEncoders, stage: int, cond_dropout: float,
              mask_kind: MaskKind | None) -> PreparedBatch:
-    z0 = encode_latent(np.stack([sample.image for sample in batch]), enc)
+    """Noise a stacked `batch` (see `Sample`) for one step of `stage`."""
+    z0 = encode_latent(batch.image, enc)
     # each example in turn draws its timestep, its noise and a dropout value;
     # the dropout value is drawn at every stage and used by stages 0 and 1
-    u_t, eps, u_drop = rng.example_draws(len(batch), z0.shape[1:])
+    u_t, eps, u_drop = rng.example_draws(len(z0), z0.shape[1:])
     t = [1 + int(u * schedule.timesteps) for u in u_t]  # as randint(timesteps) draws it
     kept = [not (stage <= 1 and u < cond_dropout) for u in u_drop]
     rows = [i for i, keep in enumerate(kept) if keep]
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
-        text_id=[s.text_id if keep else None for s, keep in zip(batch, kept)],
-        ref=(rows, np.stack([batch[i].ref for i in rows])) if stage == 1 and rows else None,
-        ctrl=(range(len(batch)), make_control_signal(z0, mask_kind))
+        text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
+        ref=(rows, batch.ref[rows]) if stage == 1 and rows else None,
+        ctrl=(range(len(z0)), make_control_signal(z0, mask_kind))
         if stage == 2 else None)
 
 
@@ -342,7 +367,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
     sets = (STAGE_SETS[stage],)
     grads, didentity = denoiser_backward((2.0 / (diff[0].size * n)) * diff, dcache, sets)
     params = weights.params()
-    acc = {name: grads.get(name, np.zeros_like(params[name]))
+    acc = {name: grads[name] if name in grads else np.zeros(params[name].shape)
            for name in weights.names_in_set(sets[0])}
     if rcache is not None and "identity_adapter" in sets:
         # the cross term ran in every block for the referenced rows, so each didentity is set
@@ -458,9 +483,10 @@ def smoothing_window(steps: int) -> int:
     return max(1, min(50, steps // 10))
 
 
-def _draw_batch(dataset: Dataset, rng: RngState, size: int) -> list[Sample]:
-    return [dataset.train_sample(rng.randint(dataset.spec.train_size))
-            for _ in range(size)]
+def _draw_batch(dataset: Dataset, rng: RngState, size: int) -> Sample:
+    """A stack of `size` train examples drawn uniformly, one after another."""
+    rows = [rng.randint(dataset.spec.train_size) for _ in range(size)]
+    return dataset.train_sample(np.array(rows))
 
 
 # a step loss above this multiple of the first step's loss counts as divergence
@@ -663,8 +689,9 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
         raw = 0.5 + 0.25 * rng.normal((3, config.image_size, config.image_size))
         return np.clip(raw, 0.0, 1.0)
 
-    batch = [Sample(rand_image(), i % 2, i % config.n_text, rand_image())
-             for i in range(2)]
+    images, refs = zip(*[(rand_image(), rand_image()) for _ in range(2)])  # image, then ref
+    batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)],
+                   np.stack(refs))
     mask = MaskKind.LOW
     prepared = _prepare(batch, schedule, rng.derive("noise"), enc, stage, 0.0,
                         mask if stage == 2 else None)
@@ -708,9 +735,9 @@ def dataset_digest(spec: ToyDatasetSpec, seed: int):
     """The SHA-256 of a dataset up to its images: the spec and the seed as
     sorted JSON, then the train and the test split's `labels` (identity ids,
     then context ids) as little-endian int64.  Feeding it every image's
-    8-bit levels in P6 raster order (`ppm_levels`), split by split in
-    `IMAGE_FIELDS` order, gives `dataset_checksum`; those are the bytes the
-    dataset's PPM files store after their headers."""
+    8-bit levels in P6 raster order, split by split in `IMAGE_FIELDS`
+    order, gives `dataset_checksum`; those are the bytes the dataset's PPM
+    files store after their headers."""
     header = json.dumps({"seed": int(seed), "spec": asdict(spec)}, sort_keys=True)
     digest = hashlib.sha256(header.encode())
     for count in (spec.train_size, spec.test_size):
@@ -721,11 +748,10 @@ def dataset_digest(spec: ToyDatasetSpec, seed: int):
 
 def dataset_checksum(dataset: Dataset) -> str:
     """The checksum a schema-3 dataset index records: `dataset_digest` over
-    the spec, seed and labels, then each image's 8-bit levels.  Taken one
-    image at a time, so it holds no more than one image's levels."""
+    the spec, seed and labels, then each split's stored levels, one update
+    per split."""
     digest = dataset_digest(dataset.spec, dataset.seed)
-    for field in IMAGE_FIELDS:
-        for img in getattr(dataset, field):
-            digest.update(ppm_levels(img))
+    for name in IMAGE_FIELDS:
+        digest.update(getattr(dataset, name))
     return digest.hexdigest()
 

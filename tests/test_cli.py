@@ -16,18 +16,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from freqbooth import diffusion
-from freqbooth.cli import PrerequisiteError, load_dataset, main, save_dataset
+from freqbooth import cli, diffusion
+from freqbooth.cli import PrerequisiteError, _keeps_nothing, load_dataset, main, save_dataset
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap
+from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
     linear_schedule, predict_eps, project_conditions
 from freqbooth.netpbm import read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, dataset_checksum,
+from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, TrainConfig, dataset_checksum,
                                 generate_dataset, identity_metric_flagged, labels,
-                                load_checkpoint, save_checkpoint)
+                                load_checkpoint, save_checkpoint, train)
 from conftest import SMALL_SPEC, flip_one_gradient, read_pfm, striped_test_image
 
 
@@ -103,13 +103,14 @@ def test_loaded_dataset_equals_the_generated_one(tmp_path):
     loaded, loaded_checksum = load_dataset(tmp_path)
     assert loaded_checksum == checksum == dataset_checksum(made)
     assert (loaded.spec, loaded.seed) == (made.spec, made.seed)
-    for field in IMAGE_FIELDS:
+    for field in (*IMAGE_FIELDS, "train_refs", "test_refs"):
         assert np.array_equal(getattr(loaded, field), getattr(made, field)), field
+        assert getattr(loaded, field).dtype == getattr(made, field).dtype, field
         assert getattr(loaded, field).flags.c_contiguous, field
     for i in range(SMALL_SPEC.test_size):
         for j in range(SMALL_SPEC.n_identities):
-            assert identity_metric_flagged(loaded.test_images[i], loaded.test_refs[j]) \
-                == identity_metric_flagged(made.test_images[i], made.test_refs[j])
+            assert identity_metric_flagged(loaded.test_sample(i).image, loaded.test_refs[j]) \
+                == identity_metric_flagged(made.test_sample(i).image, made.test_refs[j])
 
 
 def test_the_index_checksum_hashes_the_stored_rasters(tmp_path):
@@ -149,14 +150,16 @@ def test_an_index_of_another_schema_is_unusable(tmp_path):
 
 def test_loading_and_saving_hold_at_most_one_split_of_levels_beyond_the_arrays(tmp_path):
     """Traced peaks on the default spec: `load_dataset` may allocate the
-    dataset's float arrays plus one split of uint8 levels and one float
-    image; `save_dataset`, whose arrays already exist, only the latter."""
+    dataset's arrays (its uint8 levels and its two float reference stacks)
+    plus a tenth of the largest split's levels; `save_dataset`, whose
+    arrays already exist, only the latter, as it writes the stored levels
+    as they are."""
     spec = ToyDatasetSpec()
     made = generate_dataset(spec, 1)
     largest_split = max(spec.train_size, spec.test_size, spec.n_identities)
     split_levels = largest_split * 3 * spec.image_size ** 2
-    image = made.train_images[0].nbytes
-    arrays = sum(getattr(made, field).nbytes for field in IMAGE_FIELDS)
+    levels = sum(getattr(made, field).nbytes for field in IMAGE_FIELDS)
+    arrays = levels + made.train_refs.nbytes + made.test_refs.nbytes
 
     def traced_peak(fn):
         tracemalloc.start()
@@ -168,9 +171,9 @@ def test_loading_and_saving_hold_at_most_one_split_of_levels_beyond_the_arrays(t
             tracemalloc.stop()
 
     saved_peak, checksum = traced_peak(lambda: save_dataset(tmp_path, made))
-    assert saved_peak <= split_levels + image
+    assert saved_peak <= split_levels // 10
     loaded_peak, (loaded, _) = traced_peak(lambda: load_dataset(tmp_path))
-    assert loaded_peak <= arrays + split_levels + image
+    assert loaded_peak <= arrays + split_levels // 10
     assert loaded_peak >= arrays  # the trace saw the arrays
     assert dataset_checksum(loaded) == checksum
 
@@ -529,22 +532,69 @@ def test_ablate_masks_report(pipe, tmp_path):
         assert (tmp_path / f"checkpoint_stage2_{kind}.json").is_file()
 
     # the no-control row must equal a direct recomputation on the same
-    # held-out pairs
+    # held-out pairs; so must the rows of `mid` and `high`, which keep no
+    # coefficient of the 8x8 latent, recomputed with their control signal
+    # on the stage-1 weights their checkpoints hold
     weights = load_checkpoint(pipe / "checkpoint_stage1.json")
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
     dataset, _ = load_dataset(pipe / "dataset")
-    rng = RngState(0).derive("ablate-eval")
-    losses = []
-    for i in range(3):
-        s = dataset.test_sample(i)
-        z0 = encode_latent(s.image, enc)
-        t = 1 + rng.randint(schedule.timesteps)
-        eps = rng.normal(z0.shape)
-        z_t = forward_noise(z0, t, eps, schedule)
-        pred = predict_eps(weights, z_t[None], [t], project_conditions(weights, [s.text_id]))[0]
-        losses.append(float(np.mean((pred - eps) ** 2)))
-    assert report["rows"][0]["recon_loss"] == float(np.mean(losses))
+    for row in report["rows"]:
+        if row["mask"] in ("mini", "low"):
+            continue
+        kind = None if row["mask"] == "none" else MaskKind(row["mask"])
+        rng = RngState(0).derive("ablate-eval")
+        losses = []
+        for i in range(3):
+            s = dataset.test_sample(i)
+            z0 = encode_latent(s.image, enc)
+            t = 1 + rng.randint(schedule.timesteps)
+            eps = rng.normal(z0.shape)
+            z_t = forward_noise(z0, t, eps, schedule)
+            ctrl = None if kind is None else ([0], make_control_signal(z0[None], kind))
+            cond = project_conditions(weights, [s.text_id], ctrl=ctrl)
+            pred = predict_eps(weights, z_t[None], [t], cond)[0]
+            losses.append(float(np.mean((pred - eps) ** 2)))
+        assert row["recon_loss"] == float(np.mean(losses)), row["mask"]
+
+
+def test_ablate_masks_trains_only_the_bands_the_latent_keeps(pipe, tmp_path, monkeypatch):
+    """At the 8x8 latent `mid` and `high` keep no DCT coefficient, so their
+    stage 2 has zero gradients and leaves the weights as they are: only
+    `mini` and `low` are trained; the other two save the stage-1 weights
+    with stage 2 completed, the file training them writes, and repeat the
+    `none` row."""
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda config, *args, **kwargs: (
+        trained.append(config.mask_kind.value), train(config, *args, **kwargs)))
+    assert run("ablate-masks", "--out-dir", tmp_path,
+               "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--data-dir", pipe / "dataset",
+               "--train-steps", 2, "--eval-size", 3, "--eval-samples", 1,
+               "--steps", 4) == 0
+    assert trained == ["mini", "low"]
+
+    dataset, _ = load_dataset(pipe / "dataset")
+    for kind in (MaskKind.MID, MaskKind.HIGH):
+        weights = load_checkpoint(pipe / "checkpoint_stage1.json")
+        train(TrainConfig(stage=2, steps=2, identity_scale=0.0, mask_kind=kind),
+              dataset, weights)
+        save_checkpoint(tmp_path / "trained.json", weights)
+        saved = (tmp_path / f"checkpoint_stage2_{kind.value}.json").read_bytes()
+        assert saved == (tmp_path / "trained.json").read_bytes(), kind
+    rows = read_json(tmp_path / "ablate_report.json")["rows"]
+    none = rows[0]
+    for row in rows[3:]:
+        assert (row["recon_loss"], row["identity_metric"]) == \
+            (none["recon_loss"], none["identity_metric"]), row["mask"]
+
+
+def test_a_band_is_skipped_by_its_coefficient_count_not_its_name():
+    masked = (MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH)
+    for size, trained in ((32, ["mini", "low"]), (64, ["mini", "low", "mid"])):
+        hw = toy_config(image_size=size).latent_hw
+        assert [k.value for k in masked if not _keeps_nothing(k, hw)] == trained, size
+    assert build_mask(MaskKind.MID, 16, 16).sum() == 55
 
 
 @pytest.mark.parametrize("flag", ["--eval-size", "--eval-samples"])
@@ -865,6 +915,26 @@ def test_a_file_system_error_exits_2_and_writes_nothing(pipe, tmp_path, capsys, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--data-dir", "{pipe}/dataset", "--stage", 0, "--steps", 300),
+    ("gradcheck",),
+], ids=["train", "gradcheck"])
+def test_an_out_dir_that_cannot_be_made_is_found_before_any_work(pipe, tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out-dir was checked")
+
+    monkeypatch.setattr(cli, "train", no_work)
+    monkeypatch.setattr(cli, "gradient_check", no_work)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    capsys.readouterr()
+    assert run(*(str(a).format(pipe=pipe) for a in argv), "--out-dir", out) == 2
+    assert capsys.readouterr() == ("", f"error: --out-dir {out}: {tmp_path / 'file'} "
+                                       f"is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 import base64
+import hashlib
 import inspect
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
                                  project_conditions)
+from freqbooth.netpbm import decode_levels
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
@@ -37,7 +40,8 @@ def identity_metric(generated, reference):
 def test_dataset_is_bit_deterministic(tiny_dataset):
     again = generate_dataset(SMALL_SPEC, 0)
     assert dataset_checksum(again) == dataset_checksum(tiny_dataset)
-    assert np.array_equal(again.train_images, tiny_dataset.train_images)
+    for name in IMAGE_FIELDS:
+        assert np.array_equal(getattr(again, name), getattr(tiny_dataset, name)), name
     other = generate_dataset(SMALL_SPEC, 1)
     assert dataset_checksum(other) != dataset_checksum(tiny_dataset)
 
@@ -53,18 +57,17 @@ def test_dataset_checksums_are_pinned(tiny_dataset):
 
 
 def test_the_dataset_checksum_covers_the_seed_and_every_level(tiny_dataset):
-    """The checksum hashes the seed and each image's stored 8-bit levels:
-    moving one pixel by one level changes it, a change that rounds to the
-    same level does not."""
+    """The checksum hashes the seed and each split's stored 8-bit levels:
+    moving one pixel of any split by one level changes it, and the same
+    levels in a new array do not."""
     checksum = dataset_checksum(tiny_dataset)
     reseeded = replace(tiny_dataset, seed=tiny_dataset.seed + 1)
     assert dataset_checksum(reseeded) != checksum
     for field in IMAGE_FIELDS:
         arr = getattr(tiny_dataset, field).copy()
-        level = arr[-1, 2, -1, -1]
-        arr[-1, 2, -1, -1] = level + (0.4 if level < 0.5 else -0.4) / 255.0
         assert dataset_checksum(replace(tiny_dataset, **{field: arr})) == checksum, field
-        arr[-1, 2, -1, -1] = level + (1.0 if level < 0.5 else -1.0) / 255.0
+        level = int(arr[-1, -1, -1, 2])
+        arr[-1, -1, -1, 2] = level + (1 if level < 128 else -1)
         assert dataset_checksum(replace(tiny_dataset, **{field: arr})) != checksum, field
 
 
@@ -97,12 +100,95 @@ def test_the_pixel_grid_is_built_once_and_read_only(monkeypatch):
 
 def test_dataset_counts_and_round_robin(tiny_dataset):
     spec = tiny_dataset.spec
-    assert tiny_dataset.train_images.shape == (spec.train_size, 3, 8, 8)
+    assert tiny_dataset.train_levels.shape == (spec.train_size, 8, 8, 3)
+    assert tiny_dataset.test_levels.shape == (spec.test_size, 8, 8, 3)
     assert tiny_dataset.test_refs.shape == (spec.n_identities, 3, 8, 8)
     want_ids = np.arange(spec.train_size) % spec.n_identities
     idents, texts = labels(spec, np.arange(spec.train_size, dtype=np.int64))
     assert np.array_equal(idents, want_ids)
     assert texts.max() < spec.n_contexts
+
+
+# SHA-256 of each split of the default spec at seed 1, decoded to C-ordered
+# float64 (level / 255): the bytes of the float64 arrays a dataset held
+# before it kept its levels
+DECODED_SPLIT_SHA256 = {
+    "train_levels": "868fcb9cd6f888f5411144660641fdd0ceddab4906912a4e4ccf2db6af5a7085",
+    "test_levels": "51e7a418fe8dbd9222ea4277a05d8abc63cca9c232d7329ab9493d43551c6eb2",
+    "train_ref_levels": "77b7de4468114d07f1fbde3405d0346c30ecf942cb449a72fa5e6175bbe8059f",
+    "test_ref_levels": "e90158de407eb59f0a419d4313e49a4c447f0fb9576e441f84c3ef53830cd974",
+}
+
+
+@pytest.fixture(scope="module")
+def default_dataset():
+    return generate_dataset(ToyDatasetSpec(), 1)
+
+
+def test_decoded_splits_are_pinned(default_dataset):
+    for name, want in DECODED_SPLIT_SHA256.items():
+        decoded = decode_levels(getattr(default_dataset, name))
+        assert decoded.dtype == np.float64 and decoded.flags.c_contiguous, name
+        assert hashlib.sha256(decoded).hexdigest() == want, name
+    assert hashlib.sha256(default_dataset.train_refs).hexdigest() == \
+        DECODED_SPLIT_SHA256["train_ref_levels"]
+    assert hashlib.sha256(default_dataset.test_refs).hexdigest() == \
+        DECODED_SPLIT_SHA256["test_ref_levels"]
+
+
+def test_the_references_are_held_as_float64_levels_over_255(default_dataset):
+    ds = default_dataset
+    for refs, levels in ((ds.train_refs, ds.train_ref_levels),
+                         (ds.test_refs, ds.test_ref_levels)):
+        assert refs.dtype == np.float64 and refs.flags.c_contiguous
+        assert refs.shape == (ds.spec.n_identities, 3, 32, 32)
+        want = np.moveaxis(levels, -1, 1) / 255.0
+        assert np.ascontiguousarray(want).tobytes() == refs.tobytes()
+
+
+def test_the_image_levels_take_one_byte_per_level(default_dataset):
+    spec = default_dataset.spec
+    n_images = spec.train_size + spec.test_size + 2 * spec.n_identities
+    for name in IMAGE_FIELDS:
+        levels = getattr(default_dataset, name)
+        assert levels.dtype == np.uint8 and levels.flags.c_contiguous, name
+    assert sum(getattr(default_dataset, name).nbytes for name in IMAGE_FIELDS) \
+        == n_images * 3 * spec.image_size ** 2 == 1_867_776
+
+
+def test_generating_the_default_dataset_holds_little_beyond_its_arrays():
+    """The generator writes each image's levels into its split as it goes,
+    so its traced peak is the dataset's arrays plus a few images' floats
+    (the float64 splits alone took 14.9 MB)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ds = generate_dataset(ToyDatasetSpec(), 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(ds, name).nbytes for name in IMAGE_FIELDS) \
+        + ds.train_refs.nbytes + ds.test_refs.nbytes
+    assert arrays <= peak < 4_000_000
+
+
+def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset):
+    """A training batch gathers its rows' levels and decodes them with one
+    divide, bit for bit the `np.stack` of the rows' float images (pinned
+    above), and stacks their references and context classes."""
+    ds = default_dataset
+    images = decode_levels(ds.train_levels)
+    rng, replay = RngState(7), RngState(7)
+    batch = training._draw_batch(ds, rng, 4)
+    rows = [replay.randint(ds.spec.train_size) for _ in range(4)]
+    assert rng.counter == replay.counter
+    assert batch.image.flags.c_contiguous
+    assert batch.image.tobytes() == np.stack([images[i] for i in rows]).tobytes()
+    idents, texts = labels(ds.spec, np.array(rows))
+    assert batch.ref.tobytes() == np.stack([ds.train_refs[k] for k in idents]).tobytes()
+    assert list(batch.text_id) == list(texts)
+    for i, row in enumerate(rows):
+        assert ds.train_sample(row).image.tobytes() == batch.image[i].tobytes()
 
 
 def test_samples_pair_with_their_identity_reference(tiny_dataset):
@@ -186,7 +272,7 @@ def test_histogram_is_normalized_and_smooth_in_angle():
 
 
 def batch_of(ds, n):
-    return [ds.train_sample(i) for i in range(n)]
+    return ds.train_sample(np.arange(n))
 
 
 def prepared_batch(ds, schedule, enc, stage, n):
@@ -207,16 +293,16 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
     prepared = _prepare(batch, tiny_schedule, rng, tiny_enc, stage, COND_DROPOUT, mask)
     per_example = 2 + prepared.eps[0].size
     assert rng.counter == 3 * per_example
-    for i, (sample, eps) in enumerate(zip(batch, prepared.eps)):
+    for i, (text, eps) in enumerate(zip(batch.text_id, prepared.eps)):
         replay = RngState(stage, counter=i * per_example)
         assert prepared.t[i] == 1 + replay.randint(tiny_schedule.timesteps)
         assert np.array_equal(eps, replay.normal(eps.shape))
         u = replay.uniform()
         kept = stage == 2 or u >= COND_DROPOUT
-        assert prepared.text_id[i] == (sample.text_id if kept else None)
+        assert prepared.text_id[i] == (text if kept else None)
         if stage == 0:
             # a dropout threshold at u keeps example i, one just above u drops it
-            for threshold, text_id in ((u, sample.text_id), (np.nextafter(u, 1.0), None)):
+            for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
                 again = _prepare(batch, tiny_schedule, RngState(stage), tiny_enc, stage,
                                  threshold, None)
                 assert again.text_id[i] == text_id
