@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 usage or validation error (a path that cannot be
 read or written included; an --out-dir that cannot be made is found before
 any work), 3 missing or unreadable prerequisite state (dataset or
 checkpoint), 4 numerical failure.  gradcheck exits 1 when a gradient
-comparison fails.
+comparison fails.  `train` and `ablate-masks` build their `TrainConfig`s
+first, so a stage's bad mask, lambda or step count exits 2 before any file
+is read.
 
 A dataset is read and written as the 8-bit levels its PPM files store,
 with no float round trip.  `ablate-masks` trains no control branch for a
@@ -40,9 +42,10 @@ from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
 from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
-from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_digest,
-                       generate_dataset, gradient_check, identity_metric_flagged,
-                       load_checkpoint, save_checkpoint, train, write_json)
+from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
+                       dataset_digest, generate_dataset, gradient_check,
+                       identity_metric_flagged, load_checkpoint, save_checkpoint, train,
+                       write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,16 +168,12 @@ DATASET_SCHEMA = 3
 
 def save_dataset(ddir: Path, dataset: Dataset) -> str:
     """Write the dataset's stored rasters as they are, and its index, under
-    `ddir`; returns the checksum the index records, `dataset_checksum(dataset)`,
-    one update per split."""
+    `ddir`; returns the checksum the index records, `dataset_checksum(dataset)`."""
     ddir.mkdir(parents=True, exist_ok=True)
-    digest = dataset_digest(dataset.spec, dataset.seed)
     for field, names in _dataset_files(dataset.spec):
-        levels = getattr(dataset, field)
-        for raster, name in zip(levels, names):
+        for raster, name in zip(getattr(dataset, field), names):
             write_ppm_raster(ddir / name, raster)
-        digest.update(levels)
-    checksum = digest.hexdigest()
+    checksum = dataset_checksum(dataset)
     write_json(ddir / "index.json", {"schema_version": DATASET_SCHEMA,
                                      "spec": asdict(dataset.spec),
                                      "seed": dataset.seed, "checksum": checksum})
@@ -253,22 +252,18 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.stage == 1 and args.lam == 0.0:
-        raise UsageError("--lambda 0 skips the identity cross term, so stage 1 would "
-                         "train nothing")
-    out = Path(args.out_dir)
-    dataset, checksum = _load_dataset_arg(args, out)
     stage = args.stage
-    mask = MaskKind(args.mask) if args.mask else None
-    if stage == 2 and mask is None:
-        raise UsageError(f"--stage 2 requires --mask {{{','.join(MASK_CHOICES)}}}")
-    if stage != 2 and mask is not None:
-        raise UsageError("--mask only applies to --stage 2")
-
     if stage == 0 and args.checkpoint:
         raise UsageError("--checkpoint does not apply to --stage 0, "
                          "which initialises from --seed")
-
+    steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
+    # TrainConfig checks the stage's mask and lambda before any file is read
+    config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
+                         identity_scale=args.lam,
+                         mask_kind=MaskKind(args.mask) if args.mask else None)
+    mask = config.mask_kind
+    out = Path(args.out_dir)
+    dataset, checksum = _load_dataset_arg(args, out)
     if stage == 0:
         weights = init_weights(toy_config(), args.seed)
         source_checksums = None
@@ -281,10 +276,6 @@ def cmd_train(args) -> int:
         raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
                          f"{hw}x{hw} latent, so stage 2 would train nothing")
 
-    steps = args.steps if args.steps is not None else STAGE_STEP_DEFAULTS[stage]
-    # stages 0 and 2 run without the identity branch, so they record lambda 0
-    config = TrainConfig(stage=stage, steps=steps, lr=args.lr, seed=args.seed,
-                         identity_scale=args.lam if stage == 1 else 0.0, mask_kind=mask)
     report = train(config, dataset, weights)
 
     ckpt_path = _checkpoint_path(out, stage, mask)
@@ -460,7 +451,10 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_ablate_masks(args) -> int:
-    # before any stage-2 checkpoint is trained
+    masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
+    # every flag is checked before anything is read
+    configs = {kind: TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
+                                 mask_kind=kind) for kind in masked_kinds}
     check_identity_scale(args.lam)
     check_guidance(args.guidance)
     for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
@@ -475,7 +469,6 @@ def cmd_ablate_masks(args) -> int:
     schedule = linear_schedule(stage1.config.timesteps)
     sampling_timesteps(schedule.timesteps, args.steps)  # sample's check of --steps
 
-    masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
     models = {"none": stage1}
     # every row compares against the same stage-1 model, so each found
     # checkpoint is checked before any missing one is trained
@@ -499,9 +492,7 @@ def cmd_ablate_masks(args) -> int:
             note = (f"mask {kind.value} keeps no coefficient of the {hw}x{hw} latent: "
                     f"saved the stage-1 weights as its control checkpoint")
         else:
-            config = TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                                 identity_scale=0.0, mask_kind=kind)
-            train(config, dataset, weights, schedule=schedule, enc=enc)
+            train(configs[kind], dataset, weights, schedule=schedule, enc=enc)
             note = f"trained missing control checkpoint for mask {kind.value}"
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(_checkpoint_path(out, 2, kind), weights)

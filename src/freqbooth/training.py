@@ -7,14 +7,14 @@ per-block feature heads, identity key/value projections) against references
 of the same subject.  Stage 2 trains only the frequency-control branch
 (projections and gates), conditioned on a band-filtered copy of the clean
 latent.  Everything outside the active set stays bitwise frozen, tracked by
-SHA-256 checksums.
+SHA-256 checksums.  `TrainConfig` alone states what each stage takes.
 
 Also houses the dataset generator (16 striped/spotted "subjects" on four
 background classes), the orientation-histogram identity metric, JSON
 checkpoints, and a finite-difference gradient check used as the training
 oracle.  A dataset holds each split as the 8-bit levels its PPM files
 store; an image is decoded to floats only where it is read, a training
-batch with one divide.
+batch with one divide, and only stage 1 gathers a batch's references.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class Sample:
     image: np.ndarray       # (3, S, S) floats in [0, 1], 8-bit quantized
     identity_id: int
     text_id: int            # background/context class
-    ref: np.ndarray         # reference image of the same identity
 
 
 def labels(spec: ToyDatasetSpec, i):
@@ -129,13 +128,11 @@ class Dataset:
     def train_sample(self, i) -> Sample:
         """Train example `i`, an int or an integer array of rows (then a
         stack, decoded with one divide)."""
-        ident, text = labels(self.spec, i)
-        return Sample(decode_levels(self.train_levels[i]), ident, text, self.train_refs[ident])
+        return Sample(decode_levels(self.train_levels[i]), *labels(self.spec, i))
 
     def test_sample(self, i) -> Sample:
         """Test example `i`, as `train_sample` gives a train example."""
-        ident, text = labels(self.spec, i)
-        return Sample(decode_levels(self.test_levels[i]), ident, text, self.test_refs[ident])
+        return Sample(decode_levels(self.test_levels[i]), *labels(self.spec, i))
 
 
 def _scaled_color(rng: RngState, luma_target: float) -> np.ndarray:
@@ -322,10 +319,12 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: Sample, schedule: NoiseSchedule, rng: RngState,
+def _prepare(batch: Sample, refs: np.ndarray, schedule: NoiseSchedule, rng: RngState,
              enc: FrozenEncoders, stage: int, cond_dropout: float,
              mask_kind: MaskKind | None) -> PreparedBatch:
-    """Noise a stacked `batch` (see `Sample`) for one step of `stage`."""
+    """Noise a stacked `batch` (see `Sample`) for one step of `stage`.
+    `refs` is the reference stack indexed by identity; stage 1 gathers the
+    kept rows' references from it."""
     z0 = encode_latent(batch.image, enc)
     # each example in turn draws its timestep, its noise and a dropout value;
     # the dropout value is drawn at every stage and used by stages 0 and 1
@@ -336,7 +335,7 @@ def _prepare(batch: Sample, schedule: NoiseSchedule, rng: RngState,
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
         text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
-        ref=(rows, batch.ref[rows]) if stage == 1 and rows else None,
+        ref=(rows, refs[np.asarray(batch.identity_id)[rows]]) if stage == 1 and rows else None,
         ctrl=(range(len(z0)), make_control_signal(z0, mask_kind))
         if stage == 2 else None)
 
@@ -432,6 +431,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One stage's run, and the one statement of what each stage takes: a
+    mask kind at stage 2 and only there, and an identity scale in [0, 1]
+    that is not 0 at stage 1.  Stages 0 and 2 never run the identity
+    branch, so they hold any valid scale as 0.0."""
     stage: int
     steps: int
     lr: float = 1e-3
@@ -447,12 +450,17 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.stage == 2 and self.mask_kind is None:
-            raise ValueError("stage 2 requires a mask kind")
+        if (self.mask_kind is None) == (self.stage == 2):
+            if self.stage == 2:
+                raise ValueError("stage 2 requires a mask kind (--mask "
+                                 f"{{{','.join(k.value for k in MaskKind)}}})")
+            raise ValueError("a mask kind (--mask) applies only to stage 2")
         check_identity_scale(self.identity_scale)
-        if self.stage == 1 and self.identity_scale == 0.0:
-            raise ValueError("identity_scale 0 skips the identity cross term, so stage 1 "
-                             "would train nothing")
+        if self.stage != 1:
+            object.__setattr__(self, "identity_scale", 0.0)
+        elif self.identity_scale == 0.0:
+            raise ValueError("--lambda 0 skips the identity cross term, so stage 1 would "
+                             "train nothing")
 
 
 @dataclass
@@ -499,16 +507,16 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     """Run one stage; updates `weights` in place and returns the report.
 
     Stages must run in order 0 -> 1 -> 2; the two non-active parameter sets
-    are frozen and their checksums verified after the run.  A non-finite
+    are frozen and their checksums verified after the run.  The stage runs
+    at `config.identity_scale` as `TrainConfig` holds it.  A non-finite
     step loss, a step loss above DIVERGENCE_FACTOR times the first step's,
     or a non-finite trained weight after the last step raises
     FloatingPointError (the weights are then unusable; save nothing).
     """
     stage = config.stage
-    if stage >= 1 and 0 not in weights.completed_stages:
-        raise StageOrderError("stage 0 (backbone pretrain) has not run")
-    if stage == 2 and 1 not in weights.completed_stages:
-        raise StageOrderError("stage 1 (identity adapter) has not run")
+    missing = [s for s in range(stage) if s not in weights.completed_stages]
+    if missing:
+        raise StageOrderError(f"stage(s) {missing} must run before stage {stage}")
 
     schedule = schedule or linear_schedule(weights.config.timesteps)
     enc = enc or build_encoders(weights.config)
@@ -520,10 +528,9 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     rng = RngState(config.seed).derive(("train", stage))
 
     def stage_loss(batch):
-        prepared = _prepare(batch, schedule, rng, enc, stage, COND_DROPOUT,
-                            config.mask_kind)
-        scale = config.identity_scale if stage == 1 else 0.0
-        return batch_loss(weights, enc, prepared, stage, scale)
+        prepared = _prepare(batch, dataset.train_refs, schedule, rng, enc, stage,
+                            COND_DROPOUT, config.mask_kind)
+        return batch_loss(weights, enc, prepared, stage, config.identity_scale)
 
     t_start = time.perf_counter()
     losses: list[float] = []
@@ -690,18 +697,17 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
         return np.clip(raw, 0.0, 1.0)
 
     images, refs = zip(*[(rand_image(), rand_image()) for _ in range(2)])  # image, then ref
-    batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)],
-                   np.stack(refs))
-    mask = MaskKind.LOW
-    prepared = _prepare(batch, schedule, rng.derive("noise"), enc, stage, 0.0,
-                        mask if stage == 2 else None)
-    scale = 0.4 if stage == 1 else 0.0
+    batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)])
+    run = TrainConfig(stage=stage, steps=0, identity_scale=0.4,
+                      mask_kind=MaskKind.LOW if stage == 2 else None)
+    prepared = _prepare(batch, np.stack(refs), schedule, rng.derive("noise"), enc, stage,
+                        0.0, run.mask_kind)
 
     def loss_only():
-        return batch_loss(weights, enc, prepared, stage, scale,
+        return batch_loss(weights, enc, prepared, stage, run.identity_scale,
                           compute_grads=False)[0]
 
-    loss, grads = batch_loss(weights, enc, prepared, stage, scale)
+    loss, grads = batch_loss(weights, enc, prepared, stage, run.identity_scale)
 
     params = weights.params()
     per_param: dict[str, float] = {}

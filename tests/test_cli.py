@@ -260,6 +260,21 @@ def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--stage", 2),
+    ("train", "--stage", 1, "--mask", "low"),
+    ("train", "--stage", 0, "--steps", -3),
+    ("ablate-masks", "--train-steps", -1),
+], ids=["stage2-without-mask", "stage1-with-mask", "negative-steps", "ablate-negative-steps"])
+def test_a_bad_training_flag_exits_2_before_any_file_is_read(tmp_path, capsys, argv):
+    # no dataset under --out-dir: reading one first would exit 3
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_train_zero_steps_leaves_weights_at_init(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 0, "--steps", 0) == 0
@@ -611,6 +626,18 @@ def test_ablate_masks_rejects_an_empty_evaluation(pipe, tmp_path, flag, capsys):
                flag, 0) == 2
 
 
+def test_ablate_masks_checks_train_steps_when_every_checkpoint_is_present(pipe, tmp_path):
+    """--train-steps is checked although no mask checkpoint needs training."""
+    ablate = ("ablate-masks", "--out-dir", tmp_path,
+              "--checkpoint", pipe / "checkpoint_stage1.json", "--data-dir", pipe / "dataset",
+              "--eval-size", 1, "--eval-samples", 1, "--steps", 2)
+    assert run(*ablate, "--train-steps", 1) == 0
+    (tmp_path / "ablate_report.json").unlink()
+    before = tree_bytes(tmp_path)
+    assert run(*ablate, "--train-steps", -1) == 2
+    assert tree_bytes(tmp_path) == before
+
+
 def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path, capsys):
     # a file under the stage-2 name that never completed stage 2
     unfinished = tmp_path / "unfinished"
@@ -669,6 +696,12 @@ def test_lambda_outside_unit_interval_exits_usage(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--checkpoint", pipe / "checkpoint_stage0.json",
                "--stage", 1, "--steps", 1, "--lambda", 7) == 2
+    # stages 0 and 2 hold a valid --lambda as 0.0, but reject an invalid one
+    assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+               "--stage", 0, "--steps", 1, "--lambda", 7) == 2
+    assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+               "--checkpoint", pipe / "checkpoint_stage1.json",
+               "--stage", 2, "--mask", "low", "--steps", 1, "--lambda", 7) == 2
     assert run("sweep-lambda", "--out-dir", tmp_path, "--checkpoint", ckpt,
                "--data-dir", pipe / "dataset", "--values", "0,5") == 2
     assert run("ablate-masks", "--out-dir", tmp_path, "--checkpoint", ckpt,

@@ -3,7 +3,7 @@ import hashlib
 import inspect
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
-                                 project_conditions)
+                                 linear_schedule, project_conditions)
 from freqbooth.netpbm import decode_levels
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
@@ -172,10 +172,12 @@ def test_generating_the_default_dataset_holds_little_beyond_its_arrays():
     assert arrays <= peak < 4_000_000
 
 
-def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset):
+def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_cfg):
     """A training batch gathers its rows' levels and decodes them with one
     divide, bit for bit the `np.stack` of the rows' float images (pinned
-    above), and stacks their references and context classes."""
+    above), and stacks their context classes.  Only a stage-1 `_prepare`
+    gathers the rows' references: at cond dropout 0 every row keeps its
+    own, and stages 0 and 2 gather none."""
     ds = default_dataset
     images = decode_levels(ds.train_levels)
     rng, replay = RngState(7), RngState(7)
@@ -185,16 +187,28 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset):
     assert batch.image.flags.c_contiguous
     assert batch.image.tobytes() == np.stack([images[i] for i in rows]).tobytes()
     idents, texts = labels(ds.spec, np.array(rows))
-    assert batch.ref.tobytes() == np.stack([ds.train_refs[k] for k in idents]).tobytes()
     assert list(batch.text_id) == list(texts)
     for i, row in enumerate(rows):
         assert ds.train_sample(row).image.tobytes() == batch.image[i].tobytes()
+    enc = build_encoders(toy_cfg)
+    schedule = linear_schedule(toy_cfg.timesteps)
+    for stage, mask in ((0, None), (1, None), (2, MaskKind.LOW)):
+        prepared = _prepare(batch, ds.train_refs, schedule, RngState(stage), enc, stage,
+                            0.0, mask)
+        if stage == 1:
+            assert prepared.ref[0] == list(range(4))
+            assert prepared.ref[1].tobytes() == \
+                np.stack([ds.train_refs[k] for k in idents]).tobytes()
+        else:
+            assert prepared.ref is None
 
 
-def test_samples_pair_with_their_identity_reference(tiny_dataset):
+def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc):
     s = tiny_dataset.train_sample(5)
     assert s.identity_id == 5 % tiny_dataset.spec.n_identities
-    assert np.array_equal(s.ref, tiny_dataset.train_refs[s.identity_id])
+    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), tiny_dataset.train_refs,
+                        tiny_schedule, RngState(0), tiny_enc, 1, 0.0, None)
+    assert np.array_equal(prepared.ref[1][0], tiny_dataset.train_refs[s.identity_id])
 
 
 def test_identity_traits_are_angle_separated():
@@ -277,7 +291,7 @@ def batch_of(ds, n):
 
 def prepared_batch(ds, schedule, enc, stage, n):
     mask = MaskKind.LOW if stage == 2 else None
-    return _prepare(batch_of(ds, n), schedule, RngState(stage), enc, stage,
+    return _prepare(batch_of(ds, n), ds.train_refs, schedule, RngState(stage), enc, stage,
                     COND_DROPOUT, mask)
 
 
@@ -290,7 +304,8 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
     batch = batch_of(tiny_dataset, 3)
     mask = MaskKind.LOW if stage == 2 else None
     rng = RngState(stage)
-    prepared = _prepare(batch, tiny_schedule, rng, tiny_enc, stage, COND_DROPOUT, mask)
+    refs = tiny_dataset.train_refs
+    prepared = _prepare(batch, refs, tiny_schedule, rng, tiny_enc, stage, COND_DROPOUT, mask)
     per_example = 2 + prepared.eps[0].size
     assert rng.counter == 3 * per_example
     for i, (text, eps) in enumerate(zip(batch.text_id, prepared.eps)):
@@ -303,8 +318,8 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
         if stage == 0:
             # a dropout threshold at u keeps example i, one just above u drops it
             for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
-                again = _prepare(batch, tiny_schedule, RngState(stage), tiny_enc, stage,
-                                 threshold, None)
+                again = _prepare(batch, refs, tiny_schedule, RngState(stage), tiny_enc,
+                                 stage, threshold, None)
                 assert again.text_id[i] == text_id
 
 
@@ -688,6 +703,9 @@ def test_train_config_validation():
         TrainConfig(stage=0, steps=1, batch_size=0)
     with pytest.raises(ValueError, match="mask"):
         TrainConfig(stage=2, steps=1)
+    for stage in (0, 1):
+        with pytest.raises(ValueError, match="applies only to stage 2"):
+            TrainConfig(stage=stage, steps=1, mask_kind=MaskKind.LOW)
     for bad in (-0.1, 7.0, float("nan")):
         with pytest.raises(ValueError, match="identity scale"):
             TrainConfig(stage=1, steps=1, identity_scale=bad)
@@ -700,6 +718,14 @@ def test_stage1_config_rejects_identity_scale_zero():
     for stage, mask in ((0, None), (2, MaskKind.LOW)):
         assert TrainConfig(stage=stage, steps=1, identity_scale=0.0,
                            mask_kind=mask).identity_scale == 0.0
+
+
+def test_train_config_holds_lambda_as_zero_where_the_identity_branch_never_runs():
+    for stage, mask in ((0, None), (2, MaskKind.LOW)):
+        config = TrainConfig(stage=stage, steps=1, identity_scale=0.3, mask_kind=mask)
+        assert config.identity_scale == 0.0
+        assert asdict(config)["identity_scale"] == 0.0
+    assert TrainConfig(stage=1, steps=1, identity_scale=0.3).identity_scale == 0.3
 
 
 def test_smoothing_window_bounds():
