@@ -11,8 +11,12 @@ read or written included; an --out-dir that cannot be made is found before
 any work), 3 missing or unreadable prerequisite state (dataset or
 checkpoint), 4 numerical failure.  gradcheck exits 1 when a gradient
 comparison fails.  `train` and `ablate-masks` build their `TrainConfig`s
-first, so a stage's bad mask, lambda or step count exits 2 before any file
-is read.
+first, so a stage's bad mask, lambda, step count or learning rate exits 2
+before any file is read.
+
+`sample`, `sweep-lambda` and `ablate-masks` each list their trials and draw
+them through one path, `_draw_trials`, and take their sampling `--steps`
+and `--guidance` from one parent parser.
 
 A dataset is read and written as the 8-bit levels its PPM files store,
 with no float round trip.  `ablate-masks` trains no control branch for a
@@ -43,9 +47,8 @@ from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm, w
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .tensor_core import RngState
 from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
-                       dataset_digest, generate_dataset, gradient_check,
-                       identity_metric_flagged, load_checkpoint, save_checkpoint, train,
-                       write_json)
+                       generate_dataset, gradient_check, identity_metric_flagged,
+                       load_checkpoint, save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,6 +151,24 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
     return sheet
 
 
+def _draw_trials(weights, enc, schedule, args, trials) -> list[tuple]:
+    """(image, identity metric, degenerate flag) of each trial `(rng tag,
+    reference or None, text id, mask or None, lambda)`: the guided DDIM
+    sample from `--seed`'s stream for the tag at `--steps` and
+    `--guidance`, snapped to 8-bit levels and scored against the reference,
+    (None, None) without one.  Every image is drawn before this returns, so
+    a numerical failure (exit 4) leaves nothing to write."""
+    drawn = []
+    for tag, ref, text_id, mask, lam in trials:
+        img, _ = sample(weights, enc, schedule, RngState(args.seed).derive(tag), ref_img=ref,
+                        text_id=text_id, mask_kind=mask, steps=args.steps,
+                        guidance=args.guidance, identity_scale=lam)
+        quant = quantize(img)
+        scored = (None, None) if ref is None else identity_metric_flagged(quant, ref)
+        drawn.append((quant, *scored))
+    return drawn
+
+
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -183,10 +204,10 @@ def save_dataset(ddir: Path, dataset: Dataset) -> str:
 def load_dataset(ddir: Path) -> tuple[Dataset, str]:
     """The dataset under `ddir` and its checksum, verified against the index.
 
-    Each file is read once into its split's uint8 raster stack, which is
-    hashed and kept as the dataset holds it.  An index of another schema is
-    unusable: `gen-data` rebuilds the dataset from the spec and seed it
-    records."""
+    Each file is read once into its split's uint8 raster stack, kept as the
+    dataset holds it and hashed by `dataset_checksum`.  An index of another
+    schema is unusable: `gen-data` rebuilds the dataset from the spec and
+    seed it records."""
     index_path = Path(ddir) / "index.json"
     if not index_path.is_file():
         raise PrerequisiteError(
@@ -206,7 +227,6 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
             raise PrerequisiteError(f"dataset at {ddir} has a non-integer seed {seed!r}")
         spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
-        digest = dataset_digest(spec, seed)
         arrays = {}
         for field, names in _dataset_files(spec):
             levels = np.empty((len(names), s, s, 3), dtype=np.uint8)
@@ -217,14 +237,14 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
                     raise ValueError(f"{name} is {raster.shape[1]}x{raster.shape[0]} with "
                                      f"maxval {maxval}, expected {s}x{s} with maxval 255")
                 levels[i] = raster
-            digest.update(levels)
             arrays[field] = levels
+        dataset = Dataset(spec=spec, seed=seed, **arrays)
         checksum = index["checksum"]
-        if digest.hexdigest() != checksum:
+        if dataset_checksum(dataset) != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
     except _UNREADABLE as exc:
         raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
-    return Dataset(spec=spec, seed=seed, **arrays), checksum
+    return dataset, checksum
 
 
 def _load_dataset_arg(args, out: Path) -> tuple[Dataset, str]:
@@ -316,26 +336,16 @@ def cmd_sample(args) -> int:
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
 
-    # every image is drawn before any is written, so a numerical failure
-    # (exit 4) leaves nothing on disk
-    images = []
-    for i in range(args.n):
-        rng = RngState(args.seed).derive(("sample", i))
-        img, _ = sample(weights, enc, schedule, rng, ref_img=ref,
-                        text_id=args.text_id, mask_kind=mask,
-                        steps=args.steps, guidance=args.guidance,
-                        identity_scale=args.lam)
-        images.append(quantize(img))
+    drawn = _draw_trials(weights, enc, schedule, args, [
+        (("sample", i), ref, args.text_id, mask, args.lam) for i in range(args.n)])
     rows = []
     out.mkdir(parents=True, exist_ok=True)
-    for i, quant in enumerate(images):
+    for i, (quant, metric, degenerate) in enumerate(drawn):
         name = f"sample_{i:03d}.ppm"
         write_ppm(out / name, quant)
         row = {"file": name, "index": i, "seed": args.seed}
         if ref is not None:
-            metric, degenerate = identity_metric_flagged(quant, ref)
-            row["identity_metric"] = metric
-            row["degenerate"] = degenerate
+            row.update(identity_metric=metric, degenerate=degenerate)
         rows.append(row)
 
     ref_independent = args.lam == 0.0 and mask is None
@@ -405,41 +415,30 @@ def cmd_sweep_lambda(args) -> int:
     enc = build_encoders(weights.config)
     schedule = linear_schedule(weights.config.timesteps)
     n_id = dataset.spec.n_identities
+    trials = range(args.trials)
+    # each trial's stream is paired across lambdas
+    drawn = _draw_trials(weights, enc, schedule, args, [
+        (("sweep", t), dataset.test_refs[t % n_id], 0, None, lam)
+        for lam in values for t in trials])
 
-    rows = []
+    rows, sheet_images, by_value = [], [], {}
     sheet_cols = min(args.trials, 8)
-    sheet_images = []
-    for lam in values:
-        metrics = []
-        for trial in range(args.trials):
-            rng = RngState(args.seed).derive(("sweep", trial))  # paired across lambdas
-            ref = dataset.test_refs[trial % n_id]
-            img, _ = sample(weights, enc, schedule, rng, ref_img=ref,
-                            text_id=0, mask_kind=None, steps=args.steps,
-                            guidance=args.guidance, identity_scale=lam)
-            quant = quantize(img)
-            metric, degenerate = identity_metric_flagged(quant, ref)
-            rows.append({"lambda": lam, "trial": trial,
-                         "identity": trial % n_id, "identity_metric": metric,
-                         "degenerate": degenerate})
-            metrics.append(metric)
-            if trial < sheet_cols:
-                sheet_images.append(quant)
-        print(f"lambda={lam}: mean identity metric "
-              f"{float(np.mean(metrics)):.4f} over {args.trials} trials")
-
-    by_value = {}
-    base = values[0]
-    base_metrics = [r["identity_metric"] for r in rows if r["lambda"] == base]
-    for lam in values:
-        ms = [r["identity_metric"] for r in rows if r["lambda"] == lam]
-        wins = sum(1 for a, b in zip(ms, base_metrics) if a > b)
-        by_value[str(lam)] = {"mean": float(np.mean(ms)),
-                              "std": float(np.std(ms)),
+    base_metrics = [metric for _, metric, _ in drawn[:args.trials]]
+    for v, lam in enumerate(values):
+        own = drawn[v * args.trials:(v + 1) * args.trials]
+        metrics = [metric for _, metric, _ in own]
+        rows += [{"lambda": lam, "trial": t, "identity": t % n_id, "identity_metric": metric,
+                  "degenerate": degenerate} for t, (_, metric, degenerate) in zip(trials, own)]
+        sheet_images += [quant for quant, _, _ in own[:sheet_cols]]
+        wins = sum(1 for a, b in zip(metrics, base_metrics) if a > b)
+        by_value[str(lam)] = {"mean": float(np.mean(metrics)),
+                              "std": float(np.std(metrics)),
                               "wins_vs_first": wins,
                               "win_rate_vs_first": wins / args.trials}
+        print(f"lambda={lam}: mean identity metric "
+              f"{by_value[str(lam)]['mean']:.4f} over {args.trials} trials")
     report = {"values": values, "trials": args.trials, "rows": rows,
-              "aggregate": by_value, "baseline": base}
+              "aggregate": by_value, "baseline": values[0]}
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep_report.json", report)
     sheet = image_grid(sheet_images, rows=len(values), cols=sheet_cols)
@@ -453,8 +452,11 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_ablate_masks(args) -> int:
     masked_kinds = [MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH]
     # every flag is checked before anything is read
-    configs = {kind: TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
-                                 mask_kind=kind) for kind in masked_kinds}
+    try:
+        configs = {kind: TrainConfig(stage=2, steps=args.train_steps, seed=args.seed,
+                                     mask_kind=kind) for kind in masked_kinds}
+    except ValueError as exc:
+        raise UsageError(f"--train-steps {args.train_steps}: {exc}") from None
     check_identity_scale(args.lam)
     check_guidance(args.guidance)
     for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
@@ -511,21 +513,17 @@ def cmd_ablate_masks(args) -> int:
     eps = np.stack(eps)
     z_t = forward_noise(z0, ts, eps, schedule)
     texts = held_out.text_id.tolist()
+    n_id = dataset.spec.n_identities
 
     def evaluate(weights, kind: MaskKind | None) -> tuple[float, float]:
         """(recon loss over the held-out pairs, mean identity metric of the samples)."""
         ctrl = None if kind is None else (range(n_eval), make_control_signal(z0, kind))
         pred = predict_eps(weights, z_t, ts, project_conditions(weights, texts, ctrl=ctrl))
         losses = [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps)]
-        metrics = []
-        for j in range(args.eval_samples):
-            rng = RngState(args.seed).derive(("ablate-sample", j))
-            ref = dataset.test_refs[j % dataset.spec.n_identities]
-            img, _ = sample(weights, enc, schedule, rng, ref_img=ref, text_id=0,
-                            mask_kind=kind, steps=args.steps,
-                            guidance=args.guidance, identity_scale=args.lam)
-            metrics.append(identity_metric_flagged(quantize(img), ref)[0])
-        return float(np.mean(losses)), float(np.mean(metrics))
+        drawn = _draw_trials(weights, enc, schedule, args, [
+            (("ablate-sample", j), dataset.test_refs[j % n_id], 0, kind, args.lam)
+            for j in range(args.eval_samples)])
+        return float(np.mean(losses)), float(np.mean([metric for _, metric, _ in drawn]))
 
     rows = []
     for name in ["none"] + [k.value for k in masked_kinds]:
@@ -583,6 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     with_ckpt = argparse.ArgumentParser(add_help=False, parents=[common])
     with_ckpt.add_argument("--checkpoint", default=None,
                            help="explicit checkpoint path (default: by stage under --out-dir)")
+    # the commands that draw guided samples; `train --steps` counts optimizer steps
+    sampling = argparse.ArgumentParser(add_help=False, parents=[with_ckpt])
+    sampling.add_argument("--steps", type=int, default=20, help="DDIM sampling steps")
+    sampling.add_argument("--guidance", type=float, default=3.0)
 
     parser = argparse.ArgumentParser(prog="freqbooth",
                                      description="dual-branch toy diffusion pipeline")
@@ -610,13 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(training default 1.0; generation defaults to 0.4)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", parents=[with_ckpt], help="generate images")
+    p = sub.add_parser("sample", parents=[sampling], help="generate images")
     p.add_argument("--ref", default=None, help="reference image (PPM)")
     p.add_argument("--text-id", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.4)
-    p.add_argument("--guidance", type=float, default=3.0)
     p.add_argument("--mask", choices=(*MASK_CHOICES, "none"), default="none")
-    p.add_argument("--steps", type=int, default=20)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_sample)
 
@@ -626,16 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True, choices=MASK_CHOICES)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("sweep-lambda", parents=[with_ckpt],
+    p = sub.add_parser("sweep-lambda", parents=[sampling],
                        help="identity metric across lambda values")
     p.add_argument("--values", default="0,0.4,1.0")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--guidance", type=float, default=3.0)
     p.add_argument("--data-dir", default=None)
     p.set_defaults(func=cmd_sweep_lambda)
 
-    p = sub.add_parser("ablate-masks", parents=[with_ckpt],
+    p = sub.add_parser("ablate-masks", parents=[sampling],
                        help="compare control bands on the held-out split")
     p.add_argument("--data-dir", default=None)
     p.add_argument("--train-steps", type=int, default=500,
@@ -644,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="held-out samples for reconstruction loss")
     p.add_argument("--eval-samples", type=int, default=4,
                    help="sampled images per mask for the identity metric")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--guidance", type=float, default=3.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.4)
     p.set_defaults(func=cmd_ablate_masks)
 

@@ -434,7 +434,8 @@ class TrainConfig:
     """One stage's run, and the one statement of what each stage takes: a
     mask kind at stage 2 and only there, and an identity scale in [0, 1]
     that is not 0 at stage 1.  Stages 0 and 2 never run the identity
-    branch, so they hold any valid scale as 0.0."""
+    branch, so they hold any valid scale as 0.0.  Every stage takes an
+    `lr` above 0; an infinite one is left to `train`'s finite-weight guard."""
     stage: int
     steps: int
     lr: float = 1e-3
@@ -448,6 +449,8 @@ class TrainConfig:
             raise ValueError(f"stage must be 0, 1 or 2, got {self.stage}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not self.lr > 0:  # NaN too
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if (self.mask_kind is None) == (self.stage == 2):
@@ -737,26 +740,19 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
     }
 
 
-def dataset_digest(spec: ToyDatasetSpec, seed: int):
-    """The SHA-256 of a dataset up to its images: the spec and the seed as
-    sorted JSON, then the train and the test split's `labels` (identity ids,
-    then context ids) as little-endian int64.  Feeding it every image's
-    8-bit levels in P6 raster order, split by split in `IMAGE_FIELDS`
-    order, gives `dataset_checksum`; those are the bytes the dataset's PPM
-    files store after their headers."""
-    header = json.dumps({"seed": int(seed), "spec": asdict(spec)}, sort_keys=True)
+def dataset_checksum(dataset: Dataset) -> str:
+    """The checksum a schema-3 dataset index records: the SHA-256 of the
+    spec and the seed as sorted JSON, then the train and the test split's
+    `labels` (identity ids, then context ids) as little-endian int64, then
+    each split's stored levels in `IMAGE_FIELDS` order, one update per
+    split.  Those levels are every image's 8-bit levels in P6 raster order,
+    the bytes the dataset's PPM files store after their headers."""
+    spec = dataset.spec
+    header = json.dumps({"seed": int(dataset.seed), "spec": asdict(spec)}, sort_keys=True)
     digest = hashlib.sha256(header.encode())
     for count in (spec.train_size, spec.test_size):
         for arr in labels(spec, np.arange(count, dtype=np.int64)):
             digest.update(np.asarray(arr, dtype="<i8"))
-    return digest
-
-
-def dataset_checksum(dataset: Dataset) -> str:
-    """The checksum a schema-3 dataset index records: `dataset_digest` over
-    the spec, seed and labels, then each split's stored levels, one update
-    per split."""
-    digest = dataset_digest(dataset.spec, dataset.seed)
     for name in IMAGE_FIELDS:
         digest.update(getattr(dataset, name))
     return digest.hexdigest()

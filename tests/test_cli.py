@@ -260,18 +260,23 @@ def test_train_stage0_rejects_a_checkpoint(pipe, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("train", "--stage", 2),
-    ("train", "--stage", 1, "--mask", "low"),
-    ("train", "--stage", 0, "--steps", -3),
-    ("ablate-masks", "--train-steps", -1),
-], ids=["stage2-without-mask", "stage1-with-mask", "negative-steps", "ablate-negative-steps"])
-def test_a_bad_training_flag_exits_2_before_any_file_is_read(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (("train", "--stage", 2), "stage 2 requires a mask kind"),
+    (("train", "--stage", 1, "--mask", "low"), "a mask kind (--mask) applies only to stage 2"),
+    (("train", "--stage", 0, "--steps", -3), "steps must be >= 0, got -3"),
+    # named: ablate-masks also takes a --steps, for sampling
+    (("ablate-masks", "--train-steps", -1), "--train-steps -1: steps must be >= 0, got -1"),
+    (("train", "--stage", 0, "--lr", -0.001), "lr must be > 0, got -0.001"),
+    (("train", "--stage", 0, "--lr", 0), "lr must be > 0, got 0.0"),
+    (("train", "--stage", 0, "--lr", "nan"), "lr must be > 0, got nan"),
+], ids=["stage2-without-mask", "stage1-with-mask", "negative-steps", "ablate-negative-steps",
+        "negative-lr", "zero-lr", "nan-lr"])
+def test_a_bad_training_flag_exits_2_before_any_file_is_read(tmp_path, capsys, argv, message):
     # no dataset under --out-dir: reading one first would exit 3
     out = tmp_path / "out"
     assert run(*argv, "--out-dir", out) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not out.exists()
 
 
@@ -665,6 +670,62 @@ def test_ablate_masks_checks_a_stage2_checkpoint_it_finds(pipe, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"checkpoint {stale / 'checkpoint_stage2_low.json'} has another " \
            f"identity_adapter than {stale / 'checkpoint_stage1.json'}" in err
+
+
+# ---------------------------------------------------------------------------
+# sampled artifacts
+
+
+PINNED_ARTIFACTS = {
+    "sample": {
+        "sample_000.ppm": "9b40c1e11b6b85e1132fc3ea7a05e3a1dbc29d83bb4747e4a527756997c57e98",
+        "sample_001.ppm": "f3a790a3a0b3dc1a6e4b1c37927c4a8090f498ce42d7ab2d364f21654972055d",
+        "sample_config.json": "08712f8f83b6ed6752629e6c44a3f346105c07afb035e9230627f91bf8485637",
+        "sample_meta.json": "a98a4f5f00d6546baeb72d56b45910b49050368e542239cd35c0c25f7370f626",
+    },
+    "sample-mask-low": {
+        "sample_000.ppm": "a827b0c0e19c8c0de9f74f4234227c1d2a93c2624b8d3ef09bdb2a662a7449d4",
+        "sample_001.ppm": "022b64ddc59512ca9732009161d6ac10b70bb7203f60afab13893280969029a2",
+        "sample_config.json": "84d2a700221e26d1bc40665c95fda57924690108128610e8fd6530080eccd82a",
+        "sample_meta.json": "b0342e233f0774ad9dc91119be1d3b5d01dd3b4440949ea928215b9dfc83560d",
+    },
+    "sweep-lambda": {
+        "sweep_lambda_config.json":
+            "446f48d604bf937336b996bad3f7f4efb3c6b6c63c2096eee629c0702c4131b5",
+        "sweep_report.json": "09d9149c4fb647bfdd683409028a09827dfa86a69cbc5b61ebcf3a339d33a4c3",
+        "sweep_sheet.ppm": "955cfb5776c8f650e81759e890cd4a8e462d74202580aabef50dc5a41ed63376",
+    },
+    "ablate-masks": {
+        "ablate_masks_config.json":
+            "72e560c8d0e91ad30529e1471a00b66687da166abfed44fc2f99eea637d50a58",
+        "ablate_report.json": "6e230f35e0990e9b6a17eaf66fcea396402dd7b1bc6b4b3d61ceefbfa82ed708",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ARTIFACTS))
+def test_sampled_artifacts_are_pinned(pipe, tmp_path, case):
+    """The bytes of every normative file the sampling commands write, held
+    to literals: the images, reports and config echoes (not the checkpoints
+    `ablate-masks` trains, nor the `*.timing.json` sidecars)."""
+    data, ref = pipe / "dataset", pipe / "dataset" / "ref_test_01.ppm"
+    argv = {
+        "sample": ("sample", "--checkpoint", pipe / "checkpoint_stage1.json",
+                   "--ref", ref, "--n", 2, "--steps", 4),
+        "sample-mask-low": ("sample", "--checkpoint", pipe / "checkpoint_stage2_low.json",
+                            "--ref", ref, "--n", 2, "--steps", 4, "--mask", "low"),
+        "sweep-lambda": ("sweep-lambda", "--checkpoint", pipe / "checkpoint_stage1.json",
+                         "--data-dir", data, "--values", "0,0.4", "--trials", 2,
+                         "--steps", 4),
+        "ablate-masks": ("ablate-masks", "--checkpoint", pipe / "checkpoint_stage1.json",
+                         "--data-dir", data, "--train-steps", 2, "--eval-size", 3,
+                         "--eval-samples", 2, "--steps", 4),
+    }[case]
+    assert run(*argv, "--out-dir", tmp_path) == 0
+    digests = {name: hashlib.sha256(blob).hexdigest()
+               for name, blob in tree_bytes(tmp_path).items()
+               if not name.startswith("checkpoint_") and not name.endswith(".timing.json")}
+    assert digests == PINNED_ARTIFACTS[case]
 
 
 # ---------------------------------------------------------------------------

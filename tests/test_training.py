@@ -701,6 +701,9 @@ def test_train_config_validation():
         TrainConfig(stage=0, steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(stage=0, steps=1, batch_size=0)
+    for bad in (-0.001, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="lr must be > 0"):
+            TrainConfig(stage=0, steps=1, lr=bad)
     with pytest.raises(ValueError, match="mask"):
         TrainConfig(stage=2, steps=1)
     for stage in (0, 1):
