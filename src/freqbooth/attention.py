@@ -37,7 +37,7 @@ import numpy as np
 from .tensor_core import row_index, row_summed_grad, softmax_rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveAttentionWeights:
     w_query: np.ndarray     # (d_model, d_model) frozen after backbone pretraining
     w_key: np.ndarray       # (d_model, d_model) frozen

@@ -45,10 +45,9 @@ def toy_config(**overrides) -> ModelConfig:
     return replace(ModelConfig(), **overrides) if overrides else ModelConfig()
 
 
-def tiny_config(**overrides) -> ModelConfig:
+def tiny_config() -> ModelConfig:
     """Gradient-check preset: every matrix dimension is <= 8."""
-    cfg = ModelConfig(image_size=8, patch=4, d_model=8, d_ff=6, d_time=4,
-                      n_text=2, d_tok=8, d_query=4, d_id=4, n_query=2,
-                      n_blocks=2, timesteps=50)
-    return replace(cfg, **overrides) if overrides else cfg
+    return ModelConfig(image_size=8, patch=4, d_model=8, d_ff=6, d_time=4,
+                       n_text=2, d_tok=8, d_query=4, d_id=4, n_query=2,
+                       n_blocks=2, timesteps=50)
 

@@ -29,15 +29,16 @@ Parameters are grouped into three sets with distinct training stages:
 `backbone` (stage 0 pretraining, frozen afterwards), `identity_adapter`
 (stage 1: identity key/value projections, per-block feature heads, pooler),
 and `control` (stage 2: control projections and their zero-initialized
-gates).
+gates).  `_build_weights` is the parameter registry: the statement that
+makes a parameter also names it and puts it in its set.  The weight
+dataclasses are frozen, and parameters change only in place.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import MappingProxyType
+from functools import partial
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def sampling_timesteps(timesteps: int, steps: int) -> np.ndarray:
 # weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockWeights:
     attn: AdaptiveAttentionWeights
     ff_w1: np.ndarray       # (d_model, d_ff)
@@ -158,68 +159,34 @@ class BlockWeights:
 
 PARAM_SETS = ("backbone", "identity_adapter", "control")
 
-# The parameter registry: the one place that names parameters and their sets.
-# name: (set, accessor on ModelWeights)
-_MODEL_PARAMS = {
-    "in_proj": ("backbone", lambda w: w.in_proj),
-    "out_proj": ("backbone", lambda w: w.out_proj),
-    "proj.queries": ("identity_adapter", lambda w: w.projection.queries),
-    "proj.w_key": ("identity_adapter", lambda w: w.projection.w_key),
-    "proj.w_value": ("identity_adapter", lambda w: w.projection.w_value),
-}
-# name under "blocks.<k>.": (set, accessor on BlockWeights)
-_BLOCK_PARAMS = {
-    "attn.w_query": ("backbone", lambda b: b.attn.w_query),
-    "attn.w_key": ("backbone", lambda b: b.attn.w_key),
-    "attn.w_value": ("backbone", lambda b: b.attn.w_value),
-    "attn.w_key_id": ("identity_adapter", lambda b: b.attn.w_key_id),
-    "attn.w_value_id": ("identity_adapter", lambda b: b.attn.w_value_id),
-    "ff_w1": ("backbone", lambda b: b.ff_w1),
-    "ff_w2": ("backbone", lambda b: b.ff_w2),
-    "time_proj": ("backbone", lambda b: b.time_proj),
-    "time_gain": ("backbone", lambda b: b.time_gain),
-    "text_embed": ("backbone", lambda b: b.text_embed),
-    "id_head": ("identity_adapter", lambda b: b.id_head),
-    "ctrl_proj": ("control", lambda b: b.ctrl_proj),
-    "ctrl_gate": ("control", lambda b: b.ctrl_gate),
-}
 
-
-@lru_cache(maxsize=None)
-def param_registry(n_blocks: int) -> MappingProxyType:
-    """Every parameter name of an `n_blocks` model -> (set, accessor), read-only
-    because every caller shares the cached table."""
-    registry = dict(_MODEL_PARAMS)
-    for k in range(n_blocks):
-        for leaf, (set_name, get) in _BLOCK_PARAMS.items():
-            registry[f"blocks.{k}.{leaf}"] = (set_name, lambda w, k=k, get=get: get(w.blocks[k]))
-    return MappingProxyType(registry)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelWeights:
+    """A model's weights and its parameter registry, both made by
+    `_build_weights`.  `registry` maps each parameter's name to its set and
+    the very array a field holds.  The dataclasses are frozen, so no field
+    can be rebound apart from the registry; parameters change in place."""
     config: ModelConfig
     in_proj: np.ndarray
     out_proj: np.ndarray
-    blocks: list[BlockWeights]
+    blocks: tuple[BlockWeights, ...]
     projection: ProjectionWeights
     pos_code: np.ndarray = field(repr=False)  # fixed buffer, not a parameter
+    registry: dict[str, tuple[str, np.ndarray]] = field(repr=False)
     completed_stages: list[int] = field(default_factory=list)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {name: get(self) for name, (_, get) in param_registry(len(self.blocks)).items()}
+        return {name: arr for name, (_, arr) in self.registry.items()}
 
     def names_in_set(self, set_name: str) -> list[str]:
-        return sorted(n for n, (s, _) in param_registry(len(self.blocks)).items()
-                      if s == set_name)
+        return sorted(n for n, (s, _) in self.registry.items() if s == set_name)
 
     def checksum(self, set_name: str) -> str:
         """SHA-256 over the set's parameter bytes (bitwise freeze marker)."""
-        params = self.params()
         digest = hashlib.sha256()
         for name in self.names_in_set(set_name):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(params[name]).tobytes())
+            digest.update(np.ascontiguousarray(self.registry[name][1]).tobytes())
         return digest.hexdigest()
 
     def id_heads(self) -> list[np.ndarray]:
@@ -240,56 +207,72 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def _build_weights(config: ModelConfig, draw) -> ModelWeights:
-    """The weight structure of `config`, each drawn parameter made by
-    `draw(tag, shape, scale)`; time gains and control gates start at zero.
-    `init_weights` draws from the RNG; `load_checkpoint` draws zeros and
-    fills them from the file."""
+    """The weights of `config` and their registry, the one statement of
+    every parameter.  `backbone(name, arr)`, `adapter(...)` or `control(...)`
+    registers a parameter under its name in its set, in the call that makes
+    it: drawn as `draw(tag, shape, scale)` or, for the time gains and control
+    gates, as zeros.  Checkpoints store the names and the initial values
+    follow the RNG tags, so neither may change.  `init_weights` draws from
+    the RNG; `load_checkpoint` draws zeros and fills them from the file."""
     c, d, dff = config.latent_channels, config.d_model, config.d_ff
+    registry: dict[str, tuple[str, np.ndarray]] = {}
+
+    def param(set_name: str, name: str, arr: np.ndarray) -> np.ndarray:
+        registry[name] = (set_name, arr)
+        return arr
+
+    backbone, adapter, control = (partial(param, s) for s in PARAM_SETS)
+    in_proj = backbone("in_proj", draw("in_proj", (c, d), 1.0 / np.sqrt(c)))
+    out_proj = backbone("out_proj", draw("out_proj", (d, c), 0.5 / np.sqrt(d)))
+    projection = ProjectionWeights(
+        # large queries sharpen the pooler's softmax so each identity token
+        # starts near a distinct patch rather than the patch average
+        queries=adapter("proj.queries", draw("proj.q", (config.n_query, config.d_query), 2.0)),
+        w_key=adapter("proj.w_key", draw("proj.k", (config.d_tok, config.d_query),
+                                         1.0 / np.sqrt(config.d_tok))),
+        w_value=adapter("proj.w_value", draw("proj.v", (config.d_tok, config.d_id),
+                                             7.0 / np.sqrt(config.d_tok))),
+    )
     blocks = []
     for k in range(config.n_blocks):
+        p = f"blocks.{k}."
         attn = AdaptiveAttentionWeights(
-            w_query=draw(f"b{k}.wq", (d, d), 1.0 / np.sqrt(d)),
-            w_key=draw(f"b{k}.wk", (d, d), 1.0 / np.sqrt(d)),
-            w_value=draw(f"b{k}.wv", (d, d), 1.0 / np.sqrt(d)),
+            w_query=backbone(p + "attn.w_query", draw(f"b{k}.wq", (d, d), 1.0 / np.sqrt(d))),
+            w_key=backbone(p + "attn.w_key", draw(f"b{k}.wk", (d, d), 1.0 / np.sqrt(d))),
+            w_value=backbone(p + "attn.w_value", draw(f"b{k}.wv", (d, d), 1.0 / np.sqrt(d))),
             # wide value init: early adapter training first absorbs the random
             # branch into the frozen backbone, then mines it for identity
-            w_key_id=draw(f"b{k}.wkid", (config.d_id, d), 0.2 / np.sqrt(config.d_id)),
-            w_value_id=draw(f"b{k}.wvid", (config.d_id, d), 0.8 / np.sqrt(config.d_id)),
+            w_key_id=adapter(p + "attn.w_key_id", draw(f"b{k}.wkid", (config.d_id, d),
+                                                       0.2 / np.sqrt(config.d_id))),
+            w_value_id=adapter(p + "attn.w_value_id", draw(f"b{k}.wvid", (config.d_id, d),
+                                                           0.8 / np.sqrt(config.d_id))),
         )
         blocks.append(BlockWeights(
             attn=attn,
-            ff_w1=draw(f"b{k}.ff1", (d, dff), 1.0 / np.sqrt(d)),
-            ff_w2=draw(f"b{k}.ff2", (dff, d), 0.5 / np.sqrt(dff)),
-            time_proj=draw(f"b{k}.time", (config.d_time, d), 0.3),
+            ff_w1=backbone(p + "ff_w1", draw(f"b{k}.ff1", (d, dff), 1.0 / np.sqrt(d))),
+            ff_w2=backbone(p + "ff_w2", draw(f"b{k}.ff2", (dff, d), 0.5 / np.sqrt(dff))),
+            time_proj=backbone(p + "time_proj", draw(f"b{k}.time", (config.d_time, d), 0.3)),
             # zero so every residual gain starts at exactly 1; the pretrain
             # learns how strongly each channel's injections should scale
             # with the noise level (the useful correction magnitude spans
             # orders of magnitude across timesteps)
-            time_gain=np.zeros((config.d_time, d)),
-            text_embed=draw(f"b{k}.text", (config.n_text + 1, d), 0.3),
+            time_gain=backbone(p + "time_gain", np.zeros((config.d_time, d))),
+            text_embed=backbone(p + "text_embed",
+                                draw(f"b{k}.text", (config.n_text + 1, d), 0.3)),
             # identity features start large so the zero-initialized injection
             # matrices need only small magnitudes to act; Adam moves weights
             # at ~lr per step, so the achievable injection strength within a
             # fixed step budget scales directly with this amplification
-            id_head=draw(f"b{k}.idh", (config.d_id, config.d_id), 7.0 / np.sqrt(config.d_id)),
-            ctrl_proj=draw(f"b{k}.ctrl", (c, d), 1.0 / np.sqrt(c)),
-            ctrl_gate=np.zeros(1),
+            id_head=adapter(p + "id_head", draw(f"b{k}.idh", (config.d_id, config.d_id),
+                                                7.0 / np.sqrt(config.d_id))),
+            ctrl_proj=control(p + "ctrl_proj", draw(f"b{k}.ctrl", (c, d), 1.0 / np.sqrt(c))),
+            ctrl_gate=control(p + "ctrl_gate", np.zeros(1)),
         ))
-    projection = ProjectionWeights(
-        # large queries sharpen the pooler's softmax so each identity token
-        # starts near a distinct patch rather than the patch average
-        queries=draw("proj.q", (config.n_query, config.d_query), 2.0),
-        w_key=draw("proj.k", (config.d_tok, config.d_query), 1.0 / np.sqrt(config.d_tok)),
-        w_value=draw("proj.v", (config.d_tok, config.d_id), 7.0 / np.sqrt(config.d_tok)),
-    )
     hw = config.latent_hw
     return ModelWeights(
-        config=config,
-        in_proj=draw("in_proj", (c, d), 1.0 / np.sqrt(c)),
-        out_proj=draw("out_proj", (d, c), 0.5 / np.sqrt(d)),
-        blocks=blocks,
-        projection=projection,
-        pos_code=grid_position_codes(hw, hw, config.d_model),
+        config=config, in_proj=in_proj, out_proj=out_proj, blocks=tuple(blocks),
+        projection=projection, pos_code=grid_position_codes(hw, hw, config.d_model),
+        registry=registry,
     )
 
 

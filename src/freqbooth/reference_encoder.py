@@ -46,7 +46,7 @@ class FrozenEncoders:
     token_pos: np.ndarray    # (n_patches, d_tok)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionWeights:
     """Trainable attention pooler: learned queries cross-attend over tokens."""
 

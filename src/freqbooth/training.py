@@ -524,7 +524,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     schedule = schedule or linear_schedule(weights.config.timesteps)
     enc = enc or build_encoders(weights.config)
     trainable = STAGE_SETS[stage]
-    frozen_before = {s: weights.checksum(s) for s in PARAM_SETS}
+    frozen_before = {s: weights.checksum(s) for s in PARAM_SETS if s != trainable}
 
     params = weights.params()
     adam = init_adam(params, weights.names_in_set(trainable))
@@ -541,16 +541,18 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         eval_loss, _ = stage_loss(_draw_batch(dataset, rng, config.batch_size))
         initial = final = eval_loss
     else:
-        for step in range(config.steps):
-            loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
-            if losses and loss > DIVERGENCE_FACTOR * losses[0]:
-                raise FloatingPointError(
-                    f"stage {stage} step {step}: loss {loss:.4g} diverged past "
-                    f"{DIVERGENCE_FACTOR:g} times the first step's {losses[0]:.4g}")
-            adam_step(params, grads, adam, config.lr)
-            losses.append(loss)
+        # the checks below name any overflow, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(config.steps):
+                loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
+                if losses and loss > DIVERGENCE_FACTOR * losses[0]:
+                    raise FloatingPointError(
+                        f"stage {stage} step {step}: loss {loss:.4g} diverged past "
+                        f"{DIVERGENCE_FACTOR:g} times the first step's {losses[0]:.4g}")
+                adam_step(params, grads, adam, config.lr)
+                losses.append(loss)
         for name in weights.names_in_set(trainable):
             if not np.all(np.isfinite(params[name])):
                 raise FloatingPointError(
@@ -558,9 +560,9 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         initial, final = losses[0], losses[-1]
     wall = time.perf_counter() - t_start
 
-    frozen_after = {s: weights.checksum(s) for s in PARAM_SETS}
-    for s in PARAM_SETS:
-        if s != trainable and frozen_after[s] != frozen_before[s]:
+    frozen_after = {s: weights.checksum(s) for s in frozen_before}
+    for s in frozen_before:
+        if frozen_after[s] != frozen_before[s]:
             raise RuntimeError(f"frozen set {s} changed during stage {stage}")
 
     if stage not in weights.completed_stages:
@@ -577,8 +579,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         initial_loss=float(initial), final_loss=float(final),
         smoothing_window=window, initial_smoothed=initial_smoothed,
         final_smoothed=final_smoothed, trainable_set=trainable,
-        frozen_before={s: v for s, v in frozen_before.items() if s != trainable},
-        frozen_after={s: v for s, v in frozen_after.items() if s != trainable},
+        frozen_before=frozen_before, frozen_after=frozen_after,
         wall_clock_s=float(wall), config=asdict(config),
     )
 
@@ -660,7 +661,7 @@ def load_checkpoint(path) -> ModelWeights:
         arr[:] = np.frombuffer(raw, dtype=_PARAM_DTYPE).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint parameter {name} is not finite")
-    weights.completed_stages = list(payload.get("completed_stages", []))
+    weights.completed_stages.extend(payload.get("completed_stages", []))
     stored_checksums = payload["set_checksums"]
     for s in PARAM_SETS:
         if stored_checksums.get(s) != weights.checksum(s):

@@ -11,6 +11,7 @@ import hashlib
 import json
 import shutil
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -783,7 +784,7 @@ def data16(tmp_path_factory):
 def ckpt8(tmp_path_factory):
     """A checkpoint of an 8-px model that completed stages 0 and 1."""
     weights = init_weights(tiny_config(), 0)
-    weights.completed_stages = [0, 1]
+    weights.completed_stages.extend([0, 1])
     path = tmp_path_factory.mktemp("ckpt8") / "checkpoint.json"
     save_checkpoint(path, weights)
     return path
@@ -976,12 +977,22 @@ def test_corrupt_prerequisite_exits_3(pipe, tmp_path, case, capsys):
         assert f"checkpoint data for in_proj: {n - 8} bytes, expected {n}" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exits_4_and_saves_nothing(pipe, tmp_path, capsys):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 0, "--steps", 5, "--lr", "1e200") == 4
     assert not any(tmp_path.iterdir())
     assert "numerical failure: stage 0 step 1: loss is nan" in capsys.readouterr().err
+
+
+def test_an_infinite_lr_exits_4_with_one_line_and_no_warning(pipe, tmp_path, capsys):
+    # the first update makes every trained weight non-finite, so step 1's loss is NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
+                   "--stage", 0, "--steps", 2, "--lr", "inf") == 4
+    assert [str(w.message) for w in caught] == []
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == "numerical failure: stage 0 step 1: loss is nan\n"
 
 
 def test_diverging_loss_exits_4_and_saves_nothing(pipe, tmp_path, capsys):

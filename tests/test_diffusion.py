@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -13,6 +14,7 @@ from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_fo
                                  sampling_timesteps, seq_to_latent)
 from freqbooth.reference_encoder import build_encoders, encode_latent, reference_forward
 from freqbooth.tensor_core import RngState
+from freqbooth.training import load_checkpoint, save_checkpoint
 from conftest import both_branch_sample, predict_one
 
 
@@ -192,18 +194,42 @@ def ndarray_fields(obj):
             if isinstance(getattr(obj, f.name), np.ndarray)]
 
 
-def test_registry_names_every_weight_array_once(cfg):
+def field_at(weights, name):
+    """The field a registry name spells: `blocks.1.attn.w_key` is
+    weights.blocks[1].attn.w_key, and `proj.` stands for `projection.`."""
+    obj = weights
+    for part in name.split("."):
+        obj = obj[int(part)] if part.isdigit() else \
+            getattr(obj, "projection" if part == "proj" else part)
+    return obj
+
+
+def test_registry_names_every_weight_array_once(cfg, tmp_path):
+    fresh = init_weights(cfg, 0)
+    save_checkpoint(tmp_path / "ckpt.json", fresh)
+    # built, loaded, and copied as `ablate-masks` copies its stage-1 model
+    for weights in (fresh, load_checkpoint(tmp_path / "ckpt.json"), copy.deepcopy(fresh)):
+        arrays = [a for a in ndarray_fields(weights) if a is not weights.pos_code]
+        arrays += ndarray_fields(weights.projection)
+        for blk in weights.blocks:
+            arrays += ndarray_fields(blk) + ndarray_fields(blk.attn)
+        params = weights.params()
+        assert len(params) == len(arrays)
+        assert sorted(map(id, params.values())) == sorted(map(id, arrays))
+        for name, arr in params.items():
+            assert arr is field_at(weights, name), name
+        by_set = [set(weights.names_in_set(s)) for s in PARAM_SETS]
+        assert sum(map(len, by_set)) == len(params)
+        assert set().union(*by_set) == set(params)
+
+
+def test_no_weight_field_can_be_rebound(cfg):
     weights = init_weights(cfg, 0)
-    arrays = [a for a in ndarray_fields(weights) if a is not weights.pos_code]
-    arrays += ndarray_fields(weights.projection)
-    for blk in weights.blocks:
-        arrays += ndarray_fields(blk) + ndarray_fields(blk.attn)
-    params = weights.params()
-    assert len(params) == len(arrays)
-    assert sorted(map(id, params.values())) == sorted(map(id, arrays))
-    by_set = [set(weights.names_in_set(s)) for s in PARAM_SETS]
-    assert sum(map(len, by_set)) == len(params)
-    assert set().union(*by_set) == set(params)
+    for obj, name in ((weights, "in_proj"), (weights.blocks[0].attn, "w_query"),
+                      (weights.blocks[0], "ctrl_gate"), (weights.projection, "queries"),
+                      (weights, "blocks"), (weights, "completed_stages")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
 
 
 def test_fresh_weights_keep_control_inert(cfg):

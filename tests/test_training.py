@@ -478,7 +478,7 @@ def mixed_batch(cfg, enc, stage, kept, seed):
        kept=st.lists(st.booleans(), min_size=1, max_size=4))
 def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_blocks,
                                                          kept):
-    cfg = tiny_config(n_blocks=n_blocks)
+    cfg = replace(tiny_config(), n_blocks=n_blocks)
     enc = build_encoders(cfg)
     weights = random_point(cfg, seed)
     prepared = mixed_batch(cfg, enc, stage, kept, seed)
@@ -646,7 +646,6 @@ def test_zero_steps_changes_nothing(tiny_dataset, tiny_schedule, tiny_enc, tiny_
     assert report.initial_smoothed == report.final_smoothed
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_raises_before_the_update(tiny_dataset, tiny_schedule,
                                                   tiny_enc, tiny_cfg):
     weights = init_weights(tiny_cfg, 3)
@@ -656,7 +655,6 @@ def test_non_finite_loss_raises_before_the_update(tiny_dataset, tiny_schedule,
     assert weights.completed_stages == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_weights_after_the_last_step_raise(tiny_dataset, tiny_schedule,
                                                       tiny_enc, tiny_cfg):
     # one step: its loss is finite, the update it applies is not
@@ -664,6 +662,21 @@ def test_non_finite_weights_after_the_last_step_raise(tiny_dataset, tiny_schedul
     with pytest.raises(FloatingPointError, match="not finite"):
         train(TrainConfig(stage=0, steps=1, lr=np.inf), tiny_dataset, weights,
               tiny_schedule, tiny_enc)
+
+
+def test_a_changed_frozen_set_raises(tiny_dataset, tiny_schedule, tiny_enc, tiny_cfg,
+                                     monkeypatch):
+    weights = init_weights(tiny_cfg, 3)
+    weights.completed_stages.append(0)
+
+    def leaky_adam_step(params, grads, state, lr):
+        adam_step(params, grads, state, lr)
+        params["blocks.0.ff_w1"][0, 0] += 1.0  # a backbone weight, frozen at stage 1
+
+    monkeypatch.setattr(training, "adam_step", leaky_adam_step)
+    with pytest.raises(RuntimeError, match="frozen set backbone changed during stage 1"):
+        train(TrainConfig(stage=1, steps=1), tiny_dataset, weights, tiny_schedule, tiny_enc)
+    assert weights.completed_stages == [0]
 
 
 def test_each_stage_touches_only_its_parameter_set(tiny_trained):
@@ -775,9 +788,9 @@ def test_checkpoint_load_draws_nothing_from_the_rng(tiny_trained, tmp_path, monk
        stages=st.lists(st.sampled_from((0, 1, 2)), unique=True))
 def test_checkpoint_roundtrip_over_random_configs(tmp_path_factory, seed, n_blocks,
                                                   stages):
-    cfg = tiny_config(n_blocks=n_blocks)
+    cfg = replace(tiny_config(), n_blocks=n_blocks)
     weights = random_point(cfg, seed)
-    weights.completed_stages = stages
+    weights.completed_stages.extend(stages)
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
     save_checkpoint(path, weights)
     loaded = load_checkpoint(path)
