@@ -14,9 +14,11 @@ comparison fails.  `train` and `ablate-masks` build their `TrainConfig`s
 first, so a stage's bad mask, lambda, step count or learning rate exits 2
 before any file is read.
 
-`sample`, `sweep-lambda` and `ablate-masks` each list their trials and draw
-them through one path, `_draw_trials`, and take their sampling `--steps`
-and `--guidance` from one parent parser.
+`sample`, `sweep-lambda` and `ablate-masks` take their sampling `--steps`
+and `--guidance` from one parent parser and check them, and `--lambda`,
+before any file is read.  They only load, call the library's evaluations
+(`training.draw_trials`, `paired_sweep` and `held_out_losses`) and write
+the reports.
 
 A dataset is read and written as the 8-bit levels its PPM files store,
 with no float round trip.  `ablate-masks` trains no control branch for a
@@ -40,15 +42,12 @@ from . import __version__
 from .attention import check_identity_scale
 from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
-from .diffusion import (PARAM_SETS, check_guidance, forward_noise, init_weights,
-                        linear_schedule, predict_eps, project_conditions, sample,
-                        sampling_timesteps)
-from .netpbm import quantize, read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
+from .diffusion import PARAM_SETS, check_guidance, init_weights, linear_schedule
+from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
-from .tensor_core import RngState
 from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
-                       generate_dataset, gradient_check, identity_metric_flagged,
-                       load_checkpoint, save_checkpoint, train, write_json)
+                       draw_trials, generate_dataset, gradient_check, held_out_losses,
+                       load_checkpoint, paired_sweep, save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,22 +150,19 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
     return sheet
 
 
-def _draw_trials(weights, enc, schedule, args, trials) -> list[tuple]:
-    """(image, identity metric, degenerate flag) of each trial `(rng tag,
-    reference or None, text id, mask or None, lambda)`: the guided DDIM
-    sample from `--seed`'s stream for the tag at `--steps` and
-    `--guidance`, snapped to 8-bit levels and scored against the reference,
-    (None, None) without one.  Every image is drawn before this returns, so
-    a numerical failure (exit 4) leaves nothing to write."""
-    drawn = []
-    for tag, ref, text_id, mask, lam in trials:
-        img, _ = sample(weights, enc, schedule, RngState(args.seed).derive(tag), ref_img=ref,
-                        text_id=text_id, mask_kind=mask, steps=args.steps,
-                        guidance=args.guidance, identity_scale=lam)
-        quant = quantize(img)
-        scored = (None, None) if ref is None else identity_metric_flagged(quant, ref)
-        drawn.append((quant, *scored))
-    return drawn
+def _check_sampling(args) -> None:
+    """Usage error unless `--steps` >= 1, `--guidance` is finite and >= 0
+    and, where the command takes one, `--lambda` is in [0, 1]."""
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    checks = [("--guidance", check_guidance, args.guidance)]
+    if hasattr(args, "lam"):
+        checks.append(("--lambda", check_identity_scale, args.lam))
+    for flag, check, value in checks:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +314,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_sampling(args)
     out = Path(args.out_dir)
     mask = None if args.mask == "none" else MaskKind(args.mask)
     if args.n < 1:
@@ -333,11 +330,10 @@ def cmd_sample(args) -> int:
             f"reference is {ref.shape[2]}x{ref.shape[1]}px but the model expects "
             f"{size}x{size}px"
         )
-    enc = build_encoders(weights.config)
-    schedule = linear_schedule(weights.config.timesteps)
-
-    drawn = _draw_trials(weights, enc, schedule, args, [
-        (("sample", i), ref, args.text_id, mask, args.lam) for i in range(args.n)])
+    drawn = draw_trials(
+        weights, build_encoders(weights.config), linear_schedule(weights.config.timesteps),
+        args.seed, args.steps, args.guidance,
+        [(("sample", i), ref, args.text_id, mask, args.lam) for i in range(args.n)])
     rows = []
     out.mkdir(parents=True, exist_ok=True)
     for i, (quant, metric, degenerate) in enumerate(drawn):
@@ -398,6 +394,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
+    _check_sampling(args)
     out = Path(args.out_dir)
     try:
         values = [check_identity_scale(v) for v in args.values.split(",") if v != ""]
@@ -412,33 +409,20 @@ def cmd_sweep_lambda(args) -> int:
     weights = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     dataset, _ = _load_dataset_arg(args, out)
     _check_fits(dataset, weights.config)
-    enc = build_encoders(weights.config)
-    schedule = linear_schedule(weights.config.timesteps)
-    n_id = dataset.spec.n_identities
-    trials = range(args.trials)
-    # each trial's stream is paired across lambdas
-    drawn = _draw_trials(weights, enc, schedule, args, [
-        (("sweep", t), dataset.test_refs[t % n_id], 0, None, lam)
-        for lam in values for t in trials])
+    drawn, aggregate = paired_sweep(
+        weights, build_encoders(weights.config), linear_schedule(weights.config.timesteps),
+        dataset, values, args.trials, args.seed, args.steps, args.guidance)
 
-    rows, sheet_images, by_value = [], [], {}
-    sheet_cols = min(args.trials, 8)
-    base_metrics = [metric for _, metric, _ in drawn[:args.trials]]
-    for v, lam in enumerate(values):
-        own = drawn[v * args.trials:(v + 1) * args.trials]
-        metrics = [metric for _, metric, _ in own]
+    rows, sheet_images = [], []
+    n_id, sheet_cols = dataset.spec.n_identities, min(args.trials, 8)
+    for lam, own in zip(values, drawn):
         rows += [{"lambda": lam, "trial": t, "identity": t % n_id, "identity_metric": metric,
-                  "degenerate": degenerate} for t, (_, metric, degenerate) in zip(trials, own)]
+                  "degenerate": degenerate} for t, (_, metric, degenerate) in enumerate(own)]
         sheet_images += [quant for quant, _, _ in own[:sheet_cols]]
-        wins = sum(1 for a, b in zip(metrics, base_metrics) if a > b)
-        by_value[str(lam)] = {"mean": float(np.mean(metrics)),
-                              "std": float(np.std(metrics)),
-                              "wins_vs_first": wins,
-                              "win_rate_vs_first": wins / args.trials}
         print(f"lambda={lam}: mean identity metric "
-              f"{by_value[str(lam)]['mean']:.4f} over {args.trials} trials")
+              f"{aggregate[str(lam)]['mean']:.4f} over {args.trials} trials")
     report = {"values": values, "trials": args.trials, "rows": rows,
-              "aggregate": by_value, "baseline": values[0]}
+              "aggregate": aggregate, "baseline": values[0]}
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep_report.json", report)
     sheet = image_grid(sheet_images, rows=len(values), cols=sheet_cols)
@@ -457,8 +441,7 @@ def cmd_ablate_masks(args) -> int:
                                      mask_kind=kind) for kind in masked_kinds}
     except ValueError as exc:
         raise UsageError(f"--train-steps {args.train_steps}: {exc}") from None
-    check_identity_scale(args.lam)
-    check_guidance(args.guidance)
+    _check_sampling(args)
     for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
@@ -469,7 +452,6 @@ def cmd_ablate_masks(args) -> int:
     _check_fits(dataset, stage1.config)
     enc = build_encoders(stage1.config)
     schedule = linear_schedule(stage1.config.timesteps)
-    sampling_timesteps(schedule.timesteps, args.steps)  # sample's check of --steps
 
     models = {"none": stage1}
     # every row compares against the same stage-1 model, so each found
@@ -501,36 +483,22 @@ def cmd_ablate_masks(args) -> int:
         models[kind.value] = weights
         print(note)
 
-    # held-out denoising pairs, identical across masks
-    eval_rng = RngState(args.seed).derive("ablate-eval")
-    n_eval = min(args.eval_size, dataset.spec.test_size)
-    held_out = dataset.test_sample(np.arange(n_eval))
-    z0 = encode_latent(held_out.image, enc)
-    ts, eps = [], []
-    for _ in range(n_eval):
-        ts.append(1 + eval_rng.randint(schedule.timesteps))
-        eps.append(eval_rng.normal(z0.shape[1:]))
-    eps = np.stack(eps)
-    z_t = forward_noise(z0, ts, eps, schedule)
-    texts = held_out.text_id.tolist()
+    # every model is scored on the same held-out pairs and sample streams
     n_id = dataset.spec.n_identities
-
-    def evaluate(weights, kind: MaskKind | None) -> tuple[float, float]:
-        """(recon loss over the held-out pairs, mean identity metric of the samples)."""
-        ctrl = None if kind is None else (range(n_eval), make_control_signal(z0, kind))
-        pred = predict_eps(weights, z_t, ts, project_conditions(weights, texts, ctrl=ctrl))
-        losses = [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps)]
-        drawn = _draw_trials(weights, enc, schedule, args, [
-            (("ablate-sample", j), dataset.test_refs[j % n_id], 0, kind, args.lam)
-            for j in range(args.eval_samples)])
-        return float(np.mean(losses)), float(np.mean([metric for _, metric, _ in drawn]))
-
+    n_eval = min(args.eval_size, dataset.spec.test_size)
     rows = []
-    for name in ["none"] + [k.value for k in masked_kinds]:
+    for kind in [None, *masked_kinds]:
+        name = "none" if kind is None else kind.value
         if name in empty:
             recon, metric = rows[0]["recon_loss"], rows[0]["identity_metric"]
         else:
-            recon, metric = evaluate(models[name], None if name == "none" else MaskKind(name))
+            weights = models[name]
+            losses = held_out_losses(weights, enc, schedule, dataset, n_eval, args.seed, kind)
+            drawn = draw_trials(weights, enc, schedule, args.seed, args.steps, args.guidance, [
+                (("ablate-sample", j), dataset.test_refs[j % n_id], 0, kind, args.lam)
+                for j in range(args.eval_samples)])
+            recon = float(np.mean([loss for _, loss in losses]))
+            metric = float(np.mean([m for _, m, _ in drawn]))
         rows.append({"mask": name, "recon_loss": recon, "identity_metric": metric})
         print(f"mask={name:5s} recon_loss={recon:.5f} identity_metric={metric:.4f}")
 

@@ -15,6 +15,12 @@ checkpoints, and a finite-difference gradient check used as the training
 oracle.  A dataset holds each split as the 8-bit levels its PPM files
 store; an image is decoded to floats only where it is read, a training
 batch with one divide, and only stage 1 gathers a batch's references.
+
+The one evaluation path, for the CLI and any script alike: `draw_trials`
+draws guided samples and scores them against their references,
+`paired_sweep` draws lambda values on the same trials and aggregates their
+wins, and `held_out_losses` scores a model and band on noised test pairs
+that depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
-                        latent_to_seq, linear_schedule, project_conditions)
-from .netpbm import decode_levels
+                        latent_to_seq, linear_schedule, predict_eps, project_conditions,
+                        sample)
+from .netpbm import decode_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
@@ -582,6 +589,74 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         frozen_before=frozen_before, frozen_after=frozen_after,
         wall_clock_s=float(wall), config=asdict(config),
     )
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def draw_trials(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
+                seed: int, steps: int, guidance: float, trials) -> list[tuple]:
+    """(image, identity metric, degenerate flag) of each trial `(rng tag,
+    reference or None, text id, mask or None, lambda)`: the guided DDIM
+    sample from `seed`'s stream for the tag at `steps` and `guidance`,
+    snapped to 8-bit levels and scored against the reference, (None, None)
+    without one.  Every image is drawn before this returns, so a numerical
+    failure leaves nothing to write."""
+    drawn = []
+    for tag, ref, text_id, mask, lam in trials:
+        img, _ = sample(weights, enc, schedule, RngState(seed).derive(tag), ref_img=ref,
+                        text_id=text_id, mask_kind=mask, steps=steps, guidance=guidance,
+                        identity_scale=lam)
+        quant = quantize(img)
+        scored = (None, None) if ref is None else identity_metric_flagged(quant, ref)
+        drawn.append((quant, *scored))
+    return drawn
+
+
+def paired_sweep(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
+                 dataset: Dataset, values: list[float], trials: int, seed: int, steps: int,
+                 guidance: float) -> tuple[list[list[tuple]], dict]:
+    """Each lambda in `values` drawn on the same `trials` trials: trial t
+    samples text 0 from `seed`'s ("sweep", t) stream against the test
+    reference of identity t % n_identities.  Returns (drawn, aggregate):
+    drawn[v] is the `draw_trials` list of values[v], and aggregate maps
+    str(lambda) to its mean and std identity metric and its wins (and win
+    rate) against values[0] on the same trial."""
+    drawn = draw_trials(weights, enc, schedule, seed, steps, guidance, [
+        (("sweep", t), dataset.test_refs[t % dataset.spec.n_identities], 0, None, lam)
+        for lam in values for t in range(trials)])
+    by_value = [drawn[v * trials:(v + 1) * trials] for v in range(len(values))]
+    metrics = [[metric for _, metric, _ in own] for own in by_value]
+    aggregate = {}
+    for lam, own in zip(values, metrics):
+        wins = sum(1 for a, b in zip(own, metrics[0]) if a > b)
+        aggregate[str(lam)] = {"mean": float(np.mean(own)), "std": float(np.std(own)),
+                               "wins_vs_first": wins, "win_rate_vs_first": wins / trials}
+    return by_value, aggregate
+
+
+def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
+                    dataset: Dataset, size: int, seed: int,
+                    mask_kind: MaskKind | None) -> list[tuple[int, float]]:
+    """(timestep, mean-squared noise-prediction error) of each of the first
+    `size` test examples (all of them if fewer), in order, at their text
+    ids.  `seed`'s "ablate-eval" stream draws each example's timestep in
+    [1, T] and then its noise, so every model and band is scored on the
+    same pairs.  Under `mask_kind` each example is controlled by its own
+    latent's band."""
+    rng = RngState(seed).derive("ablate-eval")
+    held_out = dataset.test_sample(np.arange(min(size, dataset.spec.test_size)))
+    z0 = encode_latent(held_out.image, enc)
+    ts, eps = [], []
+    for _ in range(len(z0)):
+        ts.append(1 + rng.randint(schedule.timesteps))
+        eps.append(rng.normal(z0.shape[1:]))
+    eps = np.stack(eps)
+    ctrl = None if mask_kind is None else (range(len(z0)), make_control_signal(z0, mask_kind))
+    pred = predict_eps(weights, forward_noise(z0, ts, eps, schedule), ts,
+                       project_conditions(weights, held_out.text_id.tolist(), ctrl=ctrl))
+    return [(t, float(np.mean((p - e) ** 2))) for t, p, e in zip(ts, pred, eps)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from freqbooth.reference_encoder import build_encoders, decode_latent, encode_la
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, TrainConfig, dataset_checksum,
                                 generate_dataset, identity_metric_flagged, labels,
-                                load_checkpoint, save_checkpoint, train)
+                                load_checkpoint, paired_sweep, save_checkpoint, train)
 from conftest import SMALL_SPEC, flip_one_gradient, read_pfm, striped_test_image
 
 
@@ -489,6 +489,22 @@ def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command in ("sample", "sweep-lambda", "ablate-masks")
+    for flag, value in (("--steps", 0), ("--guidance", -1), ("--guidance", "nan"),
+                        ("--lambda", 3))
+    if (command, flag) != ("sweep-lambda", "--lambda")])
+def test_a_bad_sampling_flag_exits_2_before_any_file_is_read(tmp_path, capsys, command,
+                                                             flag, value):
+    """With no checkpoint or dataset under the missing --out-dir, a check
+    made after loading would exit 3."""
+    out = tmp_path / "out"
+    assert run(command, "--out-dir", out, flag, value) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}"), err
+
+
 # ---------------------------------------------------------------------------
 # sweep-lambda
 
@@ -523,6 +539,23 @@ def test_sweep_lambda_report_schema(pipe, tmp_path):
     base = report["aggregate"]["0.0"]
     assert base["wins_vs_first"] == 0  # nothing beats itself
     assert (tmp_path / "sweep_sheet.ppm").is_file()
+
+
+def test_the_sweep_report_holds_the_library_aggregate(pipe, tmp_path):
+    """`paired_sweep` alone computes what the report says of each lambda;
+    its drawn trials are the report's rows, in order."""
+    assert run("sweep-lambda", "--out-dir", tmp_path,
+               "--checkpoint", pipe / "checkpoint_stage1.json", "--data-dir", pipe / "dataset",
+               "--values", "0,0.4,1", "--trials", 3, "--steps", 4) == 0
+    report = read_json(tmp_path / "sweep_report.json")
+    weights = load_checkpoint(pipe / "checkpoint_stage1.json")
+    dataset, _ = load_dataset(pipe / "dataset")
+    drawn, aggregate = paired_sweep(weights, build_encoders(weights.config),
+                                    linear_schedule(weights.config.timesteps), dataset,
+                                    [0.0, 0.4, 1.0], 3, 0, 4, 3.0)
+    assert aggregate == report["aggregate"]
+    assert [[metric, degenerate] for own in drawn for _, metric, degenerate in own] == \
+        [[row["identity_metric"], row["degenerate"]] for row in report["rows"]]
 
 
 def test_sweep_lambda_is_deterministic(pipe, tmp_path):
@@ -1066,7 +1099,7 @@ def test_commands_without_a_checkpoint_reject_the_option(argv, tmp_path):
     (("sweep-lambda", "--checkpoint", "{pipe}/checkpoint_stage1.json"), 3),
     (("ablate-masks", "--data-dir", "{pipe}/dataset",
       "--checkpoint", "{pipe}/checkpoint_stage0.json"), 3),
-    # sample's own checks, before a missing stage-2 checkpoint is trained
+    # the sampling flags, checked before a missing stage-2 checkpoint is trained
     *[pytest.param(("ablate-masks", "--data-dir", "{pipe}/dataset",
                     "--checkpoint", "{pipe}/checkpoint_stage1.json", "--train-steps", 1,
                     flag, value), 2, id=f"ablate-masks{flag}={value}")

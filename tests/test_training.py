@@ -15,15 +15,16 @@ from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
-                                 linear_schedule, project_conditions)
-from freqbooth.netpbm import decode_levels
+                                 linear_schedule, predict_eps, project_conditions, sample)
+from freqbooth.netpbm import decode_levels, quantize
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (COND_DROPOUT, IMAGE_FIELDS, STAGE_SETS, PreparedBatch,
                                 StageOrderError, ToyDatasetSpec, TrainConfig, _prepare,
-                                adam_step, batch_loss, dataset_checksum, generate_dataset,
-                                gradient_check, identity_metric_flagged, identity_params,
+                                adam_step, batch_loss, dataset_checksum, draw_trials,
+                                generate_dataset, gradient_check, held_out_losses,
+                                identity_metric_flagged, identity_params,
                                 init_adam, labels, load_checkpoint, orientation_histogram,
                                 save_checkpoint, smoothing_window, train, write_json)
 from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
@@ -749,6 +750,70 @@ def test_smoothing_window_bounds():
     assert smoothing_window(40) == 4
     assert smoothing_window(2000) == 50
     assert smoothing_window(100000) == 50
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def test_held_out_losses_score_the_first_test_examples_in_order(tiny_trained, tiny_dataset,
+                                                                tiny_schedule, tiny_enc):
+    """One (timestep, loss) per test example, the first `size` in order (all
+    of them if fewer), each equal to scoring the example alone on its draws
+    from the "ablate-eval" stream: a timestep in [1, T], then its noise."""
+    weights, _ = tiny_trained
+    n_test, timesteps = tiny_dataset.spec.test_size, tiny_schedule.timesteps
+    for kind in (None, MaskKind.LOW):
+        rng = RngState(3).derive("ablate-eval")
+        expected = []
+        for i in range(n_test):
+            example = tiny_dataset.test_sample(i)
+            z0 = encode_latent(example.image, tiny_enc)
+            t = 1 + rng.randint(timesteps)
+            eps = rng.normal(z0.shape)
+            ctrl = None if kind is None else ([0], make_control_signal(z0[None], kind))
+            cond = project_conditions(weights, [example.text_id], ctrl=ctrl)
+            pred = predict_eps(weights, forward_noise(z0, t, eps, tiny_schedule)[None], [t],
+                               cond)[0]
+            expected.append((t, float(np.mean((pred - eps) ** 2))))
+        for size in (1, n_test - 3, n_test, n_test + 5):
+            records = held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, size,
+                                      3, kind)
+            assert records == expected[:size], (kind, size)
+        assert all(1 <= t <= timesteps for t, _ in expected)
+    assert len({t for t, _ in expected}) > 1
+
+
+def test_held_out_pairs_are_the_same_for_every_model_and_band(tiny_trained, tiny_dataset,
+                                                              tiny_schedule, tiny_enc,
+                                                              tiny_cfg):
+    """The timesteps (and so the noised pairs) depend on the seed alone, so
+    the rows of a band ablation compare like with like."""
+    trained, _ = tiny_trained
+    runs = [held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, 6, 0, kind)
+            for weights, kind in ((trained, MaskKind.LOW), (trained, None),
+                                  (init_weights(tiny_cfg, 1), MaskKind.MINI))]
+    assert [t for t, _ in runs[0]] == [t for t, _ in runs[1]] == [t for t, _ in runs[2]]
+    assert [loss for _, loss in runs[0]] != [loss for _, loss in runs[2]]
+    other_seed = held_out_losses(trained, tiny_enc, tiny_schedule, tiny_dataset, 6, 1, None)
+    assert [t for t, _ in other_seed] != [t for t, _ in runs[1]]
+
+
+def test_a_trial_without_a_reference_is_not_scored(tiny_trained, tiny_dataset,
+                                                   tiny_schedule, tiny_enc):
+    """Each trial is the quantized guided sample from the seed's stream for
+    its tag; only a trial with a reference gets an identity metric."""
+    weights, _ = tiny_trained
+    ref = tiny_dataset.test_refs[1]
+    trials = [(("sample", 0), None, 1, None, 0.0), (("sample", 1), ref, 0, MaskKind.LOW, 0.4)]
+    drawn = draw_trials(weights, tiny_enc, tiny_schedule, 7, 3, 2.0, trials)
+    assert [scores for _, *scores in drawn] == \
+        [[None, None], list(identity_metric_flagged(drawn[1][0], ref))]
+    for (tag, ref_img, text_id, mask, lam), (image, *_) in zip(trials, drawn):
+        img, _ = sample(weights, tiny_enc, tiny_schedule, RngState(7).derive(tag),
+                        ref_img=ref_img, text_id=text_id, mask_kind=mask, steps=3,
+                        guidance=2.0, identity_scale=lam)
+        assert np.array_equal(image, quantize(img))
 
 
 # ---------------------------------------------------------------------------
