@@ -33,7 +33,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +42,13 @@ from . import __version__
 from .attention import check_identity_scale
 from .config import ModelConfig, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
-from .diffusion import PARAM_SETS, check_guidance, init_weights, linear_schedule
+from .diffusion import PARAM_SETS, check_guidance, check_text_id, init_weights, linear_schedule
 from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
-from .training import (IMAGE_FIELDS, Dataset, ToyDatasetSpec, TrainConfig, dataset_checksum,
-                       draw_trials, generate_dataset, gradient_check, held_out_losses,
-                       load_checkpoint, paired_sweep, save_checkpoint, train, write_json)
+from .training import (IMAGE_FIELDS, STAGE_SETS, Dataset, ToyDatasetSpec, TrainConfig,
+                       dataset_checksum, draw_trials, generate_dataset, gradient_check,
+                       held_out_losses, load_checkpoint, paired_sweep, save_checkpoint, train,
+                       write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,6 +57,7 @@ EXIT_NUMERIC = 4
 
 MASK_CHOICES = tuple(kind.value for kind in MaskKind)
 STAGE_STEP_DEFAULTS = {0: 600, 1: 2000, 2: 500}
+SAMPLE_LAMBDA = 0.4  # the identity strength `sample` and `ablate-masks` draw at
 
 
 class PrerequisiteError(RuntimeError):
@@ -253,11 +255,7 @@ def _load_dataset_arg(args, out: Path) -> tuple[Dataset, str]:
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out_dir)
-    spec = ToyDatasetSpec(n_identities=args.n_identities,
-                          n_contexts=args.n_contexts,
-                          image_size=args.image_size,
-                          train_size=args.train_size,
-                          test_size=args.test_size)
+    spec = ToyDatasetSpec(**{f.name: getattr(args, f.name) for f in fields(ToyDatasetSpec)})
     dataset = generate_dataset(spec, args.seed)
     checksum = save_dataset(out / "dataset", dataset)
     _write_echo(out, "gen-data", {"seed": args.seed, "spec": asdict(spec),
@@ -323,6 +321,10 @@ def cmd_sample(args) -> int:
         raise UsageError("--mask needs --ref to derive the control signal from")
     stage = 1 if mask is None else 2
     weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage, mask), stage + 1)
+    try:
+        check_text_id(args.text_id, weights.config.n_text)
+    except ValueError as exc:
+        raise UsageError(f"--text-id: {exc}") from None
     ref = _load_image(args.ref) if args.ref else None
     size = weights.config.image_size
     if ref is not None and ref.shape != (3, size, size):
@@ -454,13 +456,13 @@ def cmd_ablate_masks(args) -> int:
     schedule = linear_schedule(stage1.config.timesteps)
 
     models = {"none": stage1}
-    # every row compares against the same stage-1 model, so each found
-    # checkpoint is checked before any missing one is trained
+    # every row compares against the same stage-1 model, so a found checkpoint
+    # may differ from it only in stage 2's set; each is checked before any training
     for kind in masked_kinds:
         path = _checkpoint_path(out, 2, kind)
         if path.is_file():
             models[kind.value] = found = _load_weights(path, 3)
-            for s in ("backbone", "identity_adapter"):
+            for s in [name for name in PARAM_SETS if name != STAGE_SETS[2]]:
                 if found.checksum(s) != stage1.checksum(s):
                     raise PrerequisiteError(f"checkpoint {path} has another {s} than "
                                             f"{stage1_path}; delete it to retrain it")
@@ -560,30 +562,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="generate the procedural identity dataset")
-    p.add_argument("--n-identities", type=int, default=16)
-    p.add_argument("--n-contexts", type=int, default=4)
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--train-size", type=int, default=512)
-    p.add_argument("--test-size", type=int, default=64)
+    for f in fields(ToyDatasetSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[with_ckpt], help="run one training stage")
     p.add_argument("--stage", type=int, choices=(0, 1, 2), required=True)
     p.add_argument("--steps", type=int, default=None,
                    help=f"optimizer steps (defaults: {STAGE_STEP_DEFAULTS})")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--mask", choices=MASK_CHOICES, default=None,
                    help="control band (stage 2 only)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="identity strength used in stage-1 batches "
-                        "(training default 1.0; generation defaults to 0.4)")
+    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.identity_scale,
+                   help="identity strength used in stage-1 batches (training default "
+                        f"%(default)s; generation defaults to {SAMPLE_LAMBDA})")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", parents=[sampling], help="generate images")
     p.add_argument("--ref", default=None, help="reference image (PPM)")
     p.add_argument("--text-id", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.4)
+    p.add_argument("--lambda", dest="lam", type=float, default=SAMPLE_LAMBDA)
     p.add_argument("--mask", choices=(*MASK_CHOICES, "none"), default="none")
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(func=cmd_sample)
@@ -604,13 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate-masks", parents=[sampling],
                        help="compare control bands on the held-out split")
     p.add_argument("--data-dir", default=None)
-    p.add_argument("--train-steps", type=int, default=500,
+    p.add_argument("--train-steps", type=int, default=STAGE_STEP_DEFAULTS[2],
                    help="stage-2 steps when a mask checkpoint is missing")
     p.add_argument("--eval-size", type=int, default=32,
                    help="held-out samples for reconstruction loss")
     p.add_argument("--eval-samples", type=int, default=4,
                    help="sampled images per mask for the identity metric")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.4)
+    p.add_argument("--lambda", dest="lam", type=float, default=SAMPLE_LAMBDA)
     p.set_defaults(func=cmd_ablate_masks)
 
     p = sub.add_parser("gradcheck", parents=[common],

@@ -121,6 +121,13 @@ def check_guidance(value: float) -> None:
         raise ValueError(f"guidance scale must be finite and >= 0, got {value}")
 
 
+def check_text_id(value, n_text: int) -> None:
+    """Validate a text id in [0, n_text); no id selects the null-text row."""
+    if not 0 <= int(value) < n_text:
+        raise ValueError(f"text id {value} outside [0, {n_text}); "
+                         f"only None selects the null text")
+
+
 def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
     """Guided prediction w * cond + (1 - w) * uncond (exact at w in {0, 1})."""
     if eps_cond.shape != eps_uncond.shape:
@@ -312,9 +319,8 @@ def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
     """
     cfg = w.config
     for i in text_id:
-        if i is not None and not 0 <= int(i) < cfg.n_text:
-            raise ValueError(f"text id {i} outside [0, {cfg.n_text}); "
-                             f"only None selects the null text")
+        if i is not None:
+            check_text_id(i, cfg.n_text)
     n = len(text_id)
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
     terms = [identity_term(None if identity is None else (identity[0], identity[1][k]),
@@ -463,8 +469,8 @@ def predict_eps(w: ModelWeights, z_t: np.ndarray, t, cond: Conditions) -> np.nda
 
 def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
            rng: RngState, ref_img: np.ndarray | None = None, text_id=None,
-           mask_kind: MaskKind | None = None, steps: int = 20,
-           guidance: float = 3.0, identity_scale: float = 0.4):
+           mask_kind: MaskKind | None = None, *, steps: int, guidance: float,
+           identity_scale: float):
     """DDIM sampling with classifier-free guidance.
 
     Identity features and the frequency control signal are computed once

@@ -7,7 +7,8 @@ per-block feature heads, identity key/value projections) against references
 of the same subject.  Stage 2 trains only the frequency-control branch
 (projections and gates), conditioned on a band-filtered copy of the clean
 latent.  Everything outside the active set stays bitwise frozen, tracked by
-SHA-256 checksums.  `TrainConfig` alone states what each stage takes.
+SHA-256 checksums.  `TrainConfig` alone states what each stage takes, and
+every layer of a training step takes the config it runs.
 
 Also houses the dataset generator (16 striped/spotted "subjects" on four
 background classes), the orientation-histogram identity metric, JSON
@@ -327,11 +328,11 @@ COND_DROPOUT = 0.1
 
 
 def _prepare(batch: Sample, refs: np.ndarray, schedule: NoiseSchedule, rng: RngState,
-             enc: FrozenEncoders, stage: int, cond_dropout: float,
-             mask_kind: MaskKind | None) -> PreparedBatch:
-    """Noise a stacked `batch` (see `Sample`) for one step of `stage`.
-    `refs` is the reference stack indexed by identity; stage 1 gathers the
-    kept rows' references from it."""
+             enc: FrozenEncoders, config: TrainConfig, cond_dropout: float) -> PreparedBatch:
+    """Noise a stacked `batch` (see `Sample`) for one step of `config`'s
+    stage.  `refs` is the reference stack indexed by identity; stage 1
+    gathers the kept rows' references from it."""
+    stage = config.stage
     z0 = encode_latent(batch.image, enc)
     # each example in turn draws its timestep, its noise and a dropout value;
     # the dropout value is drawn at every stage and used by stages 0 and 1
@@ -343,14 +344,14 @@ def _prepare(batch: Sample, refs: np.ndarray, schedule: NoiseSchedule, rng: RngS
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
         text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
         ref=(rows, refs[np.asarray(batch.identity_id)[rows]]) if stage == 1 and rows else None,
-        ctrl=(range(len(z0)), make_control_signal(z0, mask_kind))
+        ctrl=(range(len(z0)), make_control_signal(z0, config.mask_kind))
         if stage == 2 else None)
 
 
 def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
-               stage: int, identity_scale: float, compute_grads: bool = True):
+               config: TrainConfig, compute_grads: bool = True):
     """Mean-squared noise-prediction error and analytic gradients of the
-    stage's trainable set.
+    trainable set of `config`'s stage, at `config.identity_scale`.
 
     The batch runs as one stacked denoiser forward and one backward, which
     differentiates only that set (see `denoiser_backward`); the reference
@@ -360,22 +361,24 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
     """
     n = len(batch.z_t)
     identity = rcache = None
-    if batch.ref is not None and identity_scale != 0.0:
+    # scale 0 runs no cross term, as in `sample`; only a stage-1 config holds another
+    if batch.ref is not None and config.identity_scale != 0.0:
         feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
                                                 weights.id_heads(), enc)
         identity = (batch.ref[0], feats)
-    cond = project_conditions(weights, batch.text_id, identity, batch.ctrl, identity_scale)
+    cond = project_conditions(weights, batch.text_id, identity, batch.ctrl,
+                              config.identity_scale)
     pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t, cond)
     diff = pred_seq - latent_to_seq(batch.eps)
     loss = sum(float(np.mean(d ** 2)) for d in diff) / n
     if not compute_grads:
         return loss, {}
-    sets = (STAGE_SETS[stage],)
+    sets = (STAGE_SETS[config.stage],)
     grads, didentity = denoiser_backward((2.0 / (diff[0].size * n)) * diff, dcache, sets)
     params = weights.params()
     acc = {name: grads[name] if name in grads else np.zeros(params[name].shape)
            for name in weights.names_in_set(sets[0])}
-    if rcache is not None and "identity_adapter" in sets:
+    if rcache is not None:
         # the cross term ran in every block for the referenced rows, so each didentity is set
         rgrads = reference_backward(didentity, rcache)
         acc["proj.queries"] += rgrads["queries"]
@@ -442,7 +445,8 @@ class TrainConfig:
     mask kind at stage 2 and only there, and an identity scale in [0, 1]
     that is not 0 at stage 1.  Stages 0 and 2 never run the identity
     branch, so they hold any valid scale as 0.0.  Every stage takes an
-    `lr` above 0; an infinite one is left to `train`'s finite-weight guard."""
+    `lr` above 0; an infinite one is left to `train`'s finite-weight guard.
+    A step's layers (`_prepare`, `batch_loss`) take the config itself."""
     stage: int
     steps: int
     lr: float = 1e-3
@@ -537,16 +541,15 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     adam = init_adam(params, weights.names_in_set(trainable))
     rng = RngState(config.seed).derive(("train", stage))
 
-    def stage_loss(batch):
-        prepared = _prepare(batch, dataset.train_refs, schedule, rng, enc, stage,
-                            COND_DROPOUT, config.mask_kind)
-        return batch_loss(weights, enc, prepared, stage, config.identity_scale)
+    def stage_loss(batch, compute_grads=True):
+        prepared = _prepare(batch, dataset.train_refs, schedule, rng, enc, config, COND_DROPOUT)
+        return batch_loss(weights, enc, prepared, config, compute_grads)
 
     t_start = time.perf_counter()
     losses: list[float] = []
     if config.steps == 0:
-        eval_loss, _ = stage_loss(_draw_batch(dataset, rng, config.batch_size))
-        initial = final = eval_loss
+        batch = _draw_batch(dataset, rng, config.batch_size)
+        initial = final = stage_loss(batch, compute_grads=False)[0]
     else:
         # the checks below name any overflow, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -754,7 +757,7 @@ def _rel_err(ga: float, gfd: float) -> float:
     return abs(ga - gfd) / max(abs(ga) + abs(gfd), 1e-6)
 
 
-def gradient_check(stage: int, seed: int = 3) -> dict:
+def gradient_check(stage: int, seed: int) -> dict:
     """Compare analytic gradients of the stage loss against central finite
     differences for every parameter in the stage's trainable set.
 
@@ -779,14 +782,12 @@ def gradient_check(stage: int, seed: int = 3) -> dict:
     batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)])
     run = TrainConfig(stage=stage, steps=0, identity_scale=0.4,
                       mask_kind=MaskKind.LOW if stage == 2 else None)
-    prepared = _prepare(batch, np.stack(refs), schedule, rng.derive("noise"), enc, stage,
-                        0.0, run.mask_kind)
+    prepared = _prepare(batch, np.stack(refs), schedule, rng.derive("noise"), enc, run, 0.0)
 
     def loss_only():
-        return batch_loss(weights, enc, prepared, stage, run.identity_scale,
-                          compute_grads=False)[0]
+        return batch_loss(weights, enc, prepared, run, compute_grads=False)[0]
 
-    loss, grads = batch_loss(weights, enc, prepared, stage, run.identity_scale)
+    loss, grads = batch_loss(weights, enc, prepared, run)
 
     params = weights.params()
     per_param: dict[str, float] = {}

@@ -140,7 +140,7 @@ def test_04_gradient_checks_all_stages():
     trainable set, at dims <= 8, inside 60 s."""
     t0 = time.perf_counter()
     for stage in (0, 1, 2):
-        res = gradient_check(stage)
+        res = gradient_check(stage, seed=3)
         print(f"criterion 4: stage {stage} [{res['trainable_set']}] "
               f"max rel err {res['max_rel_err']:.3e}")
         assert res["pass"], res["per_param_max_rel_err"]

@@ -326,12 +326,15 @@ def test_sample_flag_validation(pipe, tmp_path):
 @pytest.mark.parametrize("text_id", [4, -1, 5])
 def test_sample_rejects_a_text_id_outside_the_model(pipe, tmp_path, text_id, capsys):
     """The toy model has 4 text classes; its fifth embedding row is the
-    reserved null text, which no --text-id selects."""
+    reserved null text, which no --text-id selects.  The one error line
+    names the flag."""
     ckpt = pipe / "checkpoint_stage1.json"
+    capsys.readouterr()
     assert run("sample", "--out-dir", tmp_path / "out", "--checkpoint", ckpt,
                "--steps", 2, "--text-id", text_id) == 2
     assert not (tmp_path / "out").exists()
-    assert f"text id {text_id} outside [0, 4)" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: --text-id: text id {text_id} outside [0, 4); "
+                                       f"only None selects the null text\n")
     assert run("sample", "--out-dir", tmp_path / "ok", "--checkpoint", ckpt,
                "--steps", 2, "--text-id", 3) == 0
 
@@ -735,6 +738,22 @@ PINNED_ARTIFACTS = {
         "ablate_report.json": "6e230f35e0990e9b6a17eaf66fcea396402dd7b1bc6b4b3d61ceefbfa82ed708",
     },
 }
+
+
+# SHA-256 of the checkpoints the `pipe` fixture trains (3, 3 and 2 steps)
+PINNED_CHECKPOINTS = {
+    "checkpoint_stage0.json": "7c47294fa0e6e4af641d140aa4bf50ae73777fb9329658bd7e9aa403f60d530d",
+    "checkpoint_stage1.json": "0c4496aca582dbd2ed183697f33ea8439333210240f13bb84ceb34d51b07f24b",
+    "checkpoint_stage2_low.json":
+        "097e96479b79a17fb959c0d0220284fa0208052b42b0de8e41a4b128e6e62b80",
+}
+
+
+def test_trained_checkpoints_are_pinned(pipe):
+    """The bytes of each stage's trained weights, held to literals, so a
+    change to the training step that moves any weight shows here."""
+    assert {name: hashlib.sha256((pipe / name).read_bytes()).hexdigest()
+            for name in PINNED_CHECKPOINTS} == PINNED_CHECKPOINTS
 
 
 @pytest.mark.parametrize("case", list(PINNED_ARTIFACTS))

@@ -163,7 +163,8 @@ def test_guidance_validation(cfg, schedule, enc):
     weights = init_weights(cfg, 0)
     for bad in (-1.0, float("inf")):
         with pytest.raises(ValueError, match="guidance"):
-            sample(weights, enc, schedule, RngState(0), steps=1, guidance=bad)
+            sample(weights, enc, schedule, RngState(0), steps=1, guidance=bad,
+                   identity_scale=0.4)
     with pytest.raises(ValueError, match="mismatch"):
         cfg_combine(np.zeros(2), np.zeros(3), 2.0)
 
@@ -440,7 +441,7 @@ def test_control_conditioning_requires_a_reference(cfg, schedule, enc):
     weights = init_weights(cfg, 11)
     with pytest.raises(ValueError, match="reference"):
         sample(weights, enc, schedule, RngState(7), ref_img=None,
-               mask_kind=MaskKind.LOW, steps=2)
+               mask_kind=MaskKind.LOW, steps=2, guidance=3.0, identity_scale=0.4)
 
 
 def test_sample_computes_reference_features_once(cfg, schedule, enc, monkeypatch):
@@ -482,13 +483,14 @@ def test_identity_scale_outside_unit_interval_is_rejected(cfg, schedule, enc):
     for bad in (-0.5, 1.5, 5.0, float("nan")):
         with pytest.raises(ValueError, match="identity scale"):
             sample(weights, enc, schedule, RngState(0), ref_img=make_ref(cfg, 4),
-                   steps=1, identity_scale=bad)
+                   steps=1, guidance=3.0, identity_scale=bad)
 
 
 def test_schedule_config_mismatch_is_rejected(cfg, enc):
     weights = init_weights(cfg, 12)
     with pytest.raises(ValueError, match="schedule"):
-        sample(weights, enc, linear_schedule(cfg.timesteps + 1), RngState(8), steps=2)
+        sample(weights, enc, linear_schedule(cfg.timesteps + 1), RngState(8), steps=2,
+               guidance=3.0, identity_scale=0.4)
 
 
 def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, toy_enc):
