@@ -46,9 +46,9 @@ from .diffusion import PARAM_SETS, check_guidance, check_text_id, init_weights, 
 from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .training import (IMAGE_FIELDS, STAGE_SETS, Dataset, ToyDatasetSpec, TrainConfig,
-                       dataset_checksum, draw_trials, generate_dataset, gradient_check,
-                       held_out_losses, load_checkpoint, paired_sweep, save_checkpoint, train,
-                       write_json)
+                       check_spec_field, dataset_checksum, draw_trials, generate_dataset,
+                       gradient_check, held_out_losses, load_checkpoint, paired_sweep,
+                       save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -255,7 +255,13 @@ def _load_dataset_arg(args, out: Path) -> tuple[Dataset, str]:
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out_dir)
-    spec = ToyDatasetSpec(**{f.name: getattr(args, f.name) for f in fields(ToyDatasetSpec)})
+    values = {f.name: getattr(args, f.name) for f in fields(ToyDatasetSpec)}
+    for name, value in values.items():
+        try:
+            check_spec_field(name, value)
+        except ValueError as exc:
+            raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
+    spec = ToyDatasetSpec(**values)
     dataset = generate_dataset(spec, args.seed)
     checksum = save_dataset(out / "dataset", dataset)
     _write_echo(out, "gen-data", {"seed": args.seed, "spec": asdict(spec),

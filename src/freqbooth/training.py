@@ -15,7 +15,9 @@ background classes), the orientation-histogram identity metric, JSON
 checkpoints, and a finite-difference gradient check used as the training
 oracle.  A dataset holds each split as the 8-bit levels its PPM files
 store; an image is decoded to floats only where it is read, a training
-batch with one divide, and only stage 1 gathers a batch's references.
+batch with one divide, and only a stage-1 step decodes its batch's
+references.  The test references, which every sampling trial reads, are
+decoded once, on first read.
 
 The one evaluation path, for the CLI and any script alike: `draw_trials`
 draws guided samples and scores them against their references,
@@ -33,7 +35,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +66,20 @@ class StageOrderError(RuntimeError):
 # dataset
 
 
+# the (least, greatest or None) value of each `ToyDatasetSpec` field
+SPEC_BOUNDS = {"n_identities": (1, None), "n_contexts": (1, 4), "image_size": (8, None),
+               "train_size": (1, None), "test_size": (1, None)}
+
+
+def check_spec_field(name: str, value: int) -> None:
+    """ValueError, naming the field, unless `value` lies in `SPEC_BOUNDS[name]`."""
+    low, high = SPEC_BOUNDS[name]
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class ToyDatasetSpec:
     n_identities: int = 16
@@ -72,14 +89,8 @@ class ToyDatasetSpec:
     test_size: int = 64
 
     def __post_init__(self):
-        if self.n_identities < 1:
-            raise ValueError(f"n_identities must be >= 1, got {self.n_identities}")
-        if not 1 <= self.n_contexts <= 4:
-            raise ValueError(f"n_contexts must be in 1..4, got {self.n_contexts}")
-        if self.image_size < 8:
-            raise ValueError(f"image_size must be >= 8, got {self.image_size}")
-        if self.train_size < 1 or self.test_size < 1:
-            raise ValueError("split sizes must be >= 1")
+        for name, value in asdict(self).items():
+            check_spec_field(name, value)
 
 
 @dataclass(frozen=True)
@@ -117,21 +128,21 @@ class Dataset:
 
     Each split is the C-ordered (N, S, S, 3) uint8 stack of 8-bit levels
     its P6 files store after their headers, one byte per level.  Images are
-    decoded (`decode_levels`, level / 255) only where they are read.  The
-    references, which sampling reads on every call, are decoded once, into
-    the (n_identities, 3, S, S) float64 `train_refs` and `test_refs`."""
+    decoded (`decode_levels`, level / 255) only where they are read: a
+    training step decodes its own batch's images and, at stage 1, their
+    references.  The one decoded copy kept is `test_refs`, on first read."""
     spec: ToyDatasetSpec
     seed: int
     train_levels: np.ndarray
     test_levels: np.ndarray
     train_ref_levels: np.ndarray
     test_ref_levels: np.ndarray
-    train_refs: np.ndarray = field(init=False, repr=False)
-    test_refs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.train_refs = decode_levels(self.train_ref_levels)
-        self.test_refs = decode_levels(self.test_ref_levels)
+    @cached_property
+    def test_refs(self) -> np.ndarray:
+        """The (n_identities, 3, S, S) float64 test references, decoded on
+        first read and kept: every sampling trial reads one."""
+        return decode_levels(self.test_ref_levels)
 
     def train_sample(self, i) -> Sample:
         """Train example `i`, an int or an integer array of rows (then a
@@ -327,11 +338,11 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: Sample, refs: np.ndarray, schedule: NoiseSchedule, rng: RngState,
+def _prepare(batch: Sample, refs: np.ndarray | None, schedule: NoiseSchedule, rng: RngState,
              enc: FrozenEncoders, config: TrainConfig, cond_dropout: float) -> PreparedBatch:
     """Noise a stacked `batch` (see `Sample`) for one step of `config`'s
-    stage.  `refs` is the reference stack indexed by identity; stage 1
-    gathers the kept rows' references from it."""
+    stage.  `refs` is the batch's reference stack, one row per example, or
+    None; stage 1 keeps the references of the rows it keeps."""
     stage = config.stage
     z0 = encode_latent(batch.image, enc)
     # each example in turn draws its timestep, its noise and a dropout value;
@@ -343,7 +354,7 @@ def _prepare(batch: Sample, refs: np.ndarray, schedule: NoiseSchedule, rng: RngS
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
         text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
-        ref=(rows, refs[np.asarray(batch.identity_id)[rows]]) if stage == 1 and rows else None,
+        ref=(rows, refs[rows]) if stage == 1 and rows else None,
         ctrl=(range(len(z0)), make_control_signal(z0, config.mask_kind))
         if stage == 2 else None)
 
@@ -542,7 +553,9 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     rng = RngState(config.seed).derive(("train", stage))
 
     def stage_loss(batch, compute_grads=True):
-        prepared = _prepare(batch, dataset.train_refs, schedule, rng, enc, config, COND_DROPOUT)
+        # passed inline, so the decoded stack is freed once `_prepare` has copied its kept rows
+        prepared = _prepare(batch, decode_levels(dataset.train_ref_levels[batch.identity_id])
+                            if stage == 1 else None, schedule, rng, enc, config, COND_DROPOUT)
         return batch_loss(weights, enc, prepared, config, compute_grads)
 
     t_start = time.perf_counter()

@@ -23,7 +23,7 @@ from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
     linear_schedule, predict_eps, project_conditions
-from freqbooth.netpbm import read_ppm, write_ppm
+from freqbooth.netpbm import decode_levels, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, TrainConfig, dataset_checksum,
@@ -104,10 +104,16 @@ def test_loaded_dataset_equals_the_generated_one(tmp_path):
     loaded, loaded_checksum = load_dataset(tmp_path)
     assert loaded_checksum == checksum == dataset_checksum(made)
     assert (loaded.spec, loaded.seed) == (made.spec, made.seed)
-    for field in (*IMAGE_FIELDS, "train_refs", "test_refs"):
-        assert np.array_equal(getattr(loaded, field), getattr(made, field)), field
-        assert getattr(loaded, field).dtype == getattr(made, field).dtype, field
-        assert getattr(loaded, field).flags.c_contiguous, field
+
+    def arrays(ds):
+        return {**{field: getattr(ds, field) for field in IMAGE_FIELDS},
+                "train_refs": decode_levels(ds.train_ref_levels), "test_refs": ds.test_refs}
+
+    made_arrays = arrays(made)
+    for field, arr in arrays(loaded).items():
+        assert np.array_equal(arr, made_arrays[field]), field
+        assert arr.dtype == made_arrays[field].dtype, field
+        assert arr.flags.c_contiguous, field
     for i in range(SMALL_SPEC.test_size):
         for j in range(SMALL_SPEC.n_identities):
             assert identity_metric_flagged(loaded.test_sample(i).image, loaded.test_refs[j]) \
@@ -151,16 +157,15 @@ def test_an_index_of_another_schema_is_unusable(tmp_path):
 
 def test_loading_and_saving_hold_at_most_one_split_of_levels_beyond_the_arrays(tmp_path):
     """Traced peaks on the default spec: `load_dataset` may allocate the
-    dataset's arrays (its uint8 levels and its two float reference stacks)
-    plus a tenth of the largest split's levels; `save_dataset`, whose
+    dataset's arrays (its four uint8 level stacks, and nothing else) plus a
+    tenth of the largest split's levels; `save_dataset`, whose
     arrays already exist, only the latter, as it writes the stored levels
     as they are."""
     spec = ToyDatasetSpec()
     made = generate_dataset(spec, 1)
     largest_split = max(spec.train_size, spec.test_size, spec.n_identities)
     split_levels = largest_split * 3 * spec.image_size ** 2
-    levels = sum(getattr(made, field).nbytes for field in IMAGE_FIELDS)
-    arrays = levels + made.train_refs.nbytes + made.test_refs.nbytes
+    arrays = sum(getattr(made, field).nbytes for field in IMAGE_FIELDS)
 
     def traced_peak(fn):
         tracemalloc.start()
@@ -181,6 +186,21 @@ def test_loading_and_saving_hold_at_most_one_split_of_levels_beyond_the_arrays(t
 
 def test_gen_data_rejects_zero_identities(tmp_path):
     assert run("gen-data", "--out-dir", tmp_path, "--n-identities", 0) == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-contexts", 5, "n_contexts must be in 1..4, got 5"),
+    ("--image-size", 4, "image_size must be >= 8, got 4"),
+    ("--train-size", 0, "train_size must be >= 1, got 0"),
+    ("--test-size", 0, "test_size must be >= 1, got 0"),
+    ("--n-identities", 0, "n_identities must be >= 1, got 0"),
+])
+def test_a_bad_gen_data_value_names_its_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("gen-data", "--out-dir", out, flag, value) == 2
+    assert capsys.readouterr() == ("", f"error: {flag}: {message}\n")
+    assert not out.exists()
 
 
 def test_gen_data_same_seed_is_byte_identical(tmp_path):

@@ -131,7 +131,7 @@ def test_decoded_splits_are_pinned(default_dataset):
         decoded = decode_levels(getattr(default_dataset, name))
         assert decoded.dtype == np.float64 and decoded.flags.c_contiguous, name
         assert hashlib.sha256(decoded).hexdigest() == want, name
-    assert hashlib.sha256(default_dataset.train_refs).hexdigest() == \
+    assert hashlib.sha256(decode_levels(default_dataset.train_ref_levels)).hexdigest() == \
         DECODED_SPLIT_SHA256["train_ref_levels"]
     assert hashlib.sha256(default_dataset.test_refs).hexdigest() == \
         DECODED_SPLIT_SHA256["test_ref_levels"]
@@ -139,7 +139,7 @@ def test_decoded_splits_are_pinned(default_dataset):
 
 def test_the_references_are_held_as_float64_levels_over_255(default_dataset):
     ds = default_dataset
-    for refs, levels in ((ds.train_refs, ds.train_ref_levels),
+    for refs, levels in ((decode_levels(ds.train_ref_levels), ds.train_ref_levels),
                          (ds.test_refs, ds.test_ref_levels)):
         assert refs.dtype == np.float64 and refs.flags.c_contiguous
         assert refs.shape == (ds.spec.n_identities, 3, 32, 32)
@@ -159,8 +159,8 @@ def test_the_image_levels_take_one_byte_per_level(default_dataset):
 
 def test_generating_the_default_dataset_holds_little_beyond_its_arrays():
     """The generator writes each image's levels into its split as it goes,
-    so its traced peak is the dataset's arrays plus a few images' floats
-    (the float64 splits alone took 14.9 MB)."""
+    so its traced peak is the dataset's four level stacks plus a few
+    images' floats (the float64 splits alone took 14.9 MB)."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -168,8 +168,7 @@ def test_generating_the_default_dataset_holds_little_beyond_its_arrays():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    arrays = sum(getattr(ds, name).nbytes for name in IMAGE_FIELDS) \
-        + ds.train_refs.nbytes + ds.test_refs.nbytes
+    arrays = sum(getattr(ds, name).nbytes for name in IMAGE_FIELDS)
     assert arrays <= peak < 4_000_000
 
 
@@ -177,8 +176,8 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
     """A training batch gathers its rows' levels and decodes them with one
     divide, bit for bit the `np.stack` of the rows' float images (pinned
     above), and stacks their context classes.  Only a stage-1 `_prepare`
-    gathers the rows' references: at cond dropout 0 every row keeps its
-    own, and stages 0 and 2 gather none."""
+    keeps the rows' references: at cond dropout 0 every row keeps its
+    own, and stages 0 and 2 keep none."""
     ds = default_dataset
     images = decode_levels(ds.train_levels)
     rng, replay = RngState(7), RngState(7)
@@ -193,13 +192,14 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
         assert ds.train_sample(row).image.tobytes() == batch.image[i].tobytes()
     enc = build_encoders(toy_cfg)
     schedule = linear_schedule(toy_cfg.timesteps)
+    refs = decode_levels(ds.train_ref_levels)
     for stage in (0, 1, 2):
-        prepared = _prepare(batch, ds.train_refs, schedule, RngState(stage), enc,
+        prepared = _prepare(batch, batch_refs(ds, batch), schedule, RngState(stage), enc,
                             stage_config(stage), 0.0)
         if stage == 1:
             assert prepared.ref[0] == list(range(4))
             assert prepared.ref[1].tobytes() == \
-                np.stack([ds.train_refs[k] for k in idents]).tobytes()
+                np.stack([refs[k] for k in idents]).tobytes()
         else:
             assert prepared.ref is None
 
@@ -207,9 +207,53 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
 def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc):
     s = tiny_dataset.train_sample(5)
     assert s.identity_id == 5 % tiny_dataset.spec.n_identities
-    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), tiny_dataset.train_refs,
+    refs = decode_levels(tiny_dataset.train_ref_levels)
+    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), refs[[s.identity_id]],
                         tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
-    assert np.array_equal(prepared.ref[1][0], tiny_dataset.train_refs[s.identity_id])
+    assert np.array_equal(prepared.ref[1][0], refs[s.identity_id])
+
+
+def test_a_training_step_decodes_only_its_batch_references(monkeypatch, tiny_schedule,
+                                                           tiny_enc, tiny_cfg):
+    """A stage-1 `_prepare` keeps the references of its kept rows, here with
+    an interior row dropped, bit for bit the decoded reference of each kept
+    row's identity; `train` passes a batch's own references at stage 1 and
+    none at stages 0 and 2, and the dataset caches no decoded reference."""
+    ds = generate_dataset(SMALL_SPEC, 0)
+    refs = decode_levels(ds.train_ref_levels)
+    batch = ds.train_sample(np.array([6, 1, 3, 7]))
+    idents = np.asarray(batch.identity_id)
+    prepared = _prepare(batch, batch_refs(ds, batch), tiny_schedule, RngState(13), tiny_enc,
+                        stage_config(1), COND_DROPOUT)
+    assert prepared.ref[0] == [0, 1, 3]
+    assert prepared.ref[1].tobytes() == refs[idents[[0, 1, 3]]].tobytes()
+
+    calls = recording(monkeypatch, training, "_prepare")
+    weights = init_weights(tiny_cfg, 0)
+    for stage in (0, 1, 2):
+        calls.clear()
+        train(TrainConfig(stage=stage, steps=2, mask_kind=MaskKind.LOW if stage == 2 else None),
+              ds, weights, tiny_schedule, tiny_enc)
+        assert len(calls) == 2
+        for call in calls:
+            if stage == 1:
+                want = refs[np.asarray(call["batch"].identity_id)]
+                assert call["refs"].tobytes() == want.tobytes()
+            else:
+                assert call["refs"] is None
+    assert not hasattr(ds, "train_refs")
+    assert "test_refs" not in vars(ds)
+
+
+def test_the_test_references_are_decoded_once_on_first_read(monkeypatch):
+    ds = generate_dataset(SMALL_SPEC, 0)
+    decodes = recording(monkeypatch, training, "decode_levels")
+    assert "test_refs" not in vars(ds)
+    first = ds.test_refs
+    assert ds.test_refs is first
+    assert len(decodes) == 1
+    assert first.tobytes() == decode_levels(ds.test_ref_levels).tobytes()
+    assert first.dtype == np.float64 and first.flags.c_contiguous
 
 
 def test_identity_traits_are_angle_separated():
@@ -231,14 +275,15 @@ def test_dataset_spec_validation():
 def test_own_reference_scores_above_other_identities():
     ds = generate_dataset(ToyDatasetSpec(), 0)
     rng = RngState(99).derive("pairing")
+    refs = decode_levels(ds.train_ref_levels)
     better = 0
     total = ds.spec.train_size
     for i in range(total):
         s = ds.train_sample(i)
         other = (s.identity_id + 1 + rng.randint(ds.spec.n_identities - 1)) \
             % ds.spec.n_identities
-        own = identity_metric(s.image, ds.train_refs[s.identity_id])
-        cross = identity_metric(s.image, ds.train_refs[other])
+        own = identity_metric(s.image, refs[s.identity_id])
+        cross = identity_metric(s.image, refs[other])
         better += own > cross
     assert better / total >= 0.90
 
@@ -296,8 +341,14 @@ def stage_config(stage, identity_scale=1.0):
                        mask_kind=MaskKind.LOW if stage == 2 else None)
 
 
+def batch_refs(ds, batch):
+    """The batch's train references, one row per example, as `train` passes them."""
+    return decode_levels(ds.train_ref_levels[batch.identity_id])
+
+
 def prepared_batch(ds, schedule, enc, stage, n):
-    return _prepare(batch_of(ds, n), ds.train_refs, schedule, RngState(stage), enc,
+    batch = batch_of(ds, n)
+    return _prepare(batch, batch_refs(ds, batch), schedule, RngState(stage), enc,
                     stage_config(stage), COND_DROPOUT)
 
 
@@ -309,7 +360,7 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
     the stream and the batch ends where the last example's dropout draw does."""
     batch = batch_of(tiny_dataset, 3)
     rng = RngState(stage)
-    refs = tiny_dataset.train_refs
+    refs = batch_refs(tiny_dataset, batch)
     prepared = _prepare(batch, refs, tiny_schedule, rng, tiny_enc, stage_config(stage),
                         COND_DROPOUT)
     per_example = 2 + prepared.eps[0].size
