@@ -25,7 +25,16 @@ input.  It computes only those groups and is validated against central
 finite differences in the test suite.
 
 The softmax scores are the one full-size temporary of each term:
-`softmax_attention` scales the q k^T product and normalises it in place.
+`softmax_attention` scales the q k^T product and normalises it in place,
+and its backward builds the logit gradient in place in the do v^T product.
+
+Products by a transpose run on the plain BLAS layout (`matmul_t`), faster
+and, at the model's shapes, bit-equal: the self term's and the pooler's
+q k^T and do v^T, and the input gradient's products by the transposed
+query, key and value weights.  Two keep the transposed form, because the
+plain layout changes their bits: the cross term's products against its
+identity keys, which are fewer than its queries, and the identity-token
+gradient's products by the transposed identity weights.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import row_index, row_summed_grad, softmax_rows
+from .tensor_core import matmul_t, row_index, row_summed_grad, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,19 @@ def identity_term(identity, n: int, w: AdaptiveAttentionWeights,
     return IdentityTerm(rows, ident, ident @ w.w_key_id, ident @ w.w_value_id, scale)
 
 
+def _query_key_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y^T for rows of queries x against rows of keys y, on the plain
+    layout (`matmul_t`) unless the keys are fewer than the queries: the
+    cross term's scores against the identity keys, which round differently
+    on it."""
+    return x @ y.swapaxes(-1, -2) if y.shape[-2] < x.shape[-2] else matmul_t(x, y)
+
+
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, inv: float):
     """Single-head softmax attention; returns (Softmax(q k^T * inv) v, weights).
     Leading axes, if any, are batch axes.  The weights are the q k^T product,
     scaled and normalised in place."""
-    s = q @ k.swapaxes(-1, -2)
+    s = _query_key_product(q, k)
     s *= inv
     a = softmax_rows(s)
     return a @ v, a
@@ -95,9 +112,10 @@ def softmax_attention_backward(do: np.ndarray, q: np.ndarray, k: np.ndarray,
                                need_dq: bool):
     """Backward of softmax_attention given its weights `a` (leading axes, if
     any, are batch axes); returns (dq, dk, dv), dq None unless `need_dq`."""
-    da = do @ v.swapaxes(-1, -2)
+    ds = _query_key_product(do, v)  # the gradient wrt a, made the logits' in place
     dv = a.swapaxes(-1, -2) @ do
-    ds = a * (da - (da * a).sum(axis=-1, keepdims=True))  # gradient wrt the logits
+    ds -= (ds * a).sum(axis=-1, keepdims=True)
+    ds *= a  # IEEE products commute: the bits of a * (ds - ...)
     dq = ds @ k * inv if need_dq else None
     dk = ds.swapaxes(-1, -2) @ q * inv
     return dq, dk, dv
@@ -185,6 +203,8 @@ def attention_backward(dout: np.ndarray, cache, self_grads: bool, cross_grads: b
     if cross_grads and cross_term:
         grads["w_key_id"] = row_summed_grad(identity.tokens, dk_id)
         grads["w_value_id"] = row_summed_grad(identity.tokens, dv_id)
+        # transposed: the plain layout would change these products' bits
         didentity = dk_id @ w.w_key_id.T + dv_id @ w.w_value_id.T
-    dhidden = dq @ w.w_query.T + dk @ w.w_key.T + dv @ w.w_value.T if need_dhidden else None
+    dhidden = (matmul_t(dq, w.w_query) + matmul_t(dk, w.w_key) + matmul_t(dv, w.w_value)
+               if need_dhidden else None)
     return dhidden, didentity, grads

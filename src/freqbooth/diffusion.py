@@ -23,7 +23,11 @@ What the conditions contribute to each block does not depend on the latent
 or the timestep: the text-embedding rows, the identity keys and values, and
 the control fields.  `project_conditions` computes them once, so a DDIM run
 projects them once for all its steps and a training batch once per forward.
-The forward writes each block temporary it owns in place.
+The forward writes each block temporary it owns in place.  The backward's
+products by the transposed `out_proj`, `ff_w2` and `ff_w1` run on the plain
+BLAS layout (`matmul_t`), and the control gate's gradient sums each row in
+one call, then the rows in order: both give the bits of the transposed,
+per-row forms.
 
 Parameters are grouped into three sets with distinct training stages:
 `backbone` (stage 0 pretraining, frozen afterwards), `identity_adapter`
@@ -49,7 +53,7 @@ from .config import ModelConfig
 from .dct_freq import MaskKind, make_control_signal
 from .reference_encoder import (FrozenEncoders, ProjectionWeights, decode_latent,
                                 encode_latent, reference_forward)
-from .tensor_core import RngState, assert_all_finite, row_index, row_summed_grad
+from .tensor_core import RngState, assert_all_finite, matmul_t, row_index, row_summed_grad
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +406,24 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     didentity = [None] * len(w.blocks)
     if backbone:
         grads["out_proj"] = row_summed_grad(cache["h_final"], deps_seq)
-    dh = deps_seq @ w.out_proj.T
+    dh = matmul_t(deps_seq, w.out_proj)
 
     for k in reversed(range(len(w.blocks))):
         blk, c = w.blocks[k], cache["caches"][k]
         p = f"blocks.{k}."
         need_dh1 = k > 0 or backbone
         # feed-forward residual
-        dff_pre = (dh @ blk.ff_w2.T) * (1.0 - c["ff_act"] ** 2)
+        dff_pre = matmul_t(dh, blk.ff_w2) * (1.0 - c["ff_act"] ** 2)
         if backbone:
             grads[p + "ff_w2"] = row_summed_grad(c["ff_act"], dh)
             grads[p + "ff_w1"] = row_summed_grad(c["h3"], dff_pre)
-        dh3 = dh + dff_pre @ blk.ff_w1.T
+        dh3 = dh + matmul_t(dff_pre, blk.ff_w1)
         # control residual (scaled by the shared time gain)
         gain, fields = c["gain"], cond.fields[k]
         if control and crows:
+            # each row's sum, then the rows summed in order
             grads[p + "ctrl_gate"] = np.array(
-                [sum(np.sum(x) for x in dh3[crows] * (gain[crows] * fields))])
+                [sum((dh3[crows] * (gain[crows] * fields)).sum(axis=(1, 2)))])
             grads[p + "ctrl_proj"] = row_summed_grad(
                 cond.ctrl, blk.ctrl_gate[0] * (gain[crows] * dh3[crows]))
         dh2 = dh3

@@ -381,7 +381,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
                               config.identity_scale)
     pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t, cond)
     diff = pred_seq - latent_to_seq(batch.eps)
-    loss = sum(float(np.mean(d ** 2)) for d in diff) / n
+    loss = sum((diff ** 2).mean(axis=(1, 2)).tolist()) / n  # the row means, summed in order
     if not compute_grads:
         return loss, {}
     sets = (STAGE_SETS[config.stage],)
@@ -718,8 +718,9 @@ def save_checkpoint(path, weights: ModelWeights) -> None:
 def load_checkpoint(path) -> ModelWeights:
     """The weights `save_checkpoint` wrote.  Raises ValueError for another
     schema, a parameter whose name, shape, base64 or byte count does not
-    fit the config, a non-finite value, or a set checksum that is missing
-    or does not match."""
+    fit the config, a non-finite value, completed stages that are not a
+    prefix of [0, 1, 2], or a set checksum that is missing or does not
+    match."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("schema_version") != CHECKPOINT_SCHEMA:
@@ -752,7 +753,13 @@ def load_checkpoint(path) -> ModelWeights:
         arr[:] = np.frombuffer(raw, dtype=_PARAM_DTYPE).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint parameter {name} is not finite")
-    weights.completed_stages.extend(payload.get("completed_stages", []))
+    stages = payload.get("completed_stages", [])
+    # stages complete in order, and `save_checkpoint` sorts them
+    if not (isinstance(stages, list) and all(type(s) is int for s in stages)
+            and stages == [0, 1, 2][:len(stages)]):
+        raise ValueError(f"checkpoint completed_stages must be a prefix of [0, 1, 2], "
+                         f"got {stages!r}")
+    weights.completed_stages.extend(stages)
     stored_checksums = payload["set_checksums"]
     for s in PARAM_SETS:
         if stored_checksums.get(s) != weights.checksum(s):

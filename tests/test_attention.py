@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbooth.attention import (AdaptiveAttentionWeights, attention_backward,
-                                 attention_forward, check_identity_scale, identity_term)
+                                 attention_forward, check_identity_scale, identity_term,
+                                 softmax_attention, softmax_attention_backward)
+from freqbooth.config import tiny_config, toy_config
 from freqbooth.tensor_core import softmax_rows
 
 
@@ -182,3 +186,46 @@ def test_backward_omits_identity_grads_when_skipped():
     assert didentity is None
     assert sorted(grads) == ["w_key", "w_query", "w_value"]
     assert dhidden.shape == hidden.shape
+
+
+def transposed_kernel(q, k, v, do, inv):
+    """softmax_attention and its backward as written before the backward
+    worked in place and the self term took the plain layout: every q k^T and
+    do v^T on the transposed operand, the logit gradient out of place."""
+    s = q @ k.swapaxes(-1, -2)
+    s *= inv
+    a = softmax_rows(s)
+    da = do @ v.swapaxes(-1, -2)
+    dv = a.swapaxes(-1, -2) @ do
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+    return a @ v, a, ds @ k * inv, ds.swapaxes(-1, -2) @ q * inv, dv
+
+
+def kernel_shapes(cfg, term, rows):
+    """(q, k, v) shapes of one call of the kernel on a `rows`-row stack."""
+    seq, d, n_query = cfg.latent_hw ** 2, cfg.d_model, cfg.n_query
+    return {
+        "self": ((rows, seq, d), (rows, seq, d), (rows, seq, d)),
+        "cross": ((rows, seq, d), (rows, n_query, d), (rows, n_query, d)),
+        # the pooler's learned queries attend over each reference's patch tokens
+        "pooler": ((n_query, cfg.d_query), (rows, seq, cfg.d_query), (rows, seq, cfg.d_id)),
+    }[term]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 8),
+       term=st.sampled_from(("self", "cross", "pooler")), toy=st.booleans())
+def test_the_kernel_gives_the_transposed_kernels_bits(seed, rows, term, toy):
+    """At the shapes of the self term, the cross term and the pooler, on
+    the toy and the tiny model, the forward and the in-place backward equal
+    the transposed, out-of-place formulas bit for bit."""
+    cfg = toy_config() if toy else tiny_config()
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal(shape) for shape in kernel_shapes(cfg, term, rows))
+    inv = 1.0 / np.sqrt(q.shape[-1])
+    out, a = softmax_attention(q, k, v, inv)
+    do = rng.standard_normal(out.shape)
+    got = (out, a, *softmax_attention_backward(do, q, k, v, a, inv, need_dq=True))
+    for name, x, y in zip(("out", "a", "dq", "dk", "dv"), got,
+                          transposed_kernel(q, k, v, do, inv)):
+        assert np.array_equal(x, y), name

@@ -301,6 +301,26 @@ def test_a_bad_training_flag_exits_2_before_any_file_is_read(tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stages", [[0, 1, "x"], "01", [0, 0], [1], [0, 2], [0, 1, 2, 3], None],
+                         ids=["not-an-int", "a-string", "repeated", "no-stage-0", "a-gap",
+                              "stage-3", "null"])
+def test_a_checkpoint_whose_completed_stages_are_not_a_prefix_exits_3(pipe, tmp_path, capsys,
+                                                                       stages):
+    """Stages complete in order, so a checkpoint lists a prefix of [0, 1, 2];
+    anything else is caught on load, before any training step."""
+    payload = read_json(pipe / "checkpoint_stage1.json")
+    payload["completed_stages"] = stages
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset", "--checkpoint", ckpt,
+               "--stage", 2, "--mask", "low", "--steps", 2) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "completed_stages" in err[0]
+    assert not out.exists()
+
+
 def test_train_zero_steps_leaves_weights_at_init(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 0, "--steps", 0) == 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqbooth
-from freqbooth.tensor_core import RngState, _words, assert_all_finite, softmax_rows
+from freqbooth.config import tiny_config, toy_config
+from freqbooth.tensor_core import RngState, _words, assert_all_finite, matmul_t, softmax_rows
 
 
 def test_the_package_imports_only_the_standard_library_and_numpy():
@@ -194,3 +195,33 @@ def test_assert_all_finite():
         assert_all_finite(np.array([1.0, np.nan]), "prediction")
     with pytest.raises(FloatingPointError):
         assert_all_finite(np.array([np.inf]))
+
+
+def plain_layout_sites(cfg, rows):
+    """(name, x shape, y shape) of each `matmul_t(x, y)` call of a training
+    step or `sample` on a `rows`-row stack under `cfg`."""
+    seq, c, d, dff = cfg.latent_hw ** 2, cfg.latent_channels, cfg.d_model, cfg.d_ff
+    return [
+        ("out_proj", (rows, seq, c), (d, c)),
+        ("ff_w2", (rows, seq, d), (dff, d)),
+        ("ff_w1", (rows, seq, dff), (d, dff)),
+        ("w_query, w_key, w_value", (rows, seq, d), (d, d)),
+        ("self-term scores and da", (rows, seq, d), (rows, seq, d)),
+        # the pooler's learned queries attend over each reference's seq patch tokens
+        ("pooler scores", (cfg.n_query, cfg.d_query), (rows, seq, cfg.d_query)),
+        ("pooler da", (rows, cfg.n_query, cfg.d_id), (rows, seq, cfg.d_id)),
+    ]
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+@pytest.mark.parametrize("cfg", [toy_config(), tiny_config()], ids=["toy", "tiny"])
+def test_the_plain_layout_gives_the_transposed_products_bits(cfg, rows):
+    """Each `matmul_t` site equals the transposed-operand product bit for
+    bit at the shapes the toy model's steps and samples and the tiny
+    gradient check run.  The two layouts are two BLAS kernels, so a BLAS
+    that rounds them differently fails here, naming the site."""
+    rng = np.random.default_rng(rows)
+    for name, x_shape, y_shape in plain_layout_sites(cfg, rows):
+        for _ in range(10):
+            x, y = rng.standard_normal(x_shape), rng.standard_normal(y_shape)
+            assert np.array_equal(matmul_t(x, y), x @ y.swapaxes(-1, -2)), name

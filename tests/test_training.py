@@ -553,6 +553,36 @@ def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_b
         assert np.array_equal(g, full[name]), name
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_blocks=st.integers(1, 3),
+       ctrl_rows=st.lists(st.booleans(), min_size=1, max_size=8))
+def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
+    """batch_loss's loss and the top block's ctrl_gate gradient reduce each
+    row in one call, then sum the rows in order: the per-row formulas they
+    replaced, bit for bit, on stacks of 1 to 8 rows."""
+    cfg = replace(tiny_config(), n_blocks=n_blocks)
+    enc = build_encoders(cfg)
+    weights = random_point(cfg, seed)
+    prepared = mixed_batch(cfg, enc, 2, ctrl_rows, seed)
+    rows = [i for i, keep in enumerate(ctrl_rows) if keep]
+    prepared.ctrl = (rows, prepared.ctrl[1][rows]) if rows else None
+    loss, grads = batch_loss(weights, enc, prepared, stage_config(2))
+
+    cond = project_conditions(weights, prepared.text_id, None, prepared.ctrl)
+    pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t), prepared.t, cond)
+    diff = pred - latent_to_seq(prepared.eps)
+    n = len(diff)
+    assert loss == sum(float(np.mean(d ** 2)) for d in diff) / n
+    if not rows:
+        return
+    top, c = weights.blocks[-1], cache["caches"][-1]
+    dh = ((2.0 / (diff[0].size * n)) * diff) @ weights.out_proj.T
+    dh3 = dh + ((dh @ top.ff_w2.T) * (1.0 - c["ff_act"] ** 2)) @ top.ff_w1.T
+    per_row = dh3[rows] * (c["gain"][rows] * cond.fields[-1])
+    assert np.array_equal(grads[f"blocks.{n_blocks - 1}.ctrl_gate"],
+                          np.array([sum(np.sum(x) for x in per_row)]))
+
+
 def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
     weights = random_point(tiny_cfg, 3)
     batch = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
@@ -916,7 +946,8 @@ def test_checkpoint_load_draws_nothing_from_the_rng(tiny_trained, tmp_path, monk
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n_blocks=st.integers(1, 3),
-       stages=st.lists(st.sampled_from((0, 1, 2)), unique=True))
+       # stages complete in order, so a checkpoint holds a prefix of [0, 1, 2]
+       stages=st.integers(0, 3).flatmap(lambda n: st.permutations(range(n))))
 def test_checkpoint_roundtrip_over_random_configs(tmp_path_factory, seed, n_blocks,
                                                   stages):
     cfg = replace(tiny_config(), n_blocks=n_blocks)
