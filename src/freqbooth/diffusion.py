@@ -41,6 +41,7 @@ dataclasses are frozen, and parameters change only in place.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -126,7 +127,12 @@ def check_guidance(value: float) -> None:
 
 
 def check_text_id(value, n_text: int) -> None:
-    """Validate a text id in [0, n_text); no id selects the null-text row."""
+    """Validate a text id, an integer in [0, n_text); no id selects the
+    null-text row.  A bool, a fractional number or a string is no id,
+    though int() would take it to a valid row."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"text id {value!r} is not an integer")
     if not 0 <= int(value) < n_text:
         raise ValueError(f"text id {value} outside [0, {n_text}); "
                          f"only None selects the null text")
@@ -209,8 +215,10 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     zero control gates (frequency control is inert until stage 2 opens it).
 
     The identity branch starts random rather than zero because it is trained
-    from scratch in its own stage, and a zero value path would silence every
-    upstream adapter gradient at the start of that stage.
+    from scratch in its own stage.  A zero value path would silence every
+    upstream adapter gradient (keys, pooler, heads) at that stage's first
+    step only: that step gives `w_value_id` a gradient, and from the next
+    step on every adapter parameter trains.
     """
     root = RngState(seed).derive("weights-init")
     return _build_weights(config, lambda tag, shape, scale:

@@ -23,7 +23,9 @@ The one evaluation path, for the CLI and any script alike: `draw_trials`
 draws guided samples and scores them against their references,
 `paired_sweep` draws lambda values on the same trials and aggregates their
 wins, and `held_out_losses` scores a model and band on noised test pairs
-that depend on the seed alone.
+that depend on the seed alone.  It scores them in stacks of at most a
+training batch, since a stacked forward keeps every block's cache: one
+stack of all the pairs would peak above any training step.
 """
 
 from __future__ import annotations
@@ -660,7 +662,13 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
     ids.  `seed`'s "ablate-eval" stream draws each example's timestep in
     [1, T] and then its noise, so every model and band is scored on the
     same pairs.  Under `mask_kind` each example is controlled by its own
-    latent's band."""
+    latent's band.
+
+    The pairs are scored in consecutive stacks of at most
+    `TrainConfig.batch_size` rows, so no evaluation is wider than a
+    training batch: a stack's forward holds every block's cache at once,
+    and its memory grows with the stack.  Each row equals its one-row call
+    bit for bit, so the chunking changes no score."""
     rng = RngState(seed).derive("ablate-eval")
     held_out = dataset.test_sample(np.arange(min(size, dataset.spec.test_size)))
     z0 = encode_latent(held_out.image, enc)
@@ -669,10 +677,16 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
         ts.append(1 + rng.randint(schedule.timesteps))
         eps.append(rng.normal(z0.shape[1:]))
     eps = np.stack(eps)
-    ctrl = None if mask_kind is None else (range(len(z0)), make_control_signal(z0, mask_kind))
-    pred = predict_eps(weights, forward_noise(z0, ts, eps, schedule), ts,
-                       project_conditions(weights, held_out.text_id.tolist(), ctrl=ctrl))
-    return [(t, float(np.mean((p - e) ** 2))) for t, p, e in zip(ts, pred, eps)]
+    z_t = forward_noise(z0, ts, eps, schedule)
+    ctrl = None if mask_kind is None else make_control_signal(z0, mask_kind)
+    text_ids, losses = held_out.text_id.tolist(), []
+    for lo in range(0, len(z0), TrainConfig.batch_size):
+        rows = slice(lo, min(lo + TrainConfig.batch_size, len(z0)))
+        cond = project_conditions(weights, text_ids[rows], ctrl=None if ctrl is None
+                                  else (range(rows.stop - lo), ctrl[rows]))
+        pred = predict_eps(weights, z_t[rows], ts[rows], cond)
+        losses += [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps[rows])]
+    return list(zip(ts, losses))
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,10 @@ def test_invalid_latents_and_text_ids_are_rejected(cfg):
         predict_eps(weights, rand_latent(cfg, 16), [5], project_conditions(weights, [None]))
     with pytest.raises(ValueError, match="text id"):
         predict_one(weights, rand_latent(cfg, 16), 5, 11)
+    # int() would take each to text 1
+    for text_id in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=rf"text id {text_id!r} is not an integer"):
+            predict_one(weights, rand_latent(cfg, 16), 5, text_id)
 
 
 def test_only_none_selects_the_null_text_row(cfg):

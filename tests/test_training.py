@@ -880,6 +880,25 @@ def test_held_out_losses_score_the_first_test_examples_in_order(tiny_trained, ti
     assert len({t for t, _ in expected}) > 1
 
 
+def test_held_out_losses_score_no_stack_wider_than_a_training_batch(monkeypatch, tiny_trained,
+                                                                   tiny_dataset,
+                                                                   tiny_schedule, tiny_enc):
+    """The held-out pairs run in consecutive stacks of at most
+    `TrainConfig.batch_size` rows, so scoring never holds more block caches
+    than a training step; together the stacks cover every scored pair."""
+    weights, _ = tiny_trained
+    calls = recording(monkeypatch, training, "predict_eps")
+    n_test = tiny_dataset.spec.test_size
+    assert n_test > TrainConfig.batch_size
+    for kind in (None, MaskKind.LOW):
+        for size in (n_test, n_test + 1):
+            calls.clear()
+            held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, size, 3, kind)
+            rows = [len(call["z_t"]) for call in calls]
+            assert max(rows) <= TrainConfig.batch_size, (kind, size, rows)
+            assert sum(rows) == n_test, (kind, size, rows)
+
+
 def test_held_out_pairs_are_the_same_for_every_model_and_band(tiny_trained, tiny_dataset,
                                                               tiny_schedule, tiny_enc,
                                                               tiny_cfg):
