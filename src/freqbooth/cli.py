@@ -7,9 +7,10 @@ keep wall-clock times in a separate non-normative *.timing.json sidecar so
 the normative files stay reproducible).
 
 Exit codes: 0 success, 2 usage or validation error (a path that cannot be
-read or written included; an --out-dir that cannot be made is found before
-any work), 3 missing or unreadable prerequisite state (dataset or
-checkpoint), 4 numerical failure.  gradcheck exits 1 when a gradient
+read or written, and a size that cannot be allocated, included; an
+--out-dir that cannot be made is found before any work), 3 missing or
+unreadable prerequisite state (dataset or checkpoint, a size in it that
+cannot be allocated included), 4 numerical failure.  gradcheck exits 1 when a gradient
 comparison fails.  `train` and `ablate-masks` build their `TrainConfig`s
 first, so a stage's bad mask, lambda, step count or learning rate exits 2
 before any file is read.
@@ -87,7 +88,7 @@ def _load_image(path) -> np.ndarray:
 
 
 # what reading or validating a JSON/PPM prerequisite can raise
-_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError)
+_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError, MemoryError)
 
 
 def _check_out_dir(out: Path) -> None:
@@ -148,7 +149,7 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
         r, c = divmod(idx, cols)
         y = pad + r * (h + pad)
         x = pad + c * (w + pad)
-        sheet[:, y:y + h, x:x + w] = np.clip(img, 0.0, 1.0)
+        sheet[:, y:y + h, x:x + w] = img
     return sheet
 
 
@@ -637,7 +638,7 @@ def main(argv=None) -> int:
     try:
         _check_out_dir(Path(args.out_dir))
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrerequisiteError as exc:

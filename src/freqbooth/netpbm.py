@@ -7,13 +7,10 @@ PFM keeps full float32 precision (used where tolerances are tighter than a
 byte quantum).
 
 A P6 file's raster is an (H, W, 3) uint8 array of levels, row by row and
-pixel by pixel with the channels interleaved.  `ppm_levels` gives the raster
-`write_ppm` stores (and returns), `write_ppm_raster` stores a raster as it
-is, `read_ppm_raster` gives the raster and maxval a file holds, and
-`read_ppm` decodes it to floats as level / maxval.  `decode_levels` decodes
-a stack of maxval-255 rasters, such as a dataset split, to C-ordered
-(..., 3, H, W) floats with one divide: the bits `quantize` and `read_ppm`
-give for the same levels.
+pixel by pixel with the channels interleaved.  This module holds the one
+encoder and the one decoder of those levels: `ppm_levels` rounds floats to
+levels, and `decode_levels` divides levels by their maxval into C-ordered
+floats.  Every other conversion goes through them.
 """
 
 from __future__ import annotations
@@ -42,24 +39,28 @@ def _read_tokens(data: bytes, count: int, offset: int):
 
 def quantize(img: np.ndarray) -> np.ndarray:
     """Snap floats to the 8-bit levels P6 stores, so disk round trips are exact."""
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+    return decode_levels(ppm_levels(img))
 
 
 def ppm_levels(img: np.ndarray) -> np.ndarray:
     """The C-ordered (H, W, 3) uint8 raster that P6 stores for (3, H, W)
-    floats in [0, 1], clamped and rounded to 8-bit levels."""
+    floats: round(clip(x, 0, 1) * 255).  It rounds before it clips, which
+    gives the same levels; clipping first raised the CLI's peak RSS."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected (3, H, W) image, got shape {img.shape}")
-    q = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+    img = np.clip(np.round(img * 255.0), 0.0, 255.0)
+    levels = np.empty((*img.shape[1:], 3), dtype=np.uint8)
+    for c in range(3):  # a plane at a time: a one-step transpose copies 3 values per inner loop
+        levels[..., c] = img[c]
+    return levels
 
 
-def decode_levels(levels: np.ndarray) -> np.ndarray:
-    """The C-ordered (..., 3, H, W) float64 image of (..., H, W, 3) 8-bit
-    levels, level / 255 in one divide."""
+def decode_levels(levels: np.ndarray, maxval: int = 255) -> np.ndarray:
+    """The C-ordered (..., 3, H, W) float64 image of (..., H, W, 3) levels,
+    level / maxval in one divide."""
     chw = levels.swapaxes(-1, -3).swapaxes(-1, -2)  # np.moveaxis(levels, -1, -3), cheaper
-    return np.divide(chw, 255.0, out=np.empty(chw.shape))
+    return np.divide(chw, float(maxval), out=np.empty(chw.shape))
 
 
 def write_ppm_raster(path, raster: np.ndarray) -> None:
@@ -70,12 +71,10 @@ def write_ppm_raster(path, raster: np.ndarray) -> None:
         f.write(np.ascontiguousarray(raster))
 
 
-def write_ppm(path, img: np.ndarray) -> np.ndarray:
-    """Write (3, H, W) floats in [0, 1] as binary P6 with maxval 255;
-    returns the raster written, `ppm_levels(img)`."""
-    raster = ppm_levels(img)
-    write_ppm_raster(path, raster)
-    return raster
+def write_ppm(path, img: np.ndarray) -> None:
+    """Write (3, H, W) floats as binary P6 with maxval 255: the raster
+    `ppm_levels(img)`."""
+    write_ppm_raster(path, ppm_levels(img))
 
 
 def read_ppm_raster(path) -> tuple[np.ndarray, int]:
@@ -99,9 +98,8 @@ def read_ppm_raster(path) -> tuple[np.ndarray, int]:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read binary P6 into a (3, H, W) float64 array in [0, 1]."""
-    raster, maxval = read_ppm_raster(path)
-    return np.moveaxis(raster.astype(np.float64) / float(maxval), -1, 0)
+    """Read binary P6 into a C-ordered (3, H, W) float64 array in [0, 1]."""
+    return decode_levels(*read_ppm_raster(path))
 
 
 def write_pfm(path, img: np.ndarray) -> None:

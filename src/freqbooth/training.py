@@ -50,7 +50,7 @@ from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
                         latent_to_seq, linear_schedule, predict_eps, project_conditions,
                         sample)
-from .netpbm import decode_levels, quantize
+from .netpbm import decode_levels, ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
@@ -130,7 +130,8 @@ class Dataset:
 
     Each split is the C-ordered (N, S, S, 3) uint8 stack of 8-bit levels
     its P6 files store after their headers, one byte per level.  Images are
-    decoded (`decode_levels`, level / 255) only where they are read: a
+    decoded only where they are read, by `decode_levels`, the decoder
+    `read_ppm` runs, so an image read from its file has the same bits: a
     training step decodes its own batch's images and, at stage 1, their
     references.  The one decoded copy kept is `test_refs`, on first read."""
     spec: ToyDatasetSpec
@@ -207,9 +208,8 @@ def _pixel_grid(size: int) -> np.ndarray:
 def render_sample(params: IdentityParams, bg: np.ndarray, grid: np.ndarray,
                   rng: RngState) -> np.ndarray:
     """One posed image of a subject on `bg`, a (3, S, S) context background
-    from `_background`, as the (S, S, 3) 8-bit levels a P6 file stores:
-    round(clip(x, 0, 1) * 255), the levels `quantize` divides by 255.
-    `grid` is `_pixel_grid(S)`.  Both are only read.
+    from `_background`, as the (S, S, 3) 8-bit levels a P6 file stores
+    (`ppm_levels`).  `grid` is `_pixel_grid(S)`.  Both are only read.
 
     Pose jitter is deliberately mild (phase, small rotation, small shift) so
     the stripe orientation remains the subject's signature.
@@ -235,11 +235,7 @@ def render_sample(params: IdentityParams, bg: np.ndarray, grid: np.ndarray,
         body = body * (1.0 - m) + spot_color[:, None, None] * m
 
     alpha = np.clip((radius - dist) / 1.5 + 0.5, 0.0, 1.0)
-    img = np.round(np.clip(bg * (1.0 - alpha) + body * alpha, 0.0, 1.0) * 255.0)
-    levels = np.empty((size, size, 3), dtype=np.uint8)
-    for c in range(3):  # a plane at a time: a one-step transpose copies 3 values per inner loop
-        levels[..., c] = img[c]
-    return levels
+    return ppm_levels(bg * (1.0 - alpha) + body * alpha)
 
 
 def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
@@ -286,7 +282,8 @@ def orientation_histogram(img: np.ndarray) -> np.ndarray | None:
     orientation), so the histogram varies smoothly with angle instead of
     jumping at bin edges.
     """
-    luma = np.tensordot(_LUMA, np.asarray(img, dtype=np.float64), axes=1)
+    # a C-ordered copy: on a strided view the sums round differently
+    luma = np.tensordot(_LUMA, np.ascontiguousarray(img, dtype=np.float64), axes=1)
     gy, gx = np.gradient(luma)
     mag = np.hypot(gx, gy).ravel()
     total = mag.sum()

@@ -142,6 +142,27 @@ def test_the_index_checksum_hashes_the_stored_rasters(tmp_path):
     assert digest.hexdigest() == checksum == read_json(tmp_path / "index.json")["checksum"]
 
 
+# SHA-256 of the `pipe` fixture's dataset index, and one SHA-256 over its
+# PPM files: each file's name and then its bytes, in name order
+PINNED_DATASET = {
+    "index.json": "e290f4748c44c2470d0a79214abb57d694f8e98ca9af5516fb6a0f358e97efe3",
+    "*.ppm": "53844b4f386f93cd1a73d70adeed0da807f1ba2be15460f895403e1d3f6e6f96",
+}
+
+
+def test_gen_data_files_are_pinned(pipe):
+    """The bytes `gen-data` writes, held to literals, so a change to the
+    renderer or the P6 encoder that moves any level shows here."""
+    ppms, digests = hashlib.sha256(), {}
+    for name, blob in tree_bytes(pipe / "dataset").items():
+        if name.endswith(".ppm"):
+            ppms.update(name.encode() + blob)
+        else:
+            digests[name] = hashlib.sha256(blob).hexdigest()
+    digests["*.ppm"] = ppms.hexdigest()
+    assert digests == PINNED_DATASET
+
+
 def test_an_index_of_another_schema_is_unusable(tmp_path):
     """Schemas 1 and 2 recorded a checksum of the float64 arrays; no reader
     of it is kept, since `gen-data` rebuilds a dataset from its spec and seed."""
@@ -532,6 +553,34 @@ def test_filter_is_byte_deterministic(stripes_ppm, tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+# SHA-256 of every file `filter` writes for `stripes_ppm`
+PINNED_FILTER = {
+    "high": {
+        "filter_config.json":
+            "80aa153d9c03199806ba63acb45f87b5bc2254d2348d14fcadb8104bd5b1f512",
+        "filtered_high.meta.json":
+            "122273d26d2ac2a4f029c25e5a151482aee82b5fe170e140b32d068b81b0f071",
+        "filtered_high.pfm": "fc1188f85f699976bdd7793f21c1fcde5e189d226b1aebb66228de9283ca4982",
+        "filtered_high.ppm": "3fcfd2f5260006cc7ededc8f831dddf3938a9fcd6711c694ebde6e1176fa7777",
+    },
+    "low": {
+        "filter_config.json":
+            "7c75b13bae1dd951ea9fb3dcc2b169c7b6baa6e8af254d2f7e7b993b76ade4a1",
+        "filtered_low.meta.json":
+            "df8021874dc3af70bd30a6b574c3c31a9f622985d845c88b33d8e5134cfd2e90",
+        "filtered_low.pfm": "1c9f5592eae05a300a388f43547cec1f1cea17e1f8bb0c83f07a231606794fe6",
+        "filtered_low.ppm": "cabaaf40547a42a878992e73bd5901aff33b662db8fea2a8e63aa88e68c03240",
+    },
+}
+
+
+@pytest.mark.parametrize("mask", list(PINNED_FILTER))
+def test_filter_artifacts_are_pinned(stripes_ppm, tmp_path, mask):
+    assert run("filter", "--out-dir", tmp_path, "--input", stripes_ppm, "--mask", mask) == 0
+    assert {name: hashlib.sha256(blob).hexdigest()
+            for name, blob in tree_bytes(tmp_path).items()} == PINNED_FILTER[mask]
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (command, flag, value) for command in ("sample", "sweep-lambda", "ablate-masks")
     for flag, value in (("--steps", 0), ("--guidance", -1), ("--guidance", "nan"),
@@ -758,13 +807,13 @@ PINNED_ARTIFACTS = {
         "sample_000.ppm": "9b40c1e11b6b85e1132fc3ea7a05e3a1dbc29d83bb4747e4a527756997c57e98",
         "sample_001.ppm": "f3a790a3a0b3dc1a6e4b1c37927c4a8090f498ce42d7ab2d364f21654972055d",
         "sample_config.json": "08712f8f83b6ed6752629e6c44a3f346105c07afb035e9230627f91bf8485637",
-        "sample_meta.json": "a98a4f5f00d6546baeb72d56b45910b49050368e542239cd35c0c25f7370f626",
+        "sample_meta.json": "4236ec2c778c29854a8b55cebe7c098321a1c9a63072368261daaf99207c4a13",
     },
     "sample-mask-low": {
         "sample_000.ppm": "a827b0c0e19c8c0de9f74f4234227c1d2a93c2624b8d3ef09bdb2a662a7449d4",
         "sample_001.ppm": "022b64ddc59512ca9732009161d6ac10b70bb7203f60afab13893280969029a2",
         "sample_config.json": "84d2a700221e26d1bc40665c95fda57924690108128610e8fd6530080eccd82a",
-        "sample_meta.json": "b0342e233f0774ad9dc91119be1d3b5d01dd3b4440949ea928215b9dfc83560d",
+        "sample_meta.json": "22774d4db74dfc6806fd8ad45373c8dfbfc5365f6bda92899cbf666b0f519a35",
     },
     "sweep-lambda": {
         "sweep_lambda_config.json":
@@ -819,6 +868,23 @@ def test_sampled_artifacts_are_pinned(pipe, tmp_path, case):
                for name, blob in tree_bytes(tmp_path).items()
                if not name.startswith("checkpoint_") and not name.endswith(".timing.json")}
     assert digests == PINNED_ARTIFACTS[case]
+
+
+@pytest.mark.parametrize("mask", ["none", "low"])
+def test_sample_scores_a_reference_file_as_the_dataset_reference(pipe, tmp_path, mask):
+    """`sample --ref` decodes the reference file as the dataset decodes its
+    levels, so each recorded metric is, bit for bit, the image's metric
+    against the dataset's own test reference, the one `sweep-lambda` and
+    `ablate-masks` score against."""
+    checkpoint = "checkpoint_stage1.json" if mask == "none" else "checkpoint_stage2_low.json"
+    assert run("sample", "--out-dir", tmp_path, "--checkpoint", pipe / checkpoint,
+               "--ref", pipe / "dataset" / "ref_test_01.ppm", "--n", 2, "--steps", 4,
+               "--mask", mask) == 0
+    ref = load_dataset(pipe / "dataset")[0].test_refs[1]
+    for row in read_json(tmp_path / "sample_meta.json")["samples"]:
+        image = read_ppm(tmp_path / row["file"])
+        assert (row["identity_metric"], row["degenerate"]) == \
+            identity_metric_flagged(image, ref), row["file"]
 
 
 # ---------------------------------------------------------------------------
@@ -1112,6 +1178,38 @@ def test_a_file_system_error_exits_2_and_writes_nothing(pipe, tmp_path, capsys, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert (tmp_path / "file").read_text() == ""
+
+
+# Each size asks for one allocation of over 256 TiB, past a 47-bit address
+# space, so it fails at once and touches no page.  A size a host might
+# allocate, or a huge count that allocates bit by bit, is never tried.
+@pytest.mark.parametrize("case, code, message", [
+    ("index", 3, "is unusable: MemoryError("),
+    ("checkpoint", 3, "is unusable: MemoryError("),
+    ("gen-data", 2, "Unable to allocate"),
+])
+def test_a_size_nothing_can_allocate_exits_with_one_line_and_writes_nothing(
+        pipe, tmp_path, capsys, case, code, message):
+    if case == "index":
+        index = read_json(pipe / "dataset" / "index.json")
+        index["spec"]["image_size"] = 10**7
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        argv = ("train", "--data-dir", tmp_path, "--stage", 0, "--steps", 1)
+    elif case == "checkpoint":
+        payload = read_json(pipe / "checkpoint_stage0.json")
+        payload["config"]["image_size"] = 4 * 10**7
+        (tmp_path / "checkpoint.json").write_text(json.dumps(payload))
+        argv = ("train", "--data-dir", pipe / "dataset", "--checkpoint",
+                tmp_path / "checkpoint.json", "--stage", 1, "--steps", 1)
+    else:
+        argv = ("gen-data", "--image-size", 10**7)
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--out-dir", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "out").exists()
+    assert tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqbooth.netpbm import (_read_tokens, ppm_levels, quantize, read_ppm, read_ppm_raster,
-                              write_pfm, write_ppm)
+from freqbooth.netpbm import (_read_tokens, decode_levels, ppm_levels, quantize, read_ppm,
+                              read_ppm_raster, write_pfm, write_ppm)
 from conftest import read_pfm
 
 
@@ -16,13 +16,14 @@ def test_ppm_roundtrip_is_exact_on_quantized_input(tmp_path):
     assert np.array_equal(read_ppm(path), img)
 
 
-def test_write_ppm_returns_the_raster_it_stores(tmp_path):
+def test_write_ppm_stores_the_header_then_ppm_levels(tmp_path):
     img = np.random.default_rng(3).uniform(-0.2, 1.2, size=(3, 5, 7))
     path = tmp_path / "img.ppm"
-    raster = write_ppm(path, img)
+    assert write_ppm(path, img) is None
+    raster = ppm_levels(img)
     assert raster.dtype == np.uint8 and raster.shape == (5, 7, 3)
     assert raster.flags.c_contiguous
-    assert np.array_equal(raster, ppm_levels(img))
+    assert np.array_equal(raster, np.moveaxis(np.round(np.clip(img, 0, 1) * 255), 0, -1))
     assert path.read_bytes() == b"P6\n7 5\n255\n" + raster.tobytes()
     stored, maxval = read_ppm_raster(path)
     assert maxval == 255 and np.array_equal(stored, raster)
@@ -35,6 +36,28 @@ def test_read_ppm_divides_by_the_stored_maxval(tmp_path):
     raster, maxval = read_ppm_raster(path)
     assert maxval == 15 and raster.tolist() == [[[0, 5, 15]]]
     assert read_ppm(path).ravel().tolist() == [0.0, 5 / 15, 1.0]
+
+
+@pytest.mark.parametrize("maxval", [15, 255])
+def test_read_ppm_is_decode_levels_of_the_raster(tmp_path, maxval):
+    levels = np.random.default_rng(maxval).integers(0, maxval + 1, size=(4, 6, 3),
+                                                     dtype=np.uint8)
+    path = tmp_path / "m.ppm"
+    path.write_bytes(b"P6\n6 4\n%d\n" % maxval + levels.tobytes())
+    img = read_ppm(path)
+    assert img.shape == (3, 4, 6) and img.flags.c_contiguous
+    assert img.tobytes() == decode_levels(levels, maxval).tobytes()
+    assert np.array_equal(img, np.moveaxis(levels / maxval, -1, 0))
+
+
+def test_quantize_rounds_clipped_floats_to_levels_and_back():
+    x = np.concatenate([np.random.default_rng(5).uniform(-0.5, 1.5, size=3 * 64 * 64),
+                        [0.0, 1.0, -1e-300, 1e300, np.inf, -np.inf, 0.5 / 255, 1.5 / 255,
+                         254.5 / 255, np.nextafter(0.5 / 255, 0), 1 - 1e-16, -0.0]])
+    img = x.reshape(3, 1, -1)
+    q = quantize(img)
+    assert q.flags.c_contiguous and q.shape == img.shape
+    assert np.array_equal(q, np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0)
 
 
 def reference_tokens(data: bytes, count: int, offset: int):

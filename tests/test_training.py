@@ -318,6 +318,19 @@ def test_metric_flags_degenerate_images():
         identity_metric(np.zeros((3, 8, 8)), np.zeros((3, 16, 16)))
 
 
+def test_metric_does_not_depend_on_memory_layout():
+    """A strided view, as `np.moveaxis` gives of an (H, W, 3) raster,
+    scores the same bits as its C-ordered copy."""
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        a, b = np.moveaxis(rng.integers(0, 256, size=(2, 32, 32, 3)) / 255.0, -1, 1)
+        generated, view = np.ascontiguousarray(a), b
+        copy = np.ascontiguousarray(view)
+        assert identity_metric_flagged(generated, view) == \
+            identity_metric_flagged(generated, copy)
+        assert identity_metric_flagged(view, copy) == (1.0, False)
+
+
 def test_histogram_is_normalized_and_smooth_in_angle():
     h1 = orientation_histogram(striped_test_image(angle=0.40))
     h2 = orientation_histogram(striped_test_image(angle=0.45))
