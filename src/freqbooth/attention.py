@@ -39,6 +39,7 @@ gradient's products by the transposed identity weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ def attention_forward(hidden: np.ndarray, identity: IdentityTerm | None,
             f"query projection mismatch: hidden dim {hidden.shape[-1]} "
             f"vs w_query rows {w.w_query.shape[0]}"
         )
-    inv = 1.0 / np.sqrt(w.w_query.shape[1])
+    inv = 1.0 / math.sqrt(w.w_query.shape[1])
 
     q = hidden @ w.w_query
     k = hidden @ w.w_key

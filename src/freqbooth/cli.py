@@ -91,6 +91,14 @@ def _load_image(path) -> np.ndarray:
 _UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError, MemoryError)
 
 
+def _unusable(what: str, exc: Exception) -> PrerequisiteError:
+    """The error for a prerequisite that `exc` made unusable, naming `exc` by
+    its repr, or a MemoryError by numpy's own text ("Unable to allocate ...
+    for an array with shape ..."), which its repr leaves out."""
+    reason = str(exc) if isinstance(exc, MemoryError) and str(exc) else repr(exc)
+    return PrerequisiteError(f"{what} is unusable: {reason}")
+
+
 def _check_out_dir(out: Path) -> None:
     """Usage error unless the nearest existing ancestor of `out` (or `out`
     itself) is a directory, so that `out` can be made; creates nothing."""
@@ -115,7 +123,7 @@ def _load_weights(path, stages: int):
     try:
         weights = load_checkpoint(path)
     except _UNREADABLE as exc:
-        raise PrerequisiteError(f"checkpoint {path} is unusable: {exc!r}") from None
+        raise _unusable(f"checkpoint {path}", exc) from None
     missing = [s for s in range(stages) if s not in weights.completed_stages]
     if missing:
         raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
@@ -242,7 +250,7 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
         if dataset_checksum(dataset) != checksum:
             raise PrerequisiteError(f"dataset at {ddir} does not match its index checksum")
     except _UNREADABLE as exc:
-        raise PrerequisiteError(f"dataset at {ddir} is unusable: {exc!r}") from None
+        raise _unusable(f"dataset at {ddir}", exc) from None
     return dataset, checksum
 
 

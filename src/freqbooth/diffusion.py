@@ -12,17 +12,24 @@ positions.  Per block:
     h <- h + tanh(h @ ff_w1) @ ff_w2
 
 with a linear in/out projection and a fixed additive position code.  Forward
-and backward passes are hand-written over a (B, seq, C) stack of latents
-with one timestep per row and its `Conditions`: one text id per row and
-sparse stacks of identity and control, one entry per row that has them.  A
-single latent is a one-row stack, and the backward sums each weight
-gradient over the rows in row order.  The test suite checks every gradient
-against finite differences.
+and backward passes are hand-written over a (B, seq, C) stack of latents,
+one per row, under the stack's `Conditions` (one text id per row and sparse
+stacks of identity and control, one entry per row that has them) and its
+`TimeTerms`.  A single latent is a one-row stack, and the backward sums
+each weight gradient over the rows in row order.  The test suite checks
+every gradient against finite differences.
 
 What the conditions contribute to each block does not depend on the latent
 or the timestep: the text-embedding rows, the identity keys and values, and
 the control fields.  `project_conditions` computes them once, so a DDIM run
 projects them once for all its steps and a training batch once per forward.
+Nor does what the timesteps contribute depend on the latent: each block's
+time shift (the time features @ time_proj plus the row's text embedding)
+and gain.  `time_terms` builds them, for a DDIM run every step's at once
+before the first step, for a training batch once per forward.  The rows of
+a guided step share one latent, which the forward takes as is, projects
+through in_proj once and broadcasts over the rows.
+
 The forward writes each block temporary it owns in place.  The backward's
 products by the transposed `out_proj`, `ff_w2` and `ff_w1` run on the plain
 BLAS layout (`matmul_t`), and the control gate's gradient sums each row in
@@ -41,6 +48,7 @@ dataclasses are frozen, and parameters change only in place.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
@@ -116,8 +124,8 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
     ab_p = schedule.alpha_bar(t_prev)
     if ab_t <= 0.0:
         raise FloatingPointError(f"alpha_bar({t}) is zero; cannot recover x0")
-    x0 = (z_t - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-    return np.sqrt(ab_p) * x0 + np.sqrt(1.0 - ab_p) * eps_hat
+    x0 = (z_t - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
+    return math.sqrt(ab_p) * x0 + math.sqrt(1.0 - ab_p) * eps_hat
 
 
 def check_guidance(value: float) -> None:
@@ -346,30 +354,75 @@ def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
         fields=[ctrl_seq @ blk.ctrl_proj if crows else None for blk in w.blocks])
 
 
-def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, cond: Conditions):
-    """Predict noise tokens for a (B, seq, C) stack of latents with one
-    integer timestep per row and the stack's projected conditions; returns
-    (eps_seq, cache).  Each row's prediction equals the one-row call on it
-    bit for bit.
+@dataclass(frozen=True)
+class TimeTerms:
+    """What each block adds to and scales its rows by at their timesteps, as
+    `time_terms` builds them.  The axes before a stack's rows, if any, index
+    the steps of a run, and `step(m)` gives step m's terms."""
+    tfeat: np.ndarray        # (..., B or 1, 1, d_time) time features, one row per timestep
+    shift: list[np.ndarray]  # per block, (..., B, 1, d_model): tfeat @ time_proj + text row
+    gain: list[np.ndarray]   # per block, (..., B, 1, d_model): 1 + tfeat @ time_gain
+
+    def step(self, m: int) -> TimeTerms:
+        return TimeTerms(self.tfeat[m], [s[m] for s in self.shift], [g[m] for g in self.gain])
+
+
+def time_terms(w: ModelWeights, t, cond: Conditions) -> TimeTerms:
+    """Each block's time shift and gain for the rows of `cond`'s stack.
+
+    t holds integer timesteps whose last axis runs over the rows: one per
+    row, or one that every row shares.  Leading axes are steps, so a DDIM
+    run passes its S steps as an (S, 1) array and builds every step's terms
+    at once.  Each feature row is its own (1, d_time) matrix, since a 2-D
+    (N, d_time) GEMM would change the bits.  Shifts and gains hold one row
+    per row of the stack; rows at one timestep share their gain's bytes, as
+    a read-only broadcast view.
     """
     cfg = w.config
-    if not len(t) == len(cond.tids) == len(z_seq):
-        raise ValueError(f"a stack of {len(z_seq)} latents needs one timestep and text id "
-                         f"per row")
-    # one (1, d_time) matrix per row: a (B, d_time) GEMM would change the bits
-    tfeat = time_features(t, cfg.d_time, cfg.timesteps)[:, None, :]
+    t = np.asarray(t)
+    n = len(cond.tids)
+    if t.ndim < 1 or t.shape[-1] not in (1, n):
+        raise ValueError(f"a stack of {n} rows needs one timestep and text id per row, "
+                         f"got timesteps of shape {t.shape}")
+    tfeat = time_features(t[..., None], cfg.d_time, cfg.timesteps)
+    shift, gain = [], []
+    for blk, text in zip(w.blocks, cond.text):
+        shift.append(tfeat @ blk.time_proj + text)
+        g = tfeat @ blk.time_gain
+        g += 1.0
+        gain.append(g if g.shape == shift[-1].shape else np.broadcast_to(g, shift[-1].shape))
+    return TimeTerms(tfeat, shift, gain)
+
+
+def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, terms: TimeTerms, cond: Conditions):
+    """Predict noise tokens for the rows of `cond`'s stack at their time
+    terms (one step of `time_terms`); returns (eps_seq, cache).
+
+    z_seq is a (B, seq, C) stack of latents, one per row, or one (seq, C)
+    latent that every row shares: it is projected through in_proj once and
+    broadcast over the rows at block 0's time shift.  Each row's prediction
+    equals the one-row call on it bit for bit.
+    """
+    n, rows = len(cond.tids), terms.shift[0].shape[:-2]
+    if rows != (n,) or z_seq.ndim == 3 and len(z_seq) != n:
+        raise ValueError(f"latents {z_seq.shape[:-2]} and time terms {rows} under {n} text "
+                         f"ids: a stack needs one timestep and text id per row")
     crows = cond.crows
+    # a shared latent is projected once and broadcast over the rows into block
+    # 0's input, which is allocated first: made after the projection, it let
+    # glibc trim the heap and fault it back (a median of 2,466 minor faults
+    # per 20-step guided sample() over 16 fresh-process layouts, against 0)
+    h1 = np.empty((n,) + w.pos_code.shape) if z_seq.ndim == 2 else None
     h = z_seq @ w.in_proj
     h += w.pos_code
+    h = np.add(h, terms.shift[0], out=h if h1 is None else h1)
     caches = []
     for k, blk in enumerate(w.blocks):
         # every sum below goes into an array this block owns, its first summand
         # or a fresh product, which commutative IEEE addition leaves bit-equal
-        step_cond = tfeat @ blk.time_proj
-        step_cond += cond.text[k]
-        h += step_cond  # h1, the attention input
-        gain = tfeat @ blk.time_gain  # per-channel residual scale
-        gain += 1.0
+        if k:
+            h += terms.shift[k]  # h1, the attention input
+        gain = terms.gain[k]  # per-channel residual scale
         attn_out, acache = attention_forward(h, cond.identity[k], blk.attn)
         h3 = gain * attn_out
         h3 += h
@@ -381,7 +434,7 @@ def denoiser_forward(w: ModelWeights, z_seq: np.ndarray, t, cond: Conditions):
         h += h3
         caches.append(dict(acache=acache, h3=h3, gain=gain, attn_out=attn_out,
                            ff_act=ff_act))
-    cache = dict(w=w, z_seq=z_seq, tfeat=tfeat, cond=cond, h_final=h, caches=caches)
+    cache = dict(w=w, z_seq=z_seq, tfeat=terms.tfeat, cond=cond, h_final=h, caches=caches)
     return h @ w.out_proj, cache
 
 
@@ -463,16 +516,18 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
     return grads, didentity
 
 
-def predict_eps(w: ModelWeights, z_t: np.ndarray, t, cond: Conditions) -> np.ndarray:
-    """Noise prediction on a (B, C, h, w) stack of latents as one denoiser
-    batch, one timestep per row, under the stack's projected conditions."""
+def predict_eps(w: ModelWeights, z_t: np.ndarray, terms: TimeTerms,
+                cond: Conditions) -> np.ndarray:
+    """Noise prediction, (B, C, h, w), for the rows of `cond`'s stack at
+    their time terms, as one denoiser batch.  z_t is a (B, C, h, w) stack
+    of latents, one per row, or one (C, h, w) latent that every row shares."""
     hw = w.config.latent_hw
-    if z_t.ndim != 4 or z_t.shape[1:] != (w.config.latent_channels, hw, hw):
+    if z_t.ndim not in (3, 4) or z_t.shape[-3:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
-            f"latent shape {z_t.shape} does not match a stack for config "
-            f"(B, {w.config.latent_channels}, {hw}, {hw})"
+            f"latent shape {z_t.shape} matches neither a latent nor a stack for config "
+            f"([B,] {w.config.latent_channels}, {hw}, {hw})"
         )
-    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), t, cond)
+    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), terms, cond)
     return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
 
 
@@ -488,13 +543,15 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
 
     Identity features and the frequency control signal are computed once
     from the reference image, and the conditions projected once from them
-    and the text id, then held fixed across all steps.  Returns
-    (image, info) where image is the decoded (3, H, W) float array
-    (unclamped) and info records the run inputs.
+    and the text id, then held fixed across all steps.  The time terms of
+    every step are built once, before the first.  Returns (image, info)
+    where image is the decoded (3, H, W) float array (unclamped) and info
+    records the run inputs.
 
     A guided step runs the conditional branch (row 0, the one both
     conditions are on) and the unconditional branch as one stacked denoiser
-    forward, a (2, seq, d) batch.  At guidance weight 1 the unconditional
+    forward, a (2, seq, d) batch on the one latent, which goes through
+    in_proj once for both rows.  At guidance weight 1 the unconditional
     branch would not change the result, so it is skipped and the step runs
     the conditional branch alone.
     """
@@ -518,9 +575,10 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     cond = project_conditions(w, texts, identity, ctrl, identity_scale)
     z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
     taus = sampling_timesteps(schedule.timesteps, steps)
+    plan = time_terms(w, taus[1:, None], cond)  # step m - 1: every row at taus[m]
     for m in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps = predict_eps(w, np.stack([z] * len(texts)), [t] * len(texts), cond)
+        eps = predict_eps(w, z, plan.step(m - 1), cond)
         z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), t, t_prev, schedule)
 
     image = decode_latent(z, enc)

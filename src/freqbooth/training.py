@@ -49,7 +49,7 @@ from .dct_freq import MaskKind, make_control_signal
 from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         denoiser_backward, denoiser_forward, forward_noise, init_weights,
                         latent_to_seq, linear_schedule, predict_eps, project_conditions,
-                        sample)
+                        sample, time_terms)
 from .netpbm import decode_levels, ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
                                 reference_backward, reference_forward_train)
@@ -378,7 +378,8 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
         identity = (batch.ref[0], feats)
     cond = project_conditions(weights, batch.text_id, identity, batch.ctrl,
                               config.identity_scale)
-    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t, cond)
+    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t),
+                                        time_terms(weights, batch.t, cond), cond)
     diff = pred_seq - latent_to_seq(batch.eps)
     loss = sum((diff ** 2).mean(axis=(1, 2)).tolist()) / n  # the row means, summed in order
     if not compute_grads:
@@ -681,7 +682,7 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
         rows = slice(lo, min(lo + TrainConfig.batch_size, len(z0)))
         cond = project_conditions(weights, text_ids[rows], ctrl=None if ctrl is None
                                   else (range(rows.stop - lo), ctrl[rows]))
-        pred = predict_eps(weights, z_t[rows], ts[rows], cond)
+        pred = predict_eps(weights, z_t[rows], time_terms(weights, ts[rows], cond), cond)
         losses += [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps[rows])]
     return list(zip(ts, losses))
 

@@ -12,7 +12,8 @@ from freqbooth import training
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (cfg_combine, ddim_step, init_weights, linear_schedule,
-                                 predict_eps, project_conditions, sampling_timesteps)
+                                 predict_eps, project_conditions, sampling_timesteps,
+                                 time_terms)
 from freqbooth.netpbm import _read_tokens, quantize
 from freqbooth.reference_encoder import (build_encoders, decode_latent, encode_latent,
                                          reference_forward)
@@ -106,7 +107,7 @@ def predict_one(weights, z, t, text_id, feats=None, ctrl=None, scale=0.0):
     identity = None if feats is None else ([0], [f[None] for f in feats])
     cond = project_conditions(weights, [text_id], identity,
                               None if ctrl is None else ([0], ctrl[None]), scale)
-    return predict_eps(weights, z[None], [t], cond)[0]
+    return predict_eps(weights, z[None], time_terms(weights, [t], cond), cond)[0]
 
 
 def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,

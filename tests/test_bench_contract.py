@@ -124,7 +124,8 @@ def test_backward_results_have_the_shapes_grad_hooks_read():
     feats, rcache = reference_forward_train(ref, weights.projection, weights.id_heads(), enc)
     z = rng.normal(size=(2, cfg.latent_hw ** 2, cfg.latent_channels))
     cond = diffusion.project_conditions(weights, [0, None], ([0], feats), None, 0.4)
-    pred, cache = diffusion.denoiser_forward(weights, z, [5, 9], cond)
+    terms = diffusion.time_terms(weights, [5, 9], cond)
+    pred, cache = diffusion.denoiser_forward(weights, z, terms, cond)
     grads, didentity = diffusion.denoiser_backward(pred, cache, diffusion.PARAM_SETS)
     assert isinstance(grads, dict) and isinstance(didentity, list)
     assert set(grads) <= set(weights.params())

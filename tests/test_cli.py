@@ -22,7 +22,7 @@ from freqbooth.cli import PrerequisiteError, _keeps_nothing, load_dataset, main,
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
-    linear_schedule, predict_eps, project_conditions
+    linear_schedule, predict_eps, project_conditions, time_terms
 from freqbooth.netpbm import decode_levels, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
@@ -699,7 +699,7 @@ def test_ablate_masks_report(pipe, tmp_path):
             z_t = forward_noise(z0, t, eps, schedule)
             ctrl = None if kind is None else ([0], make_control_signal(z0[None], kind))
             cond = project_conditions(weights, [s.text_id], ctrl=ctrl)
-            pred = predict_eps(weights, z_t[None], [t], cond)[0]
+            pred = predict_eps(weights, z_t[None], time_terms(weights, [t], cond), cond)[0]
             losses.append(float(np.mean((pred - eps) ** 2)))
         assert row["recon_loss"] == float(np.mean(losses)), row["mask"]
 
@@ -1184,8 +1184,8 @@ def test_a_file_system_error_exits_2_and_writes_nothing(pipe, tmp_path, capsys, 
 # space, so it fails at once and touches no page.  A size a host might
 # allocate, or a huge count that allocates bit by bit, is never tried.
 @pytest.mark.parametrize("case, code, message", [
-    ("index", 3, "is unusable: MemoryError("),
-    ("checkpoint", 3, "is unusable: MemoryError("),
+    ("index", 3, "is unusable: Unable to allocate"),
+    ("checkpoint", 3, "is unusable: Unable to allocate"),
     ("gen-data", 2, "Unable to allocate"),
 ])
 def test_a_size_nothing_can_allocate_exits_with_one_line_and_writes_nothing(
@@ -1208,6 +1208,7 @@ def test_a_size_nothing_can_allocate_exits_with_one_line_and_writes_nothing(
     assert run(*argv, "--out-dir", tmp_path / "out") == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert "for an array with shape" in err, err  # numpy's own text, not the repr
     assert not (tmp_path / "out").exists()
     assert tree_bytes(tmp_path) == before
 

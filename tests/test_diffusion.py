@@ -11,7 +11,7 @@ import freqbooth.diffusion
 from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
                                  linear_schedule, predict_eps, project_conditions, sample,
-                                 sampling_timesteps, seq_to_latent)
+                                 sampling_timesteps, seq_to_latent, time_terms)
 from freqbooth.reference_encoder import build_encoders, encode_latent, reference_forward
 from freqbooth.tensor_core import RngState
 from freqbooth.training import load_checkpoint, save_checkpoint
@@ -284,8 +284,9 @@ def test_invalid_latents_and_text_ids_are_rejected(cfg):
     with pytest.raises(ValueError, match="latent shape"):
         predict_one(weights, np.zeros((4, 3, 3)), 5, None)
     with pytest.raises(ValueError, match="latent shape"):
-        # a latent, not a stack
-        predict_eps(weights, rand_latent(cfg, 16), [5], project_conditions(weights, [None]))
+        # one latent plane, neither a latent nor a stack
+        cond = project_conditions(weights, [None])
+        predict_eps(weights, rand_latent(cfg, 16)[0], time_terms(weights, [5], cond), cond)
     with pytest.raises(ValueError, match="text id"):
         predict_one(weights, rand_latent(cfg, 16), 5, 11)
     # int() would take each to text 1
@@ -423,22 +424,29 @@ def test_sample_images_are_pinned(live_toy_weights, toy_enc, mask, identity_scal
 
 
 def test_a_guided_step_runs_one_denoiser_forward(cfg, schedule, enc, monkeypatch):
-    calls = {"denoiser_forward": 0, "reference_forward": 0}
+    """A run builds its time features once; each step runs one prediction,
+    one denoiser forward and one DDIM update, guided or not."""
+    names = ("time_features", "predict_eps", "denoiser_forward", "ddim_step",
+             "reference_forward")
+    calls = {}
 
     def counting(name):
         real = getattr(freqbooth.diffusion, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(freqbooth.diffusion, name, counted)
 
-    counting("denoiser_forward")
-    counting("reference_forward")
+    for name in names:
+        counting(name)
     weights = init_weights(cfg, 18)
-    sample(weights, enc, schedule, RngState(2), ref_img=make_ref(cfg, 5), text_id=0,
-           steps=5, guidance=3.0, identity_scale=0.4)
-    assert calls == {"denoiser_forward": 5, "reference_forward": 1}
+    for guidance in (1.0, 3.0):
+        calls.update(dict.fromkeys(names, 0))
+        sample(weights, enc, schedule, RngState(2), ref_img=make_ref(cfg, 5), text_id=0,
+               steps=5, guidance=guidance, identity_scale=0.4)
+        assert calls == {"time_features": 1, "predict_eps": 5, "denoiser_forward": 5,
+                         "ddim_step": 5, "reference_forward": 1}, guidance
 
 
 def test_control_conditioning_requires_a_reference(cfg, schedule, enc):
@@ -517,17 +525,37 @@ def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, 
     identity = (irows, [np.stack([f[k] for f in ifeats]) for k in range(cfg.n_blocks)])
     crows, cstack = sparse(row_ctrls)
     z = np.stack([latent_to_seq(rand_latent(cfg, 20 + i)) for i in range(len(rows))])
-    stacked, cache = denoiser_forward(
-        weights, z, ts, project_conditions(weights, texts, identity, (crows, np.stack(cstack)),
-                                           0.6))
+    cond = project_conditions(weights, texts, identity, (crows, np.stack(cstack)), 0.6)
+    stacked, cache = denoiser_forward(weights, z, time_terms(weights, ts, cond), cond)
     assert cache is not None and len(cache["caches"]) == cfg.n_blocks
     for i, (t, text_id, f, c) in enumerate(rows):
-        alone, _ = denoiser_forward(weights, z[i:i + 1], [t], project_conditions(
+        alone = project_conditions(
             weights, [text_id], None if f is None else ([0], [x[None] for x in f]),
-            None if c is None else ([0], c[None]), 0.6))
+            None if c is None else ([0], c[None]), 0.6)
+        alone, _ = denoiser_forward(weights, z[i:i + 1], time_terms(weights, [t], alone), alone)
         assert np.array_equal(stacked[i], alone[0]), i
+    pair = project_conditions(weights, [0, None])
     with pytest.raises(ValueError, match="one timestep and text id per row"):
-        denoiser_forward(weights, z, [37] * 2, project_conditions(weights, [0, None]))
+        denoiser_forward(weights, z, time_terms(weights, [37] * 2, pair), pair)
+    with pytest.raises(ValueError, match="one timestep and text id per row"):
+        time_terms(weights, [37] * 3, pair)
+
+    # one latent shared by the rows of a 2- and a 4-row stack, each with and
+    # without its identity and control rows, at one timestep and at one per row
+    shared = rand_latent(cfg, 24)
+    stacks = [(([0, None], ts[:2]), ([0], [f[:1] for f in identity[1]]), ([0], cstack[0][None])),
+              ((texts, ts), identity, (crows, np.stack(cstack)))]
+    for (row_texts, row_ts), ident, ctrl in stacks:
+        n = len(row_texts)
+        for ident, ctrl in ((None, None), (ident, ctrl)):
+            cond = project_conditions(weights, row_texts, ident, ctrl, 0.6)
+            for t in ([120], row_ts):
+                terms = time_terms(weights, t, cond)
+                copies = predict_eps(weights, np.stack([shared] * n), terms, cond)
+                assert np.array_equal(predict_eps(weights, shared, terms, cond), copies), n
+            for other in {1, 3, 5} - {n}:
+                with pytest.raises(ValueError, match="one timestep and text id per row"):
+                    predict_eps(weights, np.stack([shared] * other), terms, cond)
     with pytest.raises(ValueError, match="increasing rows"):
         project_conditions(weights, texts, None, (crows[::-1], np.stack(cstack)), 0.6)
     with pytest.raises(ValueError, match="one entry per row"):

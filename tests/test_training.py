@@ -15,7 +15,8 @@ from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
-                                 linear_schedule, predict_eps, project_conditions, sample)
+                                 linear_schedule, predict_eps, project_conditions, sample,
+                                 time_terms)
 from freqbooth.netpbm import decode_levels, quantize
 from freqbooth.reference_encoder import (build_encoders, encode_latent,
                                          reference_backward, reference_forward_train)
@@ -497,7 +498,7 @@ def full_backward_grads(weights, enc, prepared, scale):
             ctrl = ([0], ctrls[i][None])
         cond = project_conditions(weights, [prepared.text_id[i]], identity, ctrl, scale)
         pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t[i:i + 1]),
-                                       [prepared.t[i]], cond)
+                                       time_terms(weights, [prepared.t[i]], cond), cond)
         diff = pred - latent_to_seq(prepared.eps[i:i + 1])
         grads, didentity = denoiser_backward((2.0 / (diff.size * n)) * diff,
                                              cache, PARAM_SETS)
@@ -582,7 +583,8 @@ def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
     loss, grads = batch_loss(weights, enc, prepared, stage_config(2))
 
     cond = project_conditions(weights, prepared.text_id, None, prepared.ctrl)
-    pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t), prepared.t, cond)
+    pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t),
+                                   time_terms(weights, prepared.t, cond), cond)
     diff = pred - latent_to_seq(prepared.eps)
     n = len(diff)
     assert loss == sum(float(np.mean(d ** 2)) for d in diff) / n
@@ -599,8 +601,9 @@ def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
 def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
     weights = random_point(tiny_cfg, 3)
     batch = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
-    pred, cache = denoiser_forward(weights, latent_to_seq(batch.z_t), batch.t,
-                                   project_conditions(weights, batch.text_id, None, batch.ctrl))
+    cond = project_conditions(weights, batch.text_id, None, batch.ctrl)
+    pred, cache = denoiser_forward(weights, latent_to_seq(batch.z_t),
+                                   time_terms(weights, batch.t, cond), cond)
     # a bare string would otherwise iterate as letters and train nothing
     for sets in ("control", ("controls",)):
         with pytest.raises(ValueError, match="unknown parameter sets"):
@@ -882,8 +885,8 @@ def test_held_out_losses_score_the_first_test_examples_in_order(tiny_trained, ti
             eps = rng.normal(z0.shape)
             ctrl = None if kind is None else ([0], make_control_signal(z0[None], kind))
             cond = project_conditions(weights, [example.text_id], ctrl=ctrl)
-            pred = predict_eps(weights, forward_noise(z0, t, eps, tiny_schedule)[None], [t],
-                               cond)[0]
+            pred = predict_eps(weights, forward_noise(z0, t, eps, tiny_schedule)[None],
+                               time_terms(weights, [t], cond), cond)[0]
             expected.append((t, float(np.mean((pred - eps) ** 2))))
         for size in (1, n_test - 3, n_test, n_test + 5):
             records = held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, size,
