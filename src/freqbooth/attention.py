@@ -117,8 +117,12 @@ def softmax_attention_backward(do: np.ndarray, q: np.ndarray, k: np.ndarray,
     dv = a.swapaxes(-1, -2) @ do
     ds -= (ds * a).sum(axis=-1, keepdims=True)
     ds *= a  # IEEE products commute: the bits of a * (ds - ...)
-    dq = ds @ k * inv if need_dq else None
-    dk = ds.swapaxes(-1, -2) @ q * inv
+    dq = None
+    if need_dq:
+        dq = ds @ k
+        dq *= inv
+    dk = ds.swapaxes(-1, -2) @ q
+    dk *= inv
     return dq, dk, dv
 
 

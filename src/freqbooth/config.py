@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,10 @@ class ModelConfig:
     timesteps: int = 200
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{field.name} must be an integer >= 1, got {value!r}")
         if self.image_size % self.patch != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch {self.patch}"

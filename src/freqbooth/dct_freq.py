@@ -15,7 +15,8 @@ thresholds are deliberately not rescaled with resolution; small grids make
 some bands degenerate (all-ones or empty) and the range 40 < u+v < 50 is
 covered by no band at all.  Both facts are surfaced by helpers below rather
 than papered over.  `build_mask` returns the mask itself: a read-only uint8
-(h, w) array, 1 where the band keeps the coefficient.
+(h, w) array, 1 where the band keeps the coefficient, built once per
+(kind, h, w) and shared.
 """
 
 from __future__ import annotations
@@ -73,10 +74,15 @@ def idct2(spectrum: np.ndarray) -> np.ndarray:
 
 def build_mask(kind: MaskKind, h: int, w: int) -> np.ndarray:
     """Read-only uint8 (h, w) mask over (u, v), 1 where the band keeps the
-    coefficient, selecting one frequency band by index sum."""
+    coefficient, selecting one frequency band by index sum.  A kind given
+    by name or by member gives the one array cached for its (kind, h, w)."""
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be >= 1, got {h}x{w}")
-    kind = MaskKind(kind)
+    return _band_mask(MaskKind(kind), h, w)
+
+
+@lru_cache(maxsize=32)
+def _band_mask(kind: MaskKind, h: int, w: int) -> np.ndarray:
     mini_max, low_max, mid_max, high_min = DEFAULT_THRESHOLDS
     s = np.arange(h)[:, None] + np.arange(w)[None, :]
     if kind is MaskKind.MINI:

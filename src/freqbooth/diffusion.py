@@ -106,8 +106,11 @@ def forward_noise(z0: np.ndarray, t, eps: np.ndarray,
     timestep, or one per row of a stack."""
     if z0.shape != eps.shape:
         raise ValueError(f"shape mismatch: z0 {z0.shape} vs eps {eps.shape}")
-    ab = np.reshape([schedule.alpha_bar(s) for s in np.ravel(t)],
-                    np.shape(t) + (1,) * (z0.ndim - np.ndim(t)))
+    t = np.asarray(t)
+    outside = (t < 0) | (t > schedule.timesteps)
+    if outside.any():
+        raise ValueError(f"timestep {t[outside][0]} outside [0, {schedule.timesteps}]")
+    ab = np.reshape(schedule.alpha_bars[t], t.shape + (1,) * (z0.ndim - t.ndim))
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -474,7 +477,10 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
         p = f"blocks.{k}."
         need_dh1 = k > 0 or backbone
         # feed-forward residual
-        dff_pre = matmul_t(dh, blk.ff_w2) * (1.0 - c["ff_act"] ** 2)
+        dff_pre = matmul_t(dh, blk.ff_w2)
+        dtanh = c["ff_act"] ** 2
+        dff_pre *= np.subtract(1.0, dtanh, out=dtanh)  # the tanh derivative, in place
+        del dtanh  # freed before the attention backward, the step's widest point
         if backbone:
             grads[p + "ff_w2"] = row_summed_grad(c["ff_act"], dh)
             grads[p + "ff_w1"] = row_summed_grad(c["h3"], dff_pre)

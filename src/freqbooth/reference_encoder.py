@@ -5,9 +5,11 @@ generation-branch attention block.  The pooler is the same single-head
 softmax-attention kernel as both terms of adaptive attention
 (`attention.softmax_attention`), with learned queries over the tokens.
 
-The branch runs on a stack of noise-free reference images, once per training
-batch over its referenced rows and once per sampling run; the backward sums
-each weight gradient over the rows in row order.
+The branch runs on the frozen tokens of a stack of noise-free reference
+images.  Their tokens are fixed, so training tokenizes each reference once
+per run and the branch runs once per training batch over its referenced
+rows; `reference_forward` tokenizes and runs it once per sampling run.  The
+backward sums each weight gradient over the rows in row order.
 
 Codec
 -----
@@ -157,16 +159,15 @@ def project_identity_backward(dpooled: np.ndarray, cache):
     }
 
 
-def reference_forward_train(img: np.ndarray, proj: ProjectionWeights,
-                            heads: list[np.ndarray], enc: FrozenEncoders):
-    """Reference branch forward over (R, 3, H, W) references, with cache
-    kept for backprop.
+def reference_forward_train(tokens: np.ndarray, proj: ProjectionWeights,
+                            heads: list[np.ndarray]):
+    """Reference branch forward over the (R, n_tokens, d_tok) frozen tokens
+    of R references (`extract_tokens`), with cache kept for backprop.
 
     Returns (per-block (R, n_query, d_id) identity features, cache).  Only
-    the patch tokenizer and the pooler run; the latent that feeds frequency
-    control is encoded separately (`encode_latent`) and carries no gradient.
+    the pooler and the heads run; the latent that feeds frequency control
+    is encoded separately (`encode_latent`) and carries no gradient.
     """
-    tokens = extract_tokens(img, enc)
     pooled, pcache = project_identity_forward(tokens, proj)
     feats = [pooled @ h for h in heads]
     return feats, dict(pooled=pooled, pcache=pcache, heads=heads)
@@ -184,5 +185,6 @@ def reference_backward(dfeats: list[np.ndarray], cache):
 
 def reference_forward(img: np.ndarray, proj: ProjectionWeights,
                       heads: list[np.ndarray], enc: FrozenEncoders) -> list[np.ndarray]:
-    """Per-block identity features for reference image(s) (no backprop cache)."""
-    return reference_forward_train(img, proj, heads, enc)[0]
+    """Per-block identity features for reference image(s): their tokens
+    through `reference_forward_train`, without the backprop cache."""
+    return reference_forward_train(extract_tokens(img, enc), proj, heads)[0]

@@ -15,9 +15,12 @@ background classes), the orientation-histogram identity metric, JSON
 checkpoints, and a finite-difference gradient check used as the training
 oracle.  A dataset holds each split as the 8-bit levels its PPM files
 store; an image is decoded to floats only where it is read, a training
-batch with one divide, and only a stage-1 step decodes its batch's
-references.  The test references, which every sampling trial reads, are
-decoded once, on first read.
+batch with one divide.  A stage-1 run reads its references only through
+the frozen tokenizer, whose tokens are the same at every step: `train`
+decodes and tokenizes every train reference once per run, in stacks of at
+most a batch, and each step gathers the tokens of its referenced rows.  The
+test references, which every sampling trial reads, are decoded once, on
+first read.
 
 The one evaluation path, for the CLI and any script alike: `draw_trials`
 draws guided samples and scores them against their references,
@@ -51,7 +54,7 @@ from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
                         latent_to_seq, linear_schedule, predict_eps, project_conditions,
                         sample, time_terms)
 from .netpbm import decode_levels, ppm_levels, quantize
-from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent,
+from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent, extract_tokens,
                                 reference_backward, reference_forward_train)
 from .tensor_core import RngState
 
@@ -132,8 +135,9 @@ class Dataset:
     its P6 files store after their headers, one byte per level.  Images are
     decoded only where they are read, by `decode_levels`, the decoder
     `read_ppm` runs, so an image read from its file has the same bits: a
-    training step decodes its own batch's images and, at stage 1, their
-    references.  The one decoded copy kept is `test_refs`, on first read."""
+    training step decodes its own batch's images, and a stage-1 run each
+    reference once, to tokenize it.  The one decoded copy kept is
+    `test_refs`, on first read."""
     spec: ToyDatasetSpec
     seed: int
     train_levels: np.ndarray
@@ -322,8 +326,8 @@ def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
 @dataclass
 class PreparedBatch:
     """One noised training batch: a row per example.  ref and ctrl are None
-    or (rows, stack), increasing row numbers and one reference image or
-    control latent for each."""
+    or (rows, stack), increasing row numbers and, for each, the frozen
+    tokens of its reference (`extract_tokens`) or its control latent."""
     z_t: np.ndarray  # (B, C, h, w)
     t: list[int]
     eps: np.ndarray  # (B, C, h, w)
@@ -337,11 +341,12 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: Sample, refs: np.ndarray | None, schedule: NoiseSchedule, rng: RngState,
-             enc: FrozenEncoders, config: TrainConfig, cond_dropout: float) -> PreparedBatch:
+def _prepare(batch: Sample, ref_tokens: np.ndarray | None, schedule: NoiseSchedule,
+             rng: RngState, enc: FrozenEncoders, config: TrainConfig,
+             cond_dropout: float) -> PreparedBatch:
     """Noise a stacked `batch` (see `Sample`) for one step of `config`'s
-    stage.  `refs` is the batch's reference stack, one row per example, or
-    None; stage 1 keeps the references of the rows it keeps."""
+    stage.  `ref_tokens` is None or the run's reference tokens, one
+    reference per identity id; stage 1 gathers those of the rows it keeps."""
     stage = config.stage
     z0 = encode_latent(batch.image, enc)
     # each example in turn draws its timestep, its noise and a dropout value;
@@ -353,13 +358,14 @@ def _prepare(batch: Sample, refs: np.ndarray | None, schedule: NoiseSchedule, rn
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
         text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
-        ref=(rows, refs[rows]) if stage == 1 and rows else None,
+        ref=(rows, ref_tokens[np.asarray(batch.identity_id)[rows]])
+        if stage == 1 and rows else None,
         ctrl=(range(len(z0)), make_control_signal(z0, config.mask_kind))
         if stage == 2 else None)
 
 
-def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
-               config: TrainConfig, compute_grads: bool = True):
+def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
+               compute_grads: bool = True):
     """Mean-squared noise-prediction error and analytic gradients of the
     trainable set of `config`'s stage, at `config.identity_scale`.
 
@@ -374,7 +380,7 @@ def batch_loss(weights: ModelWeights, enc: FrozenEncoders, batch: PreparedBatch,
     # scale 0 runs no cross term, as in `sample`; only a stage-1 config holds another
     if batch.ref is not None and config.identity_scale != 0.0:
         feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
-                                                weights.id_heads(), enc)
+                                                weights.id_heads())
         identity = (batch.ref[0], feats)
     cond = project_conditions(weights, batch.text_id, identity, batch.ctrl,
                               config.identity_scale)
@@ -552,22 +558,29 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     adam = init_adam(params, weights.names_in_set(trainable))
     rng = RngState(config.seed).derive(("train", stage))
 
-    def stage_loss(batch, compute_grads=True):
-        # passed inline, so the decoded stack is freed once `_prepare` has copied its kept rows
-        prepared = _prepare(batch, decode_levels(dataset.train_ref_levels[batch.identity_id])
-                            if stage == 1 else None, schedule, rng, enc, config, COND_DROPOUT)
-        return batch_loss(weights, enc, prepared, config, compute_grads)
-
     t_start = time.perf_counter()
+    ref_tokens = None
+    if stage == 1:
+        # a reference's tokens are the same at every step: tokenize each once,
+        # decoding at most a batch of references at a time
+        levels, size = dataset.train_ref_levels, config.batch_size
+        ref_tokens = np.concatenate([extract_tokens(decode_levels(levels[lo:lo + size]), enc)
+                                     for lo in range(0, len(levels), size)])
+
+    def stage_loss(compute_grads=True):
+        # the drawn images are freed once `_prepare` has noised their latents
+        prepared = _prepare(_draw_batch(dataset, rng, config.batch_size), ref_tokens, schedule,
+                            rng, enc, config, COND_DROPOUT)
+        return batch_loss(weights, prepared, config, compute_grads)
+
     losses: list[float] = []
     if config.steps == 0:
-        batch = _draw_batch(dataset, rng, config.batch_size)
-        initial = final = stage_loss(batch, compute_grads=False)[0]
+        initial = final = stage_loss(compute_grads=False)[0]
     else:
         # the checks below name any overflow, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(config.steps):
-                loss, grads = stage_loss(_draw_batch(dataset, rng, config.batch_size))
+                loss, grads = stage_loss()
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
                 if losses and loss > DIVERGENCE_FACTOR * losses[0]:
@@ -814,12 +827,14 @@ def gradient_check(stage: int, seed: int) -> dict:
     batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)])
     run = TrainConfig(stage=stage, steps=0, identity_scale=0.4,
                       mask_kind=MaskKind.LOW if stage == 2 else None)
-    prepared = _prepare(batch, np.stack(refs), schedule, rng.derive("noise"), enc, run, 0.0)
+    # the batch's identity ids are its row numbers, so row i's tokens are refs[i]'s
+    prepared = _prepare(batch, extract_tokens(np.stack(refs), enc), schedule,
+                        rng.derive("noise"), enc, run, 0.0)
 
     def loss_only():
-        return batch_loss(weights, enc, prepared, run, compute_grads=False)[0]
+        return batch_loss(weights, prepared, run, compute_grads=False)[0]
 
-    loss, grads = batch_loss(weights, enc, prepared, run)
+    loss, grads = batch_loss(weights, prepared, run)
 
     params = weights.params()
     per_param: dict[str, float] = {}

@@ -19,7 +19,7 @@ import pytest
 from freqbooth import cli, diffusion, training
 from freqbooth.config import tiny_config
 from freqbooth.netpbm import quantize
-from freqbooth.reference_encoder import (build_encoders, reference_backward,
+from freqbooth.reference_encoder import (build_encoders, extract_tokens, reference_backward,
                                          reference_forward_train)
 from freqbooth.tensor_core import RngState
 from freqbooth.training import TrainConfig
@@ -121,7 +121,8 @@ def test_backward_results_have_the_shapes_grad_hooks_read():
     weights = diffusion.init_weights(cfg, 0)
     rng = np.random.default_rng(0)
     ref = rng.uniform(size=(1, 3, cfg.image_size, cfg.image_size))
-    feats, rcache = reference_forward_train(ref, weights.projection, weights.id_heads(), enc)
+    feats, rcache = reference_forward_train(extract_tokens(ref, enc), weights.projection,
+                                            weights.id_heads())
     z = rng.normal(size=(2, cfg.latent_hw ** 2, cfg.latent_channels))
     cond = diffusion.project_conditions(weights, [0, None], ([0], feats), None, 0.4)
     terms = diffusion.time_terms(weights, [5, 9], cond)

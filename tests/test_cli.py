@@ -342,6 +342,36 @@ def test_a_checkpoint_whose_completed_stages_are_not_a_prefix_exits_3(pipe, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("timesteps", 100.5, "timesteps must be an integer >= 1, got 100.5"),
+    ("timesteps", 0, "timesteps must be an integer >= 1, got 0"),
+    ("d_ff", 0, "d_ff must be an integer >= 1, got 0"),
+    ("n_blocks", True, "n_blocks must be an integer >= 1, got True"),
+    ("d_model", "32", "d_model must be an integer >= 1, got '32'"),
+], ids=["fractional-timesteps", "zero-timesteps", "zero-d_ff", "bool-n_blocks",
+        "string-d_model"])
+def test_a_checkpoint_config_field_that_is_not_a_positive_int_exits_3(pipe, tmp_path, capsys,
+                                                                      field, value, message):
+    """Every model config field is an int >= 1, checked as the checkpoint
+    loads: one line naming the checkpoint, no traceback or numpy warning,
+    and nothing written."""
+    payload = read_json(pipe / "checkpoint_stage0.json")
+    payload["config"][field] = value
+    ckpt = tmp_path / "checkpoint_stage0.json"
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--out-dir", out, "--data-dir", pipe / "dataset", "--checkpoint",
+                   ckpt, "--stage", 1, "--steps", 2) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} is unusable: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
 def test_train_zero_steps_leaves_weights_at_init(pipe, tmp_path):
     assert run("train", "--out-dir", tmp_path, "--data-dir", pipe / "dataset",
                "--stage", 0, "--steps", 0) == 0

@@ -195,6 +195,16 @@ def test_band_energy_nesting():
         assert np.sum(mini ** 2) <= np.sum(low ** 2)
 
 
+def test_a_mask_is_one_shared_read_only_array_per_kind_and_size():
+    low = build_mask(MaskKind.LOW, 8, 8)
+    assert build_mask("low", 8, 8) is low
+    assert build_mask(MaskKind.LOW, 8, 4) is not low
+    assert build_mask(MaskKind.MINI, 8, 8) is not low
+    with pytest.raises(ValueError, match="read-only"):
+        low[0, 0] = 0
+    assert np.array_equal(low, enumerate_bits(MaskKind.LOW, 8, 8))
+
+
 def test_mask_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         build_mask(MaskKind.LOW, 0, 4)

@@ -96,6 +96,25 @@ def test_forward_noise_shape_check(cfg, schedule):
         forward_noise(np.zeros((4, 2, 2)), 1, np.zeros((4, 2, 3)), schedule)
 
 
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("bad", [-1, "T+1"])
+def test_forward_noise_rejects_a_timestep_outside_the_schedule_in_any_row(cfg, schedule,
+                                                                        row, bad):
+    """ᾱ is gathered in one indexing call, where -1 would silently read
+    ᾱ_T; the range check ahead of it names the timestep instead."""
+    bad = schedule.timesteps + 1 if bad == "T+1" else bad
+    z0 = np.stack([rand_latent(cfg, k) for k in range(3)])
+    t = [5, 9, 13]
+    t[row] = bad
+    with pytest.raises(ValueError, match=rf"timestep {bad} outside \[0, {schedule.timesteps}\]"):
+        forward_noise(z0, t, np.zeros_like(z0), schedule)
+    with pytest.raises(ValueError, match=rf"timestep {bad} outside"):
+        forward_noise(z0[row], bad, z0[row], schedule)
+    t[row] = schedule.timesteps
+    got = forward_noise(z0, t, np.zeros_like(z0), schedule)
+    assert np.array_equal(got[row], np.sqrt(schedule.alpha_bar(schedule.timesteps)) * z0[row])
+
+
 # ---------------------------------------------------------------------------
 # deterministic stepping
 

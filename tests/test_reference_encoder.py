@@ -170,7 +170,7 @@ def test_zero_image_with_zero_value_maps_gives_zero_features(enc):
                              w_key=rng.normal(size=(cfg.d_tok, cfg.d_query)),
                              w_value=np.zeros((cfg.d_tok, cfg.d_id)))
     heads = [rng.normal(size=(cfg.d_id, cfg.d_id)) for _ in range(2)]
-    feats, _ = reference_forward_train(np.zeros((3, 32, 32)), proj, heads, enc)
+    feats = reference_forward(np.zeros((3, 32, 32)), proj, heads, enc)
     assert len(feats) == 2
     assert all(not f.any() for f in feats)
 
@@ -189,7 +189,7 @@ def test_reference_forward_matches_the_training_forward(enc):
     rng = np.random.default_rng(12)
     img = rng.uniform(size=(3, 32, 32))
     plain = reference_forward(img, proj, heads, enc)
-    trained, _ = reference_forward_train(img, proj, heads, enc)
+    trained, _ = reference_forward_train(extract_tokens(img, enc), proj, heads)
     assert all(np.array_equal(a, b) for a, b in zip(plain, trained))
 
     # a 3-row stack, one reference repeated: each row of the features and
@@ -197,11 +197,12 @@ def test_reference_forward_matches_the_training_forward(enc):
     other = rng.uniform(size=(3, 32, 32))
     stack = np.stack([img, other, img])
     dfeats = [rng.normal(size=(3, cfg.n_query, cfg.d_id)) for _ in heads]
-    feats, cache = reference_forward_train(stack, proj, heads, enc)
+    tokens = extract_tokens(stack, enc)
+    feats, cache = reference_forward_train(tokens, proj, heads)
     grads = reference_backward(dfeats, cache)
     want = None
     for i in range(len(stack)):
-        row_feats, row_cache = reference_forward_train(stack[i:i + 1], proj, heads, enc)
+        row_feats, row_cache = reference_forward_train(tokens[i:i + 1], proj, heads)
         assert all(np.array_equal(f[i], g[0]) for f, g in zip(feats, row_feats)), i
         row = reference_backward([d[i:i + 1] for d in dfeats], row_cache)
         if want is None:

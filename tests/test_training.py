@@ -18,7 +18,7 @@ from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward
                                  linear_schedule, predict_eps, project_conditions, sample,
                                  time_terms)
 from freqbooth.netpbm import decode_levels, quantize
-from freqbooth.reference_encoder import (build_encoders, encode_latent,
+from freqbooth.reference_encoder import (build_encoders, encode_latent, extract_tokens,
                                          reference_backward, reference_forward_train)
 from freqbooth.tensor_core import RngState
 from freqbooth.training import (COND_DROPOUT, IMAGE_FIELDS, STAGE_SETS, PreparedBatch,
@@ -177,8 +177,8 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
     """A training batch gathers its rows' levels and decodes them with one
     divide, bit for bit the `np.stack` of the rows' float images (pinned
     above), and stacks their context classes.  Only a stage-1 `_prepare`
-    keeps the rows' references: at cond dropout 0 every row keeps its
-    own, and stages 0 and 2 keep none."""
+    keeps the tokens of the rows' references: at cond dropout 0 every row
+    keeps its own, and stages 0 and 2 keep none."""
     ds = default_dataset
     images = decode_levels(ds.train_levels)
     rng, replay = RngState(7), RngState(7)
@@ -193,14 +193,14 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
         assert ds.train_sample(row).image.tobytes() == batch.image[i].tobytes()
     enc = build_encoders(toy_cfg)
     schedule = linear_schedule(toy_cfg.timesteps)
-    refs = decode_levels(ds.train_ref_levels)
+    tokens = run_tokens(ds, enc)
     for stage in (0, 1, 2):
-        prepared = _prepare(batch, batch_refs(ds, batch), schedule, RngState(stage), enc,
+        prepared = _prepare(batch, tokens, schedule, RngState(stage), enc,
                             stage_config(stage), 0.0)
         if stage == 1:
             assert prepared.ref[0] == list(range(4))
             assert prepared.ref[1].tobytes() == \
-                np.stack([refs[k] for k in idents]).tobytes()
+                np.stack([tokens[k] for k in idents]).tobytes()
         else:
             assert prepared.ref is None
 
@@ -208,40 +208,58 @@ def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_
 def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc):
     s = tiny_dataset.train_sample(5)
     assert s.identity_id == 5 % tiny_dataset.spec.n_identities
-    refs = decode_levels(tiny_dataset.train_ref_levels)
-    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), refs[[s.identity_id]],
+    tokens = run_tokens(tiny_dataset, tiny_enc)
+    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), tokens,
                         tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
-    assert np.array_equal(prepared.ref[1][0], refs[s.identity_id])
+    assert np.array_equal(prepared.ref[1][0], tokens[s.identity_id])
 
 
-def test_a_training_step_decodes_only_its_batch_references(monkeypatch, tiny_schedule,
-                                                           tiny_enc, tiny_cfg):
-    """A stage-1 `_prepare` keeps the references of its kept rows, here with
-    an interior row dropped, bit for bit the decoded reference of each kept
-    row's identity; `train` passes a batch's own references at stage 1 and
-    none at stages 0 and 2, and the dataset caches no decoded reference."""
+def test_a_stage1_run_tokenizes_each_reference_once(monkeypatch, tiny_schedule, tiny_enc,
+                                                    tiny_cfg):
+    """A stage-1 `train` decodes and tokenizes the train references once per
+    run, in consecutive stacks of at most a batch, whatever its step count.
+    Each step's kept rows, here with an interior row dropped, get bit for
+    bit the tokens of their identity's reference tokenized alone; stages 0
+    and 2 get no tokens, and the dataset caches no decoded reference."""
     ds = generate_dataset(SMALL_SPEC, 0)
-    refs = decode_levels(ds.train_ref_levels)
+    n = ds.spec.n_identities
+    alone = [extract_tokens(decode_levels(ds.train_ref_levels[k]), tiny_enc) for k in range(n)]
     batch = ds.train_sample(np.array([6, 1, 3, 7]))
-    idents = np.asarray(batch.identity_id)
-    prepared = _prepare(batch, batch_refs(ds, batch), tiny_schedule, RngState(13), tiny_enc,
+    prepared = _prepare(batch, run_tokens(ds, tiny_enc), tiny_schedule, RngState(13), tiny_enc,
                         stage_config(1), COND_DROPOUT)
     assert prepared.ref[0] == [0, 1, 3]
-    assert prepared.ref[1].tobytes() == refs[idents[[0, 1, 3]]].tobytes()
+    assert prepared.ref[1].tobytes() == \
+        np.stack([alone[batch.identity_id[i]] for i in (0, 1, 3)]).tobytes()
 
-    calls = recording(monkeypatch, training, "_prepare")
+    real_prepare, steps = training._prepare, []
+
+    def prepare(batch, ref_tokens, *args):
+        prepared = real_prepare(batch, ref_tokens, *args)
+        steps.append((batch, ref_tokens, prepared))
+        return prepared
+
+    monkeypatch.setattr(training, "_prepare", prepare)
+    tokenized = recording(monkeypatch, training, "extract_tokens")
     weights = init_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
-        calls.clear()
-        train(TrainConfig(stage=stage, steps=2, mask_kind=MaskKind.LOW if stage == 2 else None),
-              ds, weights, tiny_schedule, tiny_enc)
-        assert len(calls) == 2
-        for call in calls:
-            if stage == 1:
-                want = refs[np.asarray(call["batch"].identity_id)]
-                assert call["refs"].tobytes() == want.tobytes()
-            else:
-                assert call["refs"] is None
+        for n_steps, batch_size in ((0, 4), (2, 3), (5, 1)):
+            steps.clear()
+            tokenized.clear()
+            train(TrainConfig(stage=stage, steps=n_steps, batch_size=batch_size,
+                              mask_kind=MaskKind.LOW if stage == 2 else None),
+                  ds, weights, tiny_schedule, tiny_enc)
+            assert len(steps) == max(n_steps, 1)
+            stacks = [len(call["img"]) for call in tokenized]
+            if stage != 1:
+                assert stacks == []
+                assert all(tokens is None and p.ref is None for _, tokens, p in steps)
+                continue
+            assert stacks == [min(batch_size, n - lo) for lo in range(0, n, batch_size)]
+            assert len(stacks) == -(-n // batch_size)
+            for batch, _, p in steps:
+                if p.ref is not None:
+                    for row, got in zip(*p.ref):
+                        assert got.tobytes() == alone[batch.identity_id[row]].tobytes()
     assert not hasattr(ds, "train_refs")
     assert "test_refs" not in vars(ds)
 
@@ -355,14 +373,14 @@ def stage_config(stage, identity_scale=1.0):
                        mask_kind=MaskKind.LOW if stage == 2 else None)
 
 
-def batch_refs(ds, batch):
-    """The batch's train references, one row per example, as `train` passes them."""
-    return decode_levels(ds.train_ref_levels[batch.identity_id])
+def run_tokens(ds, enc):
+    """The tokens of each identity's train reference, the stack a stage-1
+    `train` passes every step."""
+    return extract_tokens(decode_levels(ds.train_ref_levels), enc)
 
 
 def prepared_batch(ds, schedule, enc, stage, n):
-    batch = batch_of(ds, n)
-    return _prepare(batch, batch_refs(ds, batch), schedule, RngState(stage), enc,
+    return _prepare(batch_of(ds, n), run_tokens(ds, enc), schedule, RngState(stage), enc,
                     stage_config(stage), COND_DROPOUT)
 
 
@@ -374,8 +392,8 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
     the stream and the batch ends where the last example's dropout draw does."""
     batch = batch_of(tiny_dataset, 3)
     rng = RngState(stage)
-    refs = batch_refs(tiny_dataset, batch)
-    prepared = _prepare(batch, refs, tiny_schedule, rng, tiny_enc, stage_config(stage),
+    tokens = run_tokens(tiny_dataset, tiny_enc)
+    prepared = _prepare(batch, tokens, tiny_schedule, rng, tiny_enc, stage_config(stage),
                         COND_DROPOUT)
     per_example = 2 + prepared.eps[0].size
     assert rng.counter == 3 * per_example
@@ -389,7 +407,7 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
         if stage == 0:
             # a dropout threshold at u keeps example i, one just above u drops it
             for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
-                again = _prepare(batch, refs, tiny_schedule, RngState(stage), tiny_enc,
+                again = _prepare(batch, tokens, tiny_schedule, RngState(stage), tiny_enc,
                                  stage_config(stage), threshold)
                 assert again.text_id[i] == text_id
 
@@ -406,7 +424,7 @@ def test_perfect_prediction_gives_zero_loss(tiny_dataset, tiny_schedule, tiny_en
     for stage in (0, 1, 2):
         prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
         prepared.eps = np.zeros_like(prepared.eps)
-        loss, grads = batch_loss(weights, tiny_enc, prepared, stage_config(stage))
+        loss, grads = batch_loss(weights, prepared, stage_config(stage))
         assert loss == 0.0
         assert not any(g.any() for g in grads.values())
 
@@ -417,11 +435,11 @@ def test_constant_offset_gives_squared_loss(tiny_dataset, tiny_schedule, tiny_en
     delta = 0.37
     for stage in (0, 1, 2):
         prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
-        loss, _ = batch_loss(weights, tiny_enc, prepared, stage_config(stage))
+        loss, _ = batch_loss(weights, prepared, stage_config(stage))
         want = np.mean([np.mean(eps ** 2) for eps in prepared.eps])
         assert abs(loss - want) <= 1e-12
         prepared.eps = np.full_like(prepared.eps, -delta)
-        loss, _ = batch_loss(weights, tiny_enc, prepared, stage_config(stage))
+        loss, _ = batch_loss(weights, prepared, stage_config(stage))
         assert abs(loss - delta ** 2) <= 1e-12
 
 
@@ -430,7 +448,7 @@ def test_gradients_cover_exactly_the_trainable_set(tiny_dataset, tiny_schedule,
     weights = init_weights(tiny_cfg, 1)
     for stage, scale in ((0, 0.0), (1, 0.5), (2, 0.0)):
         prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
-        _, grads = batch_loss(weights, tiny_enc, prepared, stage_config(stage, scale))
+        _, grads = batch_loss(weights, prepared, stage_config(stage, scale))
         assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
 
 
@@ -445,7 +463,7 @@ def test_stage0_loss_on_referenced_examples_differentiates_the_backbone(
     config = stage_config(0, 0.4)
     assert config.identity_scale == 0.0
     ref_forward_calls = recording(monkeypatch, training, "reference_forward_train")
-    _, grads = batch_loss(weights, tiny_enc, prepared, config)
+    _, grads = batch_loss(weights, prepared, config)
     assert ref_forward_calls == []
     assert sorted(grads) == weights.names_in_set("backbone")
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -469,10 +487,8 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
     with_ctrl = PreparedBatch(**prepared,
                               ctrl=([0, 1, 2], make_control_signal(z0, MaskKind.LOW)))
     without = PreparedBatch(**prepared, ctrl=None)
-    loss_ctrl, _ = batch_loss(weights, tiny_enc, with_ctrl, stage_config(2),
-                              compute_grads=False)
-    loss_plain, _ = batch_loss(weights, tiny_enc, without, stage_config(2),
-                               compute_grads=False)
+    loss_ctrl, _ = batch_loss(weights, with_ctrl, stage_config(2), compute_grads=False)
+    loss_plain, _ = batch_loss(weights, without, stage_config(2), compute_grads=False)
     assert loss_ctrl == loss_plain
 
 
@@ -480,7 +496,7 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
 # stage-restricted backward
 
 
-def full_backward_grads(weights, enc, prepared, scale):
+def full_backward_grads(weights, prepared, scale):
     """batch_loss's gradients the unrestricted way: every example runs on
     its own as a one-row stack through the full backward (every parameter
     set) and the reference backward, and every parameter accumulates."""
@@ -492,7 +508,7 @@ def full_backward_grads(weights, enc, prepared, scale):
         identity = rcache = ctrl = None
         if i in refs and scale != 0.0:
             feats, rcache = reference_forward_train(refs[i][None], weights.projection,
-                                                    weights.id_heads(), enc)
+                                                    weights.id_heads())
             identity = ([0], feats)
         if i in ctrls:
             ctrl = ([0], ctrls[i][None])
@@ -544,7 +560,8 @@ def mixed_batch(cfg, enc, stage, kept, seed):
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
         text_id=[i % cfg.n_text if keep or stage == 2 else None
                  for i, keep in enumerate(kept)],
-        ref=(rows, np.stack([refs[i] for i in rows])) if stage == 1 and rows else None,
+        ref=(rows, extract_tokens(np.stack([refs[i] for i in rows]), enc))
+        if stage == 1 and rows else None,
         ctrl=(range(len(kept)), make_control_signal(z0, MaskKind.LOW)) if stage == 2 else None)
 
 
@@ -560,8 +577,8 @@ def test_stage_backward_equals_the_full_backward_bitwise(seed, stage, scale, n_b
     weights = random_point(cfg, seed)
     prepared = mixed_batch(cfg, enc, stage, kept, seed)
     config = stage_config(stage, scale)
-    _, grads = batch_loss(weights, enc, prepared, config)
-    full = full_backward_grads(weights, enc, prepared, config.identity_scale)
+    _, grads = batch_loss(weights, prepared, config)
+    full = full_backward_grads(weights, prepared, config.identity_scale)
     assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
     for name, g in grads.items():
         assert np.array_equal(g, full[name]), name
@@ -580,7 +597,7 @@ def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
     prepared = mixed_batch(cfg, enc, 2, ctrl_rows, seed)
     rows = [i for i, keep in enumerate(ctrl_rows) if keep]
     prepared.ctrl = (rows, prepared.ctrl[1][rows]) if rows else None
-    loss, grads = batch_loss(weights, enc, prepared, stage_config(2))
+    loss, grads = batch_loss(weights, prepared, stage_config(2))
 
     cond = project_conditions(weights, prepared.text_id, None, prepared.ctrl)
     pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t),
@@ -630,7 +647,7 @@ def test_stage2_backward_enters_only_the_last_attention_block(monkeypatch, tiny_
     weights = random_point(tiny_cfg, 4)
     prepared = mixed_batch(tiny_cfg, tiny_enc, 2, [True] * 3, 4)
     calls = recording(monkeypatch, diffusion, "attention_backward")
-    batch_loss(weights, tiny_enc, prepared, stage_config(2))
+    batch_loss(weights, prepared, stage_config(2))
     # one call per batch, from the last block, for its input gradient only
     assert len(calls) == 1
     last = tiny_cfg.n_blocks - 1
@@ -650,7 +667,7 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     attention_calls = recording(monkeypatch, diffusion, "attention_backward")
     ref_forward_calls = recording(monkeypatch, training, "reference_forward_train")
     reference_calls = recording(monkeypatch, training, "reference_backward")
-    batch_loss(weights, tiny_enc, prepared, stage_config(1, 0.4))
+    batch_loss(weights, prepared, stage_config(1, 0.4))
     # the batch runs as one stack: one forward, one backward, and only the
     # referenced rows run the cross term and the reference branch, once each way
     assert len(forward_calls) == len(denoiser_calls) == 1
@@ -663,7 +680,7 @@ def test_stage1_skips_the_backward_of_unreferenced_examples(monkeypatch, tiny_cf
     referenced = [i for i, keep in enumerate(kept) if keep]
     assert all(call["cache"]["rows"] == referenced for call in attention_calls)
     assert len(ref_forward_calls) == len(reference_calls) == 1
-    assert np.array_equal(ref_forward_calls[0]["img"], prepared.ref[1])
+    assert np.array_equal(ref_forward_calls[0]["tokens"], prepared.ref[1])
     assert all(term.rows == referenced for term in forward_calls[0]["cond"].identity)
     assert all(d.shape == (len(referenced), tiny_cfg.n_query, tiny_cfg.d_id)
                for d in reference_calls[0]["dfeats"])
