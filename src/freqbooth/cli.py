@@ -117,17 +117,21 @@ def _checkpoint_path(out: Path, stage: int, mask: MaskKind | None = None) -> Pat
 
 
 def _load_weights(path, stages: int):
-    """The checkpoint at `path`, which must have completed stages 0..stages-1."""
+    """(weights, frozen encoders, noise schedule) of the checkpoint at `path`,
+    which must have completed stages 0..stages-1.  The encoders and the
+    schedule are built from its config here, so a config whose schedule
+    cannot be allocated names the checkpoint and exits 3."""
     if not Path(path).is_file():
         raise PrerequisiteError(f"checkpoint {path} not found; run `freqbooth train` first")
     try:
         weights = load_checkpoint(path)
+        built = build_encoders(weights.config), linear_schedule(weights.config.timesteps)
     except _UNREADABLE as exc:
         raise _unusable(f"checkpoint {path}", exc) from None
     missing = [s for s in range(stages) if s not in weights.completed_stages]
     if missing:
         raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
-    return weights
+    return (weights, *built)
 
 
 def _keeps_nothing(mask: MaskKind, hw: int) -> bool:
@@ -294,10 +298,11 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     if stage == 0:
-        weights = init_weights(toy_config(), args.seed)
+        weights, enc, schedule = init_weights(toy_config(), args.seed), None, None
         source_checksums = None
     else:
-        weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1), stage)
+        weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1),
+                                               stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
     _check_fits(dataset, weights.config)
     hw = weights.config.latent_hw
@@ -305,7 +310,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
                          f"{hw}x{hw} latent, so stage 2 would train nothing")
 
-    report = train(config, dataset, weights)
+    report = train(config, dataset, weights, schedule, enc)
 
     ckpt_path = _checkpoint_path(out, stage, mask)
     report_path = ckpt_path.with_name(ckpt_path.name.replace("checkpoint", "train_report"))
@@ -335,7 +340,8 @@ def cmd_sample(args) -> int:
     if mask is not None and not args.ref:
         raise UsageError("--mask needs --ref to derive the control signal from")
     stage = 1 if mask is None else 2
-    weights = _load_weights(args.checkpoint or _checkpoint_path(out, stage, mask), stage + 1)
+    weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, stage, mask),
+                                           stage + 1)
     try:
         check_text_id(args.text_id, weights.config.n_text)
     except ValueError as exc:
@@ -348,8 +354,7 @@ def cmd_sample(args) -> int:
             f"{size}x{size}px"
         )
     drawn = draw_trials(
-        weights, build_encoders(weights.config), linear_schedule(weights.config.timesteps),
-        args.seed, args.steps, args.guidance,
+        weights, enc, schedule, args.seed, args.steps, args.guidance,
         [(("sample", i), ref, args.text_id, mask, args.lam) for i in range(args.n)])
     rows = []
     out.mkdir(parents=True, exist_ok=True)
@@ -423,12 +428,11 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError(f"--values {args.values!r} lists a lambda twice")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    weights = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
+    weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     dataset, _ = _load_dataset_arg(args, out)
     _check_fits(dataset, weights.config)
-    drawn, aggregate = paired_sweep(
-        weights, build_encoders(weights.config), linear_schedule(weights.config.timesteps),
-        dataset, values, args.trials, args.seed, args.steps, args.guidance)
+    drawn, aggregate = paired_sweep(weights, enc, schedule, dataset, values, args.trials,
+                                    args.seed, args.steps, args.guidance)
 
     rows, sheet_images = [], []
     n_id, sheet_cols = dataset.spec.n_identities, min(args.trials, 8)
@@ -465,10 +469,8 @@ def cmd_ablate_masks(args) -> int:
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage1_path = args.checkpoint or _checkpoint_path(out, 1)
-    stage1 = _load_weights(stage1_path, 2)
+    stage1, enc, schedule = _load_weights(stage1_path, 2)
     _check_fits(dataset, stage1.config)
-    enc = build_encoders(stage1.config)
-    schedule = linear_schedule(stage1.config.timesteps)
 
     models = {"none": stage1}
     # every row compares against the same stage-1 model, so a found checkpoint
@@ -476,7 +478,7 @@ def cmd_ablate_masks(args) -> int:
     for kind in masked_kinds:
         path = _checkpoint_path(out, 2, kind)
         if path.is_file():
-            models[kind.value] = found = _load_weights(path, 3)
+            models[kind.value] = found = _load_weights(path, 3)[0]
             for s in [name for name in PARAM_SETS if name != STAGE_SETS[2]]:
                 if found.checksum(s) != stage1.checksum(s):
                     raise PrerequisiteError(f"checkpoint {path} has another {s} than "

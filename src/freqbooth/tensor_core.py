@@ -31,6 +31,12 @@ owns the ``n + 2`` ticks from ``c0 + i * (n + 2)``, n = prod(shape): one
 leading uniform, n normals, one trailing uniform, the ticks that
 ``uniform``, ``normal(shape)`` and ``uniform`` would take in that order, so
 the batch equals B such rounds value for value.
+
+``step_draws(S, B, population, shape)`` takes S training steps' ticks in
+one call.  Step s owns the ``B + B * (n + 2)`` ticks from
+``c0 + s * (B + B * (n + 2))``: B ``randint(population)`` ticks, then the
+B example rounds ``example_draws(B, shape)`` takes, so the chunk equals S
+such steps value for value.  Both calls read one layout (``_rounds``).
 """
 
 from __future__ import annotations
@@ -91,17 +97,42 @@ class RngState:
         self.counter += n
         return _box_muller(w).reshape(shape)
 
+    def _rounds(self, rounds: int, picks: int, count: int, shape):
+        """The tick layout `example_draws` and `step_draws` share: each of
+        `rounds` rounds takes `picks` uniform ticks, then `count` example
+        rounds of (uniform, prod(shape) normals, uniform).  Returns the
+        pick uniforms (rounds, picks), then the example draws with shapes
+        (rounds, count), (rounds, count, *shape) and (rounds, count), and
+        advances the counter past every tick."""
+        shape = tuple(shape)
+        n = int(np.prod(shape))
+        width = picks + count * (n + 2)
+        w = _words(self.seed, 2 * self.counter, 2 * rounds * width).reshape(rounds, 2 * width)
+        self.counter += rounds * width
+        ex = w[:, 2 * picks:].reshape(rounds, count, 2 * (n + 2))
+        normals = _box_muller(ex[..., 2:2 * n + 2]).reshape((rounds, count, *shape))
+        return (_uniform(w[:, 0:2 * picks:2]), _uniform(ex[..., 0]), normals,
+                _uniform(ex[..., 2 * n + 2]))
+
     def example_draws(self, count: int, shape):
         """(lead, normals, trail) for `count` examples in one draw: uniforms
         of shape (count,), normals of shape (count, *shape) and uniforms of
         shape (count,), laid out as the module docstring says.  Advances the
         counter by count * (prod(shape) + 2)."""
-        shape = tuple(shape)
-        n = int(np.prod(shape))
-        w = _words(self.seed, 2 * self.counter, 2 * count * (n + 2)).reshape(count, 2 * (n + 2))
-        self.counter += count * (n + 2)
-        normals = _box_muller(w[:, 2:2 * n + 2]).reshape((count, *shape))
-        return _uniform(w[:, 0]), normals, _uniform(w[:, 2 * n + 2])
+        _, lead, normals, trail = self._rounds(1, 0, count, shape)
+        return lead[0], normals[0], trail[0]
+
+    def step_draws(self, steps: int, size: int, population: int, shape):
+        """(picks, lead, normals, trail) for `steps` steps of `size` examples
+        in one draw: int64 picks in [0, population) of shape (steps, size),
+        as `randint(population)` gives them, then each step's
+        `example_draws(size, shape)` with a leading steps axis, laid out as
+        the module docstring says.  Advances the counter by
+        steps * size * (prod(shape) + 3)."""
+        if population <= 0:
+            raise ValueError(f"randint bound must be positive, got {population}")
+        picks, lead, normals, trail = self._rounds(steps, size, size, shape)
+        return (picks * population).astype(np.int64), lead, normals, trail
 
     def uniform(self) -> float:
         """One draw in [0, 1); advances counter by one."""

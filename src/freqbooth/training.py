@@ -14,8 +14,12 @@ Also houses the dataset generator (16 striped/spotted "subjects" on four
 background classes), the orientation-histogram identity metric, JSON
 checkpoints, and a finite-difference gradient check used as the training
 oracle.  A dataset holds each split as the 8-bit levels its PPM files
-store; an image is decoded to floats only where it is read, a training
-batch with one divide.  A stage-1 run reads its references only through
+store; an image is decoded to floats only where it is read.  `train`
+prepares its inputs a chunk of steps at a time, at most `CHUNK_EXAMPLES`
+examples: one RNG draw takes every step's picks, timesteps, noise and
+dropout values, and one decode, encode, noising and band filter make the
+chunk's latents, each row as its step alone would make it.  Each step then
+takes its own rows.  A stage-1 run reads its references only through
 the frozen tokenizer, whose tokens are the same at every step: `train`
 decodes and tokenizes every train reference once per run, in stacks of at
 most a batch, and each step gathers the tokens of its referenced rows.  The
@@ -135,7 +139,7 @@ class Dataset:
     its P6 files store after their headers, one byte per level.  Images are
     decoded only where they are read, by `decode_levels`, the decoder
     `read_ppm` runs, so an image read from its file has the same bits: a
-    training step decodes its own batch's images, and a stage-1 run each
+    training chunk decodes its own steps' images, and a stage-1 run each
     reference once, to tokenize it.  The one decoded copy kept is
     `test_refs`, on first read."""
     spec: ToyDatasetSpec
@@ -341,27 +345,39 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: Sample, ref_tokens: np.ndarray | None, schedule: NoiseSchedule,
-             rng: RngState, enc: FrozenEncoders, config: TrainConfig,
-             cond_dropout: float) -> PreparedBatch:
-    """Noise a stacked `batch` (see `Sample`) for one step of `config`'s
-    stage.  `ref_tokens` is None or the run's reference tokens, one
-    reference per identity id; stage 1 gathers those of the rows it keeps."""
+def _prepare(batch: Sample, draws: tuple, ref_tokens: np.ndarray | None,
+             schedule: NoiseSchedule, enc: FrozenEncoders, config: TrainConfig,
+             cond_dropout: float) -> list[PreparedBatch]:
+    """Noise a stacked `batch` (see `Sample`) for consecutive steps of
+    `config`'s stage, one `PreparedBatch` per step.  `draws` holds each
+    example's timestep uniform, noise and dropout uniform, with a leading
+    (steps, size) axis pair as `RngState.step_draws` gives them; row
+    s * size + i of `batch` is step s's example i.  The whole stack is
+    encoded, noised and band-filtered at once, and each row's values are
+    those of its step alone.  `ref_tokens` is None or the run's
+    reference tokens, one reference per identity id; stage 1 gathers those
+    of the rows it keeps."""
     stage = config.stage
+    u_t, eps, u_drop = draws
+    steps, size = u_t.shape
     z0 = encode_latent(batch.image, enc)
-    # each example in turn draws its timestep, its noise and a dropout value;
+    eps = eps.reshape(z0.shape)
+    t = (1 + (u_t.ravel() * schedule.timesteps).astype(np.int64)).tolist()  # as randint draws it
     # the dropout value is drawn at every stage and used by stages 0 and 1
-    u_t, eps, u_drop = rng.example_draws(len(z0), z0.shape[1:])
-    t = [1 + int(u * schedule.timesteps) for u in u_t]  # as randint(timesteps) draws it
-    kept = [not (stage <= 1 and u < cond_dropout) for u in u_drop]
-    rows = [i for i, keep in enumerate(kept) if keep]
-    return PreparedBatch(
-        z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
-        text_id=[int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
-        ref=(rows, ref_tokens[np.asarray(batch.identity_id)[rows]])
-        if stage == 1 and rows else None,
-        ctrl=(range(len(z0)), make_control_signal(z0, config.mask_kind))
-        if stage == 2 else None)
+    kept = (u_drop.ravel() >= cond_dropout).tolist() if stage <= 1 else [True] * len(t)
+    z_t = forward_noise(z0, t, eps, schedule)
+    ctrl = make_control_signal(z0, config.mask_kind) if stage == 2 else None
+    text_id = [int(text) if keep else None for text, keep in zip(batch.text_id, kept)]
+    identity_id = np.asarray(batch.identity_id)
+    prepared = []
+    for lo in range(0, steps * size, size):
+        step = slice(lo, lo + size)
+        rows = [i for i, keep in enumerate(kept[step]) if keep]
+        prepared.append(PreparedBatch(
+            z_t=z_t[step], t=t[step], eps=eps[step], text_id=text_id[step],
+            ref=(rows, ref_tokens[identity_id[step][rows]]) if stage == 1 and rows else None,
+            ctrl=(range(size), ctrl[step]) if stage == 2 else None))
+    return prepared
 
 
 def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
@@ -522,10 +538,14 @@ def smoothing_window(steps: int) -> int:
     return max(1, min(50, steps // 10))
 
 
-def _draw_batch(dataset: Dataset, rng: RngState, size: int) -> Sample:
-    """A stack of `size` train examples drawn uniformly, one after another."""
-    rows = [rng.randint(dataset.spec.train_size) for _ in range(size)]
-    return dataset.train_sample(np.array(rows))
+# examples `train` draws and prepares at once, in whole steps and at least
+# one.  A chunk takes one RNG draw, decode, encode, noising and band filter
+# for all its steps; prepared one step at a time they cost about 0.24 ms of
+# a 1.2 ms stage-2 step.  A chunk's decoded images and patches are live at
+# once: a 25-step train() call (toy config, batch 4) peaked 144 KiB above
+# one-step chunks at stage 1 with 16 examples, 332 KiB with 32 and 1.1 MB
+# with 64 (tracemalloc).
+CHUNK_EXAMPLES = 16
 
 
 # a step loss above this multiple of the first step's loss counts as divergence
@@ -567,20 +587,28 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
         ref_tokens = np.concatenate([extract_tokens(decode_levels(levels[lo:lo + size]), enc)
                                      for lo in range(0, len(levels), size)])
 
-    def stage_loss(compute_grads=True):
-        # the drawn images are freed once `_prepare` has noised their latents
-        prepared = _prepare(_draw_batch(dataset, rng, config.batch_size), ref_tokens, schedule,
-                            rng, enc, config, COND_DROPOUT)
-        return batch_loss(weights, prepared, config, compute_grads)
+    def batches():
+        # a run of no steps still scores one batch
+        total, size = max(config.steps, 1), config.batch_size
+        per_chunk = max(1, CHUNK_EXAMPLES // size)  # whole steps, at least one
+        latent = (weights.config.latent_channels, weights.config.latent_hw,
+                  weights.config.latent_hw)
+        for lo in range(0, total, per_chunk):
+            picks, *draws = rng.step_draws(min(per_chunk, total - lo), size,
+                                           dataset.spec.train_size, latent)
+            # the chunk's decoded images are freed once `_prepare` has noised their latents
+            yield from _prepare(dataset.train_sample(picks.ravel()), draws, ref_tokens,
+                                schedule, enc, config, COND_DROPOUT)
 
+    prepared = batches()
     losses: list[float] = []
     if config.steps == 0:
-        initial = final = stage_loss(compute_grads=False)[0]
+        initial = final = batch_loss(weights, next(prepared), config, compute_grads=False)[0]
     else:
         # the checks below name any overflow, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(config.steps):
-                loss, grads = stage_loss()
+            for step, batch in enumerate(prepared):
+                loss, grads = batch_loss(weights, batch, config)
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"stage {stage} step {step}: loss is {loss}")
                 if losses and loss > DIVERGENCE_FACTOR * losses[0]:
@@ -827,9 +855,11 @@ def gradient_check(stage: int, seed: int) -> dict:
     batch = Sample(np.stack(images), [0, 1], [i % config.n_text for i in range(2)])
     run = TrainConfig(stage=stage, steps=0, identity_scale=0.4,
                       mask_kind=MaskKind.LOW if stage == 2 else None)
-    # the batch's identity ids are its row numbers, so row i's tokens are refs[i]'s
-    prepared = _prepare(batch, extract_tokens(np.stack(refs), enc), schedule,
-                        rng.derive("noise"), enc, run, 0.0)
+    # the batch is one step; its identity ids are its row numbers, so row i's tokens are refs[i]'s
+    draws = rng.derive("noise").example_draws(2, (config.latent_channels, config.latent_hw,
+                                                  config.latent_hw))
+    prepared, = _prepare(batch, [d[None] for d in draws], extract_tokens(np.stack(refs), enc),
+                         schedule, enc, run, 0.0)
 
     def loss_only():
         return batch_loss(weights, prepared, run, compute_grads=False)[0]

@@ -26,7 +26,7 @@ from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
 from freqbooth.netpbm import decode_levels, read_ppm, write_ppm
 from freqbooth.reference_encoder import build_encoders, decode_latent, encode_latent
 from freqbooth.tensor_core import RngState
-from freqbooth.training import (IMAGE_FIELDS, ToyDatasetSpec, TrainConfig, dataset_checksum,
+from freqbooth.training import (CHUNK_EXAMPLES, IMAGE_FIELDS, ToyDatasetSpec, TrainConfig, dataset_checksum,
                                 generate_dataset, identity_metric_flagged, labels,
                                 load_checkpoint, paired_sweep, save_checkpoint, train)
 from conftest import SMALL_SPEC, flip_one_gradient, read_pfm, striped_test_image
@@ -369,6 +369,33 @@ def test_a_checkpoint_config_field_that_is_not_a_positive_int_exits_3(pipe, tmp_
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} is unusable: ")
     assert message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "sweep-lambda", "ablate-masks"])
+def test_a_checkpoint_whose_schedule_cannot_be_allocated_exits_3(pipe, tmp_path, capsys,
+                                                                 command):
+    """A checkpoint config whose noise schedule cannot be allocated (10**12
+    timesteps, TiBs that no allocator grants, so no page is touched) is an
+    unusable prerequisite: each command that loads a checkpoint exits 3
+    with one line naming it, and writes nothing."""
+    source = "checkpoint_stage0.json" if command == "train" else "checkpoint_stage1.json"
+    payload = read_json(pipe / source)
+    payload["config"]["timesteps"] = 10 ** 12
+    ckpt = tmp_path / source
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = {"train": ("--data-dir", pipe / "dataset", "--stage", 1, "--steps", 2),
+            "sample": ("--n", 1, "--steps", 2),
+            "sweep-lambda": ("--data-dir", pipe / "dataset", "--values", "0,1", "--trials", 1,
+                             "--steps", 2),
+            "ablate-masks": ("--data-dir", pipe / "dataset", "--train-steps", 1,
+                             "--eval-size", 1, "--eval-samples", 1, "--steps", 2)}[command]
+    capsys.readouterr()
+    assert run(command, "--out-dir", out, "--checkpoint", ckpt, *argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} is unusable: ")
+    assert "Unable to allocate" in err[0]
     assert not out.exists()
 
 
@@ -873,6 +900,32 @@ def test_trained_checkpoints_are_pinned(pipe):
     change to the training step that moves any weight shows here."""
     assert {name: hashlib.sha256((pipe / name).read_bytes()).hexdigest()
             for name in PINNED_CHECKPOINTS} == PINNED_CHECKPOINTS
+
+
+# SHA-256 of the weights a library `train` run leaves, from the `pipe`
+# checkpoint of the stage before, at (stage, batch size, steps): 2 K + 1
+# steps at K steps per chunk, so each run crosses two chunk boundaries and
+# ends on a one-step chunk
+PINNED_CHUNKED_RUNS = {
+    (1, 4, 9): "5a35f9cdc74ebb88dc82ab5f2e3e942c664bb64ac4ab8f25615acca83eb6ea39",
+    (2, 4, 9): "9a0614a6bf6318c6560271155cded2fd8a48197d4938984cbfc55bd612123817",
+    (1, 3, 11): "028f6d27dadc32febb3e48f35d18c677ea3d53e3208de057ae654d2dbb366811",
+}
+
+
+@pytest.mark.parametrize("stage, batch_size, steps", list(PINNED_CHUNKED_RUNS),
+                         ids=["stage1-batch4", "stage2-batch4", "stage1-batch3"])
+def test_runs_across_chunk_boundaries_are_pinned(pipe, tmp_path, stage, batch_size, steps):
+    """Runs of several preparation chunks (`training.CHUNK_EXAMPLES`) train
+    the weights the per-step preparation trained, held to literals."""
+    assert steps == 2 * (CHUNK_EXAMPLES // batch_size) + 1
+    dataset, _ = load_dataset(pipe / "dataset")
+    weights = load_checkpoint(pipe / f"checkpoint_stage{stage - 1}.json")
+    train(TrainConfig(stage=stage, steps=steps, batch_size=batch_size,
+                      mask_kind=MaskKind.LOW if stage == 2 else None), dataset, weights)
+    save_checkpoint(tmp_path / "trained.json", weights)
+    digest = hashlib.sha256((tmp_path / "trained.json").read_bytes()).hexdigest()
+    assert digest == PINNED_CHUNKED_RUNS[stage, batch_size, steps]
 
 
 @pytest.mark.parametrize("case", list(PINNED_ARTIFACTS))

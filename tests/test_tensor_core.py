@@ -164,6 +164,33 @@ def test_rng_example_draws_equal_rounds_of_randint_normal_and_uniform(seed, coun
     assert rng.counter == replay.counter == counter + count * (int(np.prod(shape)) + 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), counter=st.integers(0, 2 ** 40),
+       steps=st.integers(0, 4), size=st.integers(1, 5),
+       shape=st.sampled_from([(4, 8, 8), (0,), (3,), (2, 0, 5)]),
+       population=st.integers(1, 2 ** 40))
+def test_rng_step_draws_equal_rounds_of_randint_and_example_draws(seed, counter, steps, size,
+                                                                  shape, population):
+    rng = RngState(seed, counter)
+    picks, lead, normals, trail = rng.step_draws(steps, size, population, shape)
+    assert picks.shape == lead.shape == trail.shape == (steps, size)
+    assert normals.shape == (steps, size, *shape)
+    replay = RngState(seed, counter)
+    for s in range(steps):
+        assert picks[s].tolist() == [replay.randint(population) for _ in range(size)]
+        want = replay.example_draws(size, shape)
+        for got, value in zip((lead[s], normals[s], trail[s]), want):
+            assert got.tobytes() == value.tobytes()
+    assert rng.counter == replay.counter == counter + steps * size * (int(np.prod(shape)) + 3)
+
+
+def test_rng_step_draws_reject_an_empty_population_before_drawing():
+    rng = RngState(3, 5)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rng.step_draws(2, 4, 0, (3,))
+    assert rng.counter == 5
+
+
 def test_rng_derive_streams_are_independent_and_stable():
     root = RngState(9)
     a1 = root.derive("a").normal(8)

@@ -173,93 +173,127 @@ def test_generating_the_default_dataset_holds_little_beyond_its_arrays():
     assert arrays <= peak < 4_000_000
 
 
-def test_a_drawn_batch_decodes_to_the_stacked_float_images(default_dataset, toy_cfg):
-    """A training batch gathers its rows' levels and decodes them with one
-    divide, bit for bit the `np.stack` of the rows' float images (pinned
-    above), and stacks their context classes.  Only a stage-1 `_prepare`
-    keeps the tokens of the rows' references: at cond dropout 0 every row
-    keeps its own, and stages 0 and 2 keep none."""
+def test_a_chunk_decodes_the_stacked_float_images_of_its_picks(monkeypatch, default_dataset,
+                                                               toy_cfg, toy_enc):
+    """`train` prepares its steps a chunk at a time, CHUNK_EXAMPLES examples
+    at most: each chunk gathers its steps' picks, B `randint` ticks at the
+    head of each step, and decodes them with one divide, bit for bit the
+    `np.stack` of the rows' float images (pinned above), with their context
+    classes.  Only a stage-1 `_prepare` keeps the tokens of the rows'
+    references: at cond dropout 0 every row keeps its own, and stages 0
+    and 2 keep none."""
     ds = default_dataset
     images = decode_levels(ds.train_levels)
-    rng, replay = RngState(7), RngState(7)
-    batch = training._draw_batch(ds, rng, 4)
-    rows = [replay.randint(ds.spec.train_size) for _ in range(4)]
-    assert rng.counter == replay.counter
-    assert batch.image.flags.c_contiguous
-    assert batch.image.tobytes() == np.stack([images[i] for i in rows]).tobytes()
-    idents, texts = labels(ds.spec, np.array(rows))
-    assert list(batch.text_id) == list(texts)
-    for i, row in enumerate(rows):
-        assert ds.train_sample(row).image.tobytes() == batch.image[i].tobytes()
-    enc = build_encoders(toy_cfg)
-    schedule = linear_schedule(toy_cfg.timesteps)
+    enc, schedule = toy_enc, linear_schedule(toy_cfg.timesteps)
+    per_chunk = training.CHUNK_EXAMPLES // 4
+    chunks = preparing(monkeypatch)
+    train(TrainConfig(stage=0, steps=2 * per_chunk + 1, seed=7), ds, init_weights(toy_cfg, 0),
+          schedule, enc)
+    assert [len(batch.image) for batch, _, _ in chunks] == [4 * per_chunk] * 2 + [4]
+    replay = RngState(7).derive(("train", 0))
+    per_example = 2 + int(np.prod(latent_of(enc)))
+    for batch, _, _ in chunks:
+        rows = []
+        for _ in range(len(batch.image) // 4):
+            rows += [replay.randint(ds.spec.train_size) for _ in range(4)]
+            replay.counter += 4 * per_example
+        assert batch.image.flags.c_contiguous
+        assert batch.image.tobytes() == np.stack([images[i] for i in rows]).tobytes()
+        assert list(batch.text_id) == list(labels(ds.spec, np.array(rows))[1])
+    rows = np.arange(4) * 5
     tokens = run_tokens(ds, enc)
     for stage in (0, 1, 2):
-        prepared = _prepare(batch, tokens, schedule, RngState(stage), enc,
-                            stage_config(stage), 0.0)
+        prepared = prepare_one(ds.train_sample(rows), tokens, schedule, RngState(stage), enc,
+                               stage_config(stage), 0.0)
         if stage == 1:
             assert prepared.ref[0] == list(range(4))
             assert prepared.ref[1].tobytes() == \
-                np.stack([tokens[k] for k in idents]).tobytes()
+                np.stack([tokens[k] for k in labels(ds.spec, rows)[0]]).tobytes()
         else:
             assert prepared.ref is None
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+@pytest.mark.parametrize("size", [1, 3, 4])
+@pytest.mark.parametrize("model", ["tiny", "toy"])
+def test_a_chunk_prepares_the_batches_its_steps_give_alone(request, stage, size, model):
+    """An S-step chunk gives, bit for bit, the S batches that S one-step
+    chunks from the same stream give, and leaves the stream where they do:
+    the chunk's one decode, encode, noising and band filter change no
+    row."""
+    ds, enc = {"tiny": ("tiny_dataset", "tiny_enc"),
+               "toy": ("default_dataset", "toy_enc")}[model]
+    ds, enc = request.getfixturevalue(ds), request.getfixturevalue(enc)
+    schedule = linear_schedule(enc.config.timesteps)
+    tokens, config = run_tokens(ds, enc), stage_config(stage)
+
+    def chunk(rng, steps):
+        picks, *draws = rng.step_draws(steps, size, ds.spec.train_size, latent_of(enc))
+        return _prepare(ds.train_sample(picks.ravel()), draws, tokens, schedule, enc, config,
+                        COND_DROPOUT)
+
+    whole_rng, alone_rng = RngState(40 + stage), RngState(40 + stage)
+    whole = chunk(whole_rng, 5)
+    alone = [chunk(alone_rng, 1) for _ in range(5)]
+    assert whole_rng.counter == alone_rng.counter
+    assert [len(one) for one in alone] == [1] * 5 and len(whole) == 5
+    for got, (want,) in zip(whole, alone):
+        assert batch_fields(got) == batch_fields(want)
 
 
 def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc):
     s = tiny_dataset.train_sample(5)
     assert s.identity_id == 5 % tiny_dataset.spec.n_identities
     tokens = run_tokens(tiny_dataset, tiny_enc)
-    prepared = _prepare(tiny_dataset.train_sample(np.array([5])), tokens,
-                        tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
+    prepared = prepare_one(tiny_dataset.train_sample(np.array([5])), tokens,
+                           tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
     assert np.array_equal(prepared.ref[1][0], tokens[s.identity_id])
 
 
 def test_a_stage1_run_tokenizes_each_reference_once(monkeypatch, tiny_schedule, tiny_enc,
                                                     tiny_cfg):
     """A stage-1 `train` decodes and tokenizes the train references once per
-    run, in consecutive stacks of at most a batch, whatever its step count.
-    Each step's kept rows, here with an interior row dropped, get bit for
-    bit the tokens of their identity's reference tokenized alone; stages 0
-    and 2 get no tokens, and the dataset caches no decoded reference."""
+    run, in consecutive stacks of at most a batch, whatever its step count
+    and however many chunks its steps take.  Each step's kept rows, here
+    with an interior row dropped, get bit for bit the tokens of their
+    identity's reference tokenized alone; stages 0 and 2 get no tokens, and
+    the dataset caches no decoded reference."""
     ds = generate_dataset(SMALL_SPEC, 0)
     n = ds.spec.n_identities
     alone = [extract_tokens(decode_levels(ds.train_ref_levels[k]), tiny_enc) for k in range(n)]
     batch = ds.train_sample(np.array([6, 1, 3, 7]))
-    prepared = _prepare(batch, run_tokens(ds, tiny_enc), tiny_schedule, RngState(13), tiny_enc,
-                        stage_config(1), COND_DROPOUT)
+    prepared = prepare_one(batch, run_tokens(ds, tiny_enc), tiny_schedule, RngState(13),
+                           tiny_enc, stage_config(1), COND_DROPOUT)
     assert prepared.ref[0] == [0, 1, 3]
     assert prepared.ref[1].tobytes() == \
         np.stack([alone[batch.identity_id[i]] for i in (0, 1, 3)]).tobytes()
 
-    real_prepare, steps = training._prepare, []
-
-    def prepare(batch, ref_tokens, *args):
-        prepared = real_prepare(batch, ref_tokens, *args)
-        steps.append((batch, ref_tokens, prepared))
-        return prepared
-
-    monkeypatch.setattr(training, "_prepare", prepare)
+    chunks = preparing(monkeypatch)
     tokenized = recording(monkeypatch, training, "extract_tokens")
     weights = init_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
-        for n_steps, batch_size in ((0, 4), (2, 3), (5, 1)):
-            steps.clear()
+        for n_steps, batch_size in ((0, 4), (2, 3), (5, 1), (9, 4)):
+            chunks.clear()
             tokenized.clear()
             train(TrainConfig(stage=stage, steps=n_steps, batch_size=batch_size,
                               mask_kind=MaskKind.LOW if stage == 2 else None),
                   ds, weights, tiny_schedule, tiny_enc)
-            assert len(steps) == max(n_steps, 1)
+            assert sum(len(p) for _, _, p in chunks) == max(n_steps, 1)
+            assert all(len(batch.image) <= training.CHUNK_EXAMPLES for batch, _, _ in chunks)
             stacks = [len(call["img"]) for call in tokenized]
             if stage != 1:
                 assert stacks == []
-                assert all(tokens is None and p.ref is None for _, tokens, p in steps)
+                assert all(tokens is None and all(p.ref is None for p in prepared)
+                           for _, tokens, prepared in chunks)
                 continue
             assert stacks == [min(batch_size, n - lo) for lo in range(0, n, batch_size)]
             assert len(stacks) == -(-n // batch_size)
-            for batch, _, p in steps:
-                if p.ref is not None:
-                    for row, got in zip(*p.ref):
-                        assert got.tobytes() == alone[batch.identity_id[row]].tobytes()
+            for batch, _, prepared in chunks:
+                for s, p in enumerate(prepared):
+                    if p.ref is not None:
+                        for row, got in zip(*p.ref):
+                            ident = batch.identity_id[s * batch_size + row]
+                            assert got.tobytes() == alone[ident].tobytes()
     assert not hasattr(ds, "train_refs")
     assert "test_refs" not in vars(ds)
 
@@ -379,37 +413,81 @@ def run_tokens(ds, enc):
     return extract_tokens(decode_levels(ds.train_ref_levels), enc)
 
 
+def latent_of(enc):
+    """The latent shape of `enc`'s model."""
+    cfg = enc.config
+    return cfg.latent_channels, cfg.latent_hw, cfg.latent_hw
+
+
+def prepare_one(batch, tokens, schedule, rng, enc, config, cond_dropout):
+    """`_prepare` of a stacked `batch` as one step, its draws taken from
+    `rng` by one `example_draws`, as `gradient_check` takes them."""
+    draws = rng.example_draws(len(batch.image), latent_of(enc))
+    prepared, = _prepare(batch, [d[None] for d in draws], tokens, schedule, enc, config,
+                         cond_dropout)
+    return prepared
+
+
+def preparing(monkeypatch):
+    """Record each `_prepare` call `train` makes as (batch, ref_tokens,
+    prepared batches)."""
+    real, calls = training._prepare, []
+
+    def prepare(batch, draws, ref_tokens, *args):
+        prepared = real(batch, draws, ref_tokens, *args)
+        calls.append((batch, ref_tokens, prepared))
+        return prepared
+
+    monkeypatch.setattr(training, "_prepare", prepare)
+    return calls
+
+
+def batch_fields(prepared):
+    """Every field of a `PreparedBatch`, arrays as their bytes."""
+    def pair(cond):
+        return None if cond is None else (list(cond[0]), cond[1].tobytes())
+    return (prepared.z_t.tobytes(), prepared.t, prepared.eps.tobytes(), prepared.text_id,
+            pair(prepared.ref), pair(prepared.ctrl))
+
+
 def prepared_batch(ds, schedule, enc, stage, n):
-    return _prepare(batch_of(ds, n), run_tokens(ds, enc), schedule, RngState(stage), enc,
-                    stage_config(stage), COND_DROPOUT)
+    return prepare_one(batch_of(ds, n), run_tokens(ds, enc), schedule, RngState(stage), enc,
+                       stage_config(stage), COND_DROPOUT)
 
 
 @pytest.mark.parametrize("stage", [0, 1, 2])
 def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tiny_enc,
                                                 stage):
-    """Each example takes its timestep, its noise and one dropout draw, in
-    that order and at every stage, so example i's draws sit at a fixed place in
-    the stream and the batch ends where the last example's dropout draw does."""
-    batch = batch_of(tiny_dataset, 3)
+    """Each step of a chunk takes its picks, then each example in turn its
+    timestep, its noise and one dropout draw, in that order and at every
+    stage, so example i's draws sit at a fixed place in the stream and the
+    chunk ends where its last example's dropout draw does."""
+    ds, size, steps = tiny_dataset, 2, 3
     rng = RngState(stage)
-    tokens = run_tokens(tiny_dataset, tiny_enc)
-    prepared = _prepare(batch, tokens, tiny_schedule, rng, tiny_enc, stage_config(stage),
+    tokens = run_tokens(ds, tiny_enc)
+    picks, *draws = rng.step_draws(steps, size, ds.spec.train_size, latent_of(tiny_enc))
+    batch = ds.train_sample(picks.ravel())
+    prepared = _prepare(batch, draws, tokens, tiny_schedule, tiny_enc, stage_config(stage),
                         COND_DROPOUT)
-    per_example = 2 + prepared.eps[0].size
-    assert rng.counter == 3 * per_example
-    for i, (text, eps) in enumerate(zip(batch.text_id, prepared.eps)):
-        replay = RngState(stage, counter=i * per_example)
-        assert prepared.t[i] == 1 + replay.randint(tiny_schedule.timesteps)
-        assert np.array_equal(eps, replay.normal(eps.shape))
-        u = replay.uniform()
-        kept = stage == 2 or u >= COND_DROPOUT
-        assert prepared.text_id[i] == (text if kept else None)
-        if stage == 0:
-            # a dropout threshold at u keeps example i, one just above u drops it
-            for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
-                again = _prepare(batch, tokens, tiny_schedule, RngState(stage), tiny_enc,
-                                 stage_config(stage), threshold)
-                assert again.text_id[i] == text_id
+    per_example = 2 + prepared[0].eps[0].size
+    per_step = size * (1 + per_example)
+    assert rng.counter == steps * per_step
+    for s, step in enumerate(prepared):
+        replay = RngState(stage, counter=s * per_step)
+        assert picks[s].tolist() == [replay.randint(ds.spec.train_size) for _ in range(size)]
+        for i, eps in enumerate(step.eps):
+            text = batch.text_id[s * size + i]
+            assert step.t[i] == 1 + replay.randint(tiny_schedule.timesteps)
+            assert np.array_equal(eps, replay.normal(eps.shape))
+            u = replay.uniform()
+            kept = stage == 2 or u >= COND_DROPOUT
+            assert step.text_id[i] == (text if kept else None)
+            if stage == 0:
+                # a dropout threshold at u keeps example i, one just above u drops it
+                for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
+                    again = _prepare(batch, draws, tokens, tiny_schedule, tiny_enc,
+                                     stage_config(stage), threshold)
+                    assert again[s].text_id[i] == text_id
 
 
 def zero_output_weights(cfg, seed):
