@@ -40,6 +40,7 @@ gradient's products by the transposed identity weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,19 @@ class AdaptiveAttentionWeights:
     w_value_id: np.ndarray  # (d_id, d_model)    trainable
 
 
+def check_real(value, what: str) -> float:
+    """`value` as a float, or ValueError naming `what` unless it is a real
+    number: a bool or a string is none, though float() would take it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a real number")
+    return float(value)
+
+
 def check_identity_scale(value: float) -> float:
-    """Validate the cross-attention strength; must lie in [0, 1]."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0) or not np.isfinite(value):
+    """The cross-attention strength as a float; ValueError unless it is a
+    real number (see `check_real`) in [0, 1]."""
+    value = check_real(value, "identity scale")
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"identity scale must be in [0, 1], got {value}")
     return value
 

@@ -41,15 +41,15 @@ import numpy as np
 
 from . import __version__
 from .attention import check_identity_scale
-from .config import ModelConfig, toy_config
+from .config import toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
 from .diffusion import PARAM_SETS, check_guidance, check_text_id, init_weights, linear_schedule
 from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
 from .training import (IMAGE_FIELDS, STAGE_SETS, Dataset, ToyDatasetSpec, TrainConfig,
-                       check_spec_field, dataset_checksum, draw_trials, generate_dataset,
-                       gradient_check, held_out_losses, load_checkpoint, paired_sweep,
-                       save_checkpoint, train, write_json)
+                       check_fits, check_spec_field, dataset_checksum, draw_trials,
+                       generate_dataset, gradient_check, held_out_losses, load_checkpoint,
+                       paired_sweep, save_checkpoint, train, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,18 +138,6 @@ def _keeps_nothing(mask: MaskKind, hw: int) -> bool:
     """Whether band `mask` keeps no DCT coefficient of an hw x hw latent, so
     stage 2 gets all-zero control latents and zero gradients."""
     return not build_mask(mask, hw, hw).any()
-
-
-def _check_fits(dataset: Dataset, config: ModelConfig) -> None:
-    """Usage error unless a model of `config` takes the dataset's image size
-    and context classes."""
-    spec = dataset.spec
-    if spec.image_size != config.image_size:
-        raise UsageError(f"the model expects {config.image_size}px images "
-                         f"but the dataset is {spec.image_size}px")
-    if spec.n_contexts > config.n_text:
-        raise UsageError(f"dataset has {spec.n_contexts} context classes but the "
-                         f"model supports {config.n_text}")
 
 
 def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
@@ -304,7 +292,7 @@ def cmd_train(args) -> int:
         weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1),
                                                stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
-    _check_fits(dataset, weights.config)
+    check_fits(dataset, weights.config)
     hw = weights.config.latent_hw
     if mask is not None and _keeps_nothing(mask, hw):
         raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
@@ -419,7 +407,7 @@ def cmd_sweep_lambda(args) -> int:
     _check_sampling(args)
     out = Path(args.out_dir)
     try:
-        values = [check_identity_scale(v) for v in args.values.split(",") if v != ""]
+        values = [check_identity_scale(float(v)) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise UsageError(f"bad --values {args.values!r}: {exc}") from None
     if not values:
@@ -430,7 +418,6 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     dataset, _ = _load_dataset_arg(args, out)
-    _check_fits(dataset, weights.config)
     drawn, aggregate = paired_sweep(weights, enc, schedule, dataset, values, args.trials,
                                     args.seed, args.steps, args.guidance)
 
@@ -470,7 +457,7 @@ def cmd_ablate_masks(args) -> int:
     dataset, checksum = _load_dataset_arg(args, out)
     stage1_path = args.checkpoint or _checkpoint_path(out, 1)
     stage1, enc, schedule = _load_weights(stage1_path, 2)
-    _check_fits(dataset, stage1.config)
+    check_fits(dataset, stage1.config)
 
     models = {"none": stage1}
     # every row compares against the same stage-1 model, so a found checkpoint

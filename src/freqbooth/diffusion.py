@@ -51,12 +51,12 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .attention import (AdaptiveAttentionWeights, IdentityTerm, attention_backward,
-                        attention_forward, check_identity_scale, identity_term)
+                        attention_forward, check_identity_scale, check_real, identity_term)
 from .codes import grid_position_codes, time_features
 from .config import ModelConfig
 from .dct_freq import MaskKind, make_control_signal
@@ -69,15 +69,30 @@ from .tensor_core import RngState, assert_all_finite, matmul_t, row_index, row_s
 # noise schedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSchedule:
-    timesteps: int
-    alpha_bars: np.ndarray  # length T + 1; alpha_bars[0] == 1.0
+    """The cumulative signal fractions alpha_bar_t of t = 0 .. T, and the
+    square roots a DDIM step scales by.
 
-    def alpha_bar(self, t: int) -> float:
-        if not 0 <= t <= self.timesteps:
-            raise ValueError(f"timestep {t} outside [0, {self.timesteps}]")
-        return float(self.alpha_bars[t])
+    `alpha_bars` holds T + 1 values in [0, 1], alpha_bars[0] == 1.0, as a
+    read-only copy of the array given.  `sqrt_alpha_bars[t]` and
+    `sqrt_one_minus_alpha_bars[t]` are sqrt(alpha_bar_t) and
+    sqrt(1 - alpha_bar_t), read-only tables built once from that copy, in
+    which `ddim_step` looks up its four roots.  numpy's sqrt rounds
+    correctly, as `math.sqrt` does, so each entry equals
+    `math.sqrt(alpha_bars[t])` or `math.sqrt(1.0 - alpha_bars[t])`.
+    """
+    timesteps: int
+    alpha_bars: np.ndarray
+    sqrt_alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_one_minus_alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ab = np.array(self.alpha_bars, dtype=np.float64)
+        for name, table in (("alpha_bars", ab), ("sqrt_alpha_bars", np.sqrt(ab)),
+                            ("sqrt_one_minus_alpha_bars", np.sqrt(1.0 - ab))):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def linear_schedule(timesteps: int) -> NoiseSchedule:
@@ -120,52 +135,83 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
 
     x0 = (z_t - sqrt(1 - a_bar_t) eps) / sqrt(a_bar_t)
     z  = sqrt(a_bar_prev) x0 + sqrt(1 - a_bar_prev) eps
+
+    The four roots are looked up in the schedule's tables.  Each operation
+    of the formula is written, in its order, into the array this returns
+    (one temporary holds sqrt(1 - a_bar_prev) eps), so the result has the
+    formula's bits; z_t and eps_hat are not changed.
     """
     if not 0 <= t_prev <= t:
         raise ValueError(f"need t >= t_prev >= 0, got t={t}, t_prev={t_prev}")
-    ab_t = schedule.alpha_bar(t)
-    ab_p = schedule.alpha_bar(t_prev)
-    if ab_t <= 0.0:
+    if t > schedule.timesteps:
+        raise ValueError(f"timestep {t} outside [0, {schedule.timesteps}]")
+    root_t, noise_t = schedule.sqrt_alpha_bars[t], schedule.sqrt_one_minus_alpha_bars[t]
+    root_p, noise_p = schedule.sqrt_alpha_bars[t_prev], schedule.sqrt_one_minus_alpha_bars[t_prev]
+    if root_t == 0.0:
         raise FloatingPointError(f"alpha_bar({t}) is zero; cannot recover x0")
-    x0 = (z_t - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
-    return math.sqrt(ab_p) * x0 + math.sqrt(1.0 - ab_p) * eps_hat
+    z = noise_t * eps_hat
+    np.subtract(z_t, z, out=z)
+    z /= root_t  # x0
+    z *= root_p
+    z += noise_p * eps_hat
+    return z
 
 
 def check_guidance(value: float) -> None:
-    """Validate the classifier-free guidance weight; must be finite and >= 0."""
-    if not np.isfinite(value) or value < 0:
+    """Validate the classifier-free guidance weight: a real number (not a
+    bool), finite and >= 0."""
+    if not math.isfinite(check_real(value, "guidance scale")) or value < 0:
         raise ValueError(f"guidance scale must be finite and >= 0, got {value}")
 
 
-def check_text_id(value, n_text: int) -> None:
-    """Validate a text id, an integer in [0, n_text); no id selects the
-    null-text row.  A bool, a fractional number or a string is no id,
-    though int() would take it to a valid row."""
+def _check_integer(value, what: str) -> int:
+    """`value` as an int, or ValueError naming `what` unless it is an
+    integer: a bool, a fractional number or a string is none, though int()
+    would take it."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not float(value).is_integer()):
-        raise ValueError(f"text id {value!r} is not an integer")
-    if not 0 <= int(value) < n_text:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def check_text_id(value, n_text: int) -> None:
+    """Validate a text id, an integer in [0, n_text) (see `_check_integer`);
+    no id selects the null-text row."""
+    if not 0 <= _check_integer(value, "text id") < n_text:
         raise ValueError(f"text id {value} outside [0, {n_text}); "
                          f"only None selects the null text")
 
 
 def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """Guided prediction w * cond + (1 - w) * uncond (exact at w in {0, 1})."""
+    """Guided prediction w * cond + (1 - w) * uncond (exact at w in {0, 1}).
+    Off the endpoints the sum is written into the product w * cond, a new
+    array, which gives the formula's bits."""
     if eps_cond.shape != eps_uncond.shape:
         raise ValueError(f"shape mismatch: {eps_cond.shape} vs {eps_uncond.shape}")
     if w == 1.0:
         return eps_cond
     if w == 0.0:
         return eps_uncond
-    return w * eps_cond + (1.0 - w) * eps_uncond
+    guided = w * eps_cond
+    guided += (1.0 - w) * eps_uncond
+    return guided
 
 
 def sampling_timesteps(timesteps: int, steps: int) -> np.ndarray:
-    """Ascending unique integer grid 0 .. T with ~`steps` strides."""
+    """Ascending unique integer grid 0 .. T with ~`steps` strides, read-only:
+    every call with these arguments shares one cached array.  `steps` must
+    be an integer >= 1 (a bool is none); more steps than T give 0 .. T."""
+    steps = _check_integer(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    steps = min(steps, timesteps)
-    return np.unique(np.round(np.linspace(0.0, timesteps, steps + 1)).astype(int))
+    return _sampling_grid(timesteps, min(steps, timesteps))
+
+
+@lru_cache(maxsize=32)
+def _sampling_grid(timesteps: int, steps: int) -> np.ndarray:
+    grid = np.unique(np.round(np.linspace(0.0, timesteps, steps + 1)).astype(int))
+    grid.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +580,8 @@ def predict_eps(w: ModelWeights, z_t: np.ndarray, terms: TimeTerms,
             f"([B,] {w.config.latent_channels}, {hw}, {hw})"
         )
     eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), terms, cond)
-    return assert_all_finite(seq_to_latent(eps_seq, hw), "noise prediction")
+    # checked in token order, where numpy's contiguous loop runs
+    return seq_to_latent(assert_all_finite(eps_seq, "noise prediction"), hw)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +594,17 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
            identity_scale: float):
     """DDIM sampling with classifier-free guidance.
 
-    Identity features and the frequency control signal are computed once
-    from the reference image, and the conditions projected once from them
-    and the text id, then held fixed across all steps.  The time terms of
-    every step are built once, before the first.  Returns (image, info)
-    where image is the decoded (3, H, W) float array (unclamped) and info
-    records the run inputs.
+    `steps`, `guidance` and `identity_scale` are checked before any work:
+    an integer >= 1 (a bool is none), a finite real >= 0 and a real in
+    [0, 1].  Identity features and the frequency control signal are
+    computed once from the reference image, and the conditions projected
+    once from them and the text id, then held fixed across all steps.  The
+    time terms of every step are built once, before the first, on the
+    cached timestep grid of `sampling_timesteps`.  Each step runs one
+    `predict_eps`, one `cfg_combine` and one `ddim_step`, which looks its
+    roots up in the schedule's tables.  Returns (image, info) where image
+    is the decoded (3, H, W) float array (unclamped) and info records the
+    run inputs.
 
     A guided step runs the conditional branch (row 0, the one both
     conditions are on) and the unconditional branch as one stacked denoiser
@@ -563,6 +615,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     """
     check_guidance(guidance)
     check_identity_scale(identity_scale)
+    taus = sampling_timesteps(schedule.timesteps, steps)
     cfg = w.config
     if schedule.timesteps != cfg.timesteps:
         raise ValueError(
@@ -580,15 +633,17 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     texts = [text_id] if guidance == 1.0 else [text_id, None]  # one per branch
     cond = project_conditions(w, texts, identity, ctrl, identity_scale)
     z = rng.normal((cfg.latent_channels, cfg.latent_hw, cfg.latent_hw))
-    taus = sampling_timesteps(schedule.timesteps, steps)
     plan = time_terms(w, taus[1:, None], cond)  # step m - 1: every row at taus[m]
-    for m in range(len(taus) - 1, 0, -1):
-        t, t_prev = int(taus[m]), int(taus[m - 1])
-        eps = predict_eps(w, z, plan.step(m - 1), cond)
-        z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), t, t_prev, schedule)
+    grid = taus.tolist()
+    for m in range(len(grid) - 1, 0, -1):
+        # a C-ordered copy of the prediction, which is a transposed view of the
+        # forward's tokens: numpy's contiguous loops then run the combine and
+        # the update, and z stays C-ordered, the layout the forward reads
+        eps = np.ascontiguousarray(predict_eps(w, z, plan.step(m - 1), cond))
+        z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), grid[m], grid[m - 1], schedule)
 
     image = decode_latent(z, enc)
-    info = dict(steps=int(len(taus) - 1), guidance=float(guidance),
+    info = dict(steps=len(grid) - 1, guidance=float(guidance),
                 identity_scale=float(identity_scale),
                 mask=None if mask_kind is None else MaskKind(mask_kind).value,
                 text_id=None if text_id is None else int(text_id),

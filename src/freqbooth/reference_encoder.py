@@ -99,7 +99,9 @@ def _patches(img: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"image {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
     # (..., gh, gw, 3, p, p) patch blocks, flattened channel-major per patch
-    blocks = np.moveaxis(img.reshape(*lead, 3, gh, p, gw, p), (-4, -2), (-5, -4))
+    k = len(lead)
+    blocks = img.reshape(*lead, 3, gh, p, gw, p).transpose(*range(k), k + 1, k + 3, k,
+                                                           k + 2, k + 4)
     return blocks.reshape(*lead, gh * gw, 3 * p * p)
 
 

@@ -42,6 +42,7 @@ such steps value for value.  Both calls read one layout (``_rounds``).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TWO53 = float(1 << 53)
+# uint64 constants of the word mixing and of the 53-bit draws
+_U1, _U11, _U31, _UGOLDEN = np.uint64(1), np.uint64(11), np.uint64(31), np.uint64(_GOLDEN)
+_MIX_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
 
 
 def _mix64(x: int) -> int:
@@ -62,24 +66,32 @@ def _mix64(x: int) -> int:
 
 
 def _words(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized word(seed, p) for p in [start, start+count)."""
-    with np.errstate(over="ignore"):
-        pos = np.arange(start, start + count, dtype=np.uint64)
-        x = np.uint64(seed & _MASK64) + (pos + np.uint64(1)) * np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        return x ^ (x >> np.uint64(31))
+    """word(seed, p) for p in [start, start + count), as a uint64 array.
+
+    Every step is written in place.  uint64 array arithmetic wraps mod
+    2**64 without a warning (numpy warns of overflow only in scalar
+    arithmetic), so each entry equals `_mix64(seed + (p + 1) * GOLDEN)`."""
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x += _U1
+    x *= _UGOLDEN
+    x += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(x)
+    for shift, mult in _MIX_ROUNDS:
+        x ^= np.right_shift(x, shift, out=shifted)
+        x *= mult
+    x ^= np.right_shift(x, _U31, out=shifted)
+    return x
 
 
 def _uniform(even_words: np.ndarray) -> np.ndarray:
     """Uniform draws in [0, 1) from their ticks' even words."""
-    return (even_words >> np.uint64(11)).astype(np.float64) / _TWO53
+    return (even_words >> _U11).astype(np.float64) / _TWO53
 
 
 def _box_muller(w: np.ndarray) -> np.ndarray:
     """One normal per (even, odd) word pair along the last axis."""
-    u1 = ((w[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
-    u2 = (w[..., 1::2] >> np.uint64(11)).astype(np.float64) / _TWO53
+    u1 = ((w[..., 0::2] >> _U11).astype(np.float64) + 1.0) / _TWO53
+    u2 = (w[..., 1::2] >> _U11).astype(np.float64) / _TWO53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -91,8 +103,9 @@ class RngState:
     counter: int = 0
 
     def normal(self, shape) -> np.ndarray:
-        """I.i.d. standard normal draws; advances counter by the draw count."""
-        n = int(np.prod(shape)) if np.ndim(shape) else int(shape)
+        """I.i.d. standard normal draws of `shape`, an int or a tuple or
+        list of ints; advances counter by the draw count."""
+        n = int(math.prod(shape)) if isinstance(shape, (tuple, list)) else int(shape)
         w = _words(self.seed, 2 * self.counter, 2 * n)
         self.counter += n
         return _box_muller(w).reshape(shape)
@@ -105,7 +118,7 @@ class RngState:
         (rounds, count), (rounds, count, *shape) and (rounds, count), and
         advances the counter past every tick."""
         shape = tuple(shape)
-        n = int(np.prod(shape))
+        n = int(math.prod(shape))
         width = picks + count * (n + 2)
         w = _words(self.seed, 2 * self.counter, 2 * rounds * width).reshape(rounds, 2 * width)
         self.counter += rounds * width

@@ -63,6 +63,7 @@ from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent, e
 from .tensor_core import RngState
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+_LUMA_ROW = _LUMA.reshape(1, 3)  # the weights as `np.tensordot` hands them to `np.dot`
 
 STAGE_SETS = {0: "backbone", 1: "identity_adapter", 2: "control"}
 
@@ -163,6 +164,19 @@ class Dataset:
     def test_sample(self, i) -> Sample:
         """Test example `i`, as `train_sample` gives a train example."""
         return Sample(decode_levels(self.test_levels[i]), *labels(self.spec, i))
+
+
+def check_fits(dataset: Dataset, config: ModelConfig) -> None:
+    """ValueError, naming both sizes, unless a model of `config` takes the
+    dataset's image size and context classes: the rule `train`,
+    `held_out_losses` and `paired_sweep` check before any work."""
+    spec = dataset.spec
+    if spec.image_size != config.image_size:
+        raise ValueError(f"the model expects {config.image_size}px images "
+                         f"but the dataset is {spec.image_size}px")
+    if spec.n_contexts > config.n_text:
+        raise ValueError(f"dataset has {spec.n_contexts} context classes but the "
+                         f"model supports {config.n_text}")
 
 
 def _scaled_color(rng: RngState, luma_target: float) -> np.ndarray:
@@ -284,27 +298,59 @@ def generate_dataset(spec: ToyDatasetSpec, seed: int) -> Dataset:
 
 def orientation_histogram(img: np.ndarray) -> np.ndarray | None:
     """Magnitude-weighted 16-bin histogram of luma gradient orientations over
-    [0, pi).  None for an (effectively) constant image.
+    [0, pi).  None for an (effectively) constant image; ValueError for an
+    image less than 2 pixels high or wide.
 
     Mass is split linearly between the two nearest bin centers (circular in
     orientation), so the histogram varies smoothly with angle instead of
     jumping at bin edges.
+
+    The histogram is, bit for bit, the one of the plain formula
+    `luma = np.tensordot(_LUMA, img, axes=1)`, `gy, gx = np.gradient(luma)`,
+    `ang = np.mod(np.arctan2(gy, gx), np.pi)`, without those functions'
+    argument handling:
+    - luma is the one `np.dot` of the (1, 3) weights and the (3, H*W) pixels
+      that `tensordot` makes, on a C-ordered copy (on a strided view the
+      sums round differently);
+    - the gradient is unit-spacing `np.gradient`'s: central differences
+      halved inside, one-sided differences at the edges;
+    - an angle below 0 gains pi, as in `np.mod`.  `np.mod` also takes pi to
+      0 and -0 to +0; left as they are, both land in the bins 0 does with
+      the same weights (bin position 15.5 or -0.5, each split evenly
+      between bins 15 and 0);
+    - the bin indices wrap with `& 15`, which equals `% 16` on integers.
     """
-    # a C-ordered copy: on a strided view the sums round differently
-    luma = np.tensordot(_LUMA, np.ascontiguousarray(img, dtype=np.float64), axes=1)
-    gy, gx = np.gradient(luma)
+    x = np.ascontiguousarray(img, dtype=np.float64)
+    h, w = x.shape[-2:]
+    if h < 2 or w < 2:
+        raise ValueError(f"an orientation histogram needs an image of at least 2x2 "
+                         f"pixels, got {w}x{h}")
+    luma = np.dot(_LUMA_ROW, x.reshape(3, h * w)).reshape(h, w)
+    gy, gx = np.empty((h, w)), np.empty((h, w))
+    for g, f in ((gy, luma), (gx.T, luma.T)):  # each along its first axis
+        np.subtract(f[2:], f[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0
+        np.subtract(f[1], f[0], out=g[0])
+        np.subtract(f[-1], f[-2], out=g[-1])
     mag = np.hypot(gx, gy).ravel()
     total = mag.sum()
     if total <= 1e-12:
         return None
-    ang = np.mod(np.arctan2(gy, gx), np.pi).ravel()
+    ang = np.arctan2(gy, gx).ravel()
+    np.add(ang, np.pi, out=ang, where=ang < 0)
     bins = 16
-    pos = ang / np.pi * bins - 0.5
+    pos = ang  # ang / pi * bins - 0.5, in place
+    pos /= np.pi
+    pos *= bins
+    pos -= 0.5
     lo = np.floor(pos).astype(int)
     frac = pos - lo
-    hist = (np.bincount(lo % bins, weights=mag * (1.0 - frac), minlength=bins)
-            + np.bincount((lo + 1) % bins, weights=mag * frac, minlength=bins))
-    return hist / total
+    hist = np.bincount(lo & (bins - 1), weights=mag * (1.0 - frac), minlength=bins)
+    lo += 1
+    lo &= bins - 1
+    hist += np.bincount(lo, weights=mag * frac, minlength=bins)
+    hist /= total
+    return hist
 
 
 def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
@@ -319,8 +365,9 @@ def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
         return 0.0, True
     if np.array_equal(ha, hb):
         return 1.0, False  # exact self-similarity, no roundoff
-    value = ha @ hb / (np.linalg.norm(ha) * np.linalg.norm(hb))
-    return float(np.clip(value, -1.0, 1.0)), False
+    # np.linalg.norm's sqrt(h.dot(h)), and np.clip's bounds, without their dispatch
+    value = float(ha @ hb / (math.sqrt(ha.dot(ha)) * math.sqrt(hb.dot(hb))))
+    return min(max(value, -1.0), 1.0), False
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +615,7 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     missing = [s for s in range(stage) if s not in weights.completed_stages]
     if missing:
         raise StageOrderError(f"stage(s) {missing} must run before stage {stage}")
+    check_fits(dataset, weights.config)
 
     schedule = schedule or linear_schedule(weights.config.timesteps)
     enc = enc or build_encoders(weights.config)
@@ -680,6 +728,7 @@ def paired_sweep(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSche
     drawn[v] is the `draw_trials` list of values[v], and aggregate maps
     str(lambda) to its mean and std identity metric and its wins (and win
     rate) against values[0] on the same trial."""
+    check_fits(dataset, weights.config)
     drawn = draw_trials(weights, enc, schedule, seed, steps, guidance, [
         (("sweep", t), dataset.test_refs[t % dataset.spec.n_identities], 0, None, lam)
         for lam in values for t in range(trials)])
@@ -708,6 +757,7 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
     training batch: a stack's forward holds every block's cache at once,
     and its memory grows with the stack.  Each row equals its one-row call
     bit for bit, so the chunking changes no score."""
+    check_fits(dataset, weights.config)
     rng = RngState(seed).derive("ablate-eval")
     held_out = dataset.test_sample(np.arange(min(size, dataset.spec.test_size)))
     z0 = encode_latent(held_out.image, enc)

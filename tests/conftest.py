@@ -81,6 +81,26 @@ def striped_test_image(size: int = 32, angle: float = 0.4,
     return quantize(a[:, None, None] * tex + b[:, None, None] * (1.0 - tex))
 
 
+def reference_orientation_histogram(img: np.ndarray):
+    """`training.orientation_histogram` as the plain formula, through
+    `np.tensordot`, `np.gradient` and `np.mod`: the bits the library's
+    histogram must give."""
+    luma = np.tensordot(training._LUMA, np.ascontiguousarray(img, dtype=np.float64), axes=1)
+    gy, gx = np.gradient(luma)
+    mag = np.hypot(gx, gy).ravel()
+    total = mag.sum()
+    if total <= 1e-12:
+        return None
+    ang = np.mod(np.arctan2(gy, gx), np.pi).ravel()
+    bins = 16
+    pos = ang / np.pi * bins - 0.5
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    hist = (np.bincount(lo % bins, weights=mag * (1.0 - frac), minlength=bins)
+            + np.bincount((lo + 1) % bins, weights=mag * frac, minlength=bins))
+    return hist / total
+
+
 def read_pfm(path) -> np.ndarray:
     """Read colour PFM into a (3, H, W) float64 array: the reader for the
     float sidecars `write_pfm` makes."""

@@ -121,6 +121,15 @@ def test_strength_validation():
             check_identity_scale(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, "0.4", None])
+def test_a_strength_that_is_not_a_real_number_is_rejected(bad):
+    """float() would take True as 1.0 and "0.4" as 0.4."""
+    with pytest.raises(ValueError, match=rf"identity scale {bad!r} is not a real number"):
+        check_identity_scale(bad)
+    assert check_identity_scale(np.float64(0.4)) == 0.4
+    assert type(check_identity_scale(1)) is float
+
+
 def test_dimension_errors_name_the_projection():
     rng = np.random.default_rng(4)
     w = make_weights(rng, 6, 3)

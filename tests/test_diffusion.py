@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from freqbooth.config import tiny_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 import freqbooth.diffusion
-from freqbooth.diffusion import (PARAM_SETS, cfg_combine, ddim_step, denoiser_forward,
+from freqbooth.diffusion import (PARAM_SETS, cfg_combine, check_guidance, ddim_step,
+                                 denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
                                  linear_schedule, predict_eps, project_conditions, sample,
                                  sampling_timesteps, seq_to_latent, time_terms)
@@ -45,8 +48,8 @@ def rand_latent(cfg, seed):
 @pytest.mark.parametrize("steps", [50, 200, 1000])
 def test_schedule_destroys_signal_by_the_final_step(steps):
     sched = linear_schedule(steps)
-    assert sched.alpha_bar(0) == 1.0
-    assert sched.alpha_bar(steps) < 0.01
+    assert sched.alpha_bars[0] == 1.0
+    assert sched.alpha_bars[steps] < 0.01
     assert np.all(np.diff(sched.alpha_bars) < 0)
     ratios = sched.alpha_bars[1:] / sched.alpha_bars[:-1]  # 1 - beta_t
     assert np.all((ratios > 0) & (ratios < 1))
@@ -56,10 +59,25 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         linear_schedule(0)
     sched = linear_schedule(50)
-    with pytest.raises(ValueError):
-        sched.alpha_bar(51)
-    with pytest.raises(ValueError):
-        sched.alpha_bar(-1)
+    z = np.zeros(3)
+    with pytest.raises(ValueError, match=r"timestep 51 outside \[0, 50\]"):
+        ddim_step(z, z, 51, 0, sched)
+    with pytest.raises(ValueError, match="t_prev >= 0"):
+        ddim_step(z, z, 5, -1, sched)
+
+
+@pytest.mark.parametrize("steps", [50, 200, 1000])
+def test_ddim_roots_are_read_only_square_roots_of_alpha_bar(steps):
+    sched = linear_schedule(steps)
+    for t in range(steps + 1):
+        ab = float(sched.alpha_bars[t])
+        assert sched.sqrt_alpha_bars[t] == math.sqrt(ab)
+        assert sched.sqrt_one_minus_alpha_bars[t] == math.sqrt(1.0 - ab)
+    for table in (sched.alpha_bars, sched.sqrt_alpha_bars, sched.sqrt_one_minus_alpha_bars):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.alpha_bars = np.ones(steps + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +93,7 @@ def test_no_noise_at_step_zero(cfg, schedule):
 def test_pure_noise_scaling_for_zero_signal(cfg, schedule):
     eps = rand_latent(cfg, 2)
     t = 30
-    want = np.sqrt(1.0 - schedule.alpha_bar(t)) * eps
+    want = np.sqrt(1.0 - schedule.alpha_bars[t]) * eps
     got = forward_noise(np.zeros_like(eps), t, eps, schedule)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -85,7 +103,7 @@ def test_forward_noise_matches_elementwise_oracle(cfg, schedule):
     eps = rand_latent(cfg, 4)
     t = 17
     got = forward_noise(z0, t, eps, schedule)
-    ab = schedule.alpha_bar(t)
+    ab = schedule.alpha_bars[t]
     for idx in np.ndindex(z0.shape):
         want = np.sqrt(ab) * z0[idx] + np.sqrt(1.0 - ab) * eps[idx]
         assert abs(got[idx] - want) <= 1e-12
@@ -112,7 +130,7 @@ def test_forward_noise_rejects_a_timestep_outside_the_schedule_in_any_row(cfg, s
         forward_noise(z0[row], bad, z0[row], schedule)
     t[row] = schedule.timesteps
     got = forward_noise(z0, t, np.zeros_like(z0), schedule)
-    assert np.array_equal(got[row], np.sqrt(schedule.alpha_bar(schedule.timesteps)) * z0[row])
+    assert np.array_equal(got[row], np.sqrt(schedule.alpha_bars[schedule.timesteps]) * z0[row])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +157,20 @@ def test_zero_prediction_follows_closed_form(cfg, schedule):
     taus = [40, 31, 17, 6, 0]
     for t, t_prev in zip(taus[:-1], taus[1:]):
         z = ddim_step(z, np.zeros_like(z), t, t_prev, schedule)
-    want = start * np.sqrt(schedule.alpha_bar(0) / schedule.alpha_bar(40))
+    want = start * np.sqrt(schedule.alpha_bars[0] / schedule.alpha_bars[40])
     assert np.max(np.abs(z - want)) <= 1e-12
+
+
+def test_ddim_step_gives_the_formulas_bits_and_keeps_its_inputs(cfg, schedule):
+    z = rand_latent(cfg, 12)
+    eps = rand_latent(cfg, 13)
+    z_copy, eps_copy = z.copy(), eps.copy()
+    for t, t_prev in ((schedule.timesteps, 45), (31, 17), (6, 0), (9, 9)):
+        ab_t, ab_p = float(schedule.alpha_bars[t]), float(schedule.alpha_bars[t_prev])
+        x0 = (z - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
+        want = math.sqrt(ab_p) * x0 + math.sqrt(1.0 - ab_p) * eps
+        assert ddim_step(z, eps, t, t_prev, schedule).tobytes() == want.tobytes()
+    assert np.array_equal(z, z_copy) and np.array_equal(eps, eps_copy)
 
 
 def test_step_ordering_is_enforced(cfg, schedule):
@@ -159,6 +189,26 @@ def test_sampling_grid_is_strictly_ascending():
     assert np.array_equal(dense, np.arange(51))
     with pytest.raises(ValueError):
         sampling_timesteps(50, 0)
+
+
+def test_sampling_grid_is_cached_read_only():
+    taus = sampling_timesteps(200, 20)
+    assert sampling_timesteps(200, 20) is taus
+    with pytest.raises(ValueError, match="read-only"):
+        taus[3] = 0
+    assert np.array_equal(sampling_timesteps(200, 20.0), taus)
+    assert np.array_equal(sampling_timesteps(200, np.int64(20)), taus)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+def test_a_step_count_that_is_not_an_integer_is_rejected(cfg, schedule, enc, bad):
+    """A bool would draw as 0 or 1 steps and 2.5 raise numpy's TypeError;
+    each names itself instead, before any work."""
+    with pytest.raises(ValueError, match=rf"steps {bad!r} is not an integer"):
+        sampling_timesteps(50, bad)
+    with pytest.raises(ValueError, match=rf"steps {bad!r} is not an integer"):
+        sample(init_weights(cfg, 0), enc, schedule, RngState(0), steps=bad, guidance=3.0,
+               identity_scale=0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +236,27 @@ def test_guidance_validation(cfg, schedule, enc):
                    identity_scale=0.4)
     with pytest.raises(ValueError, match="mismatch"):
         cfg_combine(np.zeros(2), np.zeros(3), 2.0)
+
+
+@pytest.mark.parametrize("bad", [True, "3", None, [3.0]])
+def test_guidance_that_is_not_a_real_number_is_rejected(bad):
+    """float() would take True as 1 and "3" as 3; numpy raised a TypeError
+    for the string."""
+    with pytest.raises(ValueError, match=rf"guidance scale {re.escape(repr(bad))} is not a "
+                                         rf"real number"):
+        check_guidance(bad)
+    check_guidance(np.float64(3.0))
+    check_guidance(2)
+
+
+def test_guided_combine_gives_the_formulas_bits_and_keeps_its_inputs():
+    rng = np.random.default_rng(1)
+    cond, uncond = rng.normal(size=(2, 4, 8, 8))
+    kept = cond.copy(), uncond.copy()
+    for w in (3.0, 0.4, -1.5):
+        want = w * cond + (1.0 - w) * uncond
+        assert cfg_combine(cond, uncond, w).tobytes() == want.tobytes()
+    assert np.array_equal(cond, kept[0]) and np.array_equal(uncond, kept[1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +440,7 @@ def test_single_step_matches_hand_trace(cfg, schedule, enc):
     eps_c = predict_one(weights, z, t, 1)
     eps_u = predict_one(weights, z, t, None)
     eps_hat = combine(eps_c, eps_u, 2.0)
-    ab = schedule.alpha_bar(t)
+    ab = schedule.alpha_bars[t]
     x0 = (z - np.sqrt(1 - ab) * eps_hat) / np.sqrt(ab)
     assert np.max(np.abs(got - decode_latent(x0, enc))) <= 1e-12
 

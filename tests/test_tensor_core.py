@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import freqbooth
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.tensor_core import RngState, _words, assert_all_finite, matmul_t, softmax_rows
+from freqbooth.tensor_core import (_GOLDEN, RngState, _mix64, _words, assert_all_finite, matmul_t,
+                                  softmax_rows)
 
 
 def test_the_package_imports_only_the_standard_library_and_numpy():
@@ -182,6 +183,33 @@ def test_rng_step_draws_equal_rounds_of_randint_and_example_draws(seed, counter,
         for got, value in zip((lead[s], normals[s], trail[s]), want):
             assert got.tobytes() == value.tobytes()
     assert rng.counter == replay.counter == counter + steps * size * (int(np.prod(shape)) + 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1])
+@pytest.mark.parametrize("start", [0, 5, 2 ** 40 - 3, 2 ** 40, 2 ** 41 + 7])
+def test_words_equal_the_scalar_mix_at_every_position(seed, start):
+    """The in-place uint64 words wrap as the Python-int `_mix64` does, and
+    raise no overflow warning."""
+    got = _words(seed, start, 9)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_mix64(seed + (p + 1) * _GOLDEN) for p in range(start, start + 9)]
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8), [3, 2], 5, (), (2, 0), (np.int64(3), 2)])
+def test_rng_normal_advances_its_counter_by_the_draw_count(shape):
+    """The counter stays a Python int, whether the shape is a tuple, a list
+    or an int."""
+    rng = RngState(11, 2 ** 40)
+    draws = rng.normal(shape)
+    n = int(np.prod(shape))
+    assert draws.shape == np.empty(shape).shape
+    assert type(rng.counter) is int and rng.counter == 2 ** 40 + n
+    assert rng.normal(3).tolist() == RngState(11, 2 ** 40 + n).normal(3).tolist()
+    rng.example_draws(2, (3, 4))
+    assert type(rng.counter) is int and rng.counter == 2 ** 40 + n + 3 + 2 * 14
+    rng.step_draws(2, 3, 7, (3, 4))
+    assert type(rng.counter) is int and rng.counter == 2 ** 40 + n + 3 + 2 * 14 + 2 * 3 * 15
 
 
 def test_rng_step_draws_reject_an_empty_population_before_drawing():

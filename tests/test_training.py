@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqbooth import diffusion, training
-from freqbooth.config import tiny_config
+from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
@@ -27,8 +27,10 @@ from freqbooth.training import (COND_DROPOUT, IMAGE_FIELDS, STAGE_SETS, Prepared
                                 generate_dataset, gradient_check, held_out_losses,
                                 identity_metric_flagged, identity_params,
                                 init_adam, labels, load_checkpoint, orientation_histogram,
-                                save_checkpoint, smoothing_window, train, write_json)
-from conftest import SMALL_SPEC, flip_one_gradient, striped_test_image
+                                paired_sweep, save_checkpoint, smoothing_window, train,
+                                write_json)
+from conftest import (SMALL_SPEC, flip_one_gradient, reference_orientation_histogram,
+                      striped_test_image)
 
 
 def identity_metric(generated, reference):
@@ -341,6 +343,29 @@ def test_own_reference_scores_above_other_identities():
     assert better / total >= 0.90
 
 
+def test_library_entry_points_reject_a_dataset_the_model_does_not_fit():
+    """`train`, `held_out_losses` and `paired_sweep` check the dataset's
+    image size and context classes before any work, naming both sizes,
+    where numpy's reshape error used to name neither."""
+    cfg = tiny_config()  # 8 px, 2 text classes
+    weights = init_weights(cfg, 0)
+    enc, schedule = build_encoders(cfg), linear_schedule(cfg.timesteps)
+    before = {s: weights.checksum(s) for s in PARAM_SETS}
+    wrong = [("the model expects 8px images but the dataset is 16px",
+              generate_dataset(replace(SMALL_SPEC, image_size=16), 0)),
+             ("dataset has 3 context classes but the model supports 2",
+              generate_dataset(replace(SMALL_SPEC, n_contexts=3), 0))]
+    for message, dataset in wrong:
+        with pytest.raises(ValueError, match=message):
+            train(TrainConfig(stage=0, steps=2), dataset, weights, schedule, enc)
+        with pytest.raises(ValueError, match=message):
+            held_out_losses(weights, enc, schedule, dataset, 4, 0, None)
+        with pytest.raises(ValueError, match=message):
+            paired_sweep(weights, enc, schedule, dataset, [0.0], 1, 0, 2, 3.0)
+    assert {s: weights.checksum(s) for s in PARAM_SETS} == before
+    assert weights.completed_stages == []
+
+
 # ---------------------------------------------------------------------------
 # identity metric
 
@@ -391,6 +416,57 @@ def test_histogram_is_normalized_and_smooth_in_angle():
     cos = h1 @ h2 / (np.linalg.norm(h1) * np.linalg.norm(h2))
     assert 0.5 < cos < 1.0  # small rotations move the histogram, gradually
     assert orientation_histogram(np.zeros((3, 8, 8))) is None
+
+
+def histogram_cases():
+    """Images the identity metric reads, and edge cases of its orientation
+    rule: the 64 test images and 16 test references of dataset seed 0;
+    guided samples of a toy model, unclamped and snapped to 8 bits; strided
+    and transposed views; steps whose gradients point at exactly 0 and pi;
+    unclamped noise; the smallest 2 x 2 and 2 x 7 images."""
+    ds = generate_dataset(ToyDatasetSpec(), 0)
+    cases = [*decode_levels(ds.test_levels), *ds.test_refs]
+    cfg = toy_config()
+    weights, enc = init_weights(cfg, 3), build_encoders(cfg)
+    schedule = linear_schedule(cfg.timesteps)
+    for k, lam in enumerate((0.0, 0.4, 1.0)):
+        img, _ = sample(weights, enc, schedule, RngState(k), ref_img=ds.test_refs[k],
+                        text_id=0, steps=4, guidance=3.0, identity_scale=lam)
+        cases += [img, quantize(img)]
+    rng = np.random.default_rng(31)
+    raster = rng.integers(0, 256, size=(32, 32, 3)) / 255.0
+    cases += [np.moveaxis(raster, -1, 0), rng.normal(size=(3, 40, 40))[:, 1::2, ::-2],
+              rng.normal(size=(3, 24, 32)).swapaxes(1, 2)]
+    step = np.zeros((3, 8, 8))
+    step[:, :, 4:] = 1.0  # gradients along +x: angle 0
+    cases += [step, step[:, :, ::-1], step.swapaxes(1, 2), step.swapaxes(1, 2)[:, ::-1]]
+    cases += [rng.normal(size=(3, 16, 16)), rng.normal(size=(3, 2, 2)),
+              rng.normal(size=(3, 2, 7)), rng.normal(size=(3, 7, 2))]
+    return cases
+
+
+def test_orientation_histogram_equals_the_plain_formula_bit_for_bit():
+    cases = histogram_cases()
+    assert sum(not img.flags.c_contiguous for img in cases) >= 6
+    for img in cases:
+        got, want = orientation_histogram(img), reference_orientation_histogram(img)
+        assert got.tobytes() == want.tobytes()
+    # the metric's cosine is np.linalg.norm's and np.clip's, on the same histograms
+    for a, b in zip(cases[:64], cases[64:80] * 4):
+        ha, hb = (reference_orientation_histogram(x) for x in (a, b))
+        value = ha @ hb / (np.linalg.norm(ha) * np.linalg.norm(hb))
+        assert identity_metric_flagged(a, b) == (float(np.clip(value, -1.0, 1.0)), False)
+
+
+def test_orientation_histogram_of_a_flat_or_thin_image():
+    for flat in (np.zeros((3, 8, 8)), np.full((3, 2, 5), 0.3)):
+        assert orientation_histogram(flat) is None
+        assert reference_orientation_histogram(flat) is None
+    for thin in ((3, 1, 5), (3, 5, 1), (3, 1, 1)):
+        with pytest.raises(ValueError, match="at least 2x2"):
+            orientation_histogram(np.ones(thin))
+        with pytest.raises(ValueError):  # np.gradient's own error
+            reference_orientation_histogram(np.ones(thin))
 
 
 # ---------------------------------------------------------------------------
