@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .attention import check_identity_scale
 from .config import toy_config
-from .dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
+from .dct_freq import MaskKind, build_mask, coverage_gap, keeps_nothing, make_control_signal
 from .diffusion import PARAM_SETS, check_guidance, check_text_id, init_weights, linear_schedule
 from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
@@ -132,12 +132,6 @@ def _load_weights(path, stages: int):
     if missing:
         raise PrerequisiteError(f"checkpoint {path} lacks completed stage(s) {missing}")
     return (weights, *built)
-
-
-def _keeps_nothing(mask: MaskKind, hw: int) -> bool:
-    """Whether band `mask` keeps no DCT coefficient of an hw x hw latent, so
-    stage 2 gets all-zero control latents and zero gradients."""
-    return not build_mask(mask, hw, hw).any()
 
 
 def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
@@ -293,11 +287,8 @@ def cmd_train(args) -> int:
                                                stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
     check_fits(dataset, weights.config)
-    hw = weights.config.latent_hw
-    if mask is not None and _keeps_nothing(mask, hw):
-        raise UsageError(f"--mask {mask.value} keeps no DCT coefficient of the "
-                         f"{hw}x{hw} latent, so stage 2 would train nothing")
 
+    # train rejects a band that keeps no coefficient of the latent before any work
     report = train(config, dataset, weights, schedule, enc)
 
     ckpt_path = _checkpoint_path(out, stage, mask)
@@ -474,7 +465,7 @@ def cmd_ablate_masks(args) -> int:
     # control latents, so its gradients are zero and Adam leaves the weights
     # as they are: its model is stage 1's and its row is the `none` row
     hw = stage1.config.latent_hw
-    empty = {k.value for k in masked_kinds if _keeps_nothing(k, hw)}
+    empty = {k.value for k in masked_kinds if keeps_nothing(k, hw, hw)}
     for kind in [k for k in masked_kinds if k.value not in models]:
         weights = copy.deepcopy(stage1)
         if kind.value in empty:

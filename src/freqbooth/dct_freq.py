@@ -81,6 +81,12 @@ def build_mask(kind: MaskKind, h: int, w: int) -> np.ndarray:
     return _band_mask(MaskKind(kind), h, w)
 
 
+def keeps_nothing(kind: MaskKind, h: int, w: int) -> bool:
+    """Whether band `kind` keeps no DCT coefficient of an h x w latent, so
+    its control latents are all zero: stage 2 on it would train nothing."""
+    return not build_mask(kind, h, w).any()
+
+
 @lru_cache(maxsize=32)
 def _band_mask(kind: MaskKind, h: int, w: int) -> np.ndarray:
     mini_max, low_max, mid_max, high_min = DEFAULT_THRESHOLDS

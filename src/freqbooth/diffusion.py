@@ -22,13 +22,17 @@ every gradient against finite differences.
 What the conditions contribute to each block does not depend on the latent
 or the timestep: the text-embedding rows, the identity keys and values, and
 the control fields.  `project_conditions` computes them once, so a DDIM run
-projects them once for all its steps and a training batch once per forward.
-Nor does what the timesteps contribute depend on the latent: each block's
-time shift (the time features @ time_proj plus the row's text embedding)
-and gain.  `time_terms` builds them, for a DDIM run every step's at once
-before the first step, for a training batch once per forward.  The rows of
-a guided step share one latent, which the forward takes as is, projects
-through in_proj once and broadcasts over the rows.
+projects them once for all its steps.  It runs in two parts:
+`stack_conditions` reads only the backbone (it checks the rows, gathers the
+text rows and lays the control tokens out), and `project_trained` projects
+through the identity and control weights.  Nor does what the timesteps
+contribute depend on the latent: each block's time shift (the time
+features @ time_proj plus the row's text embedding) and gain.  `time_terms`
+builds them, for a DDIM run every step's at once before the first step.
+Under a frozen backbone a training chunk builds its rows' backbone part
+and time terms once, and each step runs `project_trained` on its rows.
+The rows of a guided step share one latent, which the forward takes as
+is, projects through in_proj once and broadcasts over the rows.
 
 The forward writes each block temporary it owns in place.  The backward's
 products by the transposed `out_proj`, `ff_w2` and `ff_w1` run on the plain
@@ -248,12 +252,20 @@ class ModelWeights:
     pos_code: np.ndarray = field(repr=False)  # fixed buffer, not a parameter
     registry: dict[str, tuple[str, np.ndarray]] = field(repr=False)
     completed_stages: list[int] = field(default_factory=list)
+    # each set's sorted parameter names, from the registry
+    set_names: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "set_names", {
+            s: tuple(sorted(n for n, (set_name, _) in self.registry.items() if set_name == s))
+            for s in PARAM_SETS})
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: arr for name, (_, arr) in self.registry.items()}
 
     def names_in_set(self, set_name: str) -> list[str]:
-        return sorted(n for n, (s, _) in self.registry.items() if s == set_name)
+        """The sorted names of a set's parameters, sorted once with the weights."""
+        return list(self.set_names[set_name])
 
     def checksum(self, set_name: str) -> str:
         """SHA-256 over the set's parameter bytes (bitwise freeze marker)."""
@@ -367,7 +379,9 @@ def seq_to_latent(seq: np.ndarray, hw: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Conditions:
-    """A stack's conditioning, projected for each block by `project_conditions`."""
+    """A stack's conditioning for each block: its text rows and control
+    tokens laid out by `stack_conditions`, its identity terms and control
+    fields projected by `project_trained`."""
     tids: np.ndarray                    # (B,) text_embed row of each sequence
     text: list[np.ndarray]              # per block, (B, 1, d_model) text-embedding rows
     identity: list[IdentityTerm | None]  # per block, the cross term (None: no row runs it)
@@ -375,45 +389,83 @@ class Conditions:
     ctrl: np.ndarray | None             # (R, seq, C) control tokens of those rows
     fields: list[np.ndarray | None]     # per block, ctrl @ ctrl_proj (None without control)
 
+    def rows(self, rows: slice) -> Conditions:
+        """A run of rows of a stack from `stack_conditions` whose control
+        covers every row or none, as views of its arrays."""
+        if self.crows and self.crows != slice(0, len(self.tids)):
+            raise ValueError("only a stack with control on every row or none splits into runs")
+        ctrl = None if self.ctrl is None else self.ctrl[rows]
+        return Conditions(self.tids[rows], [text[rows] for text in self.text], self.identity,
+                          [] if ctrl is None else slice(0, len(ctrl)), ctrl, self.fields)
 
-def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
-                       scale: float = 0.0) -> Conditions:
-    """Check and project the conditions of a stack with one row per text id.
+
+def stack_conditions(w: ModelWeights, text_id, ctrl=None) -> Conditions:
+    """The part of `project_conditions` that reads no trained projection:
+    check a stack's text ids and control rows, gather each block's
+    text-embedding row of each row, and lay the control latents out in
+    token order.  No identity term or control field is projected yet.
 
     text_id holds a text id in [0, n_text) per row, or None, which alone
-    selects the reserved null-text row.  identity and ctrl are None or
-    (rows, stack), increasing rows and their per-block (R, n_query, d_id)
-    identity features or (R, C, h, w) control latents.  The cross term (at
-    scale != 0) and the control residual run only for the rows listed.
-    """
+    selects the reserved null-text row.  ctrl is None or (rows, stack),
+    increasing rows and their (R, C, h, w) control latents.  Only the
+    backbone's text embeddings are read, so a stage that freezes the
+    backbone can lay out a whole chunk of steps at once and take each
+    step's rows (`Conditions.rows`)."""
     cfg = w.config
     for i in text_id:
         if i is not None:
             check_text_id(i, cfg.n_text)
-    n = len(text_id)
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
-    terms = [identity_term(None if identity is None else (identity[0], identity[1][k]),
-                           n, blk.attn, scale) for k, blk in enumerate(w.blocks)]
-    crows, ctrl_seq = row_index(None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1])), n)
+    crows, ctrl_seq = row_index(None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1])),
+                                len(tids))
+    unprojected = [None] * len(w.blocks)
     return Conditions(
         tids=tids,
         # one (1, d_model) text row per sequence broadcasts over its tokens
         text=[blk.text_embed[tids][:, None] for blk in w.blocks],
-        identity=terms, crows=crows, ctrl=ctrl_seq,
-        fields=[ctrl_seq @ blk.ctrl_proj if crows else None for blk in w.blocks])
+        identity=unprojected, crows=crows, ctrl=ctrl_seq, fields=unprojected)
+
+
+def project_trained(w: ModelWeights, stack: Conditions, identity=None,
+                    scale: float = 0.0) -> Conditions:
+    """The trained part of `project_conditions`: `stack` (from
+    `stack_conditions`) with its identity terms and control fields
+    projected through the identity and control weights.
+
+    identity is None or (rows, stack), increasing rows and their per-block
+    (R, n_query, d_id) identity features.  The cross term (at scale != 0)
+    and the control residual run only for the rows listed."""
+    n, crows = len(stack.tids), stack.crows
+    return Conditions(
+        tids=stack.tids, text=stack.text, crows=crows, ctrl=stack.ctrl,
+        identity=stack.identity if identity is None else
+        [identity_term((identity[0], identity[1][k]), n, blk.attn, scale)
+         for k, blk in enumerate(w.blocks)],
+        fields=[stack.ctrl @ blk.ctrl_proj for blk in w.blocks] if crows else stack.fields)
+
+
+def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
+                       scale: float = 0.0) -> Conditions:
+    """Check and project the conditions of a stack with one row per text id:
+    `stack_conditions`, then `project_trained` (see both for the
+    arguments)."""
+    return project_trained(w, stack_conditions(w, text_id, ctrl), identity, scale)
 
 
 @dataclass(frozen=True)
 class TimeTerms:
     """What each block adds to and scales its rows by at their timesteps, as
     `time_terms` builds them.  The axes before a stack's rows, if any, index
-    the steps of a run, and `step(m)` gives step m's terms."""
+    the steps of a run."""
     tfeat: np.ndarray        # (..., B or 1, 1, d_time) time features, one row per timestep
     shift: list[np.ndarray]  # per block, (..., B, 1, d_model): tfeat @ time_proj + text row
     gain: list[np.ndarray]   # per block, (..., B, 1, d_model): 1 + tfeat @ time_gain
 
-    def step(self, m: int) -> TimeTerms:
-        return TimeTerms(self.tfeat[m], [s[m] for s in self.shift], [g[m] for g in self.gain])
+    def at(self, index) -> TimeTerms:
+        """The terms at `index` of the leading axis, as views: step m of a
+        run's terms, or a slice of a stack's rows."""
+        return TimeTerms(self.tfeat[index], [s[index] for s in self.shift],
+                         [g[index] for g in self.gain])
 
 
 def time_terms(w: ModelWeights, t, cond: Conditions) -> TimeTerms:
@@ -570,18 +622,24 @@ def denoiser_backward(deps_seq: np.ndarray, cache, sets):
 
 def predict_eps(w: ModelWeights, z_t: np.ndarray, terms: TimeTerms,
                 cond: Conditions) -> np.ndarray:
-    """Noise prediction, (B, C, h, w), for the rows of `cond`'s stack at
-    their time terms, as one denoiser batch.  z_t is a (B, C, h, w) stack
-    of latents, one per row, or one (C, h, w) latent that every row shares."""
+    """Noise prediction, a C-ordered (B, C, h, w) array, for the rows of
+    `cond`'s stack at their time terms, as one denoiser batch.  z_t is a
+    (B, C, h, w) stack of latents, one per row, or one (C, h, w) latent
+    that every row shares.
+
+    The forward's tokens are checked finite in token order, where numpy's
+    contiguous loop runs, and then copied to latent order: elementwise work
+    on the prediction then runs numpy's contiguous loops too."""
     hw = w.config.latent_hw
     if z_t.ndim not in (3, 4) or z_t.shape[-3:] != (w.config.latent_channels, hw, hw):
         raise ValueError(
             f"latent shape {z_t.shape} matches neither a latent nor a stack for config "
             f"([B,] {w.config.latent_channels}, {hw}, {hw})"
         )
-    eps_seq, _ = denoiser_forward(w, latent_to_seq(z_t), terms, cond)
-    # checked in token order, where numpy's contiguous loop runs
-    return seq_to_latent(assert_all_finite(eps_seq, "noise prediction"), hw)
+    # the forward's cache is freed before the copy is made, as when the caller copied
+    eps_seq = denoiser_forward(w, latent_to_seq(z_t), terms, cond)[0]
+    return np.ascontiguousarray(seq_to_latent(assert_all_finite(eps_seq, "noise prediction"),
+                                              hw))
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +694,9 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     plan = time_terms(w, taus[1:, None], cond)  # step m - 1: every row at taus[m]
     grid = taus.tolist()
     for m in range(len(grid) - 1, 0, -1):
-        # a C-ordered copy of the prediction, which is a transposed view of the
-        # forward's tokens: numpy's contiguous loops then run the combine and
-        # the update, and z stays C-ordered, the layout the forward reads
-        eps = np.ascontiguousarray(predict_eps(w, z, plan.step(m - 1), cond))
+        # the prediction is C-ordered, so the combine and the update run numpy's
+        # contiguous loops and z stays C-ordered, the layout the forward reads
+        eps = predict_eps(w, z, plan.at(m - 1), cond)
         z = ddim_step(z, cfg_combine(eps[0], eps[-1], guidance), grid[m], grid[m - 1], schedule)
 
     image = decode_latent(z, enc)

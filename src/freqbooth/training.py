@@ -19,12 +19,16 @@ prepares its inputs a chunk of steps at a time, at most `CHUNK_EXAMPLES`
 examples: one RNG draw takes every step's picks, timesteps, noise and
 dropout values, and one decode, encode, noising and band filter make the
 chunk's latents, each row as its step alone would make it.  Each step then
-takes its own rows.  A stage-1 run reads its references only through
-the frozen tokenizer, whose tokens are the same at every step: `train`
-decodes and tokenizes every train reference once per run, in stacks of at
-most a batch, and each step gathers the tokens of its referenced rows.  The
-test references, which every sampling trial reads, are decoded once, on
-first read.
+takes its own rows.  Stages 1 and 2 train against a frozen backbone, so
+each row's text rows, control tokens and time terms depend only on its
+text id, control latent and timestep: a chunk builds them once for all its
+rows (`_condition_chunk`), and a step projects only through the set it
+trains.  Stage 0 trains the backbone, so each of its steps builds its own.
+A stage-1 run reads its references only through the frozen tokenizer,
+whose tokens are the same at every step: `train` decodes and tokenizes
+every train reference once per run, in stacks of at most a batch, and each
+step gathers the tokens of its referenced rows.  The test references,
+which every sampling trial reads, are decoded once, on first read.
 
 The one evaluation path, for the CLI and any script alike: `draw_trials`
 draws guided samples and scores them against their references,
@@ -52,11 +56,12 @@ import numpy as np
 
 from .attention import check_identity_scale
 from .config import ModelConfig, tiny_config
-from .dct_freq import MaskKind, make_control_signal
-from .diffusion import (ModelWeights, NoiseSchedule, PARAM_SETS, _build_weights,
-                        denoiser_backward, denoiser_forward, forward_noise, init_weights,
-                        latent_to_seq, linear_schedule, predict_eps, project_conditions,
-                        sample, time_terms)
+from .dct_freq import MaskKind, keeps_nothing, make_control_signal
+from .diffusion import (Conditions, ModelWeights, NoiseSchedule, PARAM_SETS, TimeTerms,
+                        _build_weights, denoiser_backward, denoiser_forward, forward_noise,
+                        init_weights, latent_to_seq, linear_schedule, predict_eps,
+                        project_conditions, project_trained, sample, stack_conditions,
+                        time_terms)
 from .netpbm import decode_levels, ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent, extract_tokens,
                                 reference_backward, reference_forward_train)
@@ -355,12 +360,18 @@ def orientation_histogram(img: np.ndarray) -> np.ndarray | None:
 
 def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
     """(cosine similarity of orientation histograms, degenerate flag)."""
+    return _scored(generated, reference, orientation_histogram)
+
+
+def _scored(generated: np.ndarray, reference: np.ndarray, reference_histogram):
+    """`identity_metric_flagged`, with the reference's histogram given by
+    `reference_histogram(reference)`."""
     if generated.shape != reference.shape:
         raise ValueError(
             f"image shapes differ: {generated.shape} vs {reference.shape}"
         )
     ha = orientation_histogram(generated)
-    hb = orientation_histogram(reference)
+    hb = reference_histogram(reference)
     if ha is None or hb is None:
         return 0.0, True
     if np.array_equal(ha, hb):
@@ -378,13 +389,18 @@ def identity_metric_flagged(generated: np.ndarray, reference: np.ndarray):
 class PreparedBatch:
     """One noised training batch: a row per example.  ref and ctrl are None
     or (rows, stack), increasing row numbers and, for each, the frozen
-    tokens of its reference (`extract_tokens`) or its control latent."""
+    tokens of its reference (`extract_tokens`) or its control latent.
+    stack and terms are the rows' `stack_conditions` and `time_terms` where
+    `_condition_chunk` built them for the batch's chunk, else None:
+    `batch_loss` then builds them itself."""
     z_t: np.ndarray  # (B, C, h, w)
     t: list[int]
     eps: np.ndarray  # (B, C, h, w)
     text_id: list[int | None]
     ref: tuple | None
     ctrl: tuple | None
+    stack: Conditions | None = None
+    terms: TimeTerms | None = None
 
 
 # share of stage-0/1 examples whose text and reference are dropped, so the
@@ -427,6 +443,25 @@ def _prepare(batch: Sample, draws: tuple, ref_tokens: np.ndarray | None,
     return prepared
 
 
+def _condition_chunk(weights: ModelWeights, chunk: list[PreparedBatch]) -> None:
+    """Give each batch of a chunk its `stack_conditions` and time terms, as
+    views of the chunk's, each built once for all its rows.  Under a frozen
+    backbone they depend only on each row's text id, timestep and control
+    latent, so each row's equal those its step builds alone (`time_terms`
+    makes each row its own product).  Control is on every row or none."""
+    ctrl = None
+    if chunk[0].ctrl is not None:
+        latents = np.concatenate([batch.ctrl[1] for batch in chunk])
+        ctrl = (range(len(latents)), latents)
+    stack = stack_conditions(weights, [i for batch in chunk for i in batch.text_id], ctrl)
+    terms = time_terms(weights, [t for batch in chunk for t in batch.t], stack)
+    lo = 0
+    for batch in chunk:
+        rows = slice(lo, lo + len(batch.t))
+        batch.stack, batch.terms = stack.rows(rows), terms.at(rows)
+        lo = rows.stop
+
+
 def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
                compute_grads: bool = True):
     """Mean-squared noise-prediction error and analytic gradients of the
@@ -435,8 +470,11 @@ def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
     The batch runs as one stacked denoiser forward and one backward, which
     differentiates only that set (see `denoiser_backward`); the reference
     branch runs once forward and once backward over the referenced rows.
-    `compute_grads=False` skips the backward and returns an empty gradient
-    dict.
+    The conditions are the batch's `stack_conditions` (its own, or those
+    `_condition_chunk` built) with `project_trained`'s identity and control
+    projections.  `compute_grads=False` skips the backward and returns an
+    empty gradient dict.  A parameter of the set that the forward did not
+    use gets a zero gradient.
     """
     n = len(batch.z_t)
     identity = rcache = None
@@ -445,19 +483,22 @@ def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
         feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
                                                 weights.id_heads())
         identity = (batch.ref[0], feats)
-    cond = project_conditions(weights, batch.text_id, identity, batch.ctrl,
-                              config.identity_scale)
-    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t),
-                                        time_terms(weights, batch.t, cond), cond)
+    stack, terms = batch.stack, batch.terms
+    if stack is None:  # a stage that trains the backbone builds each step's own
+        stack = stack_conditions(weights, batch.text_id, batch.ctrl)
+        terms = time_terms(weights, batch.t, stack)
+    cond = project_trained(weights, stack, identity, config.identity_scale)
+    pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), terms, cond)
     diff = pred_seq - latent_to_seq(batch.eps)
-    loss = sum((diff ** 2).mean(axis=(1, 2)).tolist()) / n  # the row means, summed in order
+    # the row means, summed in order; each as `mean(axis=(1, 2))` takes it, its sum / count
+    loss = sum((np.add.reduce(diff ** 2, axis=(1, 2)) / diff[0].size).tolist()) / n
     if not compute_grads:
         return loss, {}
     sets = (STAGE_SETS[config.stage],)
-    grads, didentity = denoiser_backward((2.0 / (diff[0].size * n)) * diff, dcache, sets)
-    params = weights.params()
-    acc = {name: grads[name] if name in grads else np.zeros(params[name].shape)
-           for name in weights.names_in_set(sets[0])}
+    acc, didentity = denoiser_backward((2.0 / (diff[0].size * n)) * diff, dcache, sets)
+    for name in weights.names_in_set(sets[0]):
+        if name not in acc:
+            acc[name] = np.zeros(weights.registry[name][1].shape)
     if rcache is not None:
         # the cross term ran in every block for the referenced rows, so each didentity is set
         rgrads = reference_backward(didentity, rcache)
@@ -497,7 +538,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """In-place Adam update of the parameters `state` was built for, whose
     gradients `grads` names exactly (else ValueError).  The moments update
     over the flat vectors, elementwise, so each value is the one a loop
-    over the parameters would give."""
+    over the parameters would give.
+
+    m and v update in place, and the update is written through one scratch
+    vector and the flat gradient.  Each operation of the formula
+
+        m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g g,
+        update = lr ((m / bc1) / (sqrt(v / bc2) + eps))
+
+    runs in its order, on the same operands (IEEE products and sums
+    commute), so every bit is the formula's."""
     if sorted(grads) != list(state.names):
         raise ValueError(f"Adam state holds {list(state.names)}, got grads for {sorted(grads)}")
     state.step += 1
@@ -505,9 +555,19 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     g = np.concatenate([grads[name].ravel() for name in state.names])
     m, v = state.m, state.v
-    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-    update = lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    update = (1.0 - ADAM_BETA2) * g
+    update *= g
+    v *= ADAM_BETA2
+    v += update
+    g *= 1.0 - ADAM_BETA1
+    m *= ADAM_BETA1
+    m += g
+    np.divide(v, bc2, out=update)
+    np.sqrt(update, out=update)
+    update += ADAM_EPS
+    np.divide(m, bc1, out=g)
+    np.divide(g, update, out=update)
+    update *= lr
     start = 0
     for name in state.names:
         p = params[name]
@@ -605,7 +665,10 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     """Run one stage; updates `weights` in place and returns the report.
 
     Stages must run in order 0 -> 1 -> 2; the two non-active parameter sets
-    are frozen and their checksums verified after the run.  The stage runs
+    are frozen and their checksums verified after the run.  A dataset the
+    model does not fit (`check_fits`), or at stage 2 a band that keeps no
+    DCT coefficient of the latent (`keeps_nothing`), raises ValueError
+    before any work.  The stage runs
     at `config.identity_scale` as `TrainConfig` holds it.  A non-finite
     step loss, a step loss above DIVERGENCE_FACTOR times the first step's,
     or a non-finite trained weight after the last step raises
@@ -616,6 +679,11 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
     if missing:
         raise StageOrderError(f"stage(s) {missing} must run before stage {stage}")
     check_fits(dataset, weights.config)
+    hw = weights.config.latent_hw
+    if stage == 2 and keeps_nothing(config.mask_kind, hw, hw):
+        # named as the CLI flag, as `TrainConfig` names its own
+        raise ValueError(f"--mask {config.mask_kind.value} keeps no DCT coefficient of the "
+                         f"{hw}x{hw} latent, so stage 2 would train nothing")
 
     schedule = schedule or linear_schedule(weights.config.timesteps)
     enc = enc or build_encoders(weights.config)
@@ -645,8 +713,11 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
             picks, *draws = rng.step_draws(min(per_chunk, total - lo), size,
                                            dataset.spec.train_size, latent)
             # the chunk's decoded images are freed once `_prepare` has noised their latents
-            yield from _prepare(dataset.train_sample(picks.ravel()), draws, ref_tokens,
-                                schedule, enc, config, COND_DROPOUT)
+            chunk = _prepare(dataset.train_sample(picks.ravel()), draws, ref_tokens,
+                             schedule, enc, config, COND_DROPOUT)
+            if trainable != "backbone":  # the conditioning weights stay as they are
+                _condition_chunk(weights, chunk)
+            yield from chunk
 
     prepared = batches()
     losses: list[float] = []
@@ -707,14 +778,23 @@ def draw_trials(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSched
     sample from `seed`'s stream for the tag at `steps` and `guidance`,
     snapped to 8-bit levels and scored against the reference, (None, None)
     without one.  Every image is drawn before this returns, so a numerical
-    failure leaves nothing to write."""
+    failure leaves nothing to write.  Each distinct reference (by shape,
+    dtype and bytes) is histogrammed once per call."""
+    histograms = {}
+
+    def reference_histogram(ref):
+        key = (ref.shape, ref.dtype.str, ref.tobytes())
+        if key not in histograms:
+            histograms[key] = orientation_histogram(ref)
+        return histograms[key]
+
     drawn = []
     for tag, ref, text_id, mask, lam in trials:
         img, _ = sample(weights, enc, schedule, RngState(seed).derive(tag), ref_img=ref,
                         text_id=text_id, mask_kind=mask, steps=steps, guidance=guidance,
                         identity_scale=lam)
         quant = quantize(img)
-        scored = (None, None) if ref is None else identity_metric_flagged(quant, ref)
+        scored = (None, None) if ref is None else _scored(quant, ref, reference_histogram)
         drawn.append((quant, *scored))
     return drawn
 

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from freqbooth import cli, diffusion
-from freqbooth.cli import PrerequisiteError, _keeps_nothing, load_dataset, main, save_dataset
+from freqbooth.cli import PrerequisiteError, load_dataset, main, save_dataset
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.dct_freq import MaskKind, build_mask, coverage_gap, make_control_signal
+from freqbooth.dct_freq import (MaskKind, build_mask, coverage_gap, keeps_nothing,
+                                make_control_signal)
 from freqbooth.diffusion import PARAM_SETS, forward_noise, init_weights, \
     linear_schedule, predict_eps, project_conditions, time_terms
 from freqbooth.netpbm import decode_levels, read_ppm, write_ppm
@@ -763,10 +764,10 @@ def test_ablate_masks_report(pipe, tmp_path):
 
 def test_ablate_masks_trains_only_the_bands_the_latent_keeps(pipe, tmp_path, monkeypatch):
     """At the 8x8 latent `mid` and `high` keep no DCT coefficient, so their
-    stage 2 has zero gradients and leaves the weights as they are: only
-    `mini` and `low` are trained; the other two save the stage-1 weights
-    with stage 2 completed, the file training them writes, and repeat the
-    `none` row."""
+    stage 2 would have zero gradients and leave the weights as they are,
+    and the library `train` rejects them: only `mini` and `low` are
+    trained; the other two save the stage-1 weights with stage 2
+    completed, and repeat the `none` row."""
     trained = []
     monkeypatch.setattr(cli, "train", lambda config, *args, **kwargs: (
         trained.append(config.mask_kind.value), train(config, *args, **kwargs)))
@@ -780,8 +781,11 @@ def test_ablate_masks_trains_only_the_bands_the_latent_keeps(pipe, tmp_path, mon
     dataset, _ = load_dataset(pipe / "dataset")
     for kind in (MaskKind.MID, MaskKind.HIGH):
         weights = load_checkpoint(pipe / "checkpoint_stage1.json")
-        train(TrainConfig(stage=2, steps=2, identity_scale=0.0, mask_kind=kind),
-              dataset, weights)
+        with pytest.raises(ValueError, match=f"--mask {kind.value} keeps no DCT coefficient "
+                                             "of the 8x8 latent"):
+            train(TrainConfig(stage=2, steps=2, identity_scale=0.0, mask_kind=kind),
+                  dataset, weights)
+        weights.completed_stages.append(2)
         save_checkpoint(tmp_path / "trained.json", weights)
         saved = (tmp_path / f"checkpoint_stage2_{kind.value}.json").read_bytes()
         assert saved == (tmp_path / "trained.json").read_bytes(), kind
@@ -796,7 +800,7 @@ def test_a_band_is_skipped_by_its_coefficient_count_not_its_name():
     masked = (MaskKind.MINI, MaskKind.LOW, MaskKind.MID, MaskKind.HIGH)
     for size, trained in ((32, ["mini", "low"]), (64, ["mini", "low", "mid"])):
         hw = toy_config(image_size=size).latent_hw
-        assert [k.value for k in masked if not _keeps_nothing(k, hw)] == trained, size
+        assert [k.value for k in masked if not keeps_nothing(k, hw, hw)] == trained, size
     assert build_mask(MaskKind.MID, 16, 16).sum() == 55
 
 

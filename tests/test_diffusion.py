@@ -369,6 +369,20 @@ def test_zeroed_adapters_and_gates_silence_all_conditions(cfg):
     assert np.array_equal(bare, loaded)
 
 
+def test_a_prediction_is_c_ordered_with_the_forward_tokens_bits(cfg):
+    """`predict_eps` returns the forward's tokens in latent order as a
+    C-ordered array, for a stack and for one shared latent, so elementwise
+    work on it runs numpy's contiguous loops."""
+    weights = init_weights(cfg, 6)
+    cond = project_conditions(weights, [0, None])
+    terms = time_terms(weights, [5, 9], cond)
+    for z in (np.stack([rand_latent(cfg, 1), rand_latent(cfg, 2)]), rand_latent(cfg, 3)):
+        pred = predict_eps(weights, z, terms, cond)
+        eps_seq, _ = denoiser_forward(weights, latent_to_seq(z), terms, cond)
+        assert pred.flags.c_contiguous
+        assert np.array_equal(pred, seq_to_latent(eps_seq, cfg.latent_hw))
+
+
 def test_invalid_latents_and_text_ids_are_rejected(cfg):
     weights = init_weights(cfg, 6)
     with pytest.raises(ValueError, match="latent shape"):

@@ -1,8 +1,10 @@
 import base64
+import gc
 import hashlib
 import inspect
 import json
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from freqbooth import diffusion, training
 from freqbooth.config import tiny_config, toy_config
-from freqbooth.dct_freq import MaskKind, make_control_signal
+from freqbooth.dct_freq import MaskKind, keeps_nothing, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
                                  linear_schedule, predict_eps, project_conditions, sample,
@@ -300,6 +302,107 @@ def test_a_stage1_run_tokenizes_each_reference_once(monkeypatch, tiny_schedule, 
     assert "test_refs" not in vars(ds)
 
 
+def conditions_fields(cond):
+    """Every field of a `Conditions`, arrays as (shape, dtype, bytes)."""
+    def arr(a):
+        return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+    def term(t):
+        return None if t is None else (t.rows, arr(t.tokens), arr(t.keys), arr(t.values),
+                                       t.scale)
+    return (arr(cond.tids), [arr(t) for t in cond.text], [term(t) for t in cond.identity],
+            cond.crows, arr(cond.ctrl), [arr(f) for f in cond.fields])
+
+
+def terms_fields(terms):
+    """Every field of a `TimeTerms`, arrays as (shape, dtype, bytes)."""
+    return [(a.shape, a.dtype.str, a.tobytes())
+            for a in (terms.tfeat, *terms.shift, *terms.gain)]
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("size", [1, 3, 4])
+@pytest.mark.parametrize("model", ["tiny", "toy"])
+def test_each_step_of_a_chunk_gets_the_conditions_it_builds_alone(monkeypatch, request, stage,
+                                                                   size, model):
+    """Where the backbone is frozen (stages 1 and 2), `train` builds each
+    chunk's text rows, control tokens and time terms once.  Every step's
+    forward still gets, bit for bit, the conditions and time terms that
+    `project_conditions` and `time_terms` give for that step alone, on
+    runs that cross chunk boundaries and with rows whose text and
+    reference were dropped (a high dropout share drops some rows and, at
+    batch 1, whole steps)."""
+    ds, enc = {"tiny": ("tiny_dataset", "tiny_enc"),
+               "toy": ("default_dataset", "toy_enc")}[model]
+    ds, enc = request.getfixturevalue(ds), request.getfixturevalue(enc)
+    weights = init_weights(enc.config, 3)
+    weights.completed_stages.extend([0, 1])
+    monkeypatch.setattr(training, "COND_DROPOUT", 0.4)
+    batches = recording(monkeypatch, training, "batch_loss")
+    checked = []
+    real_forward = training.denoiser_forward
+
+    def forward(w, z_seq, terms, cond):
+        batch = batches[-1]["batch"]
+        assert batch.stack is not None and batch.terms is terms
+        identity = None
+        if batch.ref is not None:
+            feats, _ = reference_forward_train(batch.ref[1], w.projection, w.id_heads())
+            identity = (batch.ref[0], feats)
+        alone = project_conditions(w, batch.text_id, identity, batch.ctrl, 1.0 if stage == 1
+                                   else 0.0)
+        assert conditions_fields(cond) == conditions_fields(alone)
+        assert terms_fields(terms) == terms_fields(time_terms(w, batch.t, alone))
+        checked.append(batch.text_id)
+        return real_forward(w, z_seq, terms, cond)
+
+    monkeypatch.setattr(training, "denoiser_forward", forward)
+    steps = 2 * max(1, training.CHUNK_EXAMPLES // size) + 1
+    train(TrainConfig(stage=stage, steps=steps, batch_size=size, seed=5,
+                      mask_kind=MaskKind.LOW if stage == 2 else None),
+          ds, weights, linear_schedule(enc.config.timesteps), enc)
+    assert len(checked) == steps
+    dropped = [text is None for texts in checked for text in texts]
+    assert any(dropped) == (stage == 1) and not all(dropped)
+
+
+def test_time_terms_run_once_per_chunk_where_the_backbone_is_frozen(monkeypatch, tiny_dataset,
+                                                                    tiny_schedule, tiny_enc,
+                                                                    tiny_cfg):
+    """Stage 0 trains the backbone, so each step builds its own time terms
+    and text rows; stages 1 and 2 build them once per chunk."""
+    built = recording(monkeypatch, training, "time_terms")
+    laid_out = recording(monkeypatch, training, "stack_conditions")
+    weights = init_weights(tiny_cfg, 0)
+    for stage in (0, 1, 2):
+        for n_steps, batch_size in ((0, 4), (2, 3), (5, 1), (9, 4), (40, 1)):
+            built.clear()
+            laid_out.clear()
+            train(TrainConfig(stage=stage, steps=n_steps, batch_size=batch_size,
+                              mask_kind=MaskKind.LOW if stage == 2 else None),
+                  tiny_dataset, weights, tiny_schedule, tiny_enc)
+            per_chunk = max(1, training.CHUNK_EXAMPLES // batch_size)
+            want = max(n_steps, 1) if stage == 0 else -(-max(n_steps, 1) // per_chunk)
+            assert len(built) == len(laid_out) == want, (stage, n_steps, batch_size)
+            rows = [len(call["t"]) for call in built]
+            assert sum(rows) == max(n_steps, 1) * batch_size
+
+
+def test_a_finished_run_keeps_no_reference_to_its_weights_or_dataset(tiny_cfg, tiny_schedule,
+                                                                    tiny_enc):
+    """Whatever a run plans lives inside its `train` call: once the caller
+    drops the weights and the dataset, nothing else holds them."""
+    weights = init_weights(tiny_cfg, 0)
+    dataset = generate_dataset(SMALL_SPEC, 0)
+    for stage in (0, 1, 2):
+        train(TrainConfig(stage=stage, steps=3, mask_kind=MaskKind.LOW if stage == 2 else None),
+              dataset, weights, tiny_schedule, tiny_enc)
+    refs = [weakref.ref(weights), weakref.ref(dataset)]
+    del weights, dataset
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
 def test_the_test_references_are_decoded_once_on_first_read(monkeypatch):
     ds = generate_dataset(SMALL_SPEC, 0)
     decodes = recording(monkeypatch, training, "decode_levels")
@@ -364,6 +467,26 @@ def test_library_entry_points_reject_a_dataset_the_model_does_not_fit():
             paired_sweep(weights, enc, schedule, dataset, [0.0], 1, 0, 2, 3.0)
     assert {s: weights.checksum(s) for s in PARAM_SETS} == before
     assert weights.completed_stages == []
+
+
+def test_stage2_rejects_a_band_that_keeps_no_coefficient(tiny_cfg, tiny_dataset,
+                                                          tiny_schedule, tiny_enc):
+    """`train` at stage 2 checks, before any work, that the band keeps a
+    DCT coefficient of the latent, the rule `ablate-masks` skips such a
+    band by (`keeps_nothing`): else its control latents are zero and the
+    run would train nothing yet complete stage 2."""
+    weights = init_weights(tiny_cfg, 0)
+    weights.completed_stages.extend([0, 1])
+    before = {s: weights.checksum(s) for s in PARAM_SETS}
+    for kind in (MaskKind.MID, MaskKind.HIGH):
+        assert keeps_nothing(kind, 2, 2)
+        with pytest.raises(ValueError, match=f"--mask {kind.value} keeps no DCT coefficient of "
+                                             "the 2x2 latent"):
+            train(TrainConfig(stage=2, steps=3, mask_kind=kind), tiny_dataset, weights,
+                  tiny_schedule, tiny_enc)
+    assert {s: weights.checksum(s) for s in PARAM_SETS} == before
+    assert weights.completed_stages == [0, 1]
+    assert not keeps_nothing(MaskKind.LOW, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +980,9 @@ def looped_adam_step(params, grads, m, v, step, lr):
 
 
 def test_flat_adam_equals_the_per_parameter_loop_bit_for_bit():
+    """The in-place update gives the loop's bits, keeps its moment vectors
+    (the same objects, step after step) and leaves the gradients as they
+    were."""
     rng = np.random.default_rng(4)
     shapes = {"b": (3, 4), "a": (5,), "c": (2, 3, 2)}
     params = {n: rng.normal(size=shape) for n, shape in shapes.items()}
@@ -864,11 +990,15 @@ def test_flat_adam_equals_the_per_parameter_loop_bit_for_bit():
     m = {n: np.zeros(shape) for n, shape in shapes.items()}
     v = {n: np.zeros(shape) for n, shape in shapes.items()}
     state = init_adam(params, list(shapes))
+    moments = state.m, state.v
     for step in range(1, 6):
         grads = {n: rng.normal(size=shape) * 10.0 ** (step - 3) for n, shape in shapes.items()}
+        kept = {n: g.copy() for n, g in grads.items()}
         adam_step(params, grads, state, lr=0.01)
         looped_adam_step(want, grads, m, v, step, lr=0.01)
         assert state.step == step
+        assert state.m is moments[0] and state.v is moments[1]
+        assert all(np.array_equal(grads[n], kept[n]) for n in shapes)
         for name in shapes:
             assert np.array_equal(params[name], want[name]), name
         assert np.array_equal(state.m, np.concatenate([m[n].ravel() for n in sorted(m)]))
@@ -1099,6 +1229,24 @@ def test_held_out_pairs_are_the_same_for_every_model_and_band(tiny_trained, tiny
     assert [loss for _, loss in runs[0]] != [loss for _, loss in runs[2]]
     other_seed = held_out_losses(trained, tiny_enc, tiny_schedule, tiny_dataset, 6, 1, None)
     assert [t for t, _ in other_seed] != [t for t, _ in runs[1]]
+
+
+def test_a_call_histograms_each_distinct_reference_once(monkeypatch, tiny_trained,
+                                                        tiny_dataset, tiny_schedule, tiny_enc):
+    """`draw_trials` histograms each distinct reference once per call,
+    whichever array holds it (views of one row, or a copy), and scores
+    every trial as `identity_metric_flagged` does."""
+    weights, _ = tiny_trained
+    refs = tiny_dataset.test_refs
+    trials = [(("sweep", t), ref, 0, None, 0.4) for t, ref in
+              enumerate([refs[0], refs[1], refs[0], refs[0].copy(), None, refs[1], refs[2]])]
+    histograms = recording(monkeypatch, training, "orientation_histogram")
+    drawn = draw_trials(weights, tiny_enc, tiny_schedule, 3, 2, 2.0, trials)
+    scored = [(trial[1], image) for trial, (image, *_) in zip(trials, drawn)
+              if trial[1] is not None]
+    assert len(histograms) == len(scored) + 3  # each image, and refs 0, 1 and 2 once
+    for (ref, image), (_, *scores) in zip(scored, [d for d in drawn if d[1] is not None]):
+        assert tuple(scores) == identity_metric_flagged(image, ref)
 
 
 def test_a_trial_without_a_reference_is_not_scored(tiny_trained, tiny_dataset,
