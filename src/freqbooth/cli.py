@@ -286,9 +286,9 @@ def cmd_train(args) -> int:
         weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, stage - 1),
                                                stage)
         source_checksums = {s: weights.checksum(s) for s in PARAM_SETS}
-    check_fits(dataset, weights.config)
 
-    # train rejects a band that keeps no coefficient of the latent before any work
+    # train rejects a dataset the model does not fit, and a band that keeps no
+    # coefficient of the latent, before any work
     report = train(config, dataset, weights, schedule, enc)
 
     ckpt_path = _checkpoint_path(out, stage, mask)

@@ -20,19 +20,19 @@ each weight gradient over the rows in row order.  The test suite checks
 every gradient against finite differences.
 
 What the conditions contribute to each block does not depend on the latent
-or the timestep: the text-embedding rows, the identity keys and values, and
-the control fields.  `project_conditions` computes them once, so a DDIM run
-projects them once for all its steps.  It runs in two parts:
-`stack_conditions` reads only the backbone (it checks the rows, gathers the
-text rows and lays the control tokens out), and `project_trained` projects
-through the identity and control weights.  Nor does what the timesteps
-contribute depend on the latent: each block's time shift (the time
-features @ time_proj plus the row's text embedding) and gain.  `time_terms`
-builds them, for a DDIM run every step's at once before the first step.
-Under a frozen backbone a training chunk builds its rows' backbone part
-and time terms once, and each step runs `project_trained` on its rows.
-The rows of a guided step share one latent, which the forward takes as
-is, projects through in_proj once and broadcasts over the rows.
+or the timestep: the identity keys and values and the control fields.
+`project_conditions` computes them once, so a DDIM run projects them once
+for all its steps.  It runs in two parts: `stack_conditions` reads no
+parameter (it checks the text ids and lays the control tokens out in token
+order), and `project_trained` projects through the identity and control
+weights.  Nor does what the timesteps contribute depend on the latent:
+each block's time shift (the time features @ time_proj plus the row's
+text embedding) and gain.  `time_terms` builds them, for a DDIM run every
+step's at once before the first step.  A training chunk lays out its rows
+once, and under a frozen backbone builds their time terms once too; each
+step then runs `project_trained` on its rows.  The rows of a guided step
+share one latent, which the forward takes as is, projects through in_proj
+once and broadcasts over the rows.
 
 The forward writes each block temporary it owns in place.  The backward's
 products by the transposed `out_proj`, `ff_w2` and `ff_w1` run on the plain
@@ -379,11 +379,10 @@ def seq_to_latent(seq: np.ndarray, hw: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Conditions:
-    """A stack's conditioning for each block: its text rows and control
-    tokens laid out by `stack_conditions`, its identity terms and control
-    fields projected by `project_trained`."""
+    """A stack's conditioning: its text ids and control tokens laid out by
+    `stack_conditions`, and for each block its identity term and control
+    field projected by `project_trained`."""
     tids: np.ndarray                    # (B,) text_embed row of each sequence
-    text: list[np.ndarray]              # per block, (B, 1, d_model) text-embedding rows
     identity: list[IdentityTerm | None]  # per block, the cross term (None: no row runs it)
     crows: slice | list                 # rows with control tokens, as `row_index` gives
     ctrl: np.ndarray | None             # (R, seq, C) control tokens of those rows
@@ -395,35 +394,30 @@ class Conditions:
         if self.crows and self.crows != slice(0, len(self.tids)):
             raise ValueError("only a stack with control on every row or none splits into runs")
         ctrl = None if self.ctrl is None else self.ctrl[rows]
-        return Conditions(self.tids[rows], [text[rows] for text in self.text], self.identity,
+        return Conditions(self.tids[rows], self.identity,
                           [] if ctrl is None else slice(0, len(ctrl)), ctrl, self.fields)
 
 
-def stack_conditions(w: ModelWeights, text_id, ctrl=None) -> Conditions:
-    """The part of `project_conditions` that reads no trained projection:
-    check a stack's text ids and control rows, gather each block's
-    text-embedding row of each row, and lay the control latents out in
-    token order.  No identity term or control field is projected yet.
+def stack_conditions(cfg: ModelConfig, text_id, ctrl=None) -> Conditions:
+    """The layout of a stack's conditions under a model of `cfg`, which
+    reads no parameter: check the text ids and control rows, take each
+    row's text_embed row, and lay the control latents out in token order.
+    No identity term or control field is projected yet.
 
     text_id holds a text id in [0, n_text) per row, or None, which alone
     selects the reserved null-text row.  ctrl is None or (rows, stack),
-    increasing rows and their (R, C, h, w) control latents.  Only the
-    backbone's text embeddings are read, so a stage that freezes the
-    backbone can lay out a whole chunk of steps at once and take each
-    step's rows (`Conditions.rows`)."""
-    cfg = w.config
+    increasing rows and their (R, C, h, w) control latents.  A training
+    chunk lays out all its steps at once and takes each step's rows
+    (`Conditions.rows`)."""
     for i in text_id:
         if i is not None:
             check_text_id(i, cfg.n_text)
     tids = np.array([cfg.null_text_id if i is None else int(i) for i in text_id])
     crows, ctrl_seq = row_index(None if ctrl is None else (ctrl[0], latent_to_seq(ctrl[1])),
                                 len(tids))
-    unprojected = [None] * len(w.blocks)
-    return Conditions(
-        tids=tids,
-        # one (1, d_model) text row per sequence broadcasts over its tokens
-        text=[blk.text_embed[tids][:, None] for blk in w.blocks],
-        identity=unprojected, crows=crows, ctrl=ctrl_seq, fields=unprojected)
+    unprojected = [None] * cfg.n_blocks
+    return Conditions(tids=tids, identity=unprojected, crows=crows, ctrl=ctrl_seq,
+                      fields=unprojected)
 
 
 def project_trained(w: ModelWeights, stack: Conditions, identity=None,
@@ -437,7 +431,7 @@ def project_trained(w: ModelWeights, stack: Conditions, identity=None,
     and the control residual run only for the rows listed."""
     n, crows = len(stack.tids), stack.crows
     return Conditions(
-        tids=stack.tids, text=stack.text, crows=crows, ctrl=stack.ctrl,
+        tids=stack.tids, crows=crows, ctrl=stack.ctrl,
         identity=stack.identity if identity is None else
         [identity_term((identity[0], identity[1][k]), n, blk.attn, scale)
          for k, blk in enumerate(w.blocks)],
@@ -449,7 +443,7 @@ def project_conditions(w: ModelWeights, text_id, identity=None, ctrl=None,
     """Check and project the conditions of a stack with one row per text id:
     `stack_conditions`, then `project_trained` (see both for the
     arguments)."""
-    return project_trained(w, stack_conditions(w, text_id, ctrl), identity, scale)
+    return project_trained(w, stack_conditions(w.config, text_id, ctrl), identity, scale)
 
 
 @dataclass(frozen=True)
@@ -469,7 +463,9 @@ class TimeTerms:
 
 
 def time_terms(w: ModelWeights, t, cond: Conditions) -> TimeTerms:
-    """Each block's time shift and gain for the rows of `cond`'s stack.
+    """Each block's time shift and gain for the rows of `cond`'s stack: the
+    time features through time_proj plus each row's text_embed row, and
+    one plus the features through time_gain.
 
     t holds integer timesteps whose last axis runs over the rows: one per
     row, or one that every row shares.  Leading axes are steps, so a DDIM
@@ -487,8 +483,9 @@ def time_terms(w: ModelWeights, t, cond: Conditions) -> TimeTerms:
                          f"got timesteps of shape {t.shape}")
     tfeat = time_features(t[..., None], cfg.d_time, cfg.timesteps)
     shift, gain = [], []
-    for blk, text in zip(w.blocks, cond.text):
-        shift.append(tfeat @ blk.time_proj + text)
+    for blk in w.blocks:
+        # one (1, d_model) text row per sequence broadcasts over its tokens
+        shift.append(tfeat @ blk.time_proj + blk.text_embed[cond.tids][:, None])
         g = tfeat @ blk.time_gain
         g += 1.0
         gain.append(g if g.shape == shift[-1].shape else np.broadcast_to(g, shift[-1].shape))

@@ -131,9 +131,17 @@ def extract_tokens(img: np.ndarray, enc: FrozenEncoders) -> np.ndarray:
     return _patches(img, enc.config.patch) @ enc.token_embed + enc.token_pos
 
 
-def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
-    """Learned queries attend over (..., n_tokens, d_tok) tokens; returns
-    (identity matrices, cache)."""
+def reference_forward_train(tokens: np.ndarray, proj: ProjectionWeights,
+                            heads: list[np.ndarray]):
+    """Reference branch forward over the (R, n_tokens, d_tok) frozen tokens
+    of R references (`extract_tokens`), with cache kept for backprop.
+
+    The pooler's learned queries attend over each reference's tokens, and
+    each block's head maps the pooled matrix to that block's features.
+    Returns (per-block (R, n_query, d_id) identity features, cache).  Only
+    the pooler and the heads run; the latent that feeds frequency control
+    is encoded separately (`encode_latent`) and carries no gradient.
+    """
     if tokens.shape[-1] != proj.w_key.shape[0]:
         raise ValueError(
             f"token dim {tokens.shape[-1]} vs pooler key rows {proj.w_key.shape[0]}"
@@ -142,15 +150,18 @@ def project_identity_forward(tokens: np.ndarray, proj: ProjectionWeights):
     keys = tokens @ proj.w_key
     values = tokens @ proj.w_value
     pooled, attn = softmax_attention(proj.queries, keys, values, inv)
-    cache = dict(tokens=tokens, proj=proj, inv=inv, keys=keys, values=values, attn=attn)
-    return pooled, cache
+    feats = [pooled @ h for h in heads]
+    return feats, dict(tokens=tokens, proj=proj, inv=inv, keys=keys, values=values, attn=attn,
+                       pooled=pooled, heads=heads)
 
 
-def project_identity_backward(dpooled: np.ndarray, cache):
-    """Gradients of the pooler output wrt queries/w_key/w_value, each
-    summed over the forward's rows in row order."""
+def reference_backward(dfeats: list[np.ndarray], cache):
+    """Gradients for the pooler (queries, w_key, w_value) and the per-block
+    heads from the per-block feature gradients, each summed over the
+    forward's rows in row order."""
     proj: ProjectionWeights = cache["proj"]
-    tokens = cache["tokens"]
+    tokens, pooled, heads = cache["tokens"], cache["pooled"], cache["heads"]
+    dpooled = sum(df @ h.T for df, h in zip(dfeats, heads))
     dqueries, dkeys, dvalues = softmax_attention_backward(
         dpooled, proj.queries, cache["keys"], cache["values"], cache["attn"],
         cache["inv"], need_dq=True)
@@ -158,31 +169,8 @@ def project_identity_backward(dpooled: np.ndarray, cache):
         "queries": dqueries.sum(axis=0),
         "w_key": row_summed_grad(tokens, dkeys),
         "w_value": row_summed_grad(tokens, dvalues),
+        "heads": [row_summed_grad(pooled, df) for df in dfeats],
     }
-
-
-def reference_forward_train(tokens: np.ndarray, proj: ProjectionWeights,
-                            heads: list[np.ndarray]):
-    """Reference branch forward over the (R, n_tokens, d_tok) frozen tokens
-    of R references (`extract_tokens`), with cache kept for backprop.
-
-    Returns (per-block (R, n_query, d_id) identity features, cache).  Only
-    the pooler and the heads run; the latent that feeds frequency control
-    is encoded separately (`encode_latent`) and carries no gradient.
-    """
-    pooled, pcache = project_identity_forward(tokens, proj)
-    feats = [pooled @ h for h in heads]
-    return feats, dict(pooled=pooled, pcache=pcache, heads=heads)
-
-
-def reference_backward(dfeats: list[np.ndarray], cache):
-    """Gradients for the pooler and the per-block heads from the per-block
-    feature gradients, each summed over the forward's rows in row order."""
-    pooled, heads = cache["pooled"], cache["heads"]
-    dpooled = sum(df @ h.T for df, h in zip(dfeats, heads))
-    grads = project_identity_backward(dpooled, cache["pcache"])
-    grads["heads"] = [row_summed_grad(pooled, df) for df in dfeats]
-    return grads
 
 
 def reference_forward(img: np.ndarray, proj: ProjectionWeights,

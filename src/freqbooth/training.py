@@ -18,12 +18,12 @@ store; an image is decoded to floats only where it is read.  `train`
 prepares its inputs a chunk of steps at a time, at most `CHUNK_EXAMPLES`
 examples: one RNG draw takes every step's picks, timesteps, noise and
 dropout values, and one decode, encode, noising and band filter make the
-chunk's latents, each row as its step alone would make it.  Each step then
-takes its own rows.  Stages 1 and 2 train against a frozen backbone, so
-each row's text rows, control tokens and time terms depend only on its
-text id, control latent and timestep: a chunk builds them once for all its
-rows (`_condition_chunk`), and a step projects only through the set it
-trains.  Stage 0 trains the backbone, so each of its steps builds its own.
+chunk's latents, each row as its step alone would make it.  The chunk's
+conditioning layout (`stack_conditions`) reads no parameter, so it too is
+made once at every stage.  Stages 1 and 2 train against a frozen
+backbone, so a chunk builds its rows' time terms once as well, and a step
+projects only through the set it trains; each stage-0 step builds its
+own.  Each step takes its own rows, as views.
 A stage-1 run reads its references only through the frozen tokenizer,
 whose tokens are the same at every step: `train` decodes and tokenizes
 every train reference once per run, in stacks of at most a batch, and each
@@ -54,14 +54,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import check_identity_scale
+from .attention import check_identity_scale, check_real
 from .config import ModelConfig, tiny_config
 from .dct_freq import MaskKind, keeps_nothing, make_control_signal
 from .diffusion import (Conditions, ModelWeights, NoiseSchedule, PARAM_SETS, TimeTerms,
                         _build_weights, denoiser_backward, denoiser_forward, forward_noise,
                         init_weights, latent_to_seq, linear_schedule, predict_eps,
-                        project_conditions, project_trained, sample, stack_conditions,
-                        time_terms)
+                        project_trained, sample, stack_conditions, time_terms)
 from .netpbm import decode_levels, ppm_levels, quantize
 from .reference_encoder import (FrozenEncoders, build_encoders, encode_latent, extract_tokens,
                                 reference_backward, reference_forward_train)
@@ -86,8 +85,17 @@ SPEC_BOUNDS = {"n_identities": (1, None), "n_contexts": (1, 4), "image_size": (8
                "train_size": (1, None), "test_size": (1, None)}
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError, naming the field, unless `value` is an int; a bool is
+    none, as in `ModelConfig`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_spec_field(name: str, value: int) -> None:
-    """ValueError, naming the field, unless `value` lies in `SPEC_BOUNDS[name]`."""
+    """ValueError, naming the field, unless `value` is an integer (see
+    `_check_int`) in `SPEC_BOUNDS[name]`."""
+    _check_int(name, value)
     low, high = SPEC_BOUNDS[name]
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must be in {low}..{high}, got {value}")
@@ -387,19 +395,17 @@ def _scored(generated: np.ndarray, reference: np.ndarray, reference_histogram):
 
 @dataclass
 class PreparedBatch:
-    """One noised training batch: a row per example.  ref and ctrl are None
-    or (rows, stack), increasing row numbers and, for each, the frozen
-    tokens of its reference (`extract_tokens`) or its control latent.
-    stack and terms are the rows' `stack_conditions` and `time_terms` where
-    `_condition_chunk` built them for the batch's chunk, else None:
-    `batch_loss` then builds them itself."""
+    """One noised training batch: a row per example.  ref is None or (rows,
+    tokens), increasing row numbers and the frozen tokens of each one's
+    reference (`extract_tokens`).  stack is the rows' `stack_conditions`:
+    their text ids and, at stage 2, their control tokens.  terms is their
+    `time_terms` where the stage freezes the backbone, else None:
+    `batch_loss` then builds them from the current backbone."""
     z_t: np.ndarray  # (B, C, h, w)
     t: list[int]
     eps: np.ndarray  # (B, C, h, w)
-    text_id: list[int | None]
     ref: tuple | None
-    ctrl: tuple | None
-    stack: Conditions | None = None
+    stack: Conditions
     terms: TimeTerms | None = None
 
 
@@ -408,18 +414,19 @@ class PreparedBatch:
 COND_DROPOUT = 0.1
 
 
-def _prepare(batch: Sample, draws: tuple, ref_tokens: np.ndarray | None,
-             schedule: NoiseSchedule, enc: FrozenEncoders, config: TrainConfig,
-             cond_dropout: float) -> list[PreparedBatch]:
+def _prepare(weights: ModelWeights, batch: Sample, draws: tuple,
+             ref_tokens: np.ndarray | None, schedule: NoiseSchedule, enc: FrozenEncoders,
+             config: TrainConfig, cond_dropout: float) -> list[PreparedBatch]:
     """Noise a stacked `batch` (see `Sample`) for consecutive steps of
     `config`'s stage, one `PreparedBatch` per step.  `draws` holds each
     example's timestep uniform, noise and dropout uniform, with a leading
     (steps, size) axis pair as `RngState.step_draws` gives them; row
     s * size + i of `batch` is step s's example i.  The whole stack is
-    encoded, noised and band-filtered at once, and each row's values are
-    those of its step alone.  `ref_tokens` is None or the run's
-    reference tokens, one reference per identity id; stage 1 gathers those
-    of the rows it keeps."""
+    encoded, noised, band-filtered and laid out (`stack_conditions`) at
+    once, and at stages 1 and 2 its `time_terms` built from `weights`;
+    each step takes its rows as views, equal to its step's alone.
+    `ref_tokens` is None or the run's reference tokens, one reference per
+    identity id; stage 1 gathers those of the rows it keeps."""
     stage = config.stage
     u_t, eps, u_drop = draws
     steps, size = u_t.shape
@@ -429,37 +436,21 @@ def _prepare(batch: Sample, draws: tuple, ref_tokens: np.ndarray | None,
     # the dropout value is drawn at every stage and used by stages 0 and 1
     kept = (u_drop.ravel() >= cond_dropout).tolist() if stage <= 1 else [True] * len(t)
     z_t = forward_noise(z0, t, eps, schedule)
-    ctrl = make_control_signal(z0, config.mask_kind) if stage == 2 else None
-    text_id = [int(text) if keep else None for text, keep in zip(batch.text_id, kept)]
+    stack = stack_conditions(
+        weights.config, [int(text) if keep else None for text, keep in zip(batch.text_id, kept)],
+        (range(len(t)), make_control_signal(z0, config.mask_kind)) if stage == 2 else None)
+    # stage 0 trains the backbone the time terms read, so each of its steps builds its own
+    terms = None if stage == 0 else time_terms(weights, t, stack)
     identity_id = np.asarray(batch.identity_id)
     prepared = []
     for lo in range(0, steps * size, size):
         step = slice(lo, lo + size)
         rows = [i for i, keep in enumerate(kept[step]) if keep]
         prepared.append(PreparedBatch(
-            z_t=z_t[step], t=t[step], eps=eps[step], text_id=text_id[step],
+            z_t=z_t[step], t=t[step], eps=eps[step],
             ref=(rows, ref_tokens[identity_id[step][rows]]) if stage == 1 and rows else None,
-            ctrl=(range(size), ctrl[step]) if stage == 2 else None))
+            stack=stack.rows(step), terms=None if terms is None else terms.at(step)))
     return prepared
-
-
-def _condition_chunk(weights: ModelWeights, chunk: list[PreparedBatch]) -> None:
-    """Give each batch of a chunk its `stack_conditions` and time terms, as
-    views of the chunk's, each built once for all its rows.  Under a frozen
-    backbone they depend only on each row's text id, timestep and control
-    latent, so each row's equal those its step builds alone (`time_terms`
-    makes each row its own product).  Control is on every row or none."""
-    ctrl = None
-    if chunk[0].ctrl is not None:
-        latents = np.concatenate([batch.ctrl[1] for batch in chunk])
-        ctrl = (range(len(latents)), latents)
-    stack = stack_conditions(weights, [i for batch in chunk for i in batch.text_id], ctrl)
-    terms = time_terms(weights, [t for batch in chunk for t in batch.t], stack)
-    lo = 0
-    for batch in chunk:
-        rows = slice(lo, lo + len(batch.t))
-        batch.stack, batch.terms = stack.rows(rows), terms.at(rows)
-        lo = rows.stop
 
 
 def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
@@ -470,11 +461,12 @@ def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
     The batch runs as one stacked denoiser forward and one backward, which
     differentiates only that set (see `denoiser_backward`); the reference
     branch runs once forward and once backward over the referenced rows.
-    The conditions are the batch's `stack_conditions` (its own, or those
-    `_condition_chunk` built) with `project_trained`'s identity and control
-    projections.  `compute_grads=False` skips the backward and returns an
-    empty gradient dict.  A parameter of the set that the forward did not
-    use gets a zero gradient.
+    The conditions are the batch's `stack` with `project_trained`'s
+    identity and control projections, at the batch's time terms or, where
+    it holds none, those built from the current backbone.
+    `compute_grads=False` skips the backward and returns an empty gradient
+    dict.  A parameter of the set that the forward did not use gets a zero
+    gradient.
     """
     n = len(batch.z_t)
     identity = rcache = None
@@ -483,11 +475,10 @@ def batch_loss(weights: ModelWeights, batch: PreparedBatch, config: TrainConfig,
         feats, rcache = reference_forward_train(batch.ref[1], weights.projection,
                                                 weights.id_heads())
         identity = (batch.ref[0], feats)
-    stack, terms = batch.stack, batch.terms
-    if stack is None:  # a stage that trains the backbone builds each step's own
-        stack = stack_conditions(weights, batch.text_id, batch.ctrl)
-        terms = time_terms(weights, batch.t, stack)
-    cond = project_trained(weights, stack, identity, config.identity_scale)
+    terms = batch.terms
+    if terms is None:  # a stage that trains the backbone builds each step's own
+        terms = time_terms(weights, batch.t, batch.stack)
+    cond = project_trained(weights, batch.stack, identity, config.identity_scale)
     pred_seq, dcache = denoiser_forward(weights, latent_to_seq(batch.z_t), terms, cond)
     diff = pred_seq - latent_to_seq(batch.eps)
     # the row means, summed in order; each as `mean(axis=(1, 2))` takes it, its sum / count
@@ -586,7 +577,9 @@ class TrainConfig:
     that is not 0 at stage 1.  Stages 0 and 2 never run the identity
     branch, so they hold any valid scale as 0.0.  Every stage takes an
     `lr` above 0; an infinite one is left to `train`'s finite-weight guard.
-    A step's layers (`_prepare`, `batch_loss`) take the config itself."""
+    stage, steps, batch_size and seed are ints (a bool is none) and lr a
+    real number (`check_real`).  A step's layers (`_prepare`, `batch_loss`)
+    take the config itself."""
     stage: int
     steps: int
     lr: float = 1e-3
@@ -596,11 +589,13 @@ class TrainConfig:
     mask_kind: MaskKind | None = None
 
     def __post_init__(self):
+        for name in ("stage", "steps", "batch_size", "seed"):
+            _check_int(name, getattr(self, name))
         if self.stage not in (0, 1, 2):
             raise ValueError(f"stage must be 0, 1 or 2, got {self.stage}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not self.lr > 0:  # NaN too
+        if not check_real(self.lr, "lr") > 0:  # NaN too
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -713,11 +708,8 @@ def train(config: TrainConfig, dataset: Dataset, weights: ModelWeights,
             picks, *draws = rng.step_draws(min(per_chunk, total - lo), size,
                                            dataset.spec.train_size, latent)
             # the chunk's decoded images are freed once `_prepare` has noised their latents
-            chunk = _prepare(dataset.train_sample(picks.ravel()), draws, ref_tokens,
-                             schedule, enc, config, COND_DROPOUT)
-            if trainable != "backbone":  # the conditioning weights stay as they are
-                _condition_chunk(weights, chunk)
-            yield from chunk
+            yield from _prepare(weights, dataset.train_sample(picks.ravel()), draws, ref_tokens,
+                                schedule, enc, config, COND_DROPOUT)
 
     prepared = batches()
     losses: list[float] = []
@@ -832,11 +824,12 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
     same pairs.  Under `mask_kind` each example is controlled by its own
     latent's band.
 
-    The pairs are scored in consecutive stacks of at most
-    `TrainConfig.batch_size` rows, so no evaluation is wider than a
-    training batch: a stack's forward holds every block's cache at once,
-    and its memory grows with the stack.  Each row equals its one-row call
-    bit for bit, so the chunking changes no score."""
+    The pairs' conditioning is laid out (`stack_conditions`) and their time
+    terms built once for all of them.  They are scored in consecutive
+    stacks of at most `TrainConfig.batch_size` rows, so no evaluation is
+    wider than a training batch: a stack's forward holds every block's
+    cache at once, and its memory grows with the stack.  Each row equals
+    its one-row call bit for bit, so the chunking changes no score."""
     check_fits(dataset, weights.config)
     rng = RngState(seed).derive("ablate-eval")
     held_out = dataset.test_sample(np.arange(min(size, dataset.spec.test_size)))
@@ -847,13 +840,13 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
         eps.append(rng.normal(z0.shape[1:]))
     eps = np.stack(eps)
     z_t = forward_noise(z0, ts, eps, schedule)
-    ctrl = None if mask_kind is None else make_control_signal(z0, mask_kind)
-    text_ids, losses = held_out.text_id.tolist(), []
+    stack = stack_conditions(weights.config, held_out.text_id.tolist(), None if mask_kind is None
+                             else (range(len(z0)), make_control_signal(z0, mask_kind)))
+    terms, losses = time_terms(weights, ts, stack), []
     for lo in range(0, len(z0), TrainConfig.batch_size):
         rows = slice(lo, min(lo + TrainConfig.batch_size, len(z0)))
-        cond = project_conditions(weights, text_ids[rows], ctrl=None if ctrl is None
-                                  else (range(rows.stop - lo), ctrl[rows]))
-        pred = predict_eps(weights, z_t[rows], time_terms(weights, ts[rows], cond), cond)
+        pred = predict_eps(weights, z_t[rows], terms.at(rows),
+                           project_trained(weights, stack.rows(rows)))
         losses += [float(np.mean((p - e) ** 2)) for p, e in zip(pred, eps[rows])]
     return list(zip(ts, losses))
 
@@ -988,8 +981,8 @@ def gradient_check(stage: int, seed: int) -> dict:
     # the batch is one step; its identity ids are its row numbers, so row i's tokens are refs[i]'s
     draws = rng.derive("noise").example_draws(2, (config.latent_channels, config.latent_hw,
                                                   config.latent_hw))
-    prepared, = _prepare(batch, [d[None] for d in draws], extract_tokens(np.stack(refs), enc),
-                         schedule, enc, run, 0.0)
+    prepared, = _prepare(weights, batch, [d[None] for d in draws],
+                         extract_tokens(np.stack(refs), enc), schedule, enc, run, 0.0)
 
     def loss_only():
         return batch_loss(weights, prepared, run, compute_grads=False)[0]

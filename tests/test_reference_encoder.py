@@ -4,9 +4,8 @@ import pytest
 from freqbooth.config import tiny_config, toy_config
 from freqbooth.reference_encoder import (ProjectionWeights, build_encoders,
                                          decode_latent, encode_latent,
-                                         extract_tokens, project_identity_forward,
-                                         reference_backward, reference_forward,
-                                         reference_forward_train)
+                                         extract_tokens, reference_backward,
+                                         reference_forward, reference_forward_train)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +109,8 @@ def test_tokens_match_per_patch_linear_oracle(enc):
 
 
 def project_identity(tokens, proj):
-    return project_identity_forward(tokens, proj)[0]
+    """The pooler's output: the reference branch through one identity head."""
+    return reference_forward_train(tokens, proj, [np.eye(proj.w_value.shape[1])])[0][0]
 
 
 def test_pooler_zero_tokens_zero_values_give_zero_output():

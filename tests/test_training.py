@@ -17,7 +17,8 @@ from freqbooth.config import tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, keeps_nothing, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
-                                 linear_schedule, predict_eps, project_conditions, sample,
+                                 linear_schedule, predict_eps, project_conditions,
+                                 project_trained, sample, seq_to_latent, stack_conditions,
                                  time_terms)
 from freqbooth.netpbm import decode_levels, quantize
 from freqbooth.reference_encoder import (build_encoders, encode_latent, extract_tokens,
@@ -207,8 +208,8 @@ def test_a_chunk_decodes_the_stacked_float_images_of_its_picks(monkeypatch, defa
     rows = np.arange(4) * 5
     tokens = run_tokens(ds, enc)
     for stage in (0, 1, 2):
-        prepared = prepare_one(ds.train_sample(rows), tokens, schedule, RngState(stage), enc,
-                               stage_config(stage), 0.0)
+        prepared = prepare_one(init_weights(toy_cfg, 0), ds.train_sample(rows), tokens, schedule,
+                               RngState(stage), enc, stage_config(stage), 0.0)
         if stage == 1:
             assert prepared.ref[0] == list(range(4))
             assert prepared.ref[1].tobytes() == \
@@ -223,18 +224,20 @@ def test_a_chunk_decodes_the_stacked_float_images_of_its_picks(monkeypatch, defa
 def test_a_chunk_prepares_the_batches_its_steps_give_alone(request, stage, size, model):
     """An S-step chunk gives, bit for bit, the S batches that S one-step
     chunks from the same stream give, and leaves the stream where they do:
-    the chunk's one decode, encode, noising and band filter change no
-    row."""
+    the chunk's one decode, encode, noising and band filter, its one
+    layout and, at stages 1 and 2, its one build of the time terms change
+    no row."""
     ds, enc = {"tiny": ("tiny_dataset", "tiny_enc"),
                "toy": ("default_dataset", "toy_enc")}[model]
     ds, enc = request.getfixturevalue(ds), request.getfixturevalue(enc)
     schedule = linear_schedule(enc.config.timesteps)
     tokens, config = run_tokens(ds, enc), stage_config(stage)
+    weights = init_weights(enc.config, 0)
 
     def chunk(rng, steps):
         picks, *draws = rng.step_draws(steps, size, ds.spec.train_size, latent_of(enc))
-        return _prepare(ds.train_sample(picks.ravel()), draws, tokens, schedule, enc, config,
-                        COND_DROPOUT)
+        return _prepare(weights, ds.train_sample(picks.ravel()), draws, tokens, schedule, enc,
+                        config, COND_DROPOUT)
 
     whole_rng, alone_rng = RngState(40 + stage), RngState(40 + stage)
     whole = chunk(whole_rng, 5)
@@ -243,14 +246,16 @@ def test_a_chunk_prepares_the_batches_its_steps_give_alone(request, stage, size,
     assert [len(one) for one in alone] == [1] * 5 and len(whole) == 5
     for got, (want,) in zip(whole, alone):
         assert batch_fields(got) == batch_fields(want)
+        assert (got.terms is None) == (stage == 0)
 
 
-def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc):
+def test_samples_pair_with_their_identity_reference(tiny_dataset, tiny_schedule, tiny_enc,
+                                                    tiny_cfg):
     s = tiny_dataset.train_sample(5)
     assert s.identity_id == 5 % tiny_dataset.spec.n_identities
     tokens = run_tokens(tiny_dataset, tiny_enc)
-    prepared = prepare_one(tiny_dataset.train_sample(np.array([5])), tokens,
-                           tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
+    prepared = prepare_one(init_weights(tiny_cfg, 0), tiny_dataset.train_sample(np.array([5])),
+                           tokens, tiny_schedule, RngState(0), tiny_enc, stage_config(1), 0.0)
     assert np.array_equal(prepared.ref[1][0], tokens[s.identity_id])
 
 
@@ -266,7 +271,8 @@ def test_a_stage1_run_tokenizes_each_reference_once(monkeypatch, tiny_schedule, 
     n = ds.spec.n_identities
     alone = [extract_tokens(decode_levels(ds.train_ref_levels[k]), tiny_enc) for k in range(n)]
     batch = ds.train_sample(np.array([6, 1, 3, 7]))
-    prepared = prepare_one(batch, run_tokens(ds, tiny_enc), tiny_schedule, RngState(13),
+    weights = init_weights(tiny_cfg, 0)
+    prepared = prepare_one(weights, batch, run_tokens(ds, tiny_enc), tiny_schedule, RngState(13),
                            tiny_enc, stage_config(1), COND_DROPOUT)
     assert prepared.ref[0] == [0, 1, 3]
     assert prepared.ref[1].tobytes() == \
@@ -274,7 +280,6 @@ def test_a_stage1_run_tokenizes_each_reference_once(monkeypatch, tiny_schedule, 
 
     chunks = preparing(monkeypatch)
     tokenized = recording(monkeypatch, training, "extract_tokens")
-    weights = init_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
         for n_steps, batch_size in ((0, 4), (2, 3), (5, 1), (9, 4)):
             chunks.clear()
@@ -310,8 +315,8 @@ def conditions_fields(cond):
     def term(t):
         return None if t is None else (t.rows, arr(t.tokens), arr(t.keys), arr(t.values),
                                        t.scale)
-    return (arr(cond.tids), [arr(t) for t in cond.text], [term(t) for t in cond.identity],
-            cond.crows, arr(cond.ctrl), [arr(f) for f in cond.fields])
+    return (arr(cond.tids), [term(t) for t in cond.identity], cond.crows, arr(cond.ctrl),
+            [arr(f) for f in cond.fields])
 
 
 def terms_fields(terms):
@@ -320,16 +325,18 @@ def terms_fields(terms):
             for a in (terms.tfeat, *terms.shift, *terms.gain)]
 
 
-@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("stage", [0, 1, 2])
 @pytest.mark.parametrize("size", [1, 3, 4])
 @pytest.mark.parametrize("model", ["tiny", "toy"])
 def test_each_step_of_a_chunk_gets_the_conditions_it_builds_alone(monkeypatch, request, stage,
                                                                    size, model):
-    """Where the backbone is frozen (stages 1 and 2), `train` builds each
-    chunk's text rows, control tokens and time terms once.  Every step's
-    forward still gets, bit for bit, the conditions and time terms that
-    `project_conditions` and `time_terms` give for that step alone, on
-    runs that cross chunk boundaries and with rows whose text and
+    """`train` lays out each chunk's text ids and control tokens once at
+    every stage and, where the backbone is frozen (stages 1 and 2), builds
+    the chunk's time terms once; stage 0 builds each step's from the
+    backbone as it stands.  Every step's forward still gets, bit for bit,
+    the conditions and time terms that `project_conditions` and
+    `time_terms` give for that step's text ids and control latents alone,
+    on runs that cross chunk boundaries and with rows whose text and
     reference were dropped (a high dropout share drops some rows and, at
     batch 1, whole steps)."""
     ds, enc = {"tiny": ("tiny_dataset", "tiny_enc"),
@@ -338,39 +345,46 @@ def test_each_step_of_a_chunk_gets_the_conditions_it_builds_alone(monkeypatch, r
     weights = init_weights(enc.config, 3)
     weights.completed_stages.extend([0, 1])
     monkeypatch.setattr(training, "COND_DROPOUT", 0.4)
+    laid_out = recording(monkeypatch, training, "stack_conditions")
     batches = recording(monkeypatch, training, "batch_loss")
+    per_chunk = max(1, training.CHUNK_EXAMPLES // size)
     checked = []
     real_forward = training.denoiser_forward
 
     def forward(w, z_seq, terms, cond):
         batch = batches[-1]["batch"]
-        assert batch.stack is not None and batch.terms is terms
+        assert (batch.terms is None) if stage == 0 else (batch.terms is terms)
+        # this step's rows of the inputs its chunk laid out
+        chunk, m = laid_out[-1], len(checked) % per_chunk
+        rows = slice(m * size, (m + 1) * size)
+        text_id = chunk["text_id"][rows]
+        ctrl = None if chunk["ctrl"] is None else (range(size), chunk["ctrl"][1][rows])
         identity = None
         if batch.ref is not None:
             feats, _ = reference_forward_train(batch.ref[1], w.projection, w.id_heads())
             identity = (batch.ref[0], feats)
-        alone = project_conditions(w, batch.text_id, identity, batch.ctrl, 1.0 if stage == 1
-                                   else 0.0)
+        alone = project_conditions(w, text_id, identity, ctrl, 1.0 if stage == 1 else 0.0)
         assert conditions_fields(cond) == conditions_fields(alone)
         assert terms_fields(terms) == terms_fields(time_terms(w, batch.t, alone))
-        checked.append(batch.text_id)
+        checked.append(text_id)
         return real_forward(w, z_seq, terms, cond)
 
     monkeypatch.setattr(training, "denoiser_forward", forward)
-    steps = 2 * max(1, training.CHUNK_EXAMPLES // size) + 1
+    steps = 2 * per_chunk + 1
     train(TrainConfig(stage=stage, steps=steps, batch_size=size, seed=5,
                       mask_kind=MaskKind.LOW if stage == 2 else None),
           ds, weights, linear_schedule(enc.config.timesteps), enc)
-    assert len(checked) == steps
+    assert len(checked) == steps and len(laid_out) == 3
     dropped = [text is None for texts in checked for text in texts]
-    assert any(dropped) == (stage == 1) and not all(dropped)
+    assert any(dropped) == (stage <= 1) and not all(dropped)
 
 
 def test_time_terms_run_once_per_chunk_where_the_backbone_is_frozen(monkeypatch, tiny_dataset,
                                                                     tiny_schedule, tiny_enc,
                                                                     tiny_cfg):
-    """Stage 0 trains the backbone, so each step builds its own time terms
-    and text rows; stages 1 and 2 build them once per chunk."""
+    """Every stage lays out its conditioning once per chunk.  Stage 0
+    trains the backbone, so each step builds its own time terms; stages 1
+    and 2 build them once per chunk."""
     built = recording(monkeypatch, training, "time_terms")
     laid_out = recording(monkeypatch, training, "stack_conditions")
     weights = init_weights(tiny_cfg, 0)
@@ -382,8 +396,10 @@ def test_time_terms_run_once_per_chunk_where_the_backbone_is_frozen(monkeypatch,
                               mask_kind=MaskKind.LOW if stage == 2 else None),
                   tiny_dataset, weights, tiny_schedule, tiny_enc)
             per_chunk = max(1, training.CHUNK_EXAMPLES // batch_size)
-            want = max(n_steps, 1) if stage == 0 else -(-max(n_steps, 1) // per_chunk)
-            assert len(built) == len(laid_out) == want, (stage, n_steps, batch_size)
+            chunks = -(-max(n_steps, 1) // per_chunk)
+            assert len(laid_out) == chunks, (stage, n_steps, batch_size)
+            assert len(built) == (max(n_steps, 1) if stage == 0 else chunks), \
+                (stage, n_steps, batch_size)
             rows = [len(call["t"]) for call in built]
             assert sum(rows) == max(n_steps, 1) * batch_size
 
@@ -618,11 +634,11 @@ def latent_of(enc):
     return cfg.latent_channels, cfg.latent_hw, cfg.latent_hw
 
 
-def prepare_one(batch, tokens, schedule, rng, enc, config, cond_dropout):
+def prepare_one(weights, batch, tokens, schedule, rng, enc, config, cond_dropout):
     """`_prepare` of a stacked `batch` as one step, its draws taken from
     `rng` by one `example_draws`, as `gradient_check` takes them."""
     draws = rng.example_draws(len(batch.image), latent_of(enc))
-    prepared, = _prepare(batch, [d[None] for d in draws], tokens, schedule, enc, config,
+    prepared, = _prepare(weights, batch, [d[None] for d in draws], tokens, schedule, enc, config,
                          cond_dropout)
     return prepared
 
@@ -632,8 +648,8 @@ def preparing(monkeypatch):
     prepared batches)."""
     real, calls = training._prepare, []
 
-    def prepare(batch, draws, ref_tokens, *args):
-        prepared = real(batch, draws, ref_tokens, *args)
+    def prepare(weights, batch, draws, ref_tokens, *args):
+        prepared = real(weights, batch, draws, ref_tokens, *args)
         calls.append((batch, ref_tokens, prepared))
         return prepared
 
@@ -643,19 +659,31 @@ def preparing(monkeypatch):
 
 def batch_fields(prepared):
     """Every field of a `PreparedBatch`, arrays as their bytes."""
-    def pair(cond):
-        return None if cond is None else (list(cond[0]), cond[1].tobytes())
-    return (prepared.z_t.tobytes(), prepared.t, prepared.eps.tobytes(), prepared.text_id,
-            pair(prepared.ref), pair(prepared.ctrl))
+    ref, terms = prepared.ref, prepared.terms
+    return (prepared.z_t.tobytes(), prepared.t, prepared.eps.tobytes(),
+            None if ref is None else (list(ref[0]), ref[1].tobytes()),
+            conditions_fields(prepared.stack), None if terms is None else terms_fields(terms))
 
 
-def prepared_batch(ds, schedule, enc, stage, n):
-    return prepare_one(batch_of(ds, n), run_tokens(ds, enc), schedule, RngState(stage), enc,
-                       stage_config(stage), COND_DROPOUT)
+def prepared_batch(weights, ds, schedule, enc, stage, n):
+    return prepare_one(weights, batch_of(ds, n), run_tokens(ds, enc), schedule, RngState(stage),
+                       enc, stage_config(stage), COND_DROPOUT)
+
+
+def unstacked(cfg, stack):
+    """The text ids and control, None or (rows, latents), that
+    `stack_conditions` laid out as `stack`."""
+    text_id = [None if t == cfg.null_text_id else int(t) for t in stack.tids]
+    if stack.ctrl is None:
+        return text_id, None
+    rows = stack.crows
+    if isinstance(rows, slice):
+        rows = list(range(len(text_id))[rows])
+    return text_id, (rows, seq_to_latent(stack.ctrl, cfg.latent_hw))
 
 
 @pytest.mark.parametrize("stage", [0, 1, 2])
-def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tiny_enc,
+def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tiny_enc, tiny_cfg,
                                                 stage):
     """Each step of a chunk takes its picks, then each example in turn its
     timestep, its noise and one dropout draw, in that order and at every
@@ -666,8 +694,9 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
     tokens = run_tokens(ds, tiny_enc)
     picks, *draws = rng.step_draws(steps, size, ds.spec.train_size, latent_of(tiny_enc))
     batch = ds.train_sample(picks.ravel())
-    prepared = _prepare(batch, draws, tokens, tiny_schedule, tiny_enc, stage_config(stage),
-                        COND_DROPOUT)
+    weights, null = init_weights(tiny_cfg, 0), tiny_cfg.null_text_id
+    prepared = _prepare(weights, batch, draws, tokens, tiny_schedule, tiny_enc,
+                        stage_config(stage), COND_DROPOUT)
     per_example = 2 + prepared[0].eps[0].size
     per_step = size * (1 + per_example)
     assert rng.counter == steps * per_step
@@ -680,13 +709,13 @@ def test_prepare_draws_for_each_example_in_turn(tiny_dataset, tiny_schedule, tin
             assert np.array_equal(eps, replay.normal(eps.shape))
             u = replay.uniform()
             kept = stage == 2 or u >= COND_DROPOUT
-            assert step.text_id[i] == (text if kept else None)
+            assert step.stack.tids[i] == (text if kept else null)
             if stage == 0:
                 # a dropout threshold at u keeps example i, one just above u drops it
-                for threshold, text_id in ((u, text), (np.nextafter(u, 1.0), None)):
-                    again = _prepare(batch, draws, tokens, tiny_schedule, tiny_enc,
+                for threshold, tid in ((u, text), (np.nextafter(u, 1.0), null)):
+                    again = _prepare(weights, batch, draws, tokens, tiny_schedule, tiny_enc,
                                      stage_config(stage), threshold)
-                    assert again[s].text_id[i] == text_id
+                    assert again[s].stack.tids[i] == tid
 
 
 def zero_output_weights(cfg, seed):
@@ -699,7 +728,7 @@ def test_perfect_prediction_gives_zero_loss(tiny_dataset, tiny_schedule, tiny_en
                                             tiny_cfg):
     weights = zero_output_weights(tiny_cfg, 0)
     for stage in (0, 1, 2):
-        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
+        prepared = prepared_batch(weights, tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
         prepared.eps = np.zeros_like(prepared.eps)
         loss, grads = batch_loss(weights, prepared, stage_config(stage))
         assert loss == 0.0
@@ -711,7 +740,7 @@ def test_constant_offset_gives_squared_loss(tiny_dataset, tiny_schedule, tiny_en
     weights = zero_output_weights(tiny_cfg, 0)
     delta = 0.37
     for stage in (0, 1, 2):
-        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
+        prepared = prepared_batch(weights, tiny_dataset, tiny_schedule, tiny_enc, stage, 3)
         loss, _ = batch_loss(weights, prepared, stage_config(stage))
         want = np.mean([np.mean(eps ** 2) for eps in prepared.eps])
         assert abs(loss - want) <= 1e-12
@@ -724,7 +753,7 @@ def test_gradients_cover_exactly_the_trainable_set(tiny_dataset, tiny_schedule,
                                                    tiny_enc, tiny_cfg):
     weights = init_weights(tiny_cfg, 1)
     for stage, scale in ((0, 0.0), (1, 0.5), (2, 0.0)):
-        prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
+        prepared = prepared_batch(weights, tiny_dataset, tiny_schedule, tiny_enc, stage, 2)
         _, grads = batch_loss(weights, prepared, stage_config(stage, scale))
         assert sorted(grads) == weights.names_in_set(STAGE_SETS[stage])
 
@@ -735,7 +764,7 @@ def test_stage0_loss_on_referenced_examples_differentiates_the_backbone(
     holds lambda 0, so a loss over them under it runs no reference branch
     and differentiates the backbone alone."""
     weights = init_weights(tiny_cfg, 1)
-    prepared = prepared_batch(tiny_dataset, tiny_schedule, tiny_enc, 1, 3)
+    prepared = prepared_batch(weights, tiny_dataset, tiny_schedule, tiny_enc, 1, 3)
     assert prepared.ref is not None
     config = stage_config(0, 0.4)
     assert config.identity_scale == 0.0
@@ -759,11 +788,11 @@ def test_inert_gates_match_the_unconditioned_loss(tiny_dataset, tiny_schedule,
         t.append(1 + rng.randint(tiny_schedule.timesteps))
         eps.append(rng.normal(z0.shape[1:]))
     eps = np.stack(eps)
-    prepared = dict(z_t=forward_noise(z0, t, eps, tiny_schedule), t=t, eps=eps,
-                    text_id=[s.text_id for s in samples], ref=None)
-    with_ctrl = PreparedBatch(**prepared,
-                              ctrl=([0, 1, 2], make_control_signal(z0, MaskKind.LOW)))
-    without = PreparedBatch(**prepared, ctrl=None)
+    prepared = dict(z_t=forward_noise(z0, t, eps, tiny_schedule), t=t, eps=eps, ref=None)
+    text_id = [s.text_id for s in samples]
+    with_ctrl = PreparedBatch(**prepared, stack=stack_conditions(
+        tiny_cfg, text_id, ([0, 1, 2], make_control_signal(z0, MaskKind.LOW))))
+    without = PreparedBatch(**prepared, stack=stack_conditions(tiny_cfg, text_id))
     loss_ctrl, _ = batch_loss(weights, with_ctrl, stage_config(2), compute_grads=False)
     loss_plain, _ = batch_loss(weights, without, stage_config(2), compute_grads=False)
     assert loss_ctrl == loss_plain
@@ -779,8 +808,9 @@ def full_backward_grads(weights, prepared, scale):
     set) and the reference backward, and every parameter accumulates."""
     acc = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
     n = len(prepared.z_t)
+    text_id, controls = unstacked(weights.config, prepared.stack)
     refs = dict(zip(*prepared.ref)) if prepared.ref is not None else {}
-    ctrls = dict(zip(*prepared.ctrl)) if prepared.ctrl is not None else {}
+    ctrls = dict(zip(*controls)) if controls is not None else {}
     for i in range(n):
         identity = rcache = ctrl = None
         if i in refs and scale != 0.0:
@@ -789,7 +819,7 @@ def full_backward_grads(weights, prepared, scale):
             identity = ([0], feats)
         if i in ctrls:
             ctrl = ([0], ctrls[i][None])
-        cond = project_conditions(weights, [prepared.text_id[i]], identity, ctrl, scale)
+        cond = project_conditions(weights, [text_id[i]], identity, ctrl, scale)
         pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t[i:i + 1]),
                                        time_terms(weights, [prepared.t[i]], cond), cond)
         diff = pred - latent_to_seq(prepared.eps[i:i + 1])
@@ -833,13 +863,13 @@ def mixed_batch(cfg, enc, stage, kept, seed):
         eps.append(rng.normal(z0[-1].shape))
     z0, eps = np.stack(z0), np.stack(eps)
     rows = [i for i, keep in enumerate(kept) if keep]
+    text_ids = [i % cfg.n_text if keep or stage == 2 else None for i, keep in enumerate(kept)]
+    ctrl = (range(len(kept)), make_control_signal(z0, MaskKind.LOW)) if stage == 2 else None
     return PreparedBatch(
         z_t=forward_noise(z0, t, eps, schedule), t=t, eps=eps,
-        text_id=[i % cfg.n_text if keep or stage == 2 else None
-                 for i, keep in enumerate(kept)],
         ref=(rows, extract_tokens(np.stack([refs[i] for i in rows]), enc))
         if stage == 1 and rows else None,
-        ctrl=(range(len(kept)), make_control_signal(z0, MaskKind.LOW)) if stage == 2 else None)
+        stack=stack_conditions(cfg, text_ids, ctrl))
 
 
 # a stage-1 config rejects scale 0, and stages 0 and 2 hold any scale as 0
@@ -873,10 +903,12 @@ def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
     weights = random_point(cfg, seed)
     prepared = mixed_batch(cfg, enc, 2, ctrl_rows, seed)
     rows = [i for i, keep in enumerate(ctrl_rows) if keep]
-    prepared.ctrl = (rows, prepared.ctrl[1][rows]) if rows else None
+    text_id, ctrl = unstacked(cfg, prepared.stack)
+    ctrl = (rows, ctrl[1][rows]) if rows else None
+    prepared.stack = stack_conditions(cfg, text_id, ctrl)
     loss, grads = batch_loss(weights, prepared, stage_config(2))
 
-    cond = project_conditions(weights, prepared.text_id, None, prepared.ctrl)
+    cond = project_conditions(weights, text_id, None, ctrl)
     pred, cache = denoiser_forward(weights, latent_to_seq(prepared.z_t),
                                    time_terms(weights, prepared.t, cond), cond)
     diff = pred - latent_to_seq(prepared.eps)
@@ -895,7 +927,7 @@ def test_the_fused_reductions_keep_the_row_order(seed, n_blocks, ctrl_rows):
 def test_backward_rejects_unknown_set_names(tiny_cfg, tiny_enc):
     weights = random_point(tiny_cfg, 3)
     batch = mixed_batch(tiny_cfg, tiny_enc, 2, [True], 3)
-    cond = project_conditions(weights, batch.text_id, None, batch.ctrl)
+    cond = project_trained(weights, batch.stack)
     pred, cache = denoiser_forward(weights, latent_to_seq(batch.z_t),
                                    time_terms(weights, batch.t, cond), cond)
     # a bare string would otherwise iterate as letters and train nothing
@@ -1139,6 +1171,25 @@ def test_train_config_validation():
     for bad in (-0.1, 7.0, float("nan")):
         with pytest.raises(ValueError, match="identity scale"):
             TrainConfig(stage=1, steps=1, identity_scale=bad)
+
+
+def test_configs_reject_a_bool_or_a_non_integer_where_they_take_an_int():
+    """`TrainConfig`'s stage, steps, batch size and seed and every
+    `ToyDatasetSpec` field take an int, as `ModelConfig`'s fields do, and
+    lr a real number: anything else raises ValueError naming the field.  A
+    bool used to pass as 0 or 1 (`steps=True` trained one step) and a float
+    to fail inside numpy."""
+    for name, bad in (("stage", True), ("stage", 1.0), ("steps", True), ("steps", 2.0),
+                      ("batch_size", 2.0), ("batch_size", True), ("seed", 1.5), ("seed", "1")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            TrainConfig(**{"stage": 0, "steps": 1, name: bad})
+    for bad in (True, "0.1", None):
+        with pytest.raises(ValueError, match=f"^lr {bad!r} is not a real number$"):
+            TrainConfig(stage=0, steps=1, lr=bad)
+    for name in asdict(ToyDatasetSpec()):
+        for bad in (True, 8.0, "8"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                ToyDatasetSpec(**{name: bad})
 
 
 def test_stage1_config_rejects_identity_scale_zero():
