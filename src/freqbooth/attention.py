@@ -22,7 +22,9 @@ each weight gradient over the rows in row order.  The backward takes three
 flags, one per group of gradients: the self-term projections, the identity
 cross term (its two projections and the identity input), and the hidden
 input.  It computes only those groups and is validated against central
-finite differences in the test suite.
+finite differences in the test suite.  The scale is a real number in
+[0, 1] (`check_identity_scale`, on the package's one real-number rule,
+`config.check_real`).
 
 The softmax scores are the one full-size temporary of each term:
 `softmax_attention` scales the q k^T product and normalises it in place,
@@ -40,11 +42,11 @@ gradient's products by the transposed identity weights.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_real
 from .tensor_core import matmul_t, row_index, row_summed_grad, softmax_rows
 
 
@@ -57,17 +59,9 @@ class AdaptiveAttentionWeights:
     w_value_id: np.ndarray  # (d_id, d_model)    trainable
 
 
-def check_real(value, what: str) -> float:
-    """`value` as a float, or ValueError naming `what` unless it is a real
-    number: a bool or a string is none, though float() would take it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} {value!r} is not a real number")
-    return float(value)
-
-
 def check_identity_scale(value: float) -> float:
     """The cross-attention strength as a float; ValueError unless it is a
-    real number (see `check_real`) in [0, 1]."""
+    real number (`config.check_real`) in [0, 1]."""
     value = check_real(value, "identity scale")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"identity scale must be in [0, 1], got {value}")

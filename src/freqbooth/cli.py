@@ -41,13 +41,13 @@ import numpy as np
 
 from . import __version__
 from .attention import check_identity_scale
-from .config import toy_config
+from .config import check_int, toy_config
 from .dct_freq import MaskKind, build_mask, coverage_gap, keeps_nothing, make_control_signal
 from .diffusion import PARAM_SETS, check_guidance, check_text_id, init_weights, linear_schedule
 from .netpbm import read_ppm, read_ppm_raster, write_pfm, write_ppm, write_ppm_raster
 from .reference_encoder import build_encoders, decode_latent, encode_latent
-from .training import (IMAGE_FIELDS, STAGE_SETS, Dataset, ToyDatasetSpec, TrainConfig,
-                       check_fits, check_spec_field, dataset_checksum, draw_trials,
+from .training import (IMAGE_FIELDS, SPEC_BOUNDS, STAGE_SETS, Dataset, ToyDatasetSpec,
+                       TrainConfig, check_fits, dataset_checksum, draw_trials,
                        generate_dataset, gradient_check, held_out_losses, load_checkpoint,
                        paired_sweep, save_checkpoint, train, write_json)
 
@@ -148,10 +148,10 @@ def image_grid(images: list[np.ndarray], rows: int, cols: int) -> np.ndarray:
 
 
 def _check_sampling(args) -> None:
-    """Usage error unless `--steps` >= 1, `--guidance` is finite and >= 0
-    and, where the command takes one, `--lambda` is in [0, 1]."""
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    """An error that exits 2 unless `--steps` is an integer >= 1,
+    `--guidance` is finite and >= 0 and, where the command takes one,
+    `--lambda` is in [0, 1]."""
+    check_int(args.steps, "--steps", 1)
     checks = [("--guidance", check_guidance, args.guidance)]
     if hasattr(args, "lam"):
         checks.append(("--lambda", check_identity_scale, args.lam))
@@ -214,10 +214,7 @@ def load_dataset(ddir: Path) -> tuple[Dataset, str]:
             raise PrerequisiteError(f"dataset index schema {schema!r} unsupported "
                                     f"(expected {DATASET_SCHEMA}); rebuild it with "
                                     f"`freqbooth gen-data`")
-        seed = index["seed"]
-        # --seed takes any int, negatives too
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise PrerequisiteError(f"dataset at {ddir} has a non-integer seed {seed!r}")
+        seed = check_int(index["seed"], "seed")  # --seed takes any int, negatives too
         spec = ToyDatasetSpec(**index["spec"])
         s = spec.image_size
         arrays = {}
@@ -253,7 +250,7 @@ def cmd_gen_data(args) -> int:
     values = {f.name: getattr(args, f.name) for f in fields(ToyDatasetSpec)}
     for name, value in values.items():
         try:
-            check_spec_field(name, value)
+            check_int(value, name, *SPEC_BOUNDS[name])
         except ValueError as exc:
             raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
     spec = ToyDatasetSpec(**values)
@@ -314,8 +311,7 @@ def cmd_sample(args) -> int:
     _check_sampling(args)
     out = Path(args.out_dir)
     mask = None if args.mask == "none" else MaskKind(args.mask)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    check_int(args.n, "--n", 1)
     if mask is not None and not args.ref:
         raise UsageError("--mask needs --ref to derive the control signal from")
     stage = 1 if mask is None else 2
@@ -405,8 +401,7 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError("--values must list at least one lambda")
     if len(set(values)) < len(values):
         raise UsageError(f"--values {args.values!r} lists a lambda twice")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    check_int(args.trials, "--trials", 1)
     weights, enc, schedule = _load_weights(args.checkpoint or _checkpoint_path(out, 1), 2)
     dataset, _ = _load_dataset_arg(args, out)
     drawn, aggregate = paired_sweep(weights, enc, schedule, dataset, values, args.trials,
@@ -441,9 +436,8 @@ def cmd_ablate_masks(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--train-steps {args.train_steps}: {exc}") from None
     _check_sampling(args)
-    for flag, value in (("--eval-size", args.eval_size), ("--eval-samples", args.eval_samples)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+    check_int(args.eval_size, "--eval-size", 1)
+    check_int(args.eval_samples, "--eval-samples", 1)
     out = Path(args.out_dir)
     dataset, checksum = _load_dataset_arg(args, out)
     stage1_path = args.checkpoint or _checkpoint_path(out, 1)

@@ -1,8 +1,37 @@
-"""Model/geometry configuration shared by the encoder, denoiser, and trainer."""
+"""Model/geometry configuration shared by the encoder, denoiser, and trainer,
+and the package's two type rules, which every count and real-valued setting
+goes through: `check_int` (a `numbers.Integral` other than a bool, so a numpy
+integer is one and a float or a string none) and `check_real` (a
+`numbers.Real` other than a bool).
+This module imports nothing from the package.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
+
+
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` as an int, or ValueError naming `what` unless it is an integer
+    (a `numbers.Integral` other than a bool) >= `low` and, where `high` is
+    given, in `low`..`high`; a None `low` leaves it unbounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{what} must be in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def check_real(value, what: str) -> float:
+    """`value` as a float, or ValueError naming `what` unless it is a real
+    number: a bool or a string is none, though float() would take it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a real number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -22,9 +51,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{field.name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, field.name, check_int(getattr(self, field.name),
+                                                           field.name, 1))
         if self.image_size % self.patch != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch {self.patch}"

@@ -53,16 +53,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .attention import (AdaptiveAttentionWeights, IdentityTerm, attention_backward,
-                        attention_forward, check_identity_scale, check_real, identity_term)
+                        attention_forward, check_identity_scale, identity_term)
 from .codes import grid_position_codes, time_features
-from .config import ModelConfig
+from .config import ModelConfig, check_int, check_real
 from .dct_freq import MaskKind, make_control_signal
 from .reference_encoder import (FrozenEncoders, ProjectionWeights, decode_latent,
                                 encode_latent, reference_forward)
@@ -109,8 +108,7 @@ def linear_schedule(timesteps: int) -> NoiseSchedule:
     sampling steps hypersensitive to prediction error, since DDIM divides
     by its square root.
     """
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    timesteps = check_int(timesteps, "timesteps", 1)
     scale = max(1.0, 500.0 / timesteps)
     betas = np.linspace(1e-4 * scale, 0.02 * scale, timesteps)
     if betas[-1] >= 1.0:
@@ -168,20 +166,10 @@ def check_guidance(value: float) -> None:
         raise ValueError(f"guidance scale must be finite and >= 0, got {value}")
 
 
-def _check_integer(value, what: str) -> int:
-    """`value` as an int, or ValueError naming `what` unless it is an
-    integer: a bool, a fractional number or a string is none, though int()
-    would take it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
-
-
 def check_text_id(value, n_text: int) -> None:
-    """Validate a text id, an integer in [0, n_text) (see `_check_integer`);
-    no id selects the null-text row."""
-    if not 0 <= _check_integer(value, "text id") < n_text:
+    """Validate a text id, an integer (`check_int`) in [0, n_text); no id
+    selects the null-text row."""
+    if not 0 <= check_int(value, "text id") < n_text:
         raise ValueError(f"text id {value} outside [0, {n_text}); "
                          f"only None selects the null text")
 
@@ -204,10 +192,8 @@ def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.nd
 def sampling_timesteps(timesteps: int, steps: int) -> np.ndarray:
     """Ascending unique integer grid 0 .. T with ~`steps` strides, read-only:
     every call with these arguments shares one cached array.  `steps` must
-    be an integer >= 1 (a bool is none); more steps than T give 0 .. T."""
-    steps = _check_integer(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    be an integer >= 1 (`check_int`); more steps than T give 0 .. T."""
+    steps = check_int(steps, "steps", 1)
     return _sampling_grid(timesteps, min(steps, timesteps))
 
 
@@ -650,7 +636,7 @@ def sample(w: ModelWeights, enc: FrozenEncoders, schedule: NoiseSchedule,
     """DDIM sampling with classifier-free guidance.
 
     `steps`, `guidance` and `identity_scale` are checked before any work:
-    an integer >= 1 (a bool is none), a finite real >= 0 and a real in
+    an integer >= 1 (`config.check_int`), a finite real >= 0 and a real in
     [0, 1].  Identity features and the frequency control signal are
     computed once from the reference image, and the conditions projected
     once from them and the text id, then held fixed across all steps.  The

@@ -141,7 +141,12 @@ def reference_forward_train(tokens: np.ndarray, proj: ProjectionWeights,
     Returns (per-block (R, n_query, d_id) identity features, cache).  Only
     the pooler and the heads run; the latent that feeds frequency control
     is encoded separately (`encode_latent`) and carries no gradient.
+    One reference is a one-row stack: ValueError, naming the shape, for
+    tokens of any other rank, whose backward would sum the wrong axes.
     """
+    if tokens.ndim != 3:
+        raise ValueError(f"tokens of shape {tokens.shape} are not an "
+                         f"(R, n_tokens, d_tok) stack")
     if tokens.shape[-1] != proj.w_key.shape[0]:
         raise ValueError(
             f"token dim {tokens.shape[-1]} vs pooler key rows {proj.w_key.shape[0]}"
@@ -175,6 +180,7 @@ def reference_backward(dfeats: list[np.ndarray], cache):
 
 def reference_forward(img: np.ndarray, proj: ProjectionWeights,
                       heads: list[np.ndarray], enc: FrozenEncoders) -> list[np.ndarray]:
-    """Per-block identity features for reference image(s): their tokens
-    through `reference_forward_train`, without the backprop cache."""
+    """Per-block (R, n_query, d_id) identity features for an (R, 3, H, W)
+    stack of reference images: their tokens through
+    `reference_forward_train`, without the backprop cache."""
     return reference_forward_train(extract_tokens(img, enc), proj, heads)[0]

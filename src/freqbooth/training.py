@@ -54,8 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import check_identity_scale, check_real
-from .config import ModelConfig, tiny_config
+from .attention import check_identity_scale
+from .config import ModelConfig, check_int, check_real, tiny_config
 from .dct_freq import MaskKind, keeps_nothing, make_control_signal
 from .diffusion import (Conditions, ModelWeights, NoiseSchedule, PARAM_SETS, TimeTerms,
                         _build_weights, denoiser_backward, denoiser_forward, forward_noise,
@@ -85,26 +85,9 @@ SPEC_BOUNDS = {"n_identities": (1, None), "n_contexts": (1, 4), "image_size": (8
                "train_size": (1, None), "test_size": (1, None)}
 
 
-def _check_int(name: str, value) -> None:
-    """ValueError, naming the field, unless `value` is an int; a bool is
-    none, as in `ModelConfig`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def check_spec_field(name: str, value: int) -> None:
-    """ValueError, naming the field, unless `value` is an integer (see
-    `_check_int`) in `SPEC_BOUNDS[name]`."""
-    _check_int(name, value)
-    low, high = SPEC_BOUNDS[name]
-    if high is not None and not low <= value <= high:
-        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 @dataclass(frozen=True)
 class ToyDatasetSpec:
+    """Each field an integer (`check_int`) in its `SPEC_BOUNDS`."""
     n_identities: int = 16
     n_contexts: int = 4
     image_size: int = 32
@@ -112,8 +95,8 @@ class ToyDatasetSpec:
     test_size: int = 64
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            check_spec_field(name, value)
+        for name, bounds in SPEC_BOUNDS.items():
+            object.__setattr__(self, name, check_int(getattr(self, name), name, *bounds))
 
 
 @dataclass(frozen=True)
@@ -577,9 +560,10 @@ class TrainConfig:
     that is not 0 at stage 1.  Stages 0 and 2 never run the identity
     branch, so they hold any valid scale as 0.0.  Every stage takes an
     `lr` above 0; an infinite one is left to `train`'s finite-weight guard.
-    stage, steps, batch_size and seed are ints (a bool is none) and lr a
-    real number (`check_real`).  A step's layers (`_prepare`, `batch_loss`)
-    take the config itself."""
+    stage, steps, batch_size and seed are integers (`check_int`), and lr
+    and the scale real numbers (`check_real`); each field holds its
+    checked value.  A step's layers (`_prepare`, `batch_loss`) take the
+    config itself."""
     stage: int
     steps: int
     lr: float = 1e-3
@@ -589,27 +573,22 @@ class TrainConfig:
     mask_kind: MaskKind | None = None
 
     def __post_init__(self):
-        for name in ("stage", "steps", "batch_size", "seed"):
-            _check_int(name, getattr(self, name))
-        if self.stage not in (0, 1, 2):
-            raise ValueError(f"stage must be 0, 1 or 2, got {self.stage}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not check_real(self.lr, "lr") > 0:  # NaN too
+        for name, low, high in (("stage", 0, 2), ("steps", 0, None), ("batch_size", 1, None),
+                                ("seed", None, None)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low, high))
+        object.__setattr__(self, "lr", check_real(self.lr, "lr"))
+        if not self.lr > 0:  # NaN too
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if (self.mask_kind is None) == (self.stage == 2):
             if self.stage == 2:
                 raise ValueError("stage 2 requires a mask kind (--mask "
                                  f"{{{','.join(k.value for k in MaskKind)}}})")
             raise ValueError("a mask kind (--mask) applies only to stage 2")
-        check_identity_scale(self.identity_scale)
-        if self.stage != 1:
-            object.__setattr__(self, "identity_scale", 0.0)
-        elif self.identity_scale == 0.0:
+        scale = check_identity_scale(self.identity_scale)
+        if self.stage == 1 and scale == 0.0:
             raise ValueError("--lambda 0 skips the identity cross term, so stage 1 would "
                              "train nothing")
+        object.__setattr__(self, "identity_scale", scale if self.stage == 1 else 0.0)
 
 
 @dataclass
@@ -799,8 +778,10 @@ def paired_sweep(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseSche
     reference of identity t % n_identities.  Returns (drawn, aggregate):
     drawn[v] is the `draw_trials` list of values[v], and aggregate maps
     str(lambda) to its mean and std identity metric and its wins (and win
-    rate) against values[0] on the same trial."""
+    rate) against values[0] on the same trial.  `trials` is an integer
+    >= 1 (`check_int`)."""
     check_fits(dataset, weights.config)
+    trials = check_int(trials, "trials", 1)
     drawn = draw_trials(weights, enc, schedule, seed, steps, guidance, [
         (("sweep", t), dataset.test_refs[t % dataset.spec.n_identities], 0, None, lam)
         for lam in values for t in range(trials)])
@@ -829,8 +810,10 @@ def held_out_losses(weights: ModelWeights, enc: FrozenEncoders, schedule: NoiseS
     stacks of at most `TrainConfig.batch_size` rows, so no evaluation is
     wider than a training batch: a stack's forward holds every block's
     cache at once, and its memory grows with the stack.  Each row equals
-    its one-row call bit for bit, so the chunking changes no score."""
+    its one-row call bit for bit, so the chunking changes no score.
+    `size` is an integer >= 1 (`check_int`)."""
     check_fits(dataset, weights.config)
+    size = check_int(size, "size", 1)
     rng = RngState(seed).derive("ablate-eval")
     held_out = dataset.test_sample(np.arange(min(size, dataset.spec.test_size)))
     z0 = encode_latent(held_out.image, enc)

@@ -140,7 +140,8 @@ def both_branch_sample(weights, enc, schedule, rng, steps, ref_img=None,
     cfg = weights.config
     identity = None
     if ref_img is not None and identity_scale != 0.0:
-        identity = reference_forward(ref_img, weights.projection, weights.id_heads(), enc)
+        identity = [f[0] for f in reference_forward(ref_img[None], weights.projection,
+                                                    weights.id_heads(), enc)]
     ctrl = None
     if mask_kind is not None:
         ctrl = make_control_signal(encode_latent(ref_img, enc), mask_kind)

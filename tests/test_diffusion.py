@@ -196,7 +196,8 @@ def test_sampling_grid_is_cached_read_only():
     assert sampling_timesteps(200, 20) is taus
     with pytest.raises(ValueError, match="read-only"):
         taus[3] = 0
-    assert np.array_equal(sampling_timesteps(200, 20.0), taus)
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 20\.0$"):
+        sampling_timesteps(200, 20.0)
     assert np.array_equal(sampling_timesteps(200, np.int64(20)), taus)
 
 
@@ -204,11 +205,23 @@ def test_sampling_grid_is_cached_read_only():
 def test_a_step_count_that_is_not_an_integer_is_rejected(cfg, schedule, enc, bad):
     """A bool would draw as 0 or 1 steps and 2.5 raise numpy's TypeError;
     each names itself instead, before any work."""
-    with pytest.raises(ValueError, match=rf"steps {bad!r} is not an integer"):
+    with pytest.raises(ValueError, match=rf"steps must be an integer, got {bad!r}"):
         sampling_timesteps(50, bad)
-    with pytest.raises(ValueError, match=rf"steps {bad!r} is not an integer"):
+    with pytest.raises(ValueError, match=rf"steps must be an integer, got {bad!r}"):
         sample(init_weights(cfg, 0), enc, schedule, RngState(0), steps=bad, guidance=3.0,
                identity_scale=0.4)
+
+
+def test_the_sampler_rejects_a_float_count_with_the_package_message(cfg, schedule, enc):
+    """A float is no integer anywhere in the package: `sample` rejects 20.0
+    steps and text id 1.0 with `config.check_int`'s one message, as every
+    config does, where it used to run them as 20 and 1."""
+    weights = init_weights(cfg, 0)
+    kw = dict(guidance=3.0, identity_scale=0.4)
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 20\.0$"):
+        sample(weights, enc, schedule, RngState(0), steps=20.0, **kw)
+    with pytest.raises(ValueError, match=r"^text id must be an integer, got 1\.0$"):
+        sample(weights, enc, schedule, RngState(0), text_id=1.0, steps=2, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +408,7 @@ def test_invalid_latents_and_text_ids_are_rejected(cfg):
         predict_one(weights, rand_latent(cfg, 16), 5, 11)
     # int() would take each to text 1
     for text_id in (1.5, True, "1"):
-        with pytest.raises(ValueError, match=rf"text id {text_id!r} is not an integer"):
+        with pytest.raises(ValueError, match=rf"text id must be an integer, got {text_id!r}"):
             predict_one(weights, rand_latent(cfg, 16), 5, text_id)
 
 
@@ -613,8 +626,8 @@ def test_a_stack_equals_its_one_row_calls_and_keeps_its_cache(live_toy_weights, 
     weights = live_toy_weights
     cfg = weights.config
     refs = [make_ref(cfg, 19), make_ref(cfg, 21)]
-    feats = [reference_forward(ref, weights.projection, weights.id_heads(), toy_enc)
-             for ref in refs]
+    feats = [[f[0] for f in reference_forward(ref[None], weights.projection,
+                                              weights.id_heads(), toy_enc)] for ref in refs]
     ctrls = [make_control_signal(encode_latent(ref, toy_enc), MaskKind.LOW) for ref in refs]
     # (timestep, text id, identity features, control latent) of each row
     rows = [(37, 0, feats[0], ctrls[0]), (1, None, None, None), (120, 2, None, ctrls[1]),

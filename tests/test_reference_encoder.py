@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,9 @@ def test_tokens_match_per_patch_linear_oracle(enc):
 
 
 def project_identity(tokens, proj):
-    """The pooler's output: the reference branch through one identity head."""
-    return reference_forward_train(tokens, proj, [np.eye(proj.w_value.shape[1])])[0][0]
+    """The pooler's output on one reference's (n_tokens, d_tok) tokens: the
+    reference branch, on a one-row stack, through one identity head."""
+    return reference_forward_train(tokens[None], proj, [np.eye(proj.w_value.shape[1])])[0][0][0]
 
 
 def test_pooler_zero_tokens_zero_values_give_zero_output():
@@ -159,6 +162,19 @@ def test_pooler_checks_token_dimension():
         project_identity(np.zeros((3, 5)), proj)
 
 
+@pytest.mark.parametrize("shape", [(7, 6), (6,), (1, 1, 7, 6)])
+def test_reference_forward_train_rejects_tokens_that_are_not_a_stack(shape):
+    """One reference's tokens are a one-row stack: un-batched (n_tokens,
+    d_tok) tokens used to run, and `reference_backward` then summed the
+    queries and tokens axes into gradients of the wrong shape."""
+    rng = np.random.default_rng(9)
+    proj = ProjectionWeights(queries=rng.normal(size=(3, 4)), w_key=rng.normal(size=(6, 4)),
+                             w_value=rng.normal(size=(6, 5)))
+    with pytest.raises(ValueError, match=re.escape(f"tokens of shape {shape} are not an "
+                                                   "(R, n_tokens, d_tok) stack")):
+        reference_forward_train(np.zeros(shape), proj, [np.eye(5)])
+
+
 # ---------------------------------------------------------------------------
 # reference branch
 
@@ -170,8 +186,8 @@ def test_zero_image_with_zero_value_maps_gives_zero_features(enc):
                              w_key=rng.normal(size=(cfg.d_tok, cfg.d_query)),
                              w_value=np.zeros((cfg.d_tok, cfg.d_id)))
     heads = [rng.normal(size=(cfg.d_id, cfg.d_id)) for _ in range(2)]
-    feats = reference_forward(np.zeros((3, 32, 32)), proj, heads, enc)
-    assert len(feats) == 2
+    feats = reference_forward(np.zeros((1, 3, 32, 32)), proj, heads, enc)
+    assert len(feats) == 2 and all(f.shape == (1, cfg.n_query, cfg.d_id) for f in feats)
     assert all(not f.any() for f in feats)
 
 
@@ -188,8 +204,8 @@ def test_reference_forward_matches_the_training_forward(enc):
     proj, heads = make_proj(cfg, 11)
     rng = np.random.default_rng(12)
     img = rng.uniform(size=(3, 32, 32))
-    plain = reference_forward(img, proj, heads, enc)
-    trained, _ = reference_forward_train(extract_tokens(img, enc), proj, heads)
+    plain = reference_forward(img[None], proj, heads, enc)
+    trained, _ = reference_forward_train(extract_tokens(img[None], enc), proj, heads)
     assert all(np.array_equal(a, b) for a, b in zip(plain, trained))
 
     # a 3-row stack, one reference repeated: each row of the features and

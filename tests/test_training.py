@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import asdict, replace
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqbooth import diffusion, training
-from freqbooth.config import tiny_config, toy_config
+from freqbooth.config import ModelConfig, tiny_config, toy_config
 from freqbooth.dct_freq import MaskKind, keeps_nothing, make_control_signal
 from freqbooth.diffusion import (PARAM_SETS, denoiser_backward, denoiser_forward,
                                  forward_noise, init_weights, latent_to_seq,
@@ -1192,6 +1193,28 @@ def test_configs_reject_a_bool_or_a_non_integer_where_they_take_an_int():
                 ToyDatasetSpec(**{name: bad})
 
 
+def test_configs_take_numpy_integers_and_store_ints(tiny_dataset, tiny_schedule, tiny_enc,
+                                                    tmp_path):
+    """A numpy integer is an integer in every config, as in the sampler,
+    and each config stores the int (and `lr` the float), so a report of a
+    run on them goes through `json`.  `TrainConfig(steps=np.int64(2))` used
+    to raise, while `sample` took the same value."""
+    cfg = ModelConfig(**{k: np.int64(v) for k, v in asdict(tiny_config()).items()})
+    spec = ToyDatasetSpec(**{k: np.int32(v) for k, v in asdict(SMALL_SPEC).items()})
+    config = TrainConfig(stage=np.int64(0), steps=np.int64(2), lr=np.float64(1e-3),
+                         batch_size=np.int16(4), seed=np.int64(-1))
+    assert (cfg, spec) == (tiny_config(), SMALL_SPEC)
+    for made in (cfg, spec, config):
+        assert {type(v) for k, v in asdict(made).items()
+                if k not in ("lr", "identity_scale", "mask_kind")} == {int}, made
+    assert type(config.lr) is float
+    report = train(TrainConfig(stage=0, steps=np.int64(2)), tiny_dataset, init_weights(cfg, 0),
+                   tiny_schedule, tiny_enc)
+    write_json(tmp_path / "report.json", report.to_dict())
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["steps"] == written["config"]["steps"] == 2
+
+
 def test_stage1_config_rejects_identity_scale_zero():
     # at scale 0 no cross term runs, so every identity-adapter gradient is 0
     with pytest.raises(ValueError, match="stage 1 would train nothing"):
@@ -1246,6 +1269,26 @@ def test_held_out_losses_score_the_first_test_examples_in_order(tiny_trained, ti
             assert records == expected[:size], (kind, size)
         assert all(1 <= t <= timesteps for t, _ in expected)
     assert len({t for t, _ in expected}) > 1
+
+
+def test_the_evaluations_reject_a_count_they_cannot_run(tiny_trained, tiny_dataset,
+                                                        tiny_schedule, tiny_enc):
+    """`held_out_losses` takes a size, and `paired_sweep` a trial count, that
+    is an integer >= 1, named before any work: size 0 used to fail in
+    numpy's stack, and 0 trials to divide by zero after three numpy
+    RuntimeWarnings."""
+    weights, _ = tiny_trained
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in (0, -1):
+            with pytest.raises(ValueError, match=f"^size must be >= 1, got {size}$"):
+                held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, size, 0, None)
+        with pytest.raises(ValueError, match=r"^size must be an integer, got 2\.0$"):
+            held_out_losses(weights, tiny_enc, tiny_schedule, tiny_dataset, 2.0, 0, None)
+        for trials in (0, -2):
+            with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+                paired_sweep(weights, tiny_enc, tiny_schedule, tiny_dataset, [0.0, 1.0],
+                             trials, 0, 2, 3.0)
 
 
 def test_held_out_losses_score_no_stack_wider_than_a_training_batch(monkeypatch, tiny_trained,
